@@ -53,8 +53,6 @@ from .optim import (
     minimize_lbfgs,
     minimize_nlcg,
     optimize,
-    plbfgs_minimize,
-    pnlcg_minimize,
     strong_wolfe_search,
 )
 from .tetrahedra import LocalGradient3D, Tetrahedron

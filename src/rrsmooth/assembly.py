@@ -151,25 +151,15 @@ def energy_gradient(mesh):
 class Preconditioner:
     """Reduced SPD matrix over non-fixed vertices, applied per coordinate.
 
-    ``active`` lists the vertex indices kept; ``index_of`` maps a vertex
-    index to its row in P (-1 for fixed vertices).
+    ``active`` lists the vertex indices kept, in the order of P's rows.
     """
 
     P: sparse.csr_matrix
     active: np.ndarray
-    index_of: np.ndarray
 
     @property
     def n(self):
         return self.P.shape[0]
-
-    def restrict(self, per_vertex):
-        return np.asarray(per_vertex)[self.active]
-
-    def expand(self, reduced, n_vertices):
-        out = np.zeros(n_vertices)
-        out[self.active] = reduced
-        return out
 
 
 def assemble_preconditioner(mesh):
@@ -202,11 +192,9 @@ def assemble_preconditioner(mesh):
     A_abs = _scatter_square(mesh.cells, local, nv)
 
     active = np.flatnonzero(~fixed)
-    index_of = np.full(nv, -1, dtype=np.int64)
-    index_of[active] = np.arange(active.size)
     P = A_abs[active][:, active].tocsr()
     P.sort_indices()
-    return Preconditioner(P=P, active=active, index_of=index_of)
+    return Preconditioner(P=P, active=active)
 
 
 @dataclass

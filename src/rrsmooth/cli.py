@@ -125,12 +125,16 @@ def cmd_perturb(args):
 
 
 def cmd_optimize(args):
+    try:
+        config = OptimizeConfig(
+            method=args.method, max_iters=args.max_iters, grad_tol=args.grad_tol
+        )
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     mesh = _load_validated(args.input)
     if args.boundary != "keep":
         mesh = classify_boundary(mesh, args.boundary)
-    config = OptimizeConfig(
-        method=args.method, max_iters=args.max_iters, grad_tol=args.grad_tol
-    )
     if args.dump_system:
         write_matrix_market(assemble(mesh).gradient_matrix(), args.dump_system + "_gf.mtx")
         write_matrix_market(assemble_preconditioner(mesh).P, args.dump_system + "_p.mtx")

@@ -1,11 +1,15 @@
-"""Energy minimizers: fixed-point iteration, (P)LBFGS and (P)NLCG.
+"""Energy minimizers: one descent driver, three direction strategies.
 
-All methods share the same skeleton: compute a search direction, cap the
-step so no cell can invert, accept a step through an Armijo (fixed-point in
-2D) or strong-Wolfe line search, and stop on a gradient norm, an energy
-stall, or the iteration budget. Fixed vertices never move and sliding
-vertices only move in their planes because every direction is projected
-onto the constraint set before stepping.
+The five methods differ only in their search direction: the fixed point's
+abs-clamped coordinate solve, the LBFGS two-loop recursion or the
+Polak-Ribiere nonlinear-CG update, the latter two with or without the SPD
+preconditioner. Everything else is shared by :func:`_descend`: every
+direction is projected onto the constraint set (fixed vertices never move,
+sliding vertices stay in their planes), each step is capped so no cell can
+invert and accepted by an Armijo (2D fixed point) or strong-Wolfe line
+search, a non-descent direction or a failed search falls back once to the
+strategy's steepest direction, and the run stops on a gradient norm, an
+energy stall, the iteration budget, or a named failure.
 """
 
 import math
@@ -31,6 +35,8 @@ PNLCG = "pnlcg"
 METHODS = (FIXED_POINT, LBFGS, PLBFGS, NLCG, PNLCG)
 
 _CURVATURE_PAIR_TOL = 1e-14
+# Stop on an energy stall when the drop over this many steps is below energy_tol.
+_ENERGY_PATIENCE = 3
 
 
 @dataclass
@@ -201,16 +207,10 @@ class OptimizeConfig:
     grad_tol: float = 1e-8
     grad_tol_abs: float = 1e-10
     energy_tol: float = 1e-12
-    energy_patience: int = 3
     lbfgs_memory: int = 10
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.9
-    backtrack_shrink: float = 0.5
     lam_min: float = 1e-16
-    max_ls_evals: int = 60
-    cg_tol: float = 1e-8
-    cg_max_iters: int | None = None
-    precondition_refresh: int = 1
     step_cap_factor: float = 0.9
 
     def __post_init__(self):
@@ -220,12 +220,10 @@ class OptimizeConfig:
             raise ValueError("need 0 < c1 < c2 < 1")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be >= 1")
-        if min(self.grad_tol, self.grad_tol_abs, self.energy_tol, self.cg_tol) <= 0:
+        if min(self.grad_tol, self.grad_tol_abs, self.energy_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.backtrack_shrink < 1.0:
-            raise ValueError("backtracking shrink factor must be in (0, 1)")
-        if self.precondition_refresh < 1 or self.max_iters < 0:
-            raise ValueError("iteration counts must be non-negative")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
 
 
 @dataclass
@@ -304,19 +302,28 @@ def _inf_norm(v):
     return float(np.abs(v).max()) if v.size else 0.0
 
 
+def _solve_coords(pre, rhs, x0=None):
+    """Solve P u = rhs per column of an (n_vertices, dim) field; fixed rows stay 0."""
+    out = np.zeros_like(rhs)
+    for c in range(rhs.shape[1]):
+        sol, _ = cg_solve(
+            pre.P, rhs[pre.active, c], x0=None if x0 is None else x0[pre.active, c]
+        )
+        out[pre.active, c] = sol
+    return out
+
+
 class FunctionProblem:
-    """Adapter exposing a plain objective to the descent loops."""
+    """Adapter exposing a plain objective to the descent driver."""
 
     def __init__(self, fun_grad, x0, precond_solve=None):
         self._fun_grad = fun_grad
         self.x0 = np.asarray(x0, dtype=float).copy()
         self._solve = precond_solve
         self.fun_evals = 0
-        self.grad_evals = 0
 
     def eval(self, x):
         self.fun_evals += 1
-        self.grad_evals += 1
         f, g = self._fun_grad(x)
         return float(f), np.asarray(g, dtype=float)
 
@@ -329,7 +336,7 @@ class FunctionProblem:
     def lam_cap(self, x, d):
         return math.inf
 
-    def precond_factory(self, x, k):
+    def precond_factory(self, x):
         return self._solve
 
     def step_metrics(self, x_old, x_new):
@@ -350,34 +357,17 @@ class MeshProblem:
         self.normals = mesh.slide_normals
         self.project_field = constraint_projector(mesh)
         self.fun_evals = 0
-        self.grad_evals = 0
-        self.last_system = None
 
     def mesh_at(self, x):
         return self.mesh.with_vertices(x.reshape(self.nv, self.dim))
 
     def eval(self, x):
         self.fun_evals += 1
-        self.grad_evals += 1
         try:
             f, grad_field = energy_gradient(self.mesh_at(x))
         except DegenerateElement:
             return math.inf, None
         return f, self.project_field(grad_field).ravel()
-
-    def eval_with_system(self, x):
-        """Like eval but also assembles the sparse blocks (fixed point needs them)."""
-        self.fun_evals += 1
-        self.grad_evals += 1
-        system = self.system_at(x)
-        g = self.project_field(vec_to_field(system.gradient, self.nv, self.dim))
-        return system.F, g.ravel(), system
-
-    def system_at(self, x):
-        """Sparse block assembly at x, not counted as an objective evaluation."""
-        system = assemble(self.mesh_at(x))
-        self.last_system = system
-        return system
 
     def project(self, v):
         return self.project_field(v.reshape(self.nv, self.dim)).ravel()
@@ -394,21 +384,12 @@ class MeshProblem:
         )
         return self.config.step_cap_factor * bound
 
-    def preconditioner(self, x):
-        return assemble_preconditioner(self.mesh_at(x))
-
-    def precond_factory(self, x, k):
-        pre = self.preconditioner(x)
-        cfg = self.config
+    def precond_factory(self, x):
+        """The preconditioner solve built at x, as a projected vector map."""
+        pre = assemble_preconditioner(self.mesh_at(x))
 
         def solve(vec):
-            fld = vec.reshape(self.nv, self.dim)
-            out = np.zeros_like(fld)
-            for c in range(self.dim):
-                sol, _ = cg_solve(
-                    pre.P, fld[pre.active, c], tol=cfg.cg_tol, max_iters=cfg.cg_max_iters
-                )
-                out[pre.active, c] = sol
+            out = _solve_coords(pre, vec.reshape(self.nv, self.dim))
             return self.project_field(out).ravel()
 
         return solve
@@ -434,7 +415,7 @@ def _grad_converged(gnorm, g0norm, config):
 
 
 def _energy_stalled(history, config):
-    if len(history) <= config.energy_patience:
+    if len(history) <= _ENERGY_PATIENCE:
         return False
     drop = history[0] - history[-1]
     return drop <= config.energy_tol * max(abs(history[-1]), 1.0)
@@ -455,13 +436,13 @@ def _take_step(problem, config, x, f, g, d, k, kind):
     cap = problem.lam_cap(x, d)
     if kind == "armijo":
         ls = backtracking_search(
-            phi, lam_init=1.0, shrink=config.backtrack_shrink, c1=config.wolfe_c1,
-            lam_cap=cap, lam_min=config.lam_min, f0=f, df0=df0,
+            phi, lam_init=1.0, c1=config.wolfe_c1, lam_cap=cap,
+            lam_min=config.lam_min, f0=f, df0=df0,
         )
     else:
         ls = strong_wolfe_search(
             phi, lam_init=1.0, c1=config.wolfe_c1, c2=config.wolfe_c2,
-            lam_cap=cap, max_evals=config.max_ls_evals, f0=f, df0=df0,
+            lam_cap=cap, f0=f, df0=df0,
         )
     x_new, f_new, g_new = cache[ls.lam]
     record = IterationRecord(
@@ -493,136 +474,192 @@ def _two_loop(g, pairs, precond_solve):
     return r
 
 
-def _steepest(problem, g, solver):
-    d = -(solver(g) if solver is not None else g)
-    return problem.project(d)
+class _Strategy:
+    """Defaults shared by the direction strategies that :func:`_descend` drives."""
+
+    kind = "wolfe"
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.extras = {}
+
+    def start(self, x):
+        return self.problem.eval(x)
+
+    def accept(self, x, x_new, g, g_new):
+        pass
 
 
-def _lbfgs_loop(problem, config, precondition, extras):
-    x = problem.x0.copy()
-    f, g = problem.eval(x)
-    g0n = _inf_norm(g)
-    records = [IterationRecord(0, f, g0n, 0.0, 0)]
-    history = deque([f], maxlen=config.energy_patience + 1)
-    pairs = deque(maxlen=config.lbfgs_memory)
-    solver = None
-    termination = "max_iters"
-    for k in range(config.max_iters):
-        if _grad_converged(_inf_norm(g), g0n, config):
-            termination = "grad_tol"
-            break
-        if _energy_stalled(history, config):
-            termination = "energy_tol"
-            break
-        try:
-            if precondition and (solver is None or k % config.precondition_refresh == 0):
-                solver = problem.precond_factory(x, k)
-            d = problem.project(-_two_loop(g, pairs, solver))
-        except MeshError as e:
-            termination = f"preconditioner_error: {e}"
-            break
-        used_steepest = False
-        if not float(g @ d) < 0.0:
-            d = _steepest(problem, g, solver)
-            pairs.clear()
-            used_steepest = True
-            if not float(g @ d) < 0.0:
-                termination = "grad_tol"
-                break
-        try:
-            x_new, f_new, g_new, rec = _take_step(problem, config, x, f, g, d, k, "wolfe")
-        except LineSearchFailed:
-            if used_steepest:
-                termination = "line_search_failed"
-                break
-            d = _steepest(problem, g, solver)
-            pairs.clear()
-            try:
-                x_new, f_new, g_new, rec = _take_step(
-                    problem, config, x, f, g, d, k, "wolfe"
-                )
-            except LineSearchFailed:
-                termination = "line_search_failed"
-                break
+class _Lbfgs(_Strategy):
+    """(P)LBFGS directions; the fallback is the preconditioned steepest one."""
+
+    def __init__(self, problem, memory, precondition):
+        super().__init__(problem)
+        self.precondition = precondition
+        self.pairs = deque(maxlen=memory)
+        self.solve = None
+
+    def direction(self, x, g):
+        if self.precondition:
+            self.solve = self.problem.precond_factory(x)
+        d = self.problem.project(-_two_loop(g, self.pairs, self.solve))
+        # Without curvature pairs the two-loop result is the fallback itself.
+        return d, not self.pairs
+
+    def fallback(self, g):
+        self.pairs.clear()
+        return self.problem.project(-(self.solve(g) if self.solve is not None else g))
+
+    def accept(self, x, x_new, g, g_new):
         s = x_new - x
         y = g_new - g
         ys = float(y @ s)
         if ys > _CURVATURE_PAIR_TOL * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / ys))
+            self.pairs.append((s, y, 1.0 / ys))
+
+
+class _Nlcg(_Strategy):
+    """(P)NLCG directions with the Polak-Ribiere+ beta."""
+
+    def __init__(self, problem, precondition):
+        super().__init__(problem)
+        self.precondition = precondition
+        self.p = None
+        self.beta = 0.0
+        self.steepest = None
+        self.extras["betas"] = []
+
+    def direction(self, x, g):
+        solve = self.problem.precond_factory(x) if self.precondition else None
+        self.steepest = self.problem.project(-(solve(g) if solve is not None else g))
+        if self.p is None:
+            self.p = self.steepest
+            return self.p, True
+        self.p = self.problem.project(self.steepest + self.beta * self.p)
+        return self.p, False
+
+    def fallback(self, g):
+        self.p = self.steepest
+        return self.p
+
+    def accept(self, x, x_new, g, g_new):
+        # Polak-Ribiere with the non-negativity clamp (restart when beta < 0).
+        self.beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
+        self.extras["betas"].append(self.beta)
+
+
+class _FixedPoint(_Strategy):
+    """Abs-clamped fixed-point directions, rebuilt from the blocks at x."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.kind = "armijo" if problem.dim == 2 else "wolfe"
+        self.system = None
+
+    def start(self, x):
+        # The blocks at x0 carry F and the gradient too: one assembly serves
+        # the initial evaluation and the first direction.
+        problem = self.problem
+        problem.fun_evals += 1
+        self.system = assemble(problem.mesh_at(x))
+        g = vec_to_field(self.system.gradient, problem.nv, problem.dim)
+        return self.system.F, problem.project_field(g).ravel()
+
+    def direction(self, x, g):
+        """Solve the decoupled coordinate systems with the abs-clamped operator.
+
+        The solve matrix is the reduced preconditioner; the right-hand side
+        keeps the true A acting on the fixed coordinates.
+        """
+        problem = self.problem
+        mesh = problem.mesh_at(x)
+        system = self.system if self.system is not None else assemble(mesh)
+        self.system = None
+        pre = assemble_preconditioner(mesh)
+        current = mesh.vertices
+        A = system.A
+        fixed = problem.fixed
+        if problem.dim == 2:
+            (B,) = system.B_blocks
+            X, Y = current.T
+            rhs = [-(B @ Y) - A @ (X * fixed), (B @ X) - A @ (Y * fixed)]
+        else:
+            B0, B1, B2 = system.B_blocks
+            X, Y, Z = current.T
+            rhs = [
+                -(B2 @ Y) - (B1 @ Z) - A @ (X * fixed),
+                (B2 @ X) - (B0 @ Z) - A @ (Y * fixed),
+                (B1 @ X) + (B0 @ Y) - A @ (Z * fixed),
+            ]
+        d = _solve_coords(pre, np.column_stack(rhs), x0=current)
+        d[pre.active] -= current[pre.active]
+        return problem.project_field(d).ravel(), False
+
+    def fallback(self, g):
+        return self.problem.project(-g)
+
+
+def _descend(problem, config, strategy):
+    """The descent loop shared by every method; returns (x, records, termination).
+
+    ``strategy.start(x)`` evaluates the initial point, ``direction(x, g)``
+    returns ``(d, d_is_the_fallback)``, ``fallback(g)`` the direction to retry
+    with once, and ``accept`` sees every accepted step.
+    """
+    x = problem.x0.copy()
+    f, g = strategy.start(x)
+    g0n = _inf_norm(g)
+    records = [IterationRecord(0, f, g0n, 0.0, 0)]
+    history = deque([f], maxlen=_ENERGY_PATIENCE + 1)
+    for k in range(config.max_iters):
+        if _grad_converged(_inf_norm(g), g0n, config):
+            return x, records, "grad_tol"
+        if _energy_stalled(history, config):
+            return x, records, "energy_tol"
+        try:
+            d, is_fallback = strategy.direction(x, g)
+        except MeshError as e:
+            return x, records, f"preconditioner_error: {e}"
+        if not is_fallback and not float(g @ d) < 0.0:
+            d, is_fallback = strategy.fallback(g), True
+        if not float(g @ d) < 0.0:
+            return x, records, "grad_tol"
+        while True:
+            try:
+                x_new, f_new, g_new, rec = _take_step(
+                    problem, config, x, f, g, d, k, strategy.kind
+                )
+                break
+            except LineSearchFailed:
+                if is_fallback:
+                    return x, records, "line_search_failed"
+                d, is_fallback = strategy.fallback(g), True
+        strategy.accept(x, x_new, g, g_new)
         x, f, g = x_new, f_new, g_new
         records.append(rec)
         history.append(f)
-    else:
-        if _grad_converged(_inf_norm(g), g0n, config):
-            termination = "grad_tol"
+    termination = "grad_tol" if _grad_converged(_inf_norm(g), g0n, config) else "max_iters"
     return x, records, termination
 
 
-def _nlcg_loop(problem, config, precondition, extras):
-    x = problem.x0.copy()
-    f, g = problem.eval(x)
-    g0n = _inf_norm(g)
-    records = [IterationRecord(0, f, g0n, 0.0, 0)]
-    history = deque([f], maxlen=config.energy_patience + 1)
-    betas = extras.setdefault("betas", [])
-    solver = None
-    termination = "max_iters"
-    p = None
-    for k in range(config.max_iters):
-        if _grad_converged(_inf_norm(g), g0n, config):
-            termination = "grad_tol"
-            break
-        if _energy_stalled(history, config):
-            termination = "energy_tol"
-            break
-        try:
-            if precondition and solver is None:
-                solver = problem.precond_factory(x, k)
-            was_steepest = False
-            if p is None or not float(g @ p) < 0.0:
-                p = _steepest(problem, g, solver)
-                was_steepest = True
-        except MeshError as e:
-            termination = f"preconditioner_error: {e}"
-            break
-        if was_steepest and not float(g @ p) < 0.0:
-            termination = "grad_tol"
-            break
-        try:
-            x_new, f_new, g_new, rec = _take_step(problem, config, x, f, g, p, k, "wolfe")
-        except LineSearchFailed:
-            if was_steepest:
-                termination = "line_search_failed"
-                break
-            p = problem.project(-g)
-            try:
-                x_new, f_new, g_new, rec = _take_step(
-                    problem, config, x, f, g, p, k, "wolfe"
-                )
-            except LineSearchFailed:
-                termination = "line_search_failed"
-                break
-        x, f, g_prev = x_new, f_new, g
-        g = g_new
-        records.append(rec)
-        history.append(f)
-        # Polak-Ribiere with the non-negativity clamp (restart when beta < 0).
-        beta = max(0.0, float(g @ (g - g_prev)) / float(g_prev @ g_prev))
-        betas.append(beta)
-        try:
-            # The preconditioner is rebuilt at the accepted iterate before
-            # the preconditioned gradient enters the new direction.
-            if precondition and (k + 1) % config.precondition_refresh == 0:
-                solver = problem.precond_factory(x, k + 1)
-        except MeshError as e:
-            termination = f"preconditioner_error: {e}"
-            break
-        ghat = _steepest(problem, g, solver)
-        p = problem.project(ghat + beta * p)
+def _run(problem, config, method):
+    """Descend with the method's direction strategy; returns (x, OptimizeReport)."""
+    if method == FIXED_POINT:
+        strategy = _FixedPoint(problem)
+    elif method in (LBFGS, PLBFGS):
+        strategy = _Lbfgs(problem, config.lbfgs_memory, method == PLBFGS)
     else:
-        if _grad_converged(_inf_norm(g), g0n, config):
-            termination = "grad_tol"
-    return x, records, termination
+        strategy = _Nlcg(problem, method == PNLCG)
+    x, records, termination = _descend(problem, config, strategy)
+    report = OptimizeReport(
+        method=method,
+        records=records,
+        termination=termination,
+        fun_evals=problem.fun_evals,
+        grad_evals=problem.fun_evals,  # every evaluation returns the gradient too
+        extras=strategy.extras,
+    )
+    return x, report
 
 
 def minimize_lbfgs(fun_grad, x0, config=None, precond_solve=None):
@@ -633,77 +670,17 @@ def minimize_lbfgs(fun_grad, x0, config=None, precond_solve=None):
     """
     config = config or OptimizeConfig(method=LBFGS)
     problem = FunctionProblem(fun_grad, x0, precond_solve)
-    extras = {}
-    x, records, termination = _lbfgs_loop(
-        problem, config, precondition=precond_solve is not None, extras=extras
-    )
-    report = OptimizeReport(
-        method=PLBFGS if precond_solve is not None else LBFGS,
-        records=records,
-        termination=termination,
-        fun_evals=problem.fun_evals,
-        grad_evals=problem.grad_evals,
-        extras=extras,
-    )
-    return x, report
+    return _run(problem, config, PLBFGS if precond_solve is not None else LBFGS)
 
 
 def minimize_nlcg(fun_grad, x0, config=None, precond_solve=None):
     """Polak-Ribiere nonlinear CG on a plain objective."""
     config = config or OptimizeConfig(method=NLCG)
     problem = FunctionProblem(fun_grad, x0, precond_solve)
-    extras = {}
-    x, records, termination = _nlcg_loop(
-        problem, config, precondition=precond_solve is not None, extras=extras
-    )
-    report = OptimizeReport(
-        method=PNLCG if precond_solve is not None else NLCG,
-        records=records,
-        termination=termination,
-        fun_evals=problem.fun_evals,
-        grad_evals=problem.grad_evals,
-        extras=extras,
-    )
-    return x, report
+    return _run(problem, config, PNLCG if precond_solve is not None else NLCG)
 
 
-def _fixed_point_direction(problem, system, pre, config, x):
-    """Solve the decoupled coordinate systems with the abs-clamped operator.
-
-    The solve matrix is the reduced preconditioner; the right-hand side
-    keeps the true A acting on the fixed coordinates.
-    """
-    nv = problem.nv
-    A = system.A
-    V = system.V
-    coords = [V[c * nv : (c + 1) * nv] for c in range(problem.dim)]
-    fixed = problem.fixed
-    if problem.dim == 2:
-        (B,) = system.B_blocks
-        X, Y = coords
-        rhs = [-(B @ Y) - A @ (X * fixed), (B @ X) - A @ (Y * fixed)]
-    else:
-        B0, B1, B2 = system.B_blocks
-        X, Y, Z = coords
-        rhs = [
-            -(B2 @ Y) - (B1 @ Z) - A @ (X * fixed),
-            (B2 @ X) - (B0 @ Z) - A @ (Y * fixed),
-            (B1 @ X) + (B0 @ Y) - A @ (Z * fixed),
-        ]
-    d = np.zeros((nv, problem.dim))
-    for c in range(problem.dim):
-        sol, _ = cg_solve(
-            pre.P,
-            rhs[c][pre.active],
-            tol=config.cg_tol,
-            max_iters=config.cg_max_iters,
-            x0=coords[c][pre.active],
-        )
-        d[pre.active, c] = sol - coords[c][pre.active]
-    return problem.project_field(d).ravel()
-
-
-def fixed_point_step(mesh, system=None, precond=None, config=None):
+def fixed_point_step(mesh, config=None):
     """One fixed-point update: direction, guarded line search, new mesh.
 
     Returns ``(direction_field, new_mesh, record)``. The direction solves
@@ -712,83 +689,16 @@ def fixed_point_step(mesh, system=None, precond=None, config=None):
     """
     config = config or OptimizeConfig(method=FIXED_POINT)
     problem = MeshProblem(mesh, config)
-    x = problem.x0.copy()
-    if system is None:
-        f, g, system = problem.eval_with_system(x)
-    else:
-        g = problem.project_field(
-            vec_to_field(system.gradient, problem.nv, problem.dim)
-        ).ravel()
-        f = system.F
-    if precond is None:
-        precond = problem.preconditioner(x)
-    d = _fixed_point_direction(problem, system, precond, config, x)
-    kind = "armijo" if mesh.dim == 2 else "wolfe"
+    strategy = _FixedPoint(problem)
+    x = problem.x0
+    f, g = strategy.start(x)
+    d, _ = strategy.direction(x, g)
+    field = d.reshape(problem.nv, problem.dim)
     if not np.any(d):
-        record = IterationRecord(1, f, _inf_norm(g), 0.0, 0, ls_kind=kind)
-        return d.reshape(problem.nv, problem.dim), mesh.copy(), record
-    x_new, _, _, record = _take_step(problem, config, x, f, g, d, 0, kind)
-    return (
-        d.reshape(problem.nv, problem.dim),
-        problem.mesh_at(x_new),
-        record,
-    )
-
-
-def _fixed_point_loop(problem, config, extras):
-    x = problem.x0.copy()
-    f, g, system = problem.eval_with_system(x)
-    g0n = _inf_norm(g)
-    records = [IterationRecord(0, f, g0n, 0.0, 0)]
-    history = deque([f], maxlen=config.energy_patience + 1)
-    kind = "armijo" if problem.dim == 2 else "wolfe"
-    pre = None
-    termination = "max_iters"
-    for k in range(config.max_iters):
-        if _grad_converged(_inf_norm(g), g0n, config):
-            termination = "grad_tol"
-            break
-        if _energy_stalled(history, config):
-            termination = "energy_tol"
-            break
-        try:
-            if pre is None or k % config.precondition_refresh == 0:
-                pre = problem.preconditioner(x)
-            d = _fixed_point_direction(problem, system, pre, config, x)
-        except MeshError as e:
-            termination = f"preconditioner_error: {e}"
-            break
-        used_steepest = False
-        if not float(g @ d) < 0.0:
-            d = problem.project(-g)
-            used_steepest = True
-            if not float(g @ d) < 0.0:
-                termination = "grad_tol"
-                break
-        try:
-            x_new, f_new, g_new, rec = _take_step(problem, config, x, f, g, d, k, kind)
-        except LineSearchFailed:
-            if used_steepest:
-                termination = "line_search_failed"
-                break
-            d = problem.project(-g)
-            try:
-                x_new, f_new, g_new, rec = _take_step(
-                    problem, config, x, f, g, d, k, kind
-                )
-            except LineSearchFailed:
-                termination = "line_search_failed"
-                break
-        x, f, g = x_new, f_new, g_new
-        records.append(rec)
-        history.append(f)
-        # The accepted point was already evaluated inside the line search;
-        # rebuild only the sparse blocks the next direction solve needs.
-        system = problem.system_at(x)
-    else:
-        if _grad_converged(_inf_norm(g), g0n, config):
-            termination = "grad_tol"
-    return x, records, termination
+        record = IterationRecord(1, f, _inf_norm(g), 0.0, 0, ls_kind=strategy.kind)
+        return field, mesh.copy(), record
+    x_new, _, _, record = _take_step(problem, config, x, f, g, d, 0, strategy.kind)
+    return field, problem.mesh_at(x_new), record
 
 
 def optimize(mesh, config=None):
@@ -807,44 +717,8 @@ def optimize(mesh, config=None):
         )
     quality_before = quality_stats(mesh)
     problem = MeshProblem(mesh, config)
-    extras = {}
-    if config.method == FIXED_POINT:
-        x, records, termination = _fixed_point_loop(problem, config, extras)
-    elif config.method in (LBFGS, PLBFGS):
-        x, records, termination = _lbfgs_loop(
-            problem, config, precondition=config.method == PLBFGS, extras=extras
-        )
-    elif config.method in (NLCG, PNLCG):
-        x, records, termination = _nlcg_loop(
-            problem, config, precondition=config.method == PNLCG, extras=extras
-        )
-    else:
-        raise ValueError(f"unknown method {config.method!r}")
+    x, report = _run(problem, config, config.method)
     out = problem.mesh_at(x)
-    report = OptimizeReport(
-        method=config.method,
-        records=records,
-        termination=termination,
-        fun_evals=problem.fun_evals,
-        grad_evals=problem.grad_evals,
-        quality_before=quality_before,
-        quality_after=quality_stats(out),
-        extras=extras,
-    )
+    report.quality_before = quality_before
+    report.quality_after = quality_stats(out)
     return out, report
-
-
-def plbfgs_minimize(mesh, config=None):
-    """(P)LBFGS on a mesh; defaults to the preconditioned variant."""
-    config = config or OptimizeConfig(method=PLBFGS)
-    if config.method not in (LBFGS, PLBFGS):
-        raise ValueError("plbfgs_minimize expects an lbfgs-family method")
-    return optimize(mesh, config)
-
-
-def pnlcg_minimize(mesh, config=None):
-    """(P)NLCG on a mesh; defaults to the preconditioned variant."""
-    config = config or OptimizeConfig(method=PNLCG)
-    if config.method not in (NLCG, PNLCG):
-        raise ValueError("pnlcg_minimize expects an nlcg-family method")
-    return optimize(mesh, config)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rrsmooth.cli import main
 from rrsmooth.meshio import load_mesh
@@ -85,6 +86,16 @@ class TestPerturbAndOptimize:
         )
         assert code == 2
         assert out.exists()  # partial outputs still written
+
+    @pytest.mark.parametrize("flag, value", [("--grad-tol", "0"), ("--max-iters", "-1")])
+    def test_out_of_range_optimizer_flag_exits_one(self, tmp_path, capsys, flag, value):
+        src = tmp_path / "sq.msh"
+        out = tmp_path / "o.msh"
+        run(capsys, "gen", "--kind", "square", "--n", "3", str(src))
+        code, _, err = run(capsys, "optimize", str(src), str(out), flag, value)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "quality", str(tmp_path / "missing.msh"))

@@ -5,12 +5,15 @@ import pytest
 from scipy import sparse
 
 from rrsmooth import mesh as m
+from rrsmooth import optim
 from rrsmooth.errors import IndefiniteMatrix, LineSearchFailed
 from rrsmooth.generate import (
     CUBE,
     EQUILATERAL,
     GeneratorSpec,
     PlantSliver,
+    RandomJitter,
+    SQUARE,
     VertexDisplace,
     gen_mesh,
     perturb_mesh,
@@ -430,6 +433,96 @@ class TestMeshOptimizers:
         assert len(lines) - 1 == report.iterations + 1
         energies = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+
+
+def jittered_meshes():
+    """Unclassified (every vertex free) square n=6 and cube n=3 with jitter."""
+    square = perturb_mesh(gen_mesh(GeneratorSpec(SQUARE, 6)), RandomJitter(0.3, seed=1))
+    cube = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 3)), RandomJitter(0.1, seed=1))
+    return {"square": square, "cube": cube}
+
+
+class TestAbnormalStops:
+    """Every abnormal stop ends in a named termination, in every method."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        return jittered_meshes()
+
+    @pytest.mark.parametrize("shape", ["square", "cube"])
+    @pytest.mark.parametrize("method", optim.METHODS)
+    def test_zero_step_cap_fails_the_line_search(self, meshes, shape, method):
+        mesh = m.classify_boundary(meshes[shape], m.FIX_ALL)
+        cfg = OptimizeConfig(method=method, step_cap_factor=1e-300)
+        out, report = optimize(mesh, cfg)
+        assert report.termination == "line_search_failed"
+        assert report.iterations == 0
+        np.testing.assert_array_equal(out.vertices, mesh.vertices)
+
+    @pytest.mark.parametrize("shape", ["square", "cube"])
+    @pytest.mark.parametrize("method", optim.METHODS)
+    def test_no_fixed_vertices(self, meshes, shape, method):
+        # Without a fixed vertex the reduced matrix is only semi-definite:
+        # methods that need it stop by name, the others are unaffected.
+        out, report = optimize(meshes[shape], OptimizeConfig(method=method, max_iters=5))
+        if method in ("fixedpoint", "plbfgs", "pnlcg"):
+            assert report.termination.startswith("preconditioner_error: ")
+            assert report.iterations == 0
+        else:
+            assert report.termination == "max_iters"
+            assert report.iterations == 5
+        assert np.all(out.signed_measures() > 0)
+
+    @pytest.mark.parametrize("shape", ["square", "cube"])
+    @pytest.mark.parametrize("method", optim.METHODS)
+    def test_energy_stall(self, meshes, shape, method):
+        mesh = m.classify_boundary(meshes[shape], m.FIX_ALL)
+        _, report = optimize(mesh, OptimizeConfig(method=method, energy_tol=0.5))
+        assert report.termination == "energy_tol"
+        assert report.iterations == 3
+
+    @pytest.mark.parametrize("method", ["lbfgs", "plbfgs"])
+    def test_failed_search_is_not_retried_along_the_same_direction(self, meshes, method):
+        # With no curvature pairs the quasi-Newton direction already is the
+        # steepest one: one evaluation at x0, one failed trial, then stop.
+        mesh = m.classify_boundary(meshes["cube"], m.FIX_ALL)
+        _, report = optimize(mesh, OptimizeConfig(method=method, step_cap_factor=1e-300))
+        assert report.termination == "line_search_failed"
+        assert report.fun_evals == 2
+
+
+def counting(monkeypatch, name):
+    """Replace rrsmooth.optim.<name> with a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(optim, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(optim, name, counted)
+    return calls
+
+
+class TestWorkPerIteration:
+    @pytest.mark.parametrize(
+        "method, name",
+        [("fixedpoint", "assemble"), ("pnlcg", "assemble_preconditioner")],
+    )
+    def test_one_build_per_iteration(self, monkeypatch, method, name):
+        mesh = slivered_cube(n=3, count=1)
+        calls = counting(monkeypatch, name)
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
+        assert report.iterations == 6
+        assert len(calls) == report.iterations
+
+    def test_fixed_point_starts_from_its_first_assembly(self, monkeypatch):
+        # The blocks at x0 carry F and the gradient too, so the initial
+        # evaluation costs no separate energy_gradient call.
+        mesh = slivered_cube(n=3, count=1)
+        calls = counting(monkeypatch, "energy_gradient")
+        _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=6))
+        assert len(calls) == report.fun_evals - 1
 
 
 class TestConfigValidation:
