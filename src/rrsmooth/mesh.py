@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from . import tetrahedra, triangles
-from .errors import NonPlanarPatch
+from .errors import DegenerateElement, NonPlanarPatch
 
 # Per-vertex constraint kinds.
 FREE, FIXED, SLIDE = 0, 1, 2
@@ -29,6 +29,15 @@ HISTOGRAM_BINS = 20
 # Facets opposite each vertex, oriented outward for a positive cell.
 _TRI_FACETS = ((1, 2), (2, 0), (0, 1))
 _TET_FACETS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+
+# A root of a cell's measure polynomial counts as real when its imaginary
+# part is at most this fraction of its modulus. Rounding turns a third or
+# more of the tangential double roots (a cell touching zero measure and
+# coming back) into complex pairs, of relative size ~sqrt(eps) and up to
+# 4e-6 from LAPACK's eigenvalues, which 1e-8 misses. A triple root (a tet
+# contracting to a point) splits by ~cbrt(eps): up to 1.4e-5 on random tets,
+# which 1e-5 misses. Counting a near-real pair as real only lowers the bound.
+REAL_ROOT_RTOL = 1e-4
 
 
 class SimplexMesh:
@@ -341,87 +350,64 @@ def quality_stats(mesh):
     )
 
 
-def _min_positive_root(coeffs, lam_star):
-    """Smallest positive root of one polynomial (highest degree first)."""
-    scale = np.abs(coeffs).max()
-    trimmed = np.where(np.abs(coeffs) > 1e-13 * scale, coeffs, 0.0)
-    nz = np.flatnonzero(trimmed)
-    if nz.size == 0 or nz[0] == len(trimmed) - 1:
-        return np.inf
-    trimmed = trimmed[nz[0] :]
-    roots = np.roots(trimmed)
-    real = roots[np.abs(roots.imag) <= 1e-8 * np.abs(roots)].real
-    pos = real[real > 1e-13]
-    if pos.size == 0:
-        return np.inf
-    lam = pos.min()
-    # A couple of Newton polish steps on the untrimmed polynomial.
-    full = np.asarray(coeffs, dtype=float)
-    deriv = np.polyder(full)
-    for _ in range(2):
-        dp = np.polyval(deriv, lam)
-        if dp == 0.0:
-            break
-        lam -= np.polyval(full, lam) / dp
-    return float(lam * lam_star) if lam > 0 else np.inf
-
-
 def max_step_before_inversion(mesh, direction):
     """Largest lam such that vertices + t*direction keeps every cell positive
     for all t in [0, lam).
 
-    The signed measure of each cell is a polynomial of degree dim in t; the
-    bound is the smallest positive root over all cells (inf when none, e.g.
-    a zero direction).
+    Every cell must start positive, else DegenerateElement names the first
+    that does not: its measure polynomial c0 + c1*t + ... has c0 > 0. Divided
+    by c0 and written in s = 1/t it is the monic s**dim + (c1/c0)*s**(dim-1)
+    + ..., and the bound is 1 / (largest positive real s over all cells), or
+    inf when there is none. Roots count as real up to REAL_ROOT_RTOL.
     """
     direction = np.asarray(direction, dtype=float)
     if direction.shape != mesh.vertices.shape:
         raise ValueError("direction must match the vertex array shape")
-    if not np.any(direction):
-        return np.inf
     cp = mesh.cell_points()
     cu = direction[mesh.cells]
-    e = cp[:, 1:] - cp[:, :1]
-    f = cu[:, 1:] - cu[:, :1]
-
-    # Dimensionless time scale so the polynomial coefficients are comparable.
-    e_norm = np.linalg.norm(e, axis=(1, 2))
-    f_norm = np.linalg.norm(f, axis=(1, 2))
-    moving = f_norm > 0
-    lam_star = np.ones(mesh.n_cells)
-    lam_star[moving] = e_norm[moving] / f_norm[moving]
-    ls = lam_star[:, None, None]
+    e = (cp[:, 1:] - cp[:, :1]).transpose(1, 0, 2)
+    f = (cu[:, 1:] - cu[:, :1]).transpose(1, 0, 2)
 
     if mesh.dim == 2:
         def cr(a, b):
             return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
-        e1, e2 = e[:, 0], e[:, 1]
-        f1, f2 = (f * ls)[:, 0], (f * ls)[:, 1]
-        coeffs = np.stack(
-            [cr(f1, f2), cr(f1, e2) + cr(e1, f2), cr(e1, e2)], axis=1
-        )
+        (e1, e2), (f1, f2) = e, f
+        coeffs = [cr(e1, e2), cr(f1, e2) + cr(e1, f2), cr(f1, f2)]
     else:
         def det(a, b, c):
             return np.einsum("ij,ij->i", a, np.cross(b, c))
 
-        e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
-        fs = f * ls
-        f1, f2, f3 = fs[:, 0], fs[:, 1], fs[:, 2]
-        coeffs = np.stack(
-            [
-                det(f1, f2, f3),
-                det(f1, f2, e3) + det(f1, e2, f3) + det(e1, f2, f3),
-                det(f1, e2, e3) + det(e1, f2, e3) + det(e1, e2, f3),
-                det(e1, e2, e3),
-            ],
-            axis=1,
-        )
+        (e1, e2, e3), (f1, f2, f3) = e, f
+        coeffs = [
+            det(e1, e2, e3),
+            det(f1, e2, e3) + det(e1, f2, e3) + det(e1, e2, f3),
+            det(f1, f2, e3) + det(f1, e2, f3) + det(e1, f2, f3),
+            det(f1, f2, f3),
+        ]
 
-    lam = np.inf
-    for c in np.flatnonzero(moving):
-        lam = min(lam, _min_positive_root(coeffs[c], lam_star[c]))
-    return lam
+    c0 = coeffs[0]
+    bad = np.flatnonzero(~(c0 > 0))
+    if bad.size:
+        raise DegenerateElement("non-positive measure before the step", cell=int(bad[0]))
+    if mesh.dim == 2:
+        b, c = coeffs[1] / c0, coeffs[2] / c0
+        disc = b * b - 4.0 * c
+        # A complex pair has |imag|**2 = -disc / 4 and |root|**2 = c.
+        real = disc >= -4.0 * REAL_ROOT_RTOL**2 * c
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+        with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: masked below
+            roots = np.stack([q, c / q])
+        s = np.where(real & (roots > 0), roots, 0.0)
+    else:
+        companion = np.zeros((mesh.n_cells, 3, 3))
+        companion[:, 0] = -np.stack(coeffs[1:], axis=1) / c0[:, None]
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        roots = np.linalg.eigvals(companion)
+        real = np.abs(roots.imag) <= REAL_ROOT_RTOL * np.abs(roots)
+        s = np.where(real & (roots.real > 0), roots.real, 0.0)
+    s_max = s.max(initial=0.0)
+    return 1.0 / s_max if s_max > 0 else np.inf
 
 
 def vertex_adjacency(mesh):

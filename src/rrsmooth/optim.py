@@ -220,8 +220,12 @@ class OptimizeConfig:
             raise ValueError("need 0 < c1 < c2 < 1")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be >= 1")
-        if min(self.grad_tol, self.grad_tol_abs, self.energy_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("grad_tol", "grad_tol_abs", "energy_tol", "lam_min"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        # Above 1 the cap would pass the step at which a cell inverts.
+        if not 0.0 < self.step_cap_factor <= 1.0:
+            raise ValueError("step_cap_factor must be in (0, 1]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
 

@@ -87,7 +87,10 @@ class TestPerturbAndOptimize:
         assert code == 2
         assert out.exists()  # partial outputs still written
 
-    @pytest.mark.parametrize("flag, value", [("--grad-tol", "0"), ("--max-iters", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grad-tol", "0"), ("--grad-tol", "nan"), ("--grad-tol", "inf"), ("--max-iters", "-1")],
+    )
     def test_out_of_range_optimizer_flag_exits_one(self, tmp_path, capsys, flag, value):
         src = tmp_path / "sq.msh"
         out = tmp_path / "o.msh"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rrsmooth import mesh as m
-from rrsmooth.errors import NonPlanarPatch
+from rrsmooth.errors import DegenerateElement, NonPlanarPatch
 from rrsmooth.generate import (
     CUBE,
     EQUILATERAL,
@@ -14,6 +14,8 @@ from rrsmooth.generate import (
     gen_mesh,
     perturb_mesh,
 )
+
+from conftest import random_tets, random_triangles
 
 
 def unit_square_two_tris():
@@ -178,10 +180,43 @@ class TestClassifyBoundary:
             m.classify_boundary(sphere, m.SLIDE_PLANAR)
 
 
+def one_cell(P):
+    return m.SimplexMesh(P, np.arange(len(P))[None])
+
+
+def jittered(kind):
+    mesh = gen_mesh(GeneratorSpec(kind, 6 if kind == SQUARE else 3))
+    return perturb_mesh(mesh, RandomJitter(amplitude=0.2, seed=5))
+
+
+def random_direction(mesh, still, rng):
+    """Normal random vertex velocities with a share `still` held at zero."""
+    d = rng.normal(size=mesh.vertices.shape)
+    d[rng.random(mesh.n_vertices) < still] = 0.0
+    return d
+
+
+CAP_CASES = pytest.mark.parametrize(
+    "kind,still",
+    [(SQUARE, 0.0), (SQUARE, 0.9), (CUBE, 0.0), (CUBE, 0.9)],
+    ids=["square-dense", "square-sparse", "cube-dense", "cube-sparse"],
+)
+
+
 class TestStepBound:
+    @pytest.mark.filterwarnings("error")
     def test_zero_direction_is_unbounded(self):
-        mesh = unit_square_two_tris()
-        assert m.max_step_before_inversion(mesh, np.zeros_like(mesh.vertices)) == np.inf
+        # No cell loses measure under a zero direction, a rigid translation,
+        # a dilation or a linearized rotation about the z axis (measure
+        # factor 1 + t**2), even far from the origin.
+        for mesh in (unit_square_two_tris(), gen_mesh(GeneratorSpec(CUBE, 2))):
+            far = mesh.with_vertices(mesh.vertices + 1e6)
+            translation = np.broadcast_to(np.arange(1.0, far.dim + 1.0), far.vertices.shape)
+            dilation = far.vertices - far.vertices.mean(axis=0)
+            rotation = np.zeros_like(dilation)
+            rotation[:, 0], rotation[:, 1] = -dilation[:, 1], dilation[:, 0]
+            for d in (np.zeros_like(far.vertices), translation, dilation, rotation):
+                assert m.max_step_before_inversion(far, d) == np.inf
 
     def test_single_triangle_height_bound(self):
         tri = m.SimplexMesh(
@@ -192,22 +227,66 @@ class TestStepBound:
         lam = m.max_step_before_inversion(tri, d)
         assert lam == pytest.approx(0.8, rel=1e-12)
 
-    def test_random_directions_keep_measures_positive(self, rng):
-        mesh = gen_mesh(GeneratorSpec(CUBE, 2))
+    @CAP_CASES
+    def test_random_directions_keep_measures_positive(self, rng, kind, still):
+        mesh = jittered(kind)
         for trial in range(10):
-            d = rng.normal(size=mesh.vertices.shape)
+            d = random_direction(mesh, still, rng)
             lam = m.max_step_before_inversion(mesh, d)
             assert np.isfinite(lam)
             moved = mesh.with_vertices(mesh.vertices + 0.999 * lam * d)
             assert np.all(moved.signed_measures() > 0)
 
-    def test_bound_is_tight(self, rng):
-        mesh = gen_mesh(GeneratorSpec(SQUARE, 3))
+    @CAP_CASES
+    def test_bound_is_tight(self, rng, kind, still):
+        mesh = jittered(kind)
         for trial in range(10):
-            d = rng.normal(size=mesh.vertices.shape)
+            d = random_direction(mesh, still, rng)
             lam = m.max_step_before_inversion(mesh, d)
             moved = mesh.with_vertices(mesh.vertices + 1.01 * lam * d)
             assert np.any(moved.signed_measures() <= 0)
+
+    def test_double_roots_in_2d(self):
+        # Contracting toward p at rate a scales the area by (1 - a t)**2: the
+        # cell touches zero at t = 1/a. Rounding turns a third of these double
+        # roots into complex pairs with a tiny imaginary part.
+        rng = np.random.default_rng(5)
+        for P in random_triangles(1000, seed=3):
+            a = rng.uniform(0.1, 10.0)
+            lam = m.max_step_before_inversion(one_cell(P), a * (rng.uniform(-1, 1, 2) - P))
+            assert 1 - 1e-6 <= lam * a <= 1 + 1e-6
+
+    def test_double_roots_in_3d(self):
+        # Scaling by I - t D, D = Q diag(a, a, b) Q^T, gives the volume
+        # factor (1 - a t)**2 (1 - b t) with b < a: the first zero is the
+        # double root t = 1/a. This fails with a real-root tolerance of 1e-8.
+        rng = np.random.default_rng(5)
+        for P in random_tets(1000, seed=3):
+            a = rng.uniform(0.1, 10.0)
+            b = rng.uniform(-10.0, a)
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            D = Q @ np.diag([a, a, b]) @ Q.T
+            d = -(P - rng.uniform(-1, 1, 3)) @ D.T
+            lam = m.max_step_before_inversion(one_cell(P), d)
+            assert 1 - 1e-6 <= lam * a <= 1 + 1e-6
+
+    def test_tet_contracting_to_its_centroid(self):
+        # Volume factor (1 - t)**3: a triple root at t = 1, which eigenvalue
+        # rounding splits by up to ~1e-5. This fails with a real-root
+        # tolerance of 1e-5.
+        for P in random_tets(1000, seed=0):
+            lam = m.max_step_before_inversion(one_cell(P), P.mean(axis=0) - P)
+            assert 1 - 1e-4 <= lam <= 1 + 1e-6
+
+    def test_inverted_cell_raises_with_its_index(self, rng):
+        square = unit_square_two_tris()
+        square.cells[1] = square.cells[1][[0, 2, 1]]
+        cube = gen_mesh(GeneratorSpec(CUBE, 2))
+        cube.cells[5] = cube.cells[5][[0, 1, 3, 2]]
+        for mesh, cell in ((square, 1), (cube, 5)):
+            with pytest.raises(DegenerateElement) as exc:
+                m.max_step_before_inversion(mesh, rng.normal(size=mesh.vertices.shape))
+            assert exc.value.cell == cell
 
 
 class TestPerturb:

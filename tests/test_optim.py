@@ -537,3 +537,23 @@ class TestConfigValidation:
     def test_rejects_zero_memory(self):
         with pytest.raises(ValueError):
             OptimizeConfig(lbfgs_memory=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_tol", math.nan),
+            ("grad_tol_abs", math.inf),
+            ("energy_tol", -1.0),
+            ("lam_min", math.nan),
+            ("lam_min", 0.0),
+            ("step_cap_factor", 0.0),
+            ("step_cap_factor", 1.5),
+            ("step_cap_factor", math.nan),
+        ],
+    )
+    def test_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizeConfig(**{field: value})
+
+    def test_accepts_a_full_step_cap(self):
+        assert OptimizeConfig(step_cap_factor=1.0).step_cap_factor == 1.0
