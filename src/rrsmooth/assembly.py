@@ -7,8 +7,8 @@ antisymmetric off-diagonal blocks::
 
     2D: [[A, B], [-B, A]]          3D: [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]]
 
-Assembly scatter-adds per-element contributions in cell order, so identical
-meshes produce bit-identical results.
+Assembly scatter-adds per-element contributions deterministically, so
+identical meshes produce bit-identical results.
 """
 
 from dataclasses import dataclass
@@ -87,11 +87,9 @@ def _scatter_square(cells, local, n):
     k = cells.shape[1]
     rows = np.broadcast_to(cells[:, :, None], (len(cells), k, k))
     cols = np.broadcast_to(cells[:, None, :], (len(cells), k, k))
-    mat = sparse.coo_matrix(
+    return sparse.csr_matrix(
         (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
     )
-    mat.sum_duplicates()
-    return mat.tocsr()
 
 
 def assemble(mesh):
@@ -107,12 +105,12 @@ def assemble(mesh):
 
     if mesh.dim == 2:
         mu, A_loc, B_loc = triangles.local_blocks(pts)
-        _, grads = triangles.radius_ratio_gradient(pts)
+        grads = triangles.block_gradient(pts, A_loc, B_loc)
         A = _scatter_square(mesh.cells, w * A_loc, nv)
         B_blocks = (_scatter_square(mesh.cells, w * B_loc, nv),)
     else:
         mu, A_loc, B0, B1, B2 = tetrahedra.local_blocks(pts)
-        _, grads = tetrahedra.radius_ratio_gradient(pts)
+        grads = tetrahedra.block_gradient(pts, mu, A_loc, B0, B1, B2)
         scale = (w * mu)[:, None, None]
         A = _scatter_square(mesh.cells, scale * A_loc, nv)
         B_blocks = tuple(
@@ -187,8 +185,8 @@ def assemble_preconditioner(mesh):
         _, A_loc, _ = triangles.local_blocks(pts)
         local = w * A_loc
     else:
-        mu = tetrahedra.radius_ratio(pts)
-        local = (w * mu)[:, None, None] * tetrahedra.abs_local_matrix(pts)
+        mu, A_loc = tetrahedra.abs_local_matrix(pts)
+        local = (w * mu)[:, None, None] * A_loc
     A_abs = _scatter_square(mesh.cells, local, nv)
 
     active = np.flatnonzero(~fixed)

@@ -162,11 +162,8 @@ def validate(mesh):
     if out:
         return out
     meas = mesh.signed_measures()
-    scale = 1e-14 * (
-        triangles.diameters(mesh.cell_points()) ** mesh.dim
-        if mesh.dim == 2
-        else tetrahedra.diameters(mesh.cell_points()) ** mesh.dim
-    )
+    kernel = triangles if mesh.dim == 2 else tetrahedra
+    scale = kernel.DEGENERACY_RTOL * kernel.diameters(mesh.cell_points()) ** mesh.dim
     for c in np.flatnonzero(meas <= scale):
         out.append(
             Violation(

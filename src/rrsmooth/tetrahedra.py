@@ -14,10 +14,15 @@ Conventions:
 * radius ratio ``mu = R / (3 r) = s |d0| / (108 vol^2)``.
 
 The gradient of mu decomposes as
-``grad mu = mu * (grad|d0| / |d0| + grad s / s - 2 grad vol / vol)`` and each
-piece has a closed form below. Stacked over vertices it is the block product
+``grad mu = mu * (grad|d0| / |d0| + grad s / s - 2 grad vol / vol)``, and
+stacked over vertices it is the block product
 ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]`` with A
-symmetric and the B blocks antisymmetric.
+symmetric and the B blocks antisymmetric. Every block has zero row sums, so
+the product is taken on cell-local coordinates ``pts - pts[:, :1]`` and
+translating a cell leaves its gradient bit-identical.
+
+Every kernel reads one geometry pass (``_geometry``) that computes the edge
+vectors, the checked volume, face areas, d0 and mu once per call.
 """
 
 from collections import namedtuple
@@ -29,16 +34,25 @@ from .errors import DegenerateElement
 
 DEGENERACY_RTOL = 1e-14
 
-# Even (orientation-preserving) relabelings that bring each vertex to
-# position 0; they leave volume, |d0| and total area unchanged.
-EVEN_VERTEX_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+# Each edge (i, j) with the two vertices (k, l) off it, as even permutations
+# of (0, 1, 2, 3).
+_EDGES = (
+    (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 2, 0), (2, 3, 0, 1)
+)
 
-# Faces opposite each vertex.
-_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+# The volume gradient's coordinate matrices are D[i, j] = x_k - x_l over the
+# even permutations (i, j, k, l) above: pts[:, _VOL_IDX] - pts[:, _VOL_IDX.T].
+_VOL_IDX = np.array([[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]])
 
 TetMeasures = namedtuple(
     "TetMeasures",
     ["volume", "face_areas", "surface", "circumradius", "inradius", "d0"],
+)
+
+_Geometry = namedtuple(
+    "_Geometry",
+    ["volume", "edge_sq", "normals", "face_areas", "surface", "cot",
+     "d0", "d0_sq", "mu"],
 )
 
 
@@ -71,16 +85,6 @@ def signed_volume(pts):
     return np.einsum("ij,ij->i", e1, np.cross(e2, e3)) / 6.0
 
 
-def face_areas(pts):
-    """Areas of the four faces, ``areas[:, i]`` opposite vertex ``i``."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty(pts.shape[:1] + (4,))
-    for i, (a, b, c) in enumerate(_FACES):
-        n = np.cross(pts[:, b] - pts[:, a], pts[:, c] - pts[:, a])
-        out[:, i] = 0.5 * np.linalg.norm(n, axis=1)
-    return out
-
-
 def _check_degenerate(vol, pts):
     bad = vol <= DEGENERACY_RTOL * diameters(pts) ** 3
     if np.any(bad):
@@ -91,121 +95,71 @@ def _check_degenerate(vol, pts):
         )
 
 
-def _d0(pts):
-    v10 = pts[:, 0] - pts[:, 1]
-    v20 = pts[:, 0] - pts[:, 2]
-    v30 = pts[:, 0] - pts[:, 3]
-    n10 = np.einsum("ij,ij->i", v10, v10)
-    n20 = np.einsum("ij,ij->i", v20, v20)
-    n30 = np.einsum("ij,ij->i", v30, v30)
-    return (
-        n30[:, None] * np.cross(v10, v20)
-        + n10[:, None] * np.cross(v20, v30)
-        + n20[:, None] * np.cross(v30, v10)
+def _dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _geometry(pts):
+    """The one geometry pass every kernel reads.
+
+    From the edge vectors ``E[:, i, j] = x_j - x_i`` it keeps ``edge_sq``
+    (``|v10|^2, |v20|^2, |v30|^2``), ``normals`` (``v20 x v30``,
+    ``v30 x v10`` and ``v10 x v20``, the doubled area vectors of faces 1-3)
+    and ``cot``, the cotangent weight of each edge in ``_EDGES`` summed over
+    the two faces through it. E itself is dropped, which keeps the peak
+    memory of ``local_blocks`` down. Raises DegenerateElement for an inverted
+    or collapsed cell.
+    """
+    pts = np.asarray(pts, dtype=float)
+    vol = signed_volume(pts)
+    _check_degenerate(vol, pts)
+    E = pts[:, None] - pts[:, :, None]
+    v10, v20, v30 = E[:, 1, 0], E[:, 2, 0], E[:, 3, 0]
+    normals = (np.cross(v20, v30), np.cross(v30, v10), np.cross(v10, v20))
+    n10, n20, n30 = _dot(v10, v10), _dot(v20, v20), _dot(v30, v30)
+    d0 = (
+        n30[:, None] * normals[2] + n10[:, None] * normals[0] + n20[:, None] * normals[1]
     )
+    d0_sq = _dot(d0, d0)
+    face0 = np.cross(E[:, 1, 2], E[:, 1, 3])
+    areas = 0.5 * np.stack(
+        [np.linalg.norm(v, axis=1) for v in (face0, *normals)], axis=1
+    )
+    s = areas.sum(axis=1)
+    cot = np.stack(
+        [
+            _dot(E[:, l, j], E[:, l, i]) / (4 * areas[:, k])
+            + _dot(E[:, k, j], E[:, k, i]) / (4 * areas[:, l])
+            for i, j, k, l in _EDGES
+        ],
+        axis=1,
+    )
+    mu = s * np.linalg.norm(d0, axis=1) / (108.0 * vol**2)
+    return _Geometry(vol, (n10, n20, n30), normals, areas, s, cot, d0, d0_sq, mu)
 
 
 def measures(pts):
     """Volume, face areas, total surface, circumradius, inradius and d0."""
-    pts = np.asarray(pts, dtype=float)
-    vol = signed_volume(pts)
-    _check_degenerate(vol, pts)
-    areas = face_areas(pts)
-    s = areas.sum(axis=1)
-    d0 = _d0(pts)
-    nd0 = np.linalg.norm(d0, axis=1)
-    return TetMeasures(vol, areas, s, nd0 / (12.0 * vol), 3.0 * vol / s, d0)
+    g = _geometry(pts)
+    return TetMeasures(
+        g.volume,
+        g.face_areas,
+        g.surface,
+        np.linalg.norm(g.d0, axis=1) / (12.0 * g.volume),
+        3.0 * g.volume / g.surface,
+        g.d0,
+    )
 
 
 def radius_ratio(pts):
     """Radius ratio mu >= 1 of each tetrahedron."""
-    pts = np.asarray(pts, dtype=float)
-    vol = signed_volume(pts)
-    _check_degenerate(vol, pts)
-    s = face_areas(pts).sum(axis=1)
-    nd0 = np.linalg.norm(_d0(pts), axis=1)
-    return s * nd0 / (108.0 * vol**2)
+    return _geometry(pts).mu
 
 
-def _grad_pieces_vertex0(pts):
-    """Gradients of |d0|, s and vol with respect to vertex 0 only."""
-    x0, x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    v10, v20, v30 = x0 - x1, x0 - x2, x0 - x3
-    d0 = _d0(pts)
-    nd0 = np.linalg.norm(d0, axis=1)
-    c23 = np.einsum("ij,ij->i", d0, np.cross(v20, v30))
-    c31 = np.einsum("ij,ij->i", d0, np.cross(v30, v10))
-    c12 = np.einsum("ij,ij->i", d0, np.cross(v10, v20))
-    k23 = np.einsum("ij,ij->i", v30, v30) - np.einsum("ij,ij->i", v20, v20)
-    k31 = np.einsum("ij,ij->i", v10, v10) - np.einsum("ij,ij->i", v30, v30)
-    k12 = np.einsum("ij,ij->i", v20, v20) - np.einsum("ij,ij->i", v10, v10)
-    g_d0 = (
-        2.0 * (c23[:, None] * v10 + c31[:, None] * v20 + c12[:, None] * v30)
-        + np.cross(d0, k23[:, None] * v10 + k31[:, None] * v20 + k12[:, None] * v30)
-    ) / nd0[:, None]
-
-    areas = face_areas(pts)
-    s1, s2, s3 = areas[:, 1], areas[:, 2], areas[:, 3]
-    v31, v21 = x1 - x3, x1 - x2
-    v32, v12 = x2 - x3, x2 - x1
-    v23, v13 = x3 - x2, x3 - x1
-    w1 = np.einsum("ij,ij->i", v31, v30) / (4 * s2) + np.einsum("ij,ij->i", v21, v20) / (4 * s3)
-    w2 = np.einsum("ij,ij->i", v32, v30) / (4 * s1) + np.einsum("ij,ij->i", v12, v10) / (4 * s3)
-    w3 = np.einsum("ij,ij->i", v23, v20) / (4 * s1) + np.einsum("ij,ij->i", v13, v10) / (4 * s2)
-    g_s = w1[:, None] * v10 + w2[:, None] * v20 + w3[:, None] * v30
-
-    g_vol = (np.cross(x2, x1) + np.cross(x3, x2) + np.cross(x1, x3)) / 6.0
-    return g_d0, g_s, g_vol
-
-
-def scalar_gradients(pts):
-    """Per-vertex gradients of (|d0|, total area, volume), each ``(n, 4, 3)``.
-
-    All three scalars are invariant under even vertex relabelings, so the
-    vertex-0 formulas applied to relabeled elements cover every vertex.
-    """
-    pts = np.asarray(pts, dtype=float)
-    g_d0 = np.empty(pts.shape)
-    g_s = np.empty(pts.shape)
-    g_vol = np.empty(pts.shape)
-    for k, perm in enumerate(EVEN_VERTEX_PERMS):
-        gd, gs, gv = _grad_pieces_vertex0(pts[:, perm])
-        g_d0[:, k] = gd
-        g_s[:, k] = gs
-        g_vol[:, k] = gv
-    return g_d0, g_s, g_vol
-
-
-def radius_ratio_gradient(pts):
-    """Radius ratio and per-vertex gradient, shapes ``(n,)`` and ``(n, 4, 3)``."""
-    pts = np.asarray(pts, dtype=float)
-    m = measures(pts)
-    mu = m.surface * np.linalg.norm(m.d0, axis=1) / (108.0 * m.volume**2)
-    g_d0, g_s, g_vol = scalar_gradients(pts)
-    nd0 = np.linalg.norm(m.d0, axis=1)[:, None, None]
-    grad = mu[:, None, None] * (
-        g_d0 / nd0
-        + g_s / m.surface[:, None, None]
-        - 2.0 * g_vol / m.volume[:, None, None]
-    )
-    return mu, grad
-
-
-def _mks_matrices(pts):
-    """The M, K, S 4x4 matrices and d0 for each element."""
-    n = pts.shape[0]
-    x0, x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    v10, v20, v30 = x0 - x1, x0 - x2, x0 - x3
-    d0 = _d0(pts)
-    c23 = np.einsum("ij,ij->i", d0, np.cross(v20, v30))
-    c31 = np.einsum("ij,ij->i", d0, np.cross(v30, v10))
-    c12 = np.einsum("ij,ij->i", d0, np.cross(v10, v20))
-    n10 = np.einsum("ij,ij->i", v10, v10)
-    n20 = np.einsum("ij,ij->i", v20, v20)
-    n30 = np.einsum("ij,ij->i", v30, v30)
-    k23, k31, k12 = n30 - n20, n10 - n30, n20 - n10
-
-    M = np.zeros((n, 4, 4))
+def _m_matrix(g):
+    """Symmetric matrix of the |d0| term: a star of weights 2 d0.n at vertex 0."""
+    c23, c31, c12 = (_dot(g.d0, nrm) for nrm in g.normals)
+    M = np.zeros((len(g.mu), 4, 4))
     M[:, 0, 0] = 2 * (c23 + c31 + c12)
     M[:, 0, 1] = M[:, 1, 0] = -2 * c23
     M[:, 0, 2] = M[:, 2, 0] = -2 * c31
@@ -213,73 +167,39 @@ def _mks_matrices(pts):
     M[:, 1, 1] = 2 * c23
     M[:, 2, 2] = 2 * c31
     M[:, 3, 3] = 2 * c12
+    return M
 
-    K = np.zeros((n, 4, 4))
+
+def _k_matrix(g):
+    """Antisymmetric matrix of the |d0| term, from the squared vertex-0 edge lengths."""
+    n10, n20, n30 = g.edge_sq
+    k23, k31, k12 = n30 - n20, n10 - n30, n20 - n10
+    K = np.zeros((len(g.mu), 4, 4))
     K[:, 0, 1], K[:, 1, 0] = -k23, k23
     K[:, 0, 2], K[:, 2, 0] = -k31, k31
     K[:, 0, 3], K[:, 3, 0] = -k12, k12
     K[:, 1, 2], K[:, 2, 1] = -n30, n30
     K[:, 1, 3], K[:, 3, 1] = n20, -n20
     K[:, 2, 3], K[:, 3, 2] = -n10, n10
-
-    S = _s_matrix(pts)
-    return M, K, S, d0
+    return K
 
 
-def _s_matrix(pts):
+def _s_matrix(g):
     """Symmetric surface-area gradient matrix (a cotangent-type Laplacian)."""
-    n = pts.shape[0]
-    areas = face_areas(pts)
-
-    def v(i, j):
-        return pts[:, j] - pts[:, i]
-
-    def dot(a, b):
-        return np.einsum("ij,ij->i", a, b)
-
-    s0, s1, s2, s3 = areas[:, 0], areas[:, 1], areas[:, 2], areas[:, 3]
-    S = np.zeros((n, 4, 4))
-    S[:, 0, 1] = S[:, 1, 0] = -(dot(v(3, 1), v(3, 0)) / (4 * s2) + dot(v(2, 1), v(2, 0)) / (4 * s3))
-    S[:, 0, 2] = S[:, 2, 0] = -(dot(v(3, 2), v(3, 0)) / (4 * s1) + dot(v(1, 2), v(1, 0)) / (4 * s3))
-    S[:, 0, 3] = S[:, 3, 0] = -(dot(v(2, 3), v(2, 0)) / (4 * s1) + dot(v(1, 3), v(1, 0)) / (4 * s2))
-    S[:, 1, 2] = S[:, 2, 1] = -(dot(v(3, 2), v(3, 1)) / (4 * s0) + dot(v(0, 2), v(0, 1)) / (4 * s3))
-    S[:, 1, 3] = S[:, 3, 1] = -(dot(v(0, 3), v(0, 1)) / (4 * s2) + dot(v(2, 3), v(2, 1)) / (4 * s0))
-    S[:, 2, 3] = S[:, 3, 2] = -(dot(v(1, 3), v(1, 2)) / (4 * s0) + dot(v(0, 3), v(0, 2)) / (4 * s1))
+    S = np.zeros((len(g.mu), 4, 4))
+    for e, (i, j, _, _) in enumerate(_EDGES):
+        S[:, i, j] = S[:, j, i] = -g.cot[:, e]
     # Zero row sums: the diagonal balances the cotangent weights exactly.
-    diag = -S.sum(axis=2)
-    S[:, np.arange(4), np.arange(4)] = diag
+    S[:, np.arange(4), np.arange(4)] = -S.sum(axis=2)
     return S
 
 
-def _c_matrix(w):
-    """The 4x4 coordinate matrix of the cubic volume form, one per element."""
-    n = w.shape[0]
-    C = np.zeros((n, 4, 4))
-    C[:, 0, 1], C[:, 0, 2], C[:, 0, 3] = w[:, 2], w[:, 3], w[:, 1]
-    C[:, 1, 0], C[:, 1, 2], C[:, 1, 3] = w[:, 3], w[:, 0], w[:, 2]
-    C[:, 2, 0], C[:, 2, 1], C[:, 2, 3] = w[:, 1], w[:, 3], w[:, 0]
-    C[:, 3, 0], C[:, 3, 1], C[:, 3, 2] = w[:, 2], w[:, 0], w[:, 1]
-    return C
+def _volume_block(pts, c):
+    """Coordinate-``c`` matrix D of the volume gradient, antisymmetric.
 
-
-def volume_gradient_blocks(pts):
-    """The raw coordinate matrices ``(C0, C1, C2)`` of the cubic volume form.
-
-    ``grad vol = (1/6) [[0, -C2, C1], [C2, 0, -C0], [-C1, C0, 0]] @ V``.
+    ``grad vol = (1/12) [[0, -D2, D1], [D2, 0, -D0], [-D1, D0, 0]] @ V``.
     """
-    C0 = _c_matrix(pts[:, :, 0])
-    C1 = _c_matrix(pts[:, :, 1])
-    C2 = _c_matrix(pts[:, :, 2])
-    return C0, C1, C2
-
-
-def volume_gradient_matrix(pts):
-    """Symmetrized 12x12 cubic-form matrices E with ``grad vol = E @ V``."""
-    C0, C1, C2 = volume_gradient_blocks(pts)
-    n = pts.shape[0]
-    Z = np.zeros((n, 4, 4))
-    Cbig = np.block([[Z, -C2, C1], [C2, Z, -C0], [-C1, C0, Z]]) / 6.0
-    return 0.5 * (Cbig + np.transpose(Cbig, (0, 2, 1)))
+    return pts[:, _VOL_IDX, c] - pts[:, _VOL_IDX.T, c]
 
 
 def local_blocks(pts):
@@ -289,26 +209,45 @@ def local_blocks(pts):
     ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``.
     """
     pts = np.asarray(pts, dtype=float)
-    vol = signed_volume(pts)
-    _check_degenerate(vol, pts)
-    M, K, S, d0 = _mks_matrices(pts)
-    s = face_areas(pts).sum(axis=1)
-    nd0sq = np.einsum("ij,ij->i", d0, d0)
-    nd0 = np.sqrt(nd0sq)
-    mu = s * nd0 / (108.0 * vol**2)
+    g = _geometry(pts)
+    K = _k_matrix(g)
+    inv_d0sq = (1.0 / g.d0_sq)[:, None, None]
+    inv_6vol = (1.0 / (6.0 * g.volume))[:, None, None]
+    A = _m_matrix(g) * inv_d0sq + _s_matrix(g) / g.surface[:, None, None]
+    B0 = -g.d0[:, 0, None, None] * K * inv_d0sq + _volume_block(pts, 0) * inv_6vol
+    B1 = g.d0[:, 1, None, None] * K * inv_d0sq - _volume_block(pts, 1) * inv_6vol
+    B2 = -g.d0[:, 2, None, None] * K * inv_d0sq + _volume_block(pts, 2) * inv_6vol
+    return g.mu, A, B0, B1, B2
 
-    C0, C1, C2 = volume_gradient_blocks(pts)
-    A0 = (C0 - np.transpose(C0, (0, 2, 1)))
-    A1 = (C1 - np.transpose(C1, (0, 2, 1)))
-    A2 = (C2 - np.transpose(C2, (0, 2, 1)))
 
-    inv_d0sq = (1.0 / nd0sq)[:, None, None]
-    inv_6vol = (1.0 / (6.0 * vol))[:, None, None]
-    A = M * inv_d0sq + S / s[:, None, None]
-    B0 = -d0[:, 0, None, None] * K * inv_d0sq + A0 * inv_6vol
-    B1 = d0[:, 1, None, None] * K * inv_d0sq - A1 * inv_6vol
-    B2 = -d0[:, 2, None, None] * K * inv_d0sq + A2 * inv_6vol
-    return mu, A, B0, B1, B2
+def block_gradient(pts, mu, A, B0, B1, B2):
+    """Per-vertex gradient ``(n, 4, 3)`` from the output of ``local_blocks``.
+
+    The product runs on cell-local coordinates; the zero row sums of the
+    blocks make it equal the product on ``pts`` itself.
+    """
+    pts = np.asarray(pts, dtype=float)
+    local = pts - pts[:, :1]
+    X, Y, Z = local[..., 0], local[..., 1], local[..., 2]
+
+    def mv(M, v):
+        return np.einsum("nij,nj->ni", M, v)
+
+    grad = np.stack(
+        [
+            mv(A, X) + mv(B2, Y) + mv(B1, Z),
+            -mv(B2, X) + mv(A, Y) + mv(B0, Z),
+            -mv(B1, X) - mv(B0, Y) + mv(A, Z),
+        ],
+        axis=2,
+    )
+    return mu[:, None, None] * grad
+
+
+def radius_ratio_gradient(pts):
+    """Radius ratio and per-vertex gradient, shapes ``(n,)`` and ``(n, 4, 3)``."""
+    blocks = local_blocks(pts)
+    return blocks[0], block_gradient(pts, *blocks)
 
 
 def local_gradient_matrix(lg):
@@ -317,29 +256,29 @@ def local_gradient_matrix(lg):
     return np.block([[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]])
 
 
+def _abs_clamped(W):
+    """``-|W|`` off the diagonal, with the diagonal rebalanced to zero row sums."""
+    idx = np.arange(4)
+    out = -np.abs(W)
+    out[:, idx, idx] = 0.0
+    out[:, idx, idx] = -out.sum(axis=2)
+    return out
+
+
 def abs_local_matrix(pts):
-    """Abs-clamped symmetric local matrix ``A_abs``, shape ``(n, 4, 4)``.
+    """Radius ratio and abs-clamped symmetric local matrix: ``(mu, A_abs)``.
 
     Off-diagonal weights of both the M and S parts are clamped to
     ``-|w|`` and diagonals rebalanced to keep zero row sums, which makes
     every A_abs a weakly diagonally dominant symmetric M-matrix and hence
     positive semi-definite for any non-degenerate element.
     """
-    pts = np.asarray(pts, dtype=float)
-    vol = signed_volume(pts)
-    _check_degenerate(vol, pts)
-    M, _, S, d0 = _mks_matrices(pts)
-    s = face_areas(pts).sum(axis=1)
-    nd0sq = np.einsum("ij,ij->i", d0, d0)
-
-    idx = np.arange(4)
-    Mabs = -np.abs(M)
-    Mabs[:, idx, idx] = 0.0
-    Mabs[:, idx, idx] = -Mabs.sum(axis=2)
-    Sabs = -np.abs(S)
-    Sabs[:, idx, idx] = 0.0
-    Sabs[:, idx, idx] = -Sabs.sum(axis=2)
-    return Mabs / nd0sq[:, None, None] + Sabs / s[:, None, None]
+    g = _geometry(pts)
+    A_abs = (
+        _abs_clamped(_m_matrix(g)) / g.d0_sq[:, None, None]
+        + _abs_clamped(_s_matrix(g)) / g.surface[:, None, None]
+    )
+    return g.mu, A_abs
 
 
 class Tetrahedron:
@@ -370,9 +309,9 @@ class Tetrahedron:
         return float(radius_ratio(self._batch)[0])
 
     def gradient(self):
-        mu, grad = radius_ratio_gradient(self._batch)
-        _, A, B0, B1, B2 = local_blocks(self._batch)
+        mu, A, B0, B1, B2 = local_blocks(self._batch)
+        grad = block_gradient(self._batch, mu, A, B0, B1, B2)
         return LocalGradient3D(float(mu[0]), A[0], B0[0], B1[0], B2[0], grad[0])
 
     def abs_local_matrix(self):
-        return abs_local_matrix(self._batch)[0]
+        return abs_local_matrix(self._batch)[1][0]

@@ -9,6 +9,10 @@ Edge ``i`` is the edge opposite vertex ``i``, so ``l0 = |x2 - x1|``,
 ``mu = R / (2 r) = p q / (16 area^2)`` with ``p = l0 + l1 + l2`` and
 ``q = l0 l1 l2``; it equals 1 exactly for equilateral triangles and grows
 without bound as an element degenerates.
+
+The gradient is the block product ``[[A, B], [-B, A]] @ [X; Y]`` of the
+local blocks, taken on cell-local coordinates ``pts - pts[:, :1]``. Every
+kernel reads one geometry pass (``_geometry``) that checks the area once.
 """
 
 from dataclasses import dataclass
@@ -20,12 +24,8 @@ from .errors import DegenerateElement
 # Relative measure threshold below which an element counts as degenerate.
 DEGENERACY_RTOL = 1e-14
 
-# Cyclic relabelings used to evaluate the vertex-0 gradient formula at
-# every vertex.
-_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-# 90-degree rotation; maps an edge vector to its outward-ish normal.
-_W = np.array([[0.0, -1.0], [1.0, 0.0]])
+# Sign pattern of the antisymmetric block B = (1 / area) * _B_SIGNS.
+_B_SIGNS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def _check_degenerate(area, pts):
         )
 
 
-def radius_ratio(pts):
-    """Radius ratio mu >= 1 of each triangle.
+def _geometry(pts):
+    """The one geometry pass every kernel reads: ``(area, lengths, p, mu)``.
 
     Raises DegenerateElement when any signed area is non-positive or falls
     under the scaled threshold.
@@ -94,31 +94,12 @@ def radius_ratio(pts):
     lengths = edge_lengths(pts)
     p = lengths.sum(axis=1)
     q = lengths.prod(axis=1)
-    return p * q / (16.0 * area**2)
+    return area, lengths, p, p * q / (16.0 * area**2)
 
 
-def radius_ratio_gradient(pts):
-    """Radius ratio and its per-vertex gradient, shape ``(n,)`` and ``(n, 3, 2)``.
-
-    Evaluates the closed-form vertex-0 gradient on the three cyclic
-    relabelings of each element.
-    """
-    pts = np.asarray(pts, dtype=float)
-    mu = radius_ratio(pts)
-    area = signed_area(pts)
-    grad = np.empty(pts.shape)
-    for a, b, c in _CYCLES:
-        x0, x1, x2 = pts[:, a], pts[:, b], pts[:, c]
-        l1 = np.linalg.norm(x0 - x2, axis=1)
-        l2 = np.linalg.norm(x1 - x0, axis=1)
-        p = np.linalg.norm(x2 - x1, axis=1) + l1 + l2
-        c1 = 1.0 / (p * l1) + 1.0 / l1**2
-        c2 = 1.0 / (p * l2) + 1.0 / l2**2
-        rot = (x1 - x2) @ _W.T
-        grad[:, a] = mu[:, None] * (
-            c1[:, None] * (x0 - x2) + c2[:, None] * (x0 - x1) + rot / area[:, None]
-        )
-    return mu, grad
+def radius_ratio(pts):
+    """Radius ratio mu >= 1 of each triangle."""
+    return _geometry(pts)[3]
 
 
 def local_blocks(pts):
@@ -127,30 +108,36 @@ def local_blocks(pts):
     A and B include the mu factor, so the stacked gradient equals
     ``[[A, B], [-B, A]] @ [X; Y]`` directly.
     """
-    pts = np.asarray(pts, dtype=float)
-    mu = radius_ratio(pts)
-    area = signed_area(pts)
-    lengths = edge_lengths(pts)
-    p = lengths.sum(axis=1)
+    area, lengths, p, mu = _geometry(pts)
     cw = 1.0 / (p[:, None] * lengths) + 1.0 / lengths**2  # c0, c1, c2
     c0, c1, c2 = cw[:, 0], cw[:, 1], cw[:, 2]
-    n = pts.shape[0]
-    A = np.zeros((n, 3, 3))
+    A = np.zeros((len(mu), 3, 3))
     A[:, 0, 0] = c1 + c2
     A[:, 1, 1] = c2 + c0
     A[:, 2, 2] = c0 + c1
     A[:, 0, 1] = A[:, 1, 0] = -c2
     A[:, 0, 2] = A[:, 2, 0] = -c1
     A[:, 1, 2] = A[:, 2, 1] = -c0
-    c = 1.0 / area
-    B = np.zeros((n, 3, 3))
-    B[:, 0, 1] = -c
-    B[:, 0, 2] = c
-    B[:, 1, 0] = c
-    B[:, 1, 2] = -c
-    B[:, 2, 0] = -c
-    B[:, 2, 1] = c
+    B = (1.0 / area)[:, None, None] * _B_SIGNS
     return mu, mu[:, None, None] * A, mu[:, None, None] * B
+
+
+def block_gradient(pts, A, B):
+    """Per-vertex gradient ``(n, 3, 2)`` from the blocks of ``local_blocks``.
+
+    The product runs on cell-local coordinates; the zero row sums of the
+    blocks make it equal the product on ``pts`` itself.
+    """
+    pts = np.asarray(pts, dtype=float)
+    local = pts - pts[:, :1]
+    # [[A, B], [-B, A]] @ [X; Y], with (X, Y) -> (Y, -X) feeding B.
+    return A @ local + B @ (local[..., ::-1] * [1.0, -1.0])
+
+
+def radius_ratio_gradient(pts):
+    """Radius ratio and its per-vertex gradient, shape ``(n,)`` and ``(n, 3, 2)``."""
+    mu, A, B = local_blocks(pts)
+    return mu, block_gradient(pts, A, B)
 
 
 def local_gradient_matrix(lg):
@@ -179,6 +166,6 @@ class Triangle:
 
     def gradient(self):
         """Radius-ratio gradient together with the local matrix blocks."""
-        mu, grad = radius_ratio_gradient(self._batch)
-        _, A, B = local_blocks(self._batch)
+        mu, A, B = local_blocks(self._batch)
+        grad = block_gradient(self._batch, A, B)
         return LocalGradient2D(float(mu[0]), A[0], B[0], grad[0])

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from rrsmooth import assembly, mesh as m
+from rrsmooth import assembly, mesh as m, tetrahedra, triangles
 from rrsmooth.assembly import (
     assemble,
     assemble_preconditioner,
+    energy_gradient,
     field_to_vec,
     spd_audit,
     vec_to_field,
@@ -21,6 +22,8 @@ from rrsmooth.generate import (
     gen_mesh,
     perturb_mesh,
 )
+
+from conftest import random_tets, random_triangles
 
 
 def jittered(kind, n, seed, amplitude=0.2):
@@ -119,6 +122,49 @@ class TestAssemble:
         )
 
 
+@pytest.mark.parametrize("case", ["triangles", "tets", "jittered-cube"])
+def test_gradient_is_exact_under_translation(case):
+    # q - 1e6 is exact, so both calls see the same coordinate differences;
+    # a gradient built from differences alone cannot move.
+    if case == "triangles":
+        pts = random_triangles(200, seed=21)
+        grad = lambda q: triangles.radius_ratio_gradient(q)[1]
+    elif case == "tets":
+        pts = random_tets(200, seed=22)
+        grad = lambda q: tetrahedra.radius_ratio_gradient(q)[1]
+    else:
+        mesh = jittered(CUBE, 3, seed=4)
+        pts = mesh.vertices
+        grad = lambda v: energy_gradient(mesh.with_vertices(v))[1]
+    q = pts + 1e6
+    far, near = grad(q), grad(q - 1e6)
+    axes = tuple(range(1, near.ndim))
+    rel = np.linalg.norm(far - near, axis=axes) / np.linalg.norm(near, axis=axes)
+    assert rel.max() <= 1e-12
+
+
+class TestOneGeometryPass:
+    @pytest.mark.parametrize("kind, n", [(SQUARE, 4), (CUBE, 2)], ids=["square", "cube"])
+    @pytest.mark.parametrize(
+        "build",
+        [energy_gradient, assemble, assemble_preconditioner],
+        ids=lambda f: f.__name__,
+    )
+    def test_one_degeneracy_check_per_call(self, monkeypatch, kind, n, build):
+        mesh = m.classify_boundary(gen_mesh(GeneratorSpec(kind, n)), m.FIX_ALL)
+        kernel = triangles if mesh.dim == 2 else tetrahedra
+        calls = []
+        check = kernel._check_degenerate
+
+        def counted(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(kernel, "_check_degenerate", counted)
+        build(mesh)
+        assert len(calls) == 1
+
+
 class TestPreconditioner:
     def test_requires_fixed_vertices(self):
         with pytest.raises(NoFixedVertices):
@@ -170,12 +216,8 @@ class TestPreconditioner:
         mesh = m.classify_boundary(gen_mesh(GeneratorSpec(CUBE, 2)), m.FIX_ALL)
         pre = assemble_preconditioner(mesh)
         full_pts = mesh.cell_points()
-        from rrsmooth import tetrahedra
-
-        mu = tetrahedra.radius_ratio(full_pts)
-        local = (mu / mesh.n_cells)[:, None, None] * tetrahedra.abs_local_matrix(
-            full_pts
-        )
+        mu, A_abs = tetrahedra.abs_local_matrix(full_pts)
+        local = (mu / mesh.n_cells)[:, None, None] * A_abs
         A_full = assembly._scatter_square(mesh.cells, local, mesh.n_vertices)
         adjacency_to_fixed = np.asarray(
             np.abs(A_full[:, mesh.fixed_mask()]).sum(axis=1)

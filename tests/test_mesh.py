@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rrsmooth import mesh as m
+from rrsmooth import mesh as m, tetrahedra, triangles
 from rrsmooth.errors import DegenerateElement, NonPlanarPatch
 from rrsmooth.generate import (
     CUBE,
@@ -47,6 +47,25 @@ class TestValidate:
         bad.cells[1, 2] = bad.cells[1, 0]
         v = m.validate(bad)
         assert any(x.rule == "repeated-vertex" for x in v)
+
+    @pytest.mark.parametrize("kernel", [triangles, tetrahedra], ids=["triangle", "tet"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_degeneracy_threshold(self, kernel, factor):
+        # One cell of unit diameter whose measure is factor * DEGENERACY_RTOL:
+        # validate and the kernel must draw the line at the same place.
+        h = factor * kernel.DEGENERACY_RTOL
+        if kernel is triangles:
+            P = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0 * h]])
+        else:
+            P = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.25, 0.25, 6.0 * h]])
+        flagged = m.validate(one_cell(P))
+        if factor < 1:
+            assert [v.rule for v in flagged] == ["non-positive-orientation"]
+            with pytest.raises(DegenerateElement):
+                kernel.radius_ratio(P[None])
+        else:
+            assert flagged == []
+            assert np.isfinite(kernel.radius_ratio(P[None])).all()
 
     def test_repair_orientation(self):
         bad = unit_square_two_tris()

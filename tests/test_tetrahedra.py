@@ -78,27 +78,6 @@ class TestGradient:
         lg = Tetrahedron(REGULAR_TET).gradient()
         assert np.abs(lg.grad).max() < 1e-12
 
-    def test_subgradients_match_central_differences(self):
-        pts = random_tets(100, seed=13)
-        g_d0, g_s, g_vol = tetrahedra.scalar_gradients(pts)
-
-        def nd0_of(Q):
-            m = tetrahedra.measures(Q[None])
-            return float(np.linalg.norm(m.d0[0]))
-
-        def s_of(Q):
-            return float(tetrahedra.face_areas(Q[None]).sum())
-
-        def vol_of(Q):
-            return float(tetrahedra.signed_volume(Q[None])[0])
-
-        for P, gd, gs, gv in zip(pts, g_d0, g_s, g_vol):
-            h = 1e-6 * np.ptp(P, axis=0).max()
-            for g, f in ((gd, nd0_of), (gs, s_of), (gv, vol_of)):
-                gfd = central_diff(f, P, h)
-                rel = np.linalg.norm(g - gfd) / np.linalg.norm(gfd)
-                assert rel <= 1e-6
-
     def test_matches_central_differences(self):
         pts = random_tets(200, seed=14)
         _, grads = tetrahedra.radius_ratio_gradient(pts)
@@ -118,7 +97,8 @@ class TestGradient:
                 B + np.transpose(B, (0, 2, 1)), 0.0, atol=1e-13 * np.abs(B).max()
             )
         # S symmetric and K antisymmetric by construction.
-        M, K, S, _ = tetrahedra._mks_matrices(pts)
+        g = tetrahedra._geometry(pts)
+        K, S = tetrahedra._k_matrix(g), tetrahedra._s_matrix(g)
         np.testing.assert_array_equal(S, np.transpose(S, (0, 2, 1)))
         np.testing.assert_array_equal(K, -np.transpose(K, (0, 2, 1)))
 
@@ -132,29 +112,17 @@ class TestGradient:
             rel = np.linalg.norm(stacked - lg.grad) / np.linalg.norm(lg.grad)
             assert rel <= 1e-12
 
-    def test_volume_gradient_cross_form_vs_cubic_form(self):
-        # The cross-product volume gradient must agree with the symmetrized
-        # cubic-form matrix E @ V.
-        pts = random_tets(100, seed=17)
-        _, _, g_vol = tetrahedra.scalar_gradients(pts)
-        E = tetrahedra.volume_gradient_matrix(pts)
-        V = np.concatenate([pts[:, :, 0], pts[:, :, 1], pts[:, :, 2]], axis=1)
-        gv = np.einsum("nij,nj->ni", E, V)
-        stacked = np.stack([gv[:, :4], gv[:, 4:8], gv[:, 8:]], axis=2)
-        rel = np.linalg.norm(stacked - g_vol) / np.linalg.norm(g_vol)
-        assert rel <= 1e-12
-
 
 class TestAbsLocalMatrix:
     def test_symmetric_exactly(self):
         pts = random_tets(200, seed=18)
-        A = tetrahedra.abs_local_matrix(pts)
+        _, A = tetrahedra.abs_local_matrix(pts)
         np.testing.assert_array_equal(A, np.transpose(A, (0, 2, 1)))
 
     def test_weak_diagonal_dominance_on_random_tets(self):
         # Oracle: direct row-sum check over 1000 random tets.
         pts = random_tets(1000, seed=19)
-        A = tetrahedra.abs_local_matrix(pts)
+        _, A = tetrahedra.abs_local_matrix(pts)
         diag = np.abs(A[:, np.arange(4), np.arange(4)])
         off = np.abs(A).sum(axis=2) - diag
         scale = np.abs(A).max(axis=(1, 2))
@@ -167,6 +135,6 @@ class TestAbsLocalMatrix:
 
     def test_random_tets_positive_semidefinite(self):
         pts = random_tets(200, seed=20)
-        A = tetrahedra.abs_local_matrix(pts)
+        _, A = tetrahedra.abs_local_matrix(pts)
         w = np.linalg.eigvalsh(A)
         assert np.all(w[:, 0] >= -1e-12 * np.abs(A).max(axis=(1, 2)))
