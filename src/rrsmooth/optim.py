@@ -1,29 +1,27 @@
 """Energy minimizers: one descent driver, three direction strategies.
 
 The five methods differ only in their search direction: the fixed point's
-abs-clamped coordinate solve, the LBFGS two-loop recursion or the
-Polak-Ribiere nonlinear-CG update, the latter two with or without the SPD
-preconditioner. Everything else is shared by :func:`_descend`: every
-direction is projected onto the constraint set (fixed vertices never move,
-sliding vertices stay in their planes), each step is capped so no cell can
-invert and accepted by an Armijo (2D fixed point) or strong-Wolfe line
-search, a non-descent direction or a failed search falls back once to the
-strategy's steepest direction, and the run stops on a gradient norm, an
-energy stall, the iteration budget, or a named failure.
+preconditioned gradient step -P^-1 g (in 2D the paper's frozen-off-diagonal
+update), the LBFGS two-loop recursion or the Polak-Ribiere nonlinear-CG
+update, the latter two with or without the SPD preconditioner P. Everything
+else is shared by :func:`_descend`: every direction is projected onto the
+constraint set (fixed vertices never move, sliding vertices stay in their
+planes), each step is capped so no cell can invert and accepted by an
+Armijo (2D fixed point) or strong-Wolfe line search, a non-descent direction
+or a failed search falls back once to the strategy's steepest direction,
+and the run stops on a gradient norm, an energy stall, the iteration
+budget, or a named failure.
 """
 
 import math
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    assemble,
-    assemble_preconditioner,
-    energy_gradient,
-    vec_to_field,
-)
+# assemble is unused here but stays importable: perfbench/tracing.py patches it.
+from .assembly import assemble, assemble_preconditioner, energy_gradient
 from .errors import DegenerateElement, IndefiniteMatrix, LineSearchFailed, MeshError
 from .mesh import constraint_projector, max_step_before_inversion, quality_stats, validate
 
@@ -46,7 +44,7 @@ class CgInfo:
     converged: bool
 
 
-def cg_solve(A, b, tol=1e-8, max_iters=None, x0=None):
+def cg_solve(A, b, tol=1e-8, max_iters=None):
     """Conjugate gradients for SPD A; returns (x, CgInfo).
 
     Raises IndefiniteMatrix if a search direction has non-positive
@@ -59,11 +57,8 @@ def cg_solve(A, b, tol=1e-8, max_iters=None, x0=None):
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n), CgInfo(0, 0.0, True)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
-    res = np.linalg.norm(r)
-    if res <= tol * norm_b:
-        return x, CgInfo(0, res / norm_b, True)
+    x = np.zeros(n)
+    r = b.copy()
     p = r.copy()
     rr = r @ r
     for k in range(1, max_iters + 1):
@@ -285,36 +280,23 @@ class OptimizeReport:
         return out
 
     def write_csv(self, path_or_file):
-        close = False
-        if hasattr(path_or_file, "write"):
-            fh = path_or_file
-        else:
-            fh = open(path_or_file, "w")
-            close = True
-        try:
-            fh.write("iter,F,grad_norm,lambda,ls_evals\n")
+        """One row per record with every field, to a path or an open file."""
+        owned = not hasattr(path_or_file, "write")
+        with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
+            fh.write(
+                "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
+                "min_measure,slide_residual\n"
+            )
             for r in self.records:
                 fh.write(
-                    f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals}\n"
+                    f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
+                    f"{r.ls_kind},{int(r.armijo_ok)},{int(r.curvature_ok)},"
+                    f"{r.min_measure:.17g},{r.slide_residual:.17g}\n"
                 )
-        finally:
-            if close:
-                fh.close()
 
 
 def _inf_norm(v):
     return float(np.abs(v).max()) if v.size else 0.0
-
-
-def _solve_coords(pre, rhs, x0=None):
-    """Solve P u = rhs per column of an (n_vertices, dim) field; fixed rows stay 0."""
-    out = np.zeros_like(rhs)
-    for c in range(rhs.shape[1]):
-        sol, _ = cg_solve(
-            pre.P, rhs[pre.active, c], x0=None if x0 is None else x0[pre.active, c]
-        )
-        out[pre.active, c] = sol
-    return out
 
 
 class FunctionProblem:
@@ -389,11 +371,14 @@ class MeshProblem:
         return self.config.step_cap_factor * bound
 
     def precond_factory(self, x):
-        """The preconditioner solve built at x, as a projected vector map."""
+        """The solve with P built at x, per coordinate, as a projected vector map."""
         pre = assemble_preconditioner(self.mesh_at(x))
 
         def solve(vec):
-            out = _solve_coords(pre, vec.reshape(self.nv, self.dim))
+            rhs = vec.reshape(self.nv, self.dim)
+            out = np.zeros_like(rhs)
+            for c in range(self.dim):
+                out[pre.active, c], _ = cg_solve(pre.P, rhs[pre.active, c])
             return self.project_field(out).ravel()
 
         return solve
@@ -487,9 +472,6 @@ class _Strategy:
         self.problem = problem
         self.extras = {}
 
-    def start(self, x):
-        return self.problem.eval(x)
-
     def accept(self, x, x_new, g, g_new):
         pass
 
@@ -553,51 +535,24 @@ class _Nlcg(_Strategy):
 
 
 class _FixedPoint(_Strategy):
-    """Abs-clamped fixed-point directions, rebuilt from the blocks at x."""
+    """The paper's fixed point, taken as one preconditioned gradient step.
+
+    The fixed point freezes the off-diagonal blocks of G_F and solves with
+    the SPD diagonal block. In 2D the reduced preconditioner P is that block
+    on the free rows, so the frozen-off-diagonal update
+    ``P V_new = -(B V) - A_fixed V_fixed`` is exactly ``V_new = V - P^-1 g``.
+    The residual form ``project(-P^-1 g)`` is used everywhere: it descends
+    whenever g != 0, while the coordinate form, with sliding vertices or the
+    abs-clamped P of 3D, settles where ``g = (A_ff - P) V_free``, not g = 0.
+    """
 
     def __init__(self, problem):
         super().__init__(problem)
         self.kind = "armijo" if problem.dim == 2 else "wolfe"
-        self.system = None
-
-    def start(self, x):
-        # The blocks at x0 carry F and the gradient too: one assembly serves
-        # the initial evaluation and the first direction.
-        problem = self.problem
-        problem.fun_evals += 1
-        self.system = assemble(problem.mesh_at(x))
-        g = vec_to_field(self.system.gradient, problem.nv, problem.dim)
-        return self.system.F, problem.project_field(g).ravel()
 
     def direction(self, x, g):
-        """Solve the decoupled coordinate systems with the abs-clamped operator.
-
-        The solve matrix is the reduced preconditioner; the right-hand side
-        keeps the true A acting on the fixed coordinates.
-        """
-        problem = self.problem
-        mesh = problem.mesh_at(x)
-        system = self.system if self.system is not None else assemble(mesh)
-        self.system = None
-        pre = assemble_preconditioner(mesh)
-        current = mesh.vertices
-        A = system.A
-        fixed = problem.fixed
-        if problem.dim == 2:
-            (B,) = system.B_blocks
-            X, Y = current.T
-            rhs = [-(B @ Y) - A @ (X * fixed), (B @ X) - A @ (Y * fixed)]
-        else:
-            B0, B1, B2 = system.B_blocks
-            X, Y, Z = current.T
-            rhs = [
-                -(B2 @ Y) - (B1 @ Z) - A @ (X * fixed),
-                (B2 @ X) - (B0 @ Z) - A @ (Y * fixed),
-                (B1 @ X) + (B0 @ Y) - A @ (Z * fixed),
-            ]
-        d = _solve_coords(pre, np.column_stack(rhs), x0=current)
-        d[pre.active] -= current[pre.active]
-        return problem.project_field(d).ravel(), False
+        solve = self.problem.precond_factory(x)
+        return self.problem.project(-solve(g)), False
 
     def fallback(self, g):
         return self.problem.project(-g)
@@ -606,12 +561,12 @@ class _FixedPoint(_Strategy):
 def _descend(problem, config, strategy):
     """The descent loop shared by every method; returns (x, records, termination).
 
-    ``strategy.start(x)`` evaluates the initial point, ``direction(x, g)``
-    returns ``(d, d_is_the_fallback)``, ``fallback(g)`` the direction to retry
-    with once, and ``accept`` sees every accepted step.
+    ``strategy.direction(x, g)`` returns ``(d, d_is_the_fallback)``,
+    ``fallback(g)`` the direction to retry with once, and ``accept`` sees
+    every accepted step.
     """
     x = problem.x0.copy()
-    f, g = strategy.start(x)
+    f, g = problem.eval(x)
     g0n = _inf_norm(g)
     records = [IterationRecord(0, f, g0n, 0.0, 0)]
     history = deque([f], maxlen=_ENERGY_PATIENCE + 1)
@@ -687,15 +642,16 @@ def minimize_nlcg(fun_grad, x0, config=None, precond_solve=None):
 def fixed_point_step(mesh, config=None):
     """One fixed-point update: direction, guarded line search, new mesh.
 
-    Returns ``(direction_field, new_mesh, record)``. The direction solves
-    the frozen-off-diagonal stationarity systems; the step along it is
-    accepted by backtracking in 2D and a strong Wolfe search in 3D.
+    Returns ``(direction_field, new_mesh, record)``. The direction is the
+    preconditioned gradient step ``-P^-1 g``, in 2D the frozen-off-diagonal
+    update of the paper; the step along it is accepted by backtracking in
+    2D and a strong Wolfe search in 3D.
     """
     config = config or OptimizeConfig(method=FIXED_POINT)
     problem = MeshProblem(mesh, config)
     strategy = _FixedPoint(problem)
     x = problem.x0
-    f, g = strategy.start(x)
+    f, g = problem.eval(x)
     d, _ = strategy.direction(x, g)
     field = d.reshape(problem.nv, problem.dim)
     if not np.any(d):

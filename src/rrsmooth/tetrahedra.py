@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateElement
+from .triangles import diameters
 
 DEGENERACY_RTOL = 1e-14
 
@@ -70,10 +71,6 @@ class LocalGradient3D:
     B1: np.ndarray
     B2: np.ndarray
     grad: np.ndarray
-
-
-def diameters(pts):
-    return np.ptp(pts, axis=1).max(axis=1)
 
 
 def signed_volume(pts):

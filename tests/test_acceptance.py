@@ -389,7 +389,10 @@ def test_criterion_9_io_fidelity(tmp_path, lattice_run, sliver_runs, slide_run):
         buf = io.StringIO()
         report.write_csv(buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "iter,F,grad_norm,lambda,ls_evals"
+        assert lines[0] == (
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
+            "min_measure,slide_residual"
+        )
         F = [float(line.split(",")[1]) for line in lines[1:]]
         assert len(F) == report.iterations + 1
         assert all(b <= a + 1e-15 for a, b in zip(F, F[1:]))

@@ -59,7 +59,10 @@ class TestPerturbAndOptimize:
         assert code == 0, err
         assert out_path.exists()
         lines = report.read_text().splitlines()
-        assert lines[0] == "iter,F,grad_norm,lambda,ls_evals"
+        assert lines[0] == (
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
+            "min_measure,slide_residual"
+        )
         F = [float(l.split(",")[1]) for l in lines[1:]]
         assert len(F) >= 2
         assert all(b <= a + 1e-15 for a, b in zip(F, F[1:]))

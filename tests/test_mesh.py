@@ -67,6 +67,14 @@ class TestValidate:
             assert flagged == []
             assert np.isfinite(kernel.radius_ratio(P[None])).all()
 
+    @pytest.mark.parametrize("kernel", [triangles, tetrahedra], ids=["triangle", "tet"])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_diameters_are_the_coordinate_spread(self, kernel, offset):
+        # The threshold scale must keep the bits of np.ptp over the vertices.
+        k = 3 if kernel is triangles else 4
+        pts = np.random.default_rng(7).normal(size=(500, k, k - 1)) + offset
+        assert np.array_equal(kernel.diameters(pts), np.ptp(pts, axis=1).max(axis=1))
+
     def test_repair_orientation(self):
         bad = unit_square_two_tris()
         bad.cells[0] = bad.cells[0][[0, 2, 1]]

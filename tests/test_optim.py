@@ -279,10 +279,15 @@ def perturbed_lattice(n=8):
     return m.classify_boundary(moved, m.FIX_ALL)
 
 
-def slivered_cube(n=4, count=3, eps=0.01):
+def slivered_cube(n=4, count=3, eps=0.01, policy=m.FIX_ALL):
     mesh = gen_mesh(GeneratorSpec(CUBE, n))
     mesh = perturb_mesh(mesh, PlantSliver(count=count, eps=eps))
-    return m.classify_boundary(mesh, m.FIX_ALL)
+    return m.classify_boundary(mesh, policy)
+
+
+def jittered_square(n, amplitude, policy):
+    mesh = perturb_mesh(gen_mesh(GeneratorSpec(SQUARE, n)), RandomJitter(amplitude, seed=1))
+    return m.classify_boundary(mesh, policy)
 
 
 class TestFixedPoint:
@@ -334,6 +339,55 @@ class TestFixedPoint:
         out, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=15))
         energies = [r.F for r in report.records]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_2d_direction_is_the_frozen_off_diagonal_solve(self, n):
+        # Reference: freeze B, solve the diagonal block A on the free rows
+        # with the true A acting on the fixed coordinates.
+        from rrsmooth.assembly import assemble
+
+        mesh = jittered_square(n, 0.3, m.FIX_ALL)
+        system = assemble(mesh)
+        (B,) = system.B_blocks
+        A = system.A
+        X, Y = mesh.vertices.T
+        fixed = mesh.fixed_mask()
+        free = np.flatnonzero(~fixed)
+        P = A[free][:, free].tocsr()
+        rhs = [-(B @ Y) - A @ (X * fixed), (B @ X) - A @ (Y * fixed)]
+        ref = np.zeros_like(mesh.vertices)
+        for c in range(2):
+            sol, info = cg_solve(P, rhs[c][free], tol=1e-13)
+            assert info.converged
+            ref[free, c] = sol - mesh.vertices[free, c]
+        d, _, _ = fixed_point_step(mesh)
+        assert np.linalg.norm(d - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: slivered_cube(n=4, count=1),
+            lambda: slivered_cube(n=5, count=3, policy=m.SLIDE_PLANAR),
+            lambda: jittered_square(16, 0.3, m.SLIDE_PLANAR),
+        ],
+        ids=["cube4-fix-all", "cube5-slide-planar", "square16-slide-planar"],
+    )
+    def test_directions_never_fall_back(self, monkeypatch, make):
+        # -P^-1 g descends whenever g != 0, also with the abs-clamped P of 3D
+        # and with sliding vertices, so -g is never needed.
+        mesh = make()
+        fallbacks = []
+        fallback = optim._FixedPoint.fallback
+
+        def counted(self, g):
+            fallbacks.append(1)
+            return fallback(self, g)
+
+        monkeypatch.setattr(optim._FixedPoint, "fallback", counted)
+        _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=30))
+        assert len(fallbacks) == 0
+        if mesh.dim == 3:
+            assert report.termination == "grad_tol"
 
 
 class TestMeshOptimizers:
@@ -429,10 +483,18 @@ class TestMeshOptimizers:
         path = tmp_path / "report.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iter,F,grad_norm,lambda,ls_evals"
+        assert lines[0] == (
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
+            "min_measure,slide_residual"
+        )
         assert len(lines) - 1 == report.iterations + 1
         energies = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+        # Every record field is written, in full precision.
+        last, row = report.records[-1], lines[-1].split(",")
+        assert row[5:8] == [last.ls_kind, str(int(last.armijo_ok)), str(int(last.curvature_ok))]
+        assert float(row[8]) == last.min_measure
+        assert float(row[9]) == last.slide_residual
 
 
 def jittered_meshes():
@@ -507,7 +569,7 @@ def counting(monkeypatch, name):
 class TestWorkPerIteration:
     @pytest.mark.parametrize(
         "method, name",
-        [("fixedpoint", "assemble"), ("pnlcg", "assemble_preconditioner")],
+        [("fixedpoint", "assemble_preconditioner"), ("pnlcg", "assemble_preconditioner")],
     )
     def test_one_build_per_iteration(self, monkeypatch, method, name):
         mesh = slivered_cube(n=3, count=1)
@@ -516,13 +578,16 @@ class TestWorkPerIteration:
         assert report.iterations == 6
         assert len(calls) == report.iterations
 
-    def test_fixed_point_starts_from_its_first_assembly(self, monkeypatch):
-        # The blocks at x0 carry F and the gradient too, so the initial
-        # evaluation costs no separate energy_gradient call.
+    def test_fixed_point_needs_no_full_block_assembly(self, monkeypatch):
+        # The direction comes from the shared P solve, so the blocks B are
+        # never assembled and every evaluation is one energy_gradient call.
         mesh = slivered_cube(n=3, count=1)
-        calls = counting(monkeypatch, "energy_gradient")
+        assembles = counting(monkeypatch, "assemble")
+        evals = counting(monkeypatch, "energy_gradient")
         _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=6))
-        assert len(calls) == report.fun_evals - 1
+        assert report.iterations == 6
+        assert len(assembles) == 0
+        assert len(evals) == report.fun_evals
 
 
 class TestConfigValidation:
