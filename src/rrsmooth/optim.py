@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # assemble is unused here but stays importable: perfbench/tracing.py patches it.
-from .assembly import assemble, assemble_preconditioner, energy_gradient
+from .assembly import (
+    assemble,
+    assemble_preconditioner,
+    energy_gradient,
+    preconditioner_topology,
+)
 from .errors import DegenerateElement, IndefiniteMatrix, LineSearchFailed, MeshError
 from .mesh import constraint_projector, max_step_before_inversion, quality_stats, validate
 
@@ -239,6 +244,10 @@ class IterationRecord:
     curvature_ok: bool = True
     min_measure: float = math.nan
     slide_residual: float = 0.0
+    # The inversion cap the line search ran under, and the CG iterations of
+    # every preconditioner solve made for this step.
+    cap: float = math.nan
+    cg_iters: int = 0
 
 
 @dataclass
@@ -285,13 +294,14 @@ class OptimizeReport:
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
             fh.write(
                 "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-                "min_measure,slide_residual\n"
+                "min_measure,slide_residual,cap,cg_iters\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
                     f"{r.ls_kind},{int(r.armijo_ok)},{int(r.curvature_ok)},"
-                    f"{r.min_measure:.17g},{r.slide_residual:.17g}\n"
+                    f"{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
+                    f"{r.cg_iters}\n"
                 )
 
 
@@ -325,6 +335,9 @@ class FunctionProblem:
     def precond_factory(self, x):
         return self._solve
 
+    def take_cg_iters(self):
+        return 0
+
     def step_metrics(self, x_old, x_new):
         return {}
 
@@ -343,16 +356,24 @@ class MeshProblem:
         self.normals = mesh.slide_normals
         self.project_field = constraint_projector(mesh)
         self.fun_evals = 0
+        # Built at the first P build: methods without P never need it, and a
+        # mesh without a fixed vertex, or disconnected, stops the run there.
+        self.topology = None
+        # (x, kernel geometry) of the last point evaluated.
+        self.kept = None
+        self.cg_iters = 0
 
     def mesh_at(self, x):
         return self.mesh.with_vertices(x.reshape(self.nv, self.dim))
 
     def eval(self, x):
         self.fun_evals += 1
+        self.kept = None
         try:
-            f, grad_field = energy_gradient(self.mesh_at(x))
+            f, grad_field, geometry = energy_gradient(self.mesh_at(x), return_geometry=True)
         except DegenerateElement:
             return math.inf, None
+        self.kept = (x.copy(), geometry)
         return f, self.project_field(grad_field).ravel()
 
     def project(self, v):
@@ -371,17 +392,32 @@ class MeshProblem:
         return self.config.step_cap_factor * bound
 
     def precond_factory(self, x):
-        """The solve with P built at x, per coordinate, as a projected vector map."""
-        pre = assemble_preconditioner(self.mesh_at(x))
+        """The solve with P built at x, per coordinate, as a projected vector map.
+
+        P is built from the kernel geometry of the last evaluation when x is
+        that point, as it is whenever `_descend` asks.
+        """
+        if self.topology is None:
+            self.topology = preconditioner_topology(self.mesh)
+        geometry = None
+        if self.kept is not None and np.array_equal(self.kept[0], x):
+            geometry = self.kept[1]
+        pre = assemble_preconditioner(self.mesh_at(x), self.topology, geometry)
 
         def solve(vec):
             rhs = vec.reshape(self.nv, self.dim)
             out = np.zeros_like(rhs)
             for c in range(self.dim):
-                out[pre.active, c], _ = cg_solve(pre.P, rhs[pre.active, c])
+                out[pre.active, c], info = cg_solve(pre.P, rhs[pre.active, c])
+                self.cg_iters += info.iterations
             return self.project_field(out).ravel()
 
         return solve
+
+    def take_cg_iters(self):
+        """CG iterations since the last call."""
+        n, self.cg_iters = self.cg_iters, 0
+        return n
 
     def step_metrics(self, x_old, x_new):
         m = self.mesh_at(x_new)
@@ -443,6 +479,8 @@ def _take_step(problem, config, x, f, g, d, k, kind):
         ls_kind=kind,
         armijo_ok=ls.armijo_ok,
         curvature_ok=ls.curvature_ok,
+        cap=cap,
+        cg_iters=problem.take_cg_iters(),
         **problem.step_metrics(x, x_new),
     )
     return x_new, f_new, g_new, record

@@ -21,7 +21,7 @@ symmetric and the B blocks antisymmetric. Every block has zero row sums, so
 the product is taken on cell-local coordinates ``pts - pts[:, :1]`` and
 translating a cell leaves its gradient bit-identical.
 
-Every kernel reads one geometry pass (``_geometry``) that computes the edge
+Every kernel reads one geometry pass (``geometry``) that computes the edge
 vectors, the checked volume, face areas, d0 and mu once per call.
 """
 
@@ -96,7 +96,7 @@ def _dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _geometry(pts):
+def geometry(pts):
     """The one geometry pass every kernel reads.
 
     From the edge vectors ``E[:, i, j] = x_j - x_i`` it keeps ``edge_sq``
@@ -137,7 +137,7 @@ def _geometry(pts):
 
 def measures(pts):
     """Volume, face areas, total surface, circumradius, inradius and d0."""
-    g = _geometry(pts)
+    g = geometry(pts)
     return TetMeasures(
         g.volume,
         g.face_areas,
@@ -150,7 +150,7 @@ def measures(pts):
 
 def radius_ratio(pts):
     """Radius ratio mu >= 1 of each tetrahedron."""
-    return _geometry(pts).mu
+    return geometry(pts).mu
 
 
 def _m_matrix(g):
@@ -199,14 +199,16 @@ def _volume_block(pts, c):
     return pts[:, _VOL_IDX, c] - pts[:, _VOL_IDX.T, c]
 
 
-def local_blocks(pts):
+def local_blocks(pts, g=None):
     """Local matrix form: ``(mu, A, B0, B1, B2)``, blocks of shape ``(n, 4, 4)``.
 
     The stacked per-vertex gradient of mu equals
     ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``.
+    ``g`` is ``geometry(pts)`` when the caller already has it.
     """
     pts = np.asarray(pts, dtype=float)
-    g = _geometry(pts)
+    if g is None:
+        g = geometry(pts)
     K = _k_matrix(g)
     inv_d0sq = (1.0 / g.d0_sq)[:, None, None]
     inv_6vol = (1.0 / (6.0 * g.volume))[:, None, None]
@@ -262,20 +264,24 @@ def _abs_clamped(W):
     return out
 
 
-def abs_local_matrix(pts):
-    """Radius ratio and abs-clamped symmetric local matrix: ``(mu, A_abs)``.
+def abs_matrix(g):
+    """Abs-clamped symmetric local matrices ``(n, 4, 4)`` from ``geometry(pts)``.
 
     Off-diagonal weights of both the M and S parts are clamped to
     ``-|w|`` and diagonals rebalanced to keep zero row sums, which makes
     every A_abs a weakly diagonally dominant symmetric M-matrix and hence
     positive semi-definite for any non-degenerate element.
     """
-    g = _geometry(pts)
-    A_abs = (
+    return (
         _abs_clamped(_m_matrix(g)) / g.d0_sq[:, None, None]
         + _abs_clamped(_s_matrix(g)) / g.surface[:, None, None]
     )
-    return g.mu, A_abs
+
+
+def abs_local_matrix(pts):
+    """Radius ratio and abs-clamped local matrix: ``(mu, A_abs)``."""
+    g = geometry(pts)
+    return g.mu, abs_matrix(g)
 
 
 class Tetrahedron:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from rrsmooth import assembly, mesh as m, tetrahedra, triangles
@@ -8,6 +9,7 @@ from rrsmooth.assembly import (
     assemble_preconditioner,
     energy_gradient,
     field_to_vec,
+    preconditioner_topology,
     spd_audit,
     vec_to_field,
     write_matrix_market,
@@ -18,6 +20,7 @@ from rrsmooth.generate import (
     EQUILATERAL,
     SQUARE,
     GeneratorSpec,
+    PlantSliver,
     RandomJitter,
     gen_mesh,
     perturb_mesh,
@@ -143,6 +146,23 @@ def test_gradient_is_exact_under_translation(case):
     assert rel.max() <= 1e-12
 
 
+class TestGradientScatter:
+    @pytest.mark.parametrize(
+        "mesh",
+        [jittered(SQUARE, 6, seed=4, amplitude=0.3),
+         perturb_mesh(jittered(CUBE, 3, seed=4), PlantSliver(count=1, eps=0.01))],
+        ids=["square", "slivered-cube"],
+    )
+    def test_bincount_gives_the_bits_of_add_at(self, mesh):
+        # Both sum each vertex's entries in cell order, starting from zero.
+        kernel = triangles if mesh.dim == 2 else tetrahedra
+        _, grads = kernel.radius_ratio_gradient(mesh.cell_points())
+        expected = np.zeros_like(mesh.vertices)
+        np.add.at(expected, mesh.cells, grads / mesh.n_cells)
+        _, got = energy_gradient(mesh)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestOneGeometryPass:
     @pytest.mark.parametrize("kind, n", [(SQUARE, 4), (CUBE, 2)], ids=["square", "cube"])
     @pytest.mark.parametrize(
@@ -228,6 +248,57 @@ class TestPreconditioner:
         margin = diag - off
         touches = adjacency_to_fixed[pre.active] > 0
         assert np.all(margin[touches] > 1e-12 * np.abs(P.data).max())
+
+
+def coo_preconditioner(mesh):
+    """P by a COO scatter of every local entry, then the active rows and columns."""
+    pts = mesh.cell_points()
+    w = 1.0 / mesh.n_cells
+    if mesh.dim == 2:
+        local = w * triangles.local_blocks(pts)[1]
+    else:
+        mu, A_abs = tetrahedra.abs_local_matrix(pts)
+        local = (w * mu)[:, None, None] * A_abs
+    k = mesh.cells.shape[1]
+    rows = np.repeat(mesh.cells, k, axis=1).ravel()
+    cols = np.tile(mesh.cells, k).ravel()
+    nv = mesh.n_vertices
+    full = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    active = np.flatnonzero(~mesh.fixed_mask())
+    return full[active][:, active]
+
+
+BUILD_CASES = pytest.mark.parametrize(
+    "kind, n, policy",
+    [(SQUARE, 6, m.FIX_ALL), (SQUARE, 6, m.SLIDE_PLANAR),
+     (CUBE, 3, m.FIX_ALL), (CUBE, 3, m.SLIDE_PLANAR)],
+    ids=["square-fix-all", "square-slide-planar", "cube-fix-all", "cube-slide-planar"],
+)
+
+
+class TestFixedPattern:
+    @BUILD_CASES
+    def test_matches_the_coo_build(self, kind, n, policy):
+        # Only the summation order differs: cell order here, scipy's
+        # duplicate sum there. Every sum has terms of one sign.
+        mesh = m.classify_boundary(jittered(kind, n, seed=7), policy)
+        pre = assemble_preconditioner(mesh)
+        ref = coo_preconditioner(mesh)
+        assert pre.P.has_canonical_format
+        np.testing.assert_array_equal(pre.active, np.flatnonzero(~mesh.fixed_mask()))
+        assert pre.P.nnz == ref.nnz
+        diff = np.abs((pre.P - ref).toarray()).max()
+        assert diff <= 1e-15 * np.abs(ref.data).max()
+
+    @BUILD_CASES
+    def test_kept_geometry_gives_the_fresh_build(self, kind, n, policy):
+        mesh = m.classify_boundary(jittered(kind, n, seed=7), policy)
+        _, _, geometry = energy_gradient(mesh, return_geometry=True)
+        topology = preconditioner_topology(mesh)
+        kept = assemble_preconditioner(mesh, topology, geometry)
+        fresh = assemble_preconditioner(mesh)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(kept.P, name).tobytes() == getattr(fresh.P, name).tobytes()
 
 
 class TestMatrixMarket:

@@ -61,7 +61,7 @@ class TestPerturbAndOptimize:
         lines = report.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-            "min_measure,slide_residual"
+            "min_measure,slide_residual,cap,cg_iters"
         )
         F = [float(l.split(",")[1]) for l in lines[1:]]
         assert len(F) >= 2

@@ -316,6 +316,130 @@ class TestStepBound:
             assert exc.value.cell == cell
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_raises_with_its_vertex(self, bad):
+        # Before the check a NaN gave an unbounded step in 2D and numpy's
+        # LinAlgError in 3D; a NaN root bound would also prune silently.
+        for mesh in (unit_square_two_tris(), gen_mesh(GeneratorSpec(CUBE, 2))):
+            d = np.ones_like(mesh.vertices)
+            d[2, 1] = bad
+            with pytest.raises(ValueError, match="at vertex 2$"):
+                m.max_step_before_inversion(mesh, d)
+
+    @pytest.mark.parametrize("still", [0.0, 0.9], ids=["dense", "sparse"])
+    def test_pruned_cap_matches_the_full_batch(self, monkeypatch, rng, still):
+        mesh = jittered(CUBE)
+        solved = count_solved_rows(monkeypatch)
+        for trial in range(10):
+            d = random_direction(mesh, still, rng)
+            lam = m.max_step_before_inversion(mesh, d)
+            assert bits(lam) == bits(1.0 / full_batch_root(m._measure_polynomials(mesh, d)))
+        assert sum(solved) < 10 * mesh.n_cells
+
+    def test_nothing_pruned_when_every_cell_can_bind(self, monkeypatch):
+        # Contracting to a point gives every cell the triple root s = 1 and
+        # the bound 6, so every cell is solved.
+        mesh = jittered(CUBE)
+        d = mesh.vertices.mean(axis=0) - mesh.vertices
+        solved = count_solved_rows(monkeypatch)
+        lam = m.max_step_before_inversion(mesh, d)
+        assert sum(solved) == mesh.n_cells > m._CAP_FIRST_ROWS
+        assert bits(lam) == bits(1.0 / full_batch_root(m._measure_polynomials(mesh, d)))
+        assert 1 - 1e-4 <= lam <= 1 + 1e-6
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def cubic_roots(a):
+    companion = np.zeros((len(a), 3, 3))
+    companion[:, 0] = -a
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def full_batch_root(a):
+    """Largest positive real root over every row, all solved in one batch."""
+    roots = cubic_roots(a)
+    real = np.abs(roots.imag) <= m.REAL_ROOT_RTOL * np.abs(roots)
+    return np.where(real & (roots.real > 0), roots.real, 0.0).max(initial=0.0)
+
+
+def count_solved_rows(monkeypatch):
+    solved = []
+    solve = m._row_roots
+
+    def counted(a):
+        solved.append(len(a))
+        return solve(a)
+
+    monkeypatch.setattr(m, "_row_roots", counted)
+    return solved
+
+
+def stacked_cells(points):
+    """One mesh holding each (dim + 1, dim) point set as its own cell."""
+    n, k, dim = points.shape
+    return m.SimplexMesh(points.reshape(-1, dim), np.arange(n * k).reshape(n, k))
+
+
+class TestRootBound:
+    def assert_bounds_roots(self, a):
+        bound = m._root_bound(a) * (1.0 + m.ROOT_BOUND_RTOL)
+        assert np.all(np.abs(cubic_roots(a)) <= bound[:, None])
+
+    def test_random_cubics(self):
+        rng = np.random.default_rng(11)
+        a = rng.choice([-1.0, 1.0], (20000, 3)) * 10.0 ** rng.uniform(-100, 100, (20000, 3))
+        a[rng.random(a.shape) < 0.1] = 0.0
+        a[:1000] = rng.normal(size=(1000, 3))
+        self.assert_bounds_roots(a)
+
+    def test_double_and_triple_roots(self):
+        # The cells of test_double_roots_in_3d and of the centroid test.
+        rng = np.random.default_rng(5)
+        P = random_tets(300, seed=3)
+        a = rng.uniform(0.1, 10.0, 300)
+        b = rng.uniform(-10.0, a)
+        Q = np.linalg.qr(rng.normal(size=(300, 3, 3)))[0]
+        D = Q @ (np.stack([a, a, b], axis=1)[:, :, None] * np.swapaxes(Q, 1, 2))
+        d = -np.einsum("nij,nkj->nki", D, P - rng.uniform(-1, 1, (300, 1, 3)))
+        double = m._measure_polynomials(stacked_cells(P), d.reshape(-1, 3))
+        P = random_tets(300, seed=0)
+        triple = m._measure_polynomials(
+            stacked_cells(P), (P.mean(axis=1, keepdims=True) - P).reshape(-1, 3)
+        )
+        self.assert_bounds_roots(np.concatenate([double, triple]))
+
+    def test_bound_is_attained_and_rounding_crosses_it(self):
+        # s**3 - r s**2 - r**2 s - 2 r**3 has the root 2r, equal to its
+        # bound; LAPACK's root lands a few ulp above it on about half of
+        # them, which is why pruning widens the bound by ROOT_BOUND_RTOL.
+        r = np.geomspace(1e-90, 1e90, 4001)
+        a = np.stack([-r, -r * r, -2.0 * r**3], axis=1)
+        excess = np.abs(cubic_roots(a)).max(axis=1) / m._root_bound(a) - 1.0
+        assert np.any(excess > 0.0)
+        assert excess.max() <= 1e-3 * m.ROOT_BOUND_RTOL
+
+    def test_margin_keeps_a_cell_whose_root_rounds_above_its_bound(self, monkeypatch):
+        # A cell on the extremal family whose computed root exceeds its
+        # bound, behind 64 cells with the bound 20 rho and the real root rho
+        # in between: without the margin it is pruned and the cap is wrong.
+        r = np.geomspace(0.5, 2.0, 2001)
+        a = np.stack([-r, -r * r, -2.0 * r**3], axis=1)
+        top = m._row_roots(a)
+        i = np.argmax(top / m._root_bound(a))
+        rho = 0.5 * (m._root_bound(a)[i] + top[i])
+        decoy = np.array([[-rho, 100 * rho**2, -100 * rho**3]])
+        s_decoy = m._row_roots(decoy)[0]
+        assert m._root_bound(a)[i] < s_decoy < top[i]
+        batch = np.concatenate([np.repeat(decoy, m._CAP_FIRST_ROWS, axis=0), a[i : i + 1]])
+        assert m._largest_real_root(batch) == top[i] == full_batch_root(batch)
+        monkeypatch.setattr(m, "ROOT_BOUND_RTOL", 0.0)
+        assert m._largest_real_root(batch) == s_decoy
+
+
 class TestPerturb:
     def test_jitter_zero_amplitude_is_identity(self):
         mesh = gen_mesh(GeneratorSpec(SQUARE, 4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from rrsmooth import assembly, tetrahedra
 from rrsmooth import mesh as m
 from rrsmooth import optim
 from rrsmooth.errors import IndefiniteMatrix, LineSearchFailed
@@ -485,7 +486,7 @@ class TestMeshOptimizers:
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-            "min_measure,slide_residual"
+            "min_measure,slide_residual,cap,cg_iters"
         )
         assert len(lines) - 1 == report.iterations + 1
         energies = [float(line.split(",")[1]) for line in lines[1:]]
@@ -495,6 +496,9 @@ class TestMeshOptimizers:
         assert row[5:8] == [last.ls_kind, str(int(last.armijo_ok)), str(int(last.curvature_ok))]
         assert float(row[8]) == last.min_measure
         assert float(row[9]) == last.slide_residual
+        # The fixed point solves with P every step, under a finite cap.
+        assert float(row[10]) == last.cap and np.isfinite(last.cap)
+        assert int(row[11]) == last.cg_iters > 0
 
 
 def jittered_meshes():
@@ -588,6 +592,71 @@ class TestWorkPerIteration:
         assert report.iterations == 6
         assert len(assembles) == 0
         assert len(evals) == report.fun_evals
+
+
+def recording(monkeypatch, module, name):
+    """Replace module.<name> with a wrapper that records (args, result) per call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+class TestPreconditionerReuse:
+    @pytest.mark.parametrize("method", ["fixedpoint", "plbfgs", "pnlcg"])
+    def test_connectivity_is_checked_once_per_run(self, monkeypatch, method):
+        mesh = slivered_cube(n=3, count=1)
+        checks = recording(monkeypatch, assembly, "is_connected")
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
+        assert report.iterations == 6
+        assert len(checks) == 1
+
+    def test_one_geometry_pass_per_evaluation(self, monkeypatch):
+        # P is built from the geometry of the evaluation at the same point.
+        mesh = slivered_cube(n=3, count=1)
+        passes = recording(monkeypatch, tetrahedra, "geometry")
+        builds = counting(monkeypatch, "assemble_preconditioner")
+        _, report = optimize(mesh, OptimizeConfig(method="plbfgs", max_iters=6))
+        assert len(builds) == report.iterations == 6
+        # Plus the quality statistics before and after the run.
+        assert len(passes) == report.fun_evals + 2
+
+    @pytest.mark.parametrize("shape", ["square", "cube"])
+    def test_factory_builds_the_fresh_preconditioner(self, monkeypatch, shape):
+        mesh = m.classify_boundary(jittered_meshes()[shape], m.FIX_ALL)
+        problem = optim.MeshProblem(mesh, OptimizeConfig())
+        built = recording(monkeypatch, optim, "assemble_preconditioner")
+        x = problem.x0
+        other = problem.step(x, problem.project(np.ones_like(x)), 1e-3)
+        problem.eval(other)
+        problem.eval(x)
+        for point in (x, other):
+            problem.precond_factory(point)
+            fresh = assembly.assemble_preconditioner(problem.mesh_at(point))
+            assert built[-1][1].P.data.tobytes() == fresh.P.data.tobytes()
+        # Only the build at the point evaluated last reads the kept geometry.
+        assert [args[2] is not None for args, _ in built] == [True, False]
+
+
+class TestRecordedWork:
+    @pytest.mark.parametrize("method", optim.METHODS)
+    def test_records_carry_the_cap_and_cg_iterations(self, monkeypatch, method):
+        mesh = slivered_cube(n=3, count=1)
+        solves = recording(monkeypatch, optim, "cg_solve")
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=5))
+        assert report.iterations == 5
+        assert math.isnan(report.records[0].cap)
+        for r in report.records[1:]:
+            assert 0.0 < r.lam <= r.cap
+        iterations = sum(info.iterations for _, (_, info) in solves)
+        assert sum(r.cg_iters for r in report.records) == iterations
+        assert (iterations > 0) == (method in ("fixedpoint", "plbfgs", "pnlcg"))
 
 
 class TestConfigValidation:

@@ -97,7 +97,7 @@ class TestGradient:
                 B + np.transpose(B, (0, 2, 1)), 0.0, atol=1e-13 * np.abs(B).max()
             )
         # S symmetric and K antisymmetric by construction.
-        g = tetrahedra._geometry(pts)
+        g = tetrahedra.geometry(pts)
         K, S = tetrahedra._k_matrix(g), tetrahedra._s_matrix(g)
         np.testing.assert_array_equal(S, np.transpose(S, (0, 2, 1)))
         np.testing.assert_array_equal(K, -np.transpose(K, (0, 2, 1)))
