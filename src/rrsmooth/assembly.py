@@ -3,9 +3,15 @@
 The energy of a mesh is the mean element radius ratio. Its gradient with
 respect to the stacked coordinate vector V = [X; Y(; Z)] is G_F @ V where
 G_F has one symmetric diagonal block A repeated per coordinate and
-antisymmetric off-diagonal blocks::
+antisymmetric off-diagonal blocks, laid out as the element kernel's
+``LAYOUT``::
 
     2D: [[A, B], [-B, A]]          3D: [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]]
+
+Every function here reaches the element kernel through ``mesh.kernel(dim)``
+and reads it the same way in both dimensions: no local block carries mu, so
+cell c adds ``(mu_c / n_cells) * block`` to G_F's blocks and
+``(mu_c / n_cells) * precond_blocks`` to P.
 
 Assembly scatter-adds per-element contributions deterministically, so
 identical meshes produce bit-identical results. The preconditioner's
@@ -17,14 +23,15 @@ summed by ``np.bincount`` too; both sum in cell order.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from operator import matmul
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from . import tetrahedra, triangles
 from .errors import DisconnectedMesh, NoFixedVertices
-from .mesh import is_connected
+from .mesh import is_connected, kernel
 
 
 def field_to_vec(field):
@@ -55,36 +62,16 @@ class GlobalGradientSystem:
     dim: int
 
     def gradient_matvec(self):
-        nv = self.n_vertices
-        X = self.V[:nv]
-        Y = self.V[nv : 2 * nv]
-        A = self.A
-        if self.dim == 2:
-            (B,) = self.B_blocks
-            return np.concatenate([A @ X + B @ Y, -(B @ X) + A @ Y])
-        Z = self.V[2 * nv :]
-        B0, B1, B2 = self.B_blocks
-        return np.concatenate(
-            [
-                A @ X + B2 @ Y + B1 @ Z,
-                -(B2 @ X) + A @ Y + B0 @ Z,
-                -(B1 @ X) - (B0 @ Y) + A @ Z,
-            ]
-        )
+        blocks, parts = (self.A, *self.B_blocks), np.split(self.V, self.dim)
+        return np.concatenate(kernel(self.dim).LAYOUT.product(blocks, parts, matmul))
 
     def gradient_field(self):
         return vec_to_field(self.gradient, self.n_vertices, self.dim)
 
     def gradient_matrix(self):
         """The full (dim n_v)^2 sparse G_F, mainly for debugging dumps."""
-        A = self.A
-        if self.dim == 2:
-            (B,) = self.B_blocks
-            return sparse.bmat([[A, B], [-B, A]], format="csr")
-        B0, B1, B2 = self.B_blocks
-        return sparse.bmat(
-            [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]], format="csr"
-        )
+        bmat = partial(sparse.bmat, format="csr")
+        return kernel(self.dim).LAYOUT.matrix((self.A, *self.B_blocks), bmat)
 
 
 def _scatter_square(cells, local, n):
@@ -113,63 +100,48 @@ def _sum_per_vertex(mesh, values):
     )
 
 
+def _kernel_pass(mesh):
+    """One geometry pass: ``(F, gradient field, geometry, local blocks)``."""
+    k = kernel(mesh.dim)
+    pts = mesh.cell_points()
+    geometry = k.geometry(pts)
+    mu, *blocks = k.local_blocks(pts, geometry)
+    grads = k.block_gradient(pts, mu, *blocks)
+    return float(mu.mean()), _sum_per_vertex(mesh, grads / mesh.n_cells), geometry, blocks
+
+
+def _cell_weights(mesh, mu):
+    """``mu_c / n_cells`` per cell, shaped to scale ``(n, k, k)`` local matrices."""
+    return ((1.0 / mesh.n_cells) * mu)[:, None, None]
+
+
 def assemble(mesh):
     """Assemble energy, gradient and sparse blocks for the current geometry.
 
     Raises DegenerateElement (with the offending cell index) if any element
     is inverted or collapsed.
     """
-    pts = mesh.cell_points()
-    nv = mesh.n_vertices
-    nc = mesh.n_cells
-    w = 1.0 / nc
-
-    if mesh.dim == 2:
-        mu, A_loc, B_loc = triangles.local_blocks(pts)
-        grads = triangles.block_gradient(pts, A_loc, B_loc)
-        A = _scatter_square(mesh.cells, w * A_loc, nv)
-        B_blocks = (_scatter_square(mesh.cells, w * B_loc, nv),)
-    else:
-        mu, A_loc, B0, B1, B2 = tetrahedra.local_blocks(pts)
-        grads = tetrahedra.block_gradient(pts, mu, A_loc, B0, B1, B2)
-        scale = (w * mu)[:, None, None]
-        A = _scatter_square(mesh.cells, scale * A_loc, nv)
-        B_blocks = tuple(
-            _scatter_square(mesh.cells, scale * Bi, nv) for Bi in (B0, B1, B2)
-        )
-
-    grad_field = _sum_per_vertex(mesh, w * grads)
+    F, grad_field, geometry, blocks = _kernel_pass(mesh)
+    scale = _cell_weights(mesh, geometry.mu)
+    A, *B_blocks = (_scatter_square(mesh.cells, scale * b, mesh.n_vertices) for b in blocks)
     return GlobalGradientSystem(
-        F=float(mu.mean()),
+        F=F,
         V=field_to_vec(mesh.vertices),
         A=A,
-        B_blocks=B_blocks,
+        B_blocks=tuple(B_blocks),
         gradient=field_to_vec(grad_field),
-        n_vertices=nv,
+        n_vertices=mesh.n_vertices,
         dim=mesh.dim,
     )
 
 
-def energy_gradient(mesh, return_geometry=False):
-    """Energy and scatter-added gradient field without sparse assembly.
+def energy_gradient(mesh):
+    """Energy, scatter-added gradient field and the kernel's geometry.
 
-    Cheaper than :func:`assemble` for line-search trial points. With
-    ``return_geometry`` the kernel output that :func:`assemble_preconditioner`
-    reads comes third.
+    Cheaper than :func:`assemble` for line-search trial points. The
+    geometry is what :func:`assemble_preconditioner` reads at this mesh.
     """
-    pts = mesh.cell_points()
-    if mesh.dim == 2:
-        mu, A, B = triangles.local_blocks(pts)
-        grads = triangles.block_gradient(pts, A, B)
-        geometry = A
-    else:
-        geometry = tetrahedra.geometry(pts)
-        mu, *blocks = tetrahedra.local_blocks(pts, geometry)
-        grads = tetrahedra.block_gradient(pts, mu, *blocks)
-    grad_field = _sum_per_vertex(mesh, grads / mesh.n_cells)
-    if return_geometry:
-        return float(mu.mean()), grad_field, geometry
-    return float(mu.mean()), grad_field
+    return _kernel_pass(mesh)[:3]
 
 
 @dataclass
@@ -238,11 +210,12 @@ def preconditioner_topology(mesh):
 def assemble_preconditioner(mesh, topology=None, geometry=None):
     """Build the reduced SPD preconditioner for the current geometry.
 
-    In 2D the scalar block A is already a Laplacian with negative
-    off-diagonals, so it is reduced directly. In 3D the abs-clamped local
-    matrices are assembled instead, which keeps every row weakly diagonally
-    dominant. Rows/columns of fixed vertices are removed; positive
-    definiteness then needs a connected mesh and at least one fixed vertex.
+    Cell c adds ``(mu_c / n_cells) * precond_blocks(geometry)[c]``: in 2D
+    the scalar block A, already a Laplacian with negative off-diagonals; in
+    3D the abs-clamped local matrices, which keep every row weakly
+    diagonally dominant. Rows/columns of fixed vertices are removed;
+    positive definiteness then needs a connected mesh and at least one
+    fixed vertex.
 
     ``topology`` (from :func:`preconditioner_topology`) and ``geometry``
     (the third output of :func:`energy_gradient` at this mesh) are computed
@@ -251,15 +224,10 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
     """
     if topology is None:
         topology = preconditioner_topology(mesh)
-    w = 1.0 / mesh.n_cells
-    if mesh.dim == 2:
-        if geometry is None:
-            _, geometry, _ = triangles.local_blocks(mesh.cell_points())
-        local = w * geometry
-    else:
-        if geometry is None:
-            geometry = tetrahedra.geometry(mesh.cell_points())
-        local = (w * geometry.mu)[:, None, None] * tetrahedra.abs_matrix(geometry)
+    k = kernel(mesh.dim)
+    if geometry is None:
+        geometry = k.geometry(mesh.cell_points())
+    local = _cell_weights(mesh, geometry.mu) * k.precond_blocks(geometry)
     nnz, n = len(topology.indices), len(topology.active)
     data = np.bincount(topology.slot, weights=local.ravel(), minlength=nnz + 1)
     P = sparse.csr_matrix((data[:-1], topology.indices, topology.indptr), shape=(n, n))

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from . import tetrahedra, triangles
+from . import simplex, tetrahedra, triangles
 from .errors import DegenerateElement, NonPlanarPatch
 
 # Per-vertex constraint kinds.
@@ -49,6 +49,11 @@ ROOT_BOUND_RTOL = 1e-9
 # Rows solved before any pruning. Any count gives the same result; 64 cost
 # about 0.2 ms and, on cube n=10 directions, leave 0 to 700 of 6000 rows.
 _CAP_FIRST_ROWS = 64
+
+
+def kernel(dim):
+    """The element kernel module of ``dim``-cells; see :mod:`rrsmooth.simplex`."""
+    return {2: triangles, 3: tetrahedra}[dim]
 
 
 class SimplexMesh:
@@ -115,16 +120,10 @@ class SimplexMesh:
         )
 
     def signed_measures(self):
-        pts = self.cell_points()
-        if self.dim == 2:
-            return triangles.signed_area(pts)
-        return tetrahedra.signed_volume(pts)
+        return kernel(self.dim).signed_measure(self.cell_points())
 
     def radius_ratios(self):
-        pts = self.cell_points()
-        if self.dim == 2:
-            return triangles.radius_ratio(pts)
-        return tetrahedra.radius_ratio(pts)
+        return kernel(self.dim).radius_ratio(self.cell_points())
 
     def mean_edge_length(self):
         i, j = _edge_index_pairs(self.dim)
@@ -173,9 +172,7 @@ def validate(mesh):
     if out:
         return out
     meas = mesh.signed_measures()
-    kernel = triangles if mesh.dim == 2 else tetrahedra
-    scale = kernel.DEGENERACY_RTOL * kernel.diameters(mesh.cell_points()) ** mesh.dim
-    for c in np.flatnonzero(meas <= scale):
+    for c in np.flatnonzero(simplex.degenerate(meas, mesh.cell_points())):
         out.append(
             Violation(
                 "non-positive-orientation",
@@ -189,17 +186,14 @@ def validate(mesh):
 def repair_orientation(vertices, cells):
     """Swap the last two vertices of negatively oriented cells.
 
-    Returns (cells, repaired_indices); zero-measure cells are left alone
-    for validate to report.
+    Returns (cells, repaired_indices); zero-measure cells and cells with a
+    vertex index out of range are left alone for validate to report.
     """
     cells = np.array(cells, dtype=np.int64, copy=True)
-    pts = np.asarray(vertices, dtype=float)[cells]
-    meas = triangles.signed_area(pts) if cells.shape[1] == 3 else tetrahedra.signed_volume(pts)
-    flipped = np.flatnonzero(meas < 0)
-    if flipped.size:
-        cells[np.ix_(flipped, [cells.shape[1] - 2, cells.shape[1] - 1])] = cells[
-            np.ix_(flipped, [cells.shape[1] - 1, cells.shape[1] - 2])
-        ]
+    vertices = np.asarray(vertices, dtype=float)
+    ok = np.flatnonzero(((cells >= 0) & (cells < len(vertices))).all(axis=1))
+    flipped = ok[kernel(cells.shape[1] - 1).signed_measure(vertices[cells[ok]]) < 0]
+    cells[flipped, -2:] = cells[flipped, -1:-3:-1]
     return cells, flipped
 
 

@@ -103,6 +103,20 @@ class _LineReader:
     def fail(self, message):
         raise ParseError(message, self.path, self.pos)
 
+    def values(self, tokens, cast, context):
+        """``tokens`` of the current line as numbers, or ParseError there."""
+        try:
+            return list(map(cast, tokens))
+        except ValueError:
+            self.fail(f"{context}: malformed number in {' '.join(tokens)!r}")
+
+    def fields(self, context, count, cast, what):
+        """The next line as ``count`` numbers, or ParseError there."""
+        parts = self.next(context).split()
+        if len(parts) != count:
+            self.fail(f"{context} line needs {count} {what}")
+        return self.values(parts, cast, context)
+
     def at_end(self):
         return self.pos >= len(self.lines)
 
@@ -132,37 +146,24 @@ def _read_msh(path):
                 rd.fail("expected $EndMeshFormat")
         elif line == "$Nodes":
             saw_nodes = True
-            try:
-                count = int(rd.next("node count"))
-            except ValueError:
-                rd.fail("node count is not an integer")
+            (count,) = rd.values([rd.next("node count")], int, "node count")
             for _ in range(count):
                 parts = rd.next("$Nodes").split()
                 if len(parts) != 4:
                     rd.fail(f"expected 'id x y z', got {len(parts)} fields")
-                try:
-                    node_ids.append(int(parts[0]))
-                    nodes.append([float(v) for v in parts[1:]])
-                except ValueError:
-                    rd.fail("malformed node line")
+                node_ids.extend(rd.values(parts[:1], int, "node id"))
+                nodes.append(rd.values(parts[1:], float, "node"))
             if rd.next("$EndNodes") != "$EndNodes":
                 rd.fail("expected $EndNodes")
         elif line == "$Elements":
             saw_elements = True
-            try:
-                count = int(rd.next("element count"))
-            except ValueError:
-                rd.fail("element count is not an integer")
+            (count,) = rd.values([rd.next("element count")], int, "element count")
             for _ in range(count):
                 parts = rd.next("$Elements").split()
                 if len(parts) < 3:
                     rd.fail("malformed element line")
-                try:
-                    etype = int(parts[1])
-                    ntags = int(parts[2])
-                    ids = [int(v) for v in parts[3 + ntags:]]
-                except ValueError:
-                    rd.fail("malformed element line")
+                _, etype, ntags, *rest = rd.values(parts, int, "element")
+                ids = rest[ntags:]
                 if etype == _MSH_TRIANGLE and len(ids) == 3:
                     tris.append(ids)
                 elif etype == _MSH_TET and len(ids) == 4:
@@ -246,10 +247,16 @@ def _read_vtk(path):
     def read_numbers(count, context, cast):
         out = []
         while len(out) < count:
-            out.extend(cast(tok) for tok in rd.next(context).split())
+            out.extend(rd.values(rd.next(context).split(), cast, context))
         if len(out) != count:
             rd.fail(f"{context}: expected {count} values, got {len(out)}")
         return out
+
+    def counts(parts, n, extra=0):
+        """The ``n`` counts after a section keyword, then up to ``extra`` words."""
+        if not n < len(parts) <= n + 1 + extra:
+            rd.fail(f"{parts[0]} header needs {n} count(s), got {len(parts) - 1} fields")
+        return rd.values(parts[1 : n + 1], int, parts[0])
 
     points = None
     raw_cells = None
@@ -258,32 +265,37 @@ def _read_vtk(path):
         line = rd.next("section")
         if not line:
             continue
-        key = line.split()[0].upper()
+        parts = line.split()
+        key = parts[0].upper()
         if key == "POINTS":
-            n = int(line.split()[1])
+            (n,) = counts(parts, 1, extra=1)
             vals = read_numbers(3 * n, "POINTS", float)
             points = np.asarray(vals, dtype=float).reshape(n, 3)
         elif key == "CELLS":
-            _, m, total = line.split()
-            vals = read_numbers(int(total), "CELLS", int)
-            raw_cells = (int(m), vals)
+            cells_line = rd.pos
+            m, total = counts(parts, 2)
+            raw_cells = (m, read_numbers(total, "CELLS", int))
         elif key == "CELL_TYPES":
-            m = int(line.split()[1])
+            types_line = rd.pos
+            (m,) = counts(parts, 1)
             types = read_numbers(m, "CELL_TYPES", int)
         else:
             break  # CELL_DATA and friends: nothing else we need
     if points is None or raw_cells is None or types is None:
         raise ParseError("missing POINTS, CELLS or CELL_TYPES", str(path))
     m, vals = raw_cells
+    if len(types) != m:
+        raise ParseError(f"CELL_TYPES lists {len(types)} cells, CELLS {m}", str(path), types_line)
     cells = []
     pos = 0
     for t in types:
-        k = vals[pos]
+        k = vals[pos] if pos < len(vals) else -1
+        if not 0 <= k < len(vals) - pos:
+            raise ParseError("CELLS: cell sizes do not match the values listed",
+                             str(path), cells_line)
         ids = vals[pos + 1 : pos + 1 + k]
         pos += 1 + k
-        if t == _VTK_TRIANGLE and k == 3:
-            cells.append(ids)
-        elif t == _VTK_TET and k == 4:
+        if (t, k) in ((_VTK_TRIANGLE, 3), (_VTK_TET, 4)):
             cells.append(ids)
         else:
             logger.warning("%s: ignored VTK cell type %d", path, t)
@@ -326,31 +338,23 @@ def _write_vtk(mesh, path, quality=None):
 
 def _read_native(path):
     rd = _LineReader(path)
-    header = rd.next("header").split()
-    if len(header) != 3:
-        rd.fail("header must be 'dim nv nc'")
-    try:
-        dim, nv, nc = (int(v) for v in header)
-    except ValueError:
-        rd.fail("header must be three integers")
+    dim, nv, nc = rd.fields("header", 3, int, "integers 'dim nv nc'")
     if dim not in (2, 3):
         rd.fail(f"dim must be 2 or 3, got {dim}")
+    if nv < 0 or nc < 0:
+        rd.fail("vertex and cell counts must be non-negative")
     verts = np.empty((nv, dim))
     for i in range(nv):
-        parts = rd.next("vertex").split()
-        if len(parts) != dim:
-            rd.fail(f"vertex line needs {dim} coordinates")
-        verts[i] = [float(v) for v in parts]
+        verts[i] = rd.fields("vertex", dim, float, "coordinates")
     cells = np.empty((nc, dim + 1), dtype=np.int64)
     for i in range(nc):
-        parts = rd.next("cell").split()
-        if len(parts) != dim + 1:
-            rd.fail(f"cell line needs {dim + 1} vertex indices")
-        cells[i] = [int(v) for v in parts]
+        cells[i] = rd.fields("cell", dim + 1, int, "vertex indices")
     kind = np.zeros(nv, dtype=np.int8)
     normals = np.zeros((nv, dim))
     for i in range(nv):
         parts = rd.next("constraint").split()
+        if not parts:
+            rd.fail("empty constraint line")
         tag = parts[0]
         if tag == "free":
             kind[i] = FREE
@@ -360,7 +364,7 @@ def _read_native(path):
             if len(parts) != 1 + dim:
                 rd.fail(f"slide tag needs {dim} normal components")
             kind[i] = SLIDE
-            normals[i] = [float(v) for v in parts[1:]]
+            normals[i] = rd.values(parts[1:], float, "slide normal")
         else:
             rd.fail(f"unknown constraint tag {tag!r}")
     return verts, cells, kind, normals

@@ -62,6 +62,7 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n), CgInfo(0, 0.0, True)
+    res = norm_b
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
@@ -370,7 +371,7 @@ class MeshProblem:
         self.fun_evals += 1
         self.kept = None
         try:
-            f, grad_field, geometry = energy_gradient(self.mesh_at(x), return_geometry=True)
+            f, grad_field, geometry = energy_gradient(self.mesh_at(x))
         except DegenerateElement:
             return math.inf, None
         self.kept = (x.copy(), geometry)

@@ -15,14 +15,12 @@ Conventions:
 
 The gradient of mu decomposes as
 ``grad mu = mu * (grad|d0| / |d0| + grad s / s - 2 grad vol / vol)``, and
-stacked over vertices it is the block product
+stacked over vertices it is the block product (``LAYOUT``)
 ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]`` with A
 symmetric and the B blocks antisymmetric. Every block has zero row sums, so
-the product is taken on cell-local coordinates ``pts - pts[:, :1]`` and
-translating a cell leaves its gradient bit-identical.
-
-Every kernel reads one geometry pass (``geometry``) that computes the edge
-vectors, the checked volume, face areas, d0 and mu once per call.
+the product is taken on cell-local coordinates and translating a cell leaves
+its gradient bit-identical. Every kernel reads one geometry pass
+(``geometry``); the module exports the interface of :mod:`rrsmooth.simplex`.
 """
 
 from collections import namedtuple
@@ -30,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElement
-from .triangles import diameters
+from . import simplex
+from .simplex import DEGENERACY_RTOL, diameters  # noqa: F401  (kernel interface)
 
-DEGENERACY_RTOL = 1e-14
+LAYOUT = simplex.Layout("A B0 B1 B2", ["A B2 B1", "-B2 A B0", "-B1 -B0 A"])
 
 # Each edge (i, j) with the two vertices (k, l) off it, as even permutations
 # of (0, 1, 2, 3).
@@ -45,23 +43,16 @@ _EDGES = (
 # even permutations (i, j, k, l) above: pts[:, _VOL_IDX] - pts[:, _VOL_IDX.T].
 _VOL_IDX = np.array([[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]])
 
-TetMeasures = namedtuple(
-    "TetMeasures",
-    ["volume", "face_areas", "surface", "circumradius", "inradius", "d0"],
-)
+TetMeasures = namedtuple("TetMeasures", "volume face_areas surface circumradius inradius d0")
 
-_Geometry = namedtuple(
-    "_Geometry",
-    ["volume", "edge_sq", "normals", "face_areas", "surface", "cot",
-     "d0", "d0_sq", "mu"],
-)
+Geometry = namedtuple("Geometry", "volume edge_sq normals face_areas surface cot d0 d0_sq mu")
 
 
 @dataclass(frozen=True)
 class LocalGradient3D:
     """Radius ratio, per-vertex gradient and local 4x4 matrix blocks.
 
-    Unlike the 2D counterpart the blocks do NOT carry the mu factor:
+    As in 2D, the blocks do not carry the mu factor:
     ``grad = mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``.
     """
 
@@ -82,14 +73,7 @@ def signed_volume(pts):
     return np.einsum("ij,ij->i", e1, np.cross(e2, e3)) / 6.0
 
 
-def _check_degenerate(vol, pts):
-    bad = vol <= DEGENERACY_RTOL * diameters(pts) ** 3
-    if np.any(bad):
-        cell = int(np.flatnonzero(bad)[0])
-        raise DegenerateElement(
-            f"signed volume {vol[bad][0]:.3e} is non-positive or below threshold",
-            cell=cell,
-        )
+signed_measure = signed_volume
 
 
 def _dot(a, b):
@@ -109,7 +93,7 @@ def geometry(pts):
     """
     pts = np.asarray(pts, dtype=float)
     vol = signed_volume(pts)
-    _check_degenerate(vol, pts)
+    simplex.check_degenerate(vol, pts, "volume")
     E = pts[:, None] - pts[:, :, None]
     v10, v20, v30 = E[:, 1, 0], E[:, 2, 0], E[:, 3, 0]
     normals = (np.cross(v20, v30), np.cross(v30, v10), np.cross(v10, v20))
@@ -132,7 +116,7 @@ def geometry(pts):
         axis=1,
     )
     mu = s * np.linalg.norm(d0, axis=1) / (108.0 * vol**2)
-    return _Geometry(vol, (n10, n20, n30), normals, areas, s, cot, d0, d0_sq, mu)
+    return Geometry(vol, (n10, n20, n30), normals, areas, s, cot, d0, d0_sq, mu)
 
 
 def measures(pts):
@@ -219,28 +203,9 @@ def local_blocks(pts, g=None):
     return g.mu, A, B0, B1, B2
 
 
-def block_gradient(pts, mu, A, B0, B1, B2):
-    """Per-vertex gradient ``(n, 4, 3)`` from the output of ``local_blocks``.
-
-    The product runs on cell-local coordinates; the zero row sums of the
-    blocks make it equal the product on ``pts`` itself.
-    """
-    pts = np.asarray(pts, dtype=float)
-    local = pts - pts[:, :1]
-    X, Y, Z = local[..., 0], local[..., 1], local[..., 2]
-
-    def mv(M, v):
-        return np.einsum("nij,nj->ni", M, v)
-
-    grad = np.stack(
-        [
-            mv(A, X) + mv(B2, Y) + mv(B1, Z),
-            -mv(B2, X) + mv(A, Y) + mv(B0, Z),
-            -mv(B1, X) - mv(B0, Y) + mv(A, Z),
-        ],
-        axis=2,
-    )
-    return mu[:, None, None] * grad
+def block_gradient(pts, mu, *blocks):
+    """Per-vertex gradient ``(n, 4, 3)`` from the output of ``local_blocks``."""
+    return simplex.block_gradient(LAYOUT, pts, mu, blocks)
 
 
 def radius_ratio_gradient(pts):
@@ -251,8 +216,7 @@ def radius_ratio_gradient(pts):
 
 def local_gradient_matrix(lg):
     """Assemble the 12x12 block matrix of a LocalGradient3D (without mu)."""
-    A, B0, B1, B2 = lg.A_local, lg.B0, lg.B1, lg.B2
-    return np.block([[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]])
+    return LAYOUT.matrix((lg.A_local, lg.B0, lg.B1, lg.B2), np.block)
 
 
 def _abs_clamped(W):
@@ -264,7 +228,7 @@ def _abs_clamped(W):
     return out
 
 
-def abs_matrix(g):
+def precond_blocks(g):
     """Abs-clamped symmetric local matrices ``(n, 4, 4)`` from ``geometry(pts)``.
 
     Off-diagonal weights of both the M and S parts are clamped to
@@ -281,7 +245,7 @@ def abs_matrix(g):
 def abs_local_matrix(pts):
     """Radius ratio and abs-clamped local matrix: ``(mu, A_abs)``."""
     g = geometry(pts)
-    return g.mu, abs_matrix(g)
+    return g.mu, precond_blocks(g)
 
 
 class Tetrahedron:

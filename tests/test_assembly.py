@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from rrsmooth import assembly, mesh as m, tetrahedra, triangles
+from rrsmooth import assembly, mesh as m, simplex, tetrahedra, triangles
 from rrsmooth.assembly import (
     assemble,
     assemble_preconditioner,
@@ -155,11 +155,10 @@ class TestGradientScatter:
     )
     def test_bincount_gives_the_bits_of_add_at(self, mesh):
         # Both sum each vertex's entries in cell order, starting from zero.
-        kernel = triangles if mesh.dim == 2 else tetrahedra
-        _, grads = kernel.radius_ratio_gradient(mesh.cell_points())
+        _, grads = m.kernel(mesh.dim).radius_ratio_gradient(mesh.cell_points())
         expected = np.zeros_like(mesh.vertices)
         np.add.at(expected, mesh.cells, grads / mesh.n_cells)
-        _, got = energy_gradient(mesh)
+        _, got, _ = energy_gradient(mesh)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -172,15 +171,14 @@ class TestOneGeometryPass:
     )
     def test_one_degeneracy_check_per_call(self, monkeypatch, kind, n, build):
         mesh = m.classify_boundary(gen_mesh(GeneratorSpec(kind, n)), m.FIX_ALL)
-        kernel = triangles if mesh.dim == 2 else tetrahedra
         calls = []
-        check = kernel._check_degenerate
+        check = simplex.check_degenerate
 
         def counted(*args):
             calls.append(1)
             return check(*args)
 
-        monkeypatch.setattr(kernel, "_check_degenerate", counted)
+        monkeypatch.setattr(simplex, "check_degenerate", counted)
         build(mesh)
         assert len(calls) == 1
 
@@ -252,13 +250,9 @@ class TestPreconditioner:
 
 def coo_preconditioner(mesh):
     """P by a COO scatter of every local entry, then the active rows and columns."""
-    pts = mesh.cell_points()
-    w = 1.0 / mesh.n_cells
-    if mesh.dim == 2:
-        local = w * triangles.local_blocks(pts)[1]
-    else:
-        mu, A_abs = tetrahedra.abs_local_matrix(pts)
-        local = (w * mu)[:, None, None] * A_abs
+    kernel = m.kernel(mesh.dim)
+    g = kernel.geometry(mesh.cell_points())
+    local = (g.mu / mesh.n_cells)[:, None, None] * kernel.precond_blocks(g)
     k = mesh.cells.shape[1]
     rows = np.repeat(mesh.cells, k, axis=1).ravel()
     cols = np.tile(mesh.cells, k).ravel()
@@ -293,7 +287,7 @@ class TestFixedPattern:
     @BUILD_CASES
     def test_kept_geometry_gives_the_fresh_build(self, kind, n, policy):
         mesh = m.classify_boundary(jittered(kind, n, seed=7), policy)
-        _, _, geometry = energy_gradient(mesh, return_geometry=True)
+        _, _, geometry = energy_gradient(mesh)
         topology = preconditioner_topology(mesh)
         kept = assemble_preconditioner(mesh, topology, geometry)
         fresh = assemble_preconditioner(mesh)

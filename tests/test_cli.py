@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from scipy.io import mmread
+
+from rrsmooth.assembly import assemble, assemble_preconditioner, field_to_vec
 from rrsmooth.cli import main
+from rrsmooth.mesh import FIX_ALL, classify_boundary
 from rrsmooth.meshio import load_mesh
 
 
@@ -103,6 +107,23 @@ class TestPerturbAndOptimize:
         assert err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["quality", "optimize"])
+    def test_malformed_number_exits_one(self, tmp_path, capsys, command):
+        src = tmp_path / "bad.txt"
+        src.write_text("2 3 1\n0 0\n1 x\n0 1\n0 1 2\nfree\nfree\nfree\n")
+        argv = [str(src)] if command == "quality" else [str(src), str(tmp_path / "o.txt")]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {src}:3: ")
+
+    @pytest.mark.parametrize("index", ["7", "-1"])
+    def test_cell_index_out_of_range_is_reported(self, tmp_path, capsys, index):
+        src = tmp_path / "bad.txt"
+        src.write_text(f"2 3 1\n0 0\n1 0\n0 1\n0 1 {index}\nfree\nfree\nfree\n")
+        code, _, err = run(capsys, "quality", str(src))
+        assert code == 1
+        assert err.startswith("invalid mesh: index-out-of-range[0]")
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "quality", str(tmp_path / "missing.msh"))
         assert code == 1
@@ -139,3 +160,25 @@ class TestPerturbAndOptimize:
         gf = (tmp_path / "dump_gf.mtx").read_text().splitlines()
         assert gf[0] == "%%MatrixMarket matrix coordinate real general"
         assert (tmp_path / "dump_p.mtx").exists()
+
+    @pytest.mark.parametrize("kind", ["square", "cube"])
+    def test_dump_system_reads_back(self, tmp_path, capsys, kind):
+        src = tmp_path / "in.msh"
+        bad = tmp_path / "bad.msh"
+        run(capsys, "gen", "--kind", kind, "--n", "3", str(src))
+        run(capsys, "perturb", str(src), str(bad), "--jitter", "0.2", "--seed", "2")
+        prefix = str(tmp_path / "dump")
+        code, _, err = run(
+            capsys, "optimize", str(bad), str(tmp_path / "o.msh"),
+            "--max-iters", "1", "--dump-system", prefix,
+        )
+        assert code == 0, err
+        mesh = classify_boundary(load_mesh(bad), FIX_ALL)
+        system = assemble(mesh)
+        gf = mmread(prefix + "_gf.mtx").tocsr()
+        assert gf.shape == (mesh.dim * mesh.n_vertices,) * 2
+        gv = gf @ field_to_vec(mesh.vertices)
+        assert np.linalg.norm(gv - system.gradient) <= 1e-12 * np.linalg.norm(system.gradient)
+        # 17 significant digits round-trip every entry exactly.
+        P = assemble_preconditioner(mesh).P
+        assert (mmread(prefix + "_p.mtx").tocsr() != P).nnz == 0

@@ -131,6 +131,62 @@ class TestNative:
         assert exc.value.line == 8
 
 
+TRIANGLE_VTK = """# vtk DataFile Version 2.0
+t
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 3 double
+0 0 0
+1 0 0
+0 1 0
+CELLS 1 4
+3 0 1 2
+CELL_TYPES 1
+5
+"""
+
+TRIANGLE_TXT = "2 3 1\n0 0\n1 0\n0 1\n0 1 2\nfree\nfree\nfree\n"
+
+
+class TestMalformedNumbers:
+    """Every malformed number or count is a ParseError naming file and line."""
+
+    @pytest.mark.parametrize(
+        "text, old, new, line",
+        [
+            pytest.param(TRIANGLE_VTK, "1 0 0\n", "1 0 zz\n", 7, id="points"),
+            pytest.param(
+                TRIANGLE_VTK, "CELL_TYPES 1\n5\n", "CELL_TYPES 2\n5\n5\n", 11,
+                id="cell-types-count",
+            ),
+            pytest.param(TRIANGLE_VTK, "CELLS 1 4\n", "CELLS 1\n", 9, id="cells-header"),
+            pytest.param(TRIANGLE_VTK, "3 0 1 2\n", "7 0 1 2\n", 9, id="cell-size"),
+            pytest.param(TRIANGLE_TXT, "1 0\n", "1 x\n", 3, id="vertex"),
+            pytest.param(TRIANGLE_TXT, "0 1 2\n", "0 1 two\n", 5, id="cell"),
+            pytest.param(
+                TRIANGLE_TXT, "free\nfree\nfree\n", "free\n\nfree\n", 7, id="empty-constraint"
+            ),
+            pytest.param(
+                TRIANGLE_TXT, "free\nfree\nfree\n", "free\nslide 0 y\nfree\n", 7, id="slide-normal"
+            ),
+        ],
+    )
+    def test_parse_error_at_the_line(self, tmp_path, text, old, new, line):
+        path = tmp_path / ("bad.vtk" if text is TRIANGLE_VTK else "bad.txt")
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError) as exc:
+            load_mesh(path)
+        assert exc.value.path == str(path)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text", [TRIANGLE_VTK, TRIANGLE_TXT], ids=["vtk", "txt"])
+    def test_the_unchanged_files_load(self, tmp_path, text):
+        path = tmp_path / ("ok.vtk" if text is TRIANGLE_VTK else "ok.txt")
+        path.write_text(text)
+        assert load_mesh(path).n_cells == 1
+
+
 class TestVtk:
     def test_quality_overlay_two_triangle_square(self, tmp_path):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -20,6 +20,7 @@ from rrsmooth.generate import (
     perturb_mesh,
 )
 from rrsmooth.optim import (
+    CgInfo,
     OptimizeConfig,
     _two_loop,
     backtracking_search,
@@ -63,6 +64,11 @@ class TestCgSolve:
         x, info = cg_solve(A, b, tol=1e-14, max_iters=3)
         assert not info.converged
         assert info.iterations == 3
+
+    def test_zero_iterations_return_the_start(self, rng):
+        x, info = cg_solve(np.eye(4), rng.normal(size=4), max_iters=0)
+        assert np.all(x == 0.0)
+        assert info == CgInfo(0, 1.0, False)
 
 
 class TestStrongWolfe:

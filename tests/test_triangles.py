@@ -71,7 +71,7 @@ class TestGradient:
         for P in pts:
             lg = Triangle(P).gradient()
             V = np.concatenate([P[:, 0], P[:, 1]])
-            gv = local_gradient_matrix(lg) @ V
+            gv = lg.mu * (local_gradient_matrix(lg) @ V)
             stacked = np.stack([gv[:3], gv[3:]], axis=1)
             rel = np.linalg.norm(stacked - lg.grad) / np.linalg.norm(lg.grad)
             assert rel <= 1e-12
