@@ -8,9 +8,14 @@ antisymmetric off-diagonal blocks, laid out as the element kernel's
 
     2D: [[A, B], [-B, A]]          3D: [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]]
 
-Every function here reaches the element kernel through ``mesh.kernel(dim)``
-and reads it the same way in both dimensions: no local block carries mu, so
-cell c adds ``(mu_c / n_cells) * block`` to G_F's blocks and
+The gradient itself is evaluated in closed form by the element kernel
+(``gradient``) and scatter-added per vertex; G_F's blocks are the paper's
+split of it, materialized only by :func:`assemble` (for ``--dump-system``
+and the tests that check the split against the gradient), while the
+preconditioner P is built from the split's symmetric part. Every function
+here reaches the element kernel through ``mesh.kernel(dim)`` and reads it
+the same way in both dimensions: no local block carries mu, so cell c adds
+``(mu_c / n_cells) * block`` to G_F's blocks and
 ``(mu_c / n_cells) * precond_blocks`` to P.
 
 Assembly scatter-adds per-element contributions deterministically, so
@@ -100,16 +105,6 @@ def _sum_per_vertex(mesh, values):
     )
 
 
-def _kernel_pass(mesh):
-    """One geometry pass: ``(F, gradient field, geometry, local blocks)``."""
-    k = kernel(mesh.dim)
-    pts = mesh.cell_points()
-    geometry = k.geometry(pts)
-    mu, *blocks = k.local_blocks(pts, geometry)
-    grads = k.block_gradient(pts, mu, *blocks)
-    return float(mu.mean()), _sum_per_vertex(mesh, grads / mesh.n_cells), geometry, blocks
-
-
 def _cell_weights(mesh, mu):
     """``mu_c / n_cells`` per cell, shaped to scale ``(n, k, k)`` local matrices."""
     return ((1.0 / mesh.n_cells) * mu)[:, None, None]
@@ -121,7 +116,8 @@ def assemble(mesh):
     Raises DegenerateElement (with the offending cell index) if any element
     is inverted or collapsed.
     """
-    F, grad_field, geometry, blocks = _kernel_pass(mesh)
+    F, grad_field, geometry = energy_gradient(mesh)
+    _, *blocks = kernel(mesh.dim).local_blocks(mesh.cell_points(), geometry)
     scale = _cell_weights(mesh, geometry.mu)
     A, *B_blocks = (_scatter_square(mesh.cells, scale * b, mesh.n_vertices) for b in blocks)
     return GlobalGradientSystem(
@@ -138,10 +134,14 @@ def assemble(mesh):
 def energy_gradient(mesh):
     """Energy, scatter-added gradient field and the kernel's geometry.
 
-    Cheaper than :func:`assemble` for line-search trial points. The
-    geometry is what :func:`assemble_preconditioner` reads at this mesh.
+    One geometry pass on the per-coordinate gather ``mesh.cell_coords()``
+    and the closed-form gradient; no local block is built. The geometry is
+    what :func:`assemble_preconditioner` reads at this mesh.
     """
-    return _kernel_pass(mesh)[:3]
+    k = kernel(mesh.dim)
+    geometry = k.geometry(mesh.cell_coords().T)
+    grad_field = _sum_per_vertex(mesh, k.gradient(geometry) / mesh.n_cells)
+    return float(geometry.mu.mean()), grad_field, geometry
 
 
 @dataclass

@@ -90,6 +90,7 @@ def _load_validated(path):
     if violations:
         for v in violations[:20]:
             print(f"invalid mesh: {v}", file=sys.stderr)
+        print(f"error: {path}: {len(violations)} mesh violation(s)", file=sys.stderr)
         raise SystemExit(1)
     return mesh
 

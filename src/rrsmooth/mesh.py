@@ -22,6 +22,12 @@ FREE, FIXED, SLIDE = 0, 1, 2
 FIX_ALL = "fix-all"
 SLIDE_PLANAR = "slide-planar"
 
+# A sliding vertex's normal must have unit length to within this. The
+# projector removes (v . n) n, so a normal of length 1 + d leaves about
+# 2 d of each step's normal part in the step; normals from
+# classify_boundary, or written with 17 digits, are unit to a few ulps.
+SLIDE_NORMAL_TOL = 1e-12
+
 # Quality threshold used for the "poor element" count in reports.
 POOR_QUALITY_THRESHOLD = 0.3
 HISTOGRAM_BINS = 20
@@ -92,6 +98,10 @@ class SimplexMesh:
         """Vertex coordinates gathered per cell, shape (n_cells, dim+1, dim)."""
         return self.vertices[self.cells]
 
+    def cell_coords(self):
+        """``vertices.T[:, cells.T]``, (dim, dim+1, n_cells), one contiguous row each."""
+        return np.take(np.ascontiguousarray(self.vertices.T), self.cells.T, axis=1)
+
     def fixed_mask(self):
         return self.constraint_kind == FIXED
 
@@ -159,6 +169,11 @@ def validate(mesh):
     if not np.all(np.isfinite(mesh.vertices)):
         for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
             out.append(Violation("non-finite-coordinate", int(v), "vertex has nan/inf"))
+    slide = np.flatnonzero(mesh.slide_mask())
+    length = np.linalg.norm(mesh.slide_normals[slide], axis=1)
+    for v, n in zip(slide, length):
+        if not abs(n - 1.0) <= SLIDE_NORMAL_TOL:
+            out.append(Violation("bad-slide-normal", int(v), f"normal length {n:.17g}, not 1"))
     bad_index = (mesh.cells < 0) | (mesh.cells >= nv)
     for c in np.flatnonzero(bad_index.any(axis=1)):
         out.append(

@@ -14,6 +14,7 @@ budget, or a named failure.
 """
 
 import math
+import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -245,10 +246,11 @@ class IterationRecord:
     curvature_ok: bool = True
     min_measure: float = math.nan
     slide_residual: float = 0.0
-    # The inversion cap the line search ran under, and the CG iterations of
-    # every preconditioner solve made for this step.
+    # The step's inversion cap, CG iterations of its P solves, and seconds
+    # in its evaluations (record 0: the initial evaluation).
     cap: float = math.nan
     cg_iters: int = 0
+    eval_s: float = 0.0
 
 
 @dataclass
@@ -295,14 +297,14 @@ class OptimizeReport:
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
             fh.write(
                 "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-                "min_measure,slide_residual,cap,cg_iters\n"
+                "min_measure,slide_residual,cap,cg_iters,eval_s\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
                     f"{r.ls_kind},{int(r.armijo_ok)},{int(r.curvature_ok)},"
                     f"{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
-                    f"{r.cg_iters}\n"
+                    f"{r.cg_iters},{r.eval_s:.17g}\n"
                 )
 
 
@@ -339,6 +341,9 @@ class FunctionProblem:
     def take_cg_iters(self):
         return 0
 
+    def take_eval_s(self):
+        return 0.0
+
     def step_metrics(self, x_old, x_new):
         return {}
 
@@ -363,19 +368,23 @@ class MeshProblem:
         # (x, kernel geometry) of the last point evaluated.
         self.kept = None
         self.cg_iters = 0
+        self.eval_s = 0.0
 
     def mesh_at(self, x):
         return self.mesh.with_vertices(x.reshape(self.nv, self.dim))
 
     def eval(self, x):
+        start = time.perf_counter()
         self.fun_evals += 1
         self.kept = None
         try:
             f, grad_field, geometry = energy_gradient(self.mesh_at(x))
+            self.kept = (x.copy(), geometry)
+            out = f, self.project_field(grad_field).ravel()
         except DegenerateElement:
-            return math.inf, None
-        self.kept = (x.copy(), geometry)
-        return f, self.project_field(grad_field).ravel()
+            out = math.inf, None
+        self.eval_s += time.perf_counter() - start
+        return out
 
     def project(self, v):
         return self.project_field(v.reshape(self.nv, self.dim)).ravel()
@@ -419,6 +428,11 @@ class MeshProblem:
         """CG iterations since the last call."""
         n, self.cg_iters = self.cg_iters, 0
         return n
+
+    def take_eval_s(self):
+        """Seconds spent in evaluations since the last call."""
+        t, self.eval_s = self.eval_s, 0.0
+        return t
 
     def step_metrics(self, x_old, x_new):
         m = self.mesh_at(x_new)
@@ -482,6 +496,7 @@ def _take_step(problem, config, x, f, g, d, k, kind):
         curvature_ok=ls.curvature_ok,
         cap=cap,
         cg_iters=problem.take_cg_iters(),
+        eval_s=problem.take_eval_s(),
         **problem.step_metrics(x, x_new),
     )
     return x_new, f_new, g_new, record
@@ -607,7 +622,7 @@ def _descend(problem, config, strategy):
     x = problem.x0.copy()
     f, g = problem.eval(x)
     g0n = _inf_norm(g)
-    records = [IterationRecord(0, f, g0n, 0.0, 0)]
+    records = [IterationRecord(0, f, g0n, 0.0, 0, eval_s=problem.take_eval_s())]
     history = deque([f], maxlen=_ENERGY_PATIENCE + 1)
     for k in range(config.max_iters):
         if _grad_converged(_inf_norm(g), g0n, config):

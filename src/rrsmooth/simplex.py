@@ -2,10 +2,14 @@
 
 ``triangles`` and ``tetrahedra`` export one interface, looked up by
 dimension through :func:`rrsmooth.mesh.kernel`: ``geometry(pts)`` (the one
-checked geometry pass, a namedtuple with ``mu``), ``local_blocks(pts, g=None)
--> (mu, A, *B)``, ``block_gradient(pts, mu, A, *B)``, ``precond_blocks(g)``,
+checked geometry pass, a namedtuple with ``mu``), ``gradient(g)`` (the
+per-vertex gradient of mu in closed form), ``radius_ratio_gradient(pts)``,
+``local_blocks(pts, g=None) -> (mu, A, *B)``, ``precond_blocks(g)``,
 ``LAYOUT``, ``DEGENERACY_RTOL``, ``diameters``, ``signed_measure`` and
-``radius_ratio``. No block carries mu: the gradient is ``mu * (G_local V)``.
+``radius_ratio``. The gradient is evaluated in closed form; the blocks are
+the paper's split of it, ``grad = mu * (G_local V)`` with no block carrying
+mu, materialized only for the assembled G_F, the preconditioner and the
+tests that check the split against the closed form.
 """
 
 import numpy as np
@@ -74,15 +78,3 @@ class Layout:
         """``stack`` (``np.block``, ``sparse.bmat``) of the signed block grid."""
         return stack([[-blocks[k] if neg else blocks[k] for neg, k in row] for row in self.rows])
 
-
-def block_gradient(layout, pts, mu, blocks):
-    """Per-vertex gradient ``mu * (G_local V)`` of a cell batch, ``(n, k, dim)``.
-
-    The product runs on cell-local coordinates; the zero row sums of the
-    blocks make it equal the product on ``pts`` itself.
-    """
-    pts = np.asarray(pts, dtype=float)
-    local = pts - pts[:, :1]
-    parts = [local[..., c] for c in range(local.shape[2])]
-    rows = layout.product(blocks, parts, lambda M, v: np.einsum("nij,nj->ni", M, v))
-    return mu[:, None, None] * np.stack(rows, axis=2)

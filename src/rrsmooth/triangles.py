@@ -10,11 +10,16 @@ Edge ``i`` is the edge opposite vertex ``i``, so ``l0 = |x2 - x1|``,
 ``q = l0 l1 l2``; it equals 1 exactly for equilateral triangles and grows
 without bound as an element degenerates.
 
-The gradient is the block product ``mu * [[A, B], [-B, A]] @ [X; Y]``
-(``LAYOUT``) of blocks that do not carry mu, taken on cell-local
-coordinates ``pts - pts[:, :1]``. Every kernel reads one geometry pass
-(``geometry``) that checks the area once. The module exports the kernel
-interface of :mod:`rrsmooth.simplex`.
+The gradient is evaluated in closed form (``gradient``):
+``grad mu = mu * (grad p / p + grad q / q - 2 grad A / A)``; the first two
+terms sum ``c_k (x_i - x_j)``, ``c_k = 1 / (p l_k) + 1 / l_k^2``, over the
+edges ij at a vertex, and ``2 grad A`` is the opposite edge turned by 90
+degrees. The paper's split of it, ``mu * [[A, B], [-B, A]] @ [X; Y]``
+(``LAYOUT``, no block carrying mu), is materialized by ``local_blocks`` for
+G_F (``--dump-system``) and the tests, which check it against the closed
+form; A is the preconditioner. Every kernel reads one geometry pass
+(``geometry``) on per-coordinate arrays ``pts.T``, which checks the area
+once. The module exports the kernel interface of :mod:`rrsmooth.simplex`.
 """
 
 from collections import namedtuple
@@ -30,7 +35,7 @@ LAYOUT = simplex.Layout("A B", ["A B", "-B A"])
 # Sign pattern of the antisymmetric block B = (1 / area) * _B_SIGNS.
 _B_SIGNS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
-Geometry = namedtuple("Geometry", ["area", "lengths", "p", "mu"])
+Geometry = namedtuple("Geometry", "area edges lengths p mu")
 
 
 @dataclass(frozen=True)
@@ -66,18 +71,36 @@ def edge_lengths(pts):
 
 
 def geometry(pts):
-    """The one geometry pass every kernel reads: ``Geometry(area, lengths, p, mu)``.
+    """The one geometry pass every kernel reads.
 
-    Raises DegenerateElement when any signed area is non-positive or falls
-    under the scaled threshold.
+    Fields are per coordinate over a trailing cell axis: ``edges``
+    ``(2, 3, n)`` holds edge k's vector ``x_{k+2} - x_{k+1}`` (indices mod
+    3) and ``lengths`` ``(3, n)`` its length. Raises DegenerateElement when
+    any signed area is non-positive or falls under the scaled threshold.
     """
     pts = np.asarray(pts, dtype=float)
     area = signed_area(pts)
     simplex.check_degenerate(area, pts, "area")
-    lengths = edge_lengths(pts)
-    p = lengths.sum(axis=1)
-    q = lengths.prod(axis=1)
-    return Geometry(area, lengths, p, p * q / (16.0 * area**2))
+    X = np.ascontiguousarray(pts.T)
+    edges = X[:, [2, 0, 1]] - X[:, [1, 2, 0]]
+    lengths = np.sqrt(edges[0] * edges[0] + edges[1] * edges[1])
+    p = lengths.sum(axis=0)
+    q = lengths.prod(axis=0)
+    return Geometry(area, edges, lengths, p, p * q / (16.0 * area**2))
+
+
+def _edge_weights(g):
+    """``c_k = 1 / (p l_k) + 1 / l_k^2``, shape ``(3, n)``."""
+    return 1.0 / (g.p * g.lengths) + 1.0 / g.lengths**2
+
+
+def gradient(g):
+    """Per-vertex gradient of mu ``(n, 3, 2)`` in closed form, from ``geometry(pts)``."""
+    w = _edge_weights(g) * g.edges
+    G = w[:, [1, 2, 0]] - w[:, [2, 0, 1]]
+    G[0] += g.edges[1] / g.area
+    G[1] -= g.edges[0] / g.area
+    return (g.mu * G).T
 
 
 def radius_ratio(pts):
@@ -91,8 +114,7 @@ def precond_blocks(g):
     Its off-diagonals are negative and its rows sum to zero, so in 2D the
     preconditioner assembles A itself.
     """
-    cw = 1.0 / (g.p[:, None] * g.lengths) + 1.0 / g.lengths**2  # c0, c1, c2
-    c0, c1, c2 = cw[:, 0], cw[:, 1], cw[:, 2]
+    c0, c1, c2 = _edge_weights(g)
     A = np.zeros((len(g.mu), 3, 3))
     A[:, 0, 0] = c1 + c2
     A[:, 1, 1] = c2 + c0
@@ -114,15 +136,10 @@ def local_blocks(pts, g=None):
     return g.mu, precond_blocks(g), (1.0 / g.area)[:, None, None] * _B_SIGNS
 
 
-def block_gradient(pts, mu, *blocks):
-    """Per-vertex gradient ``(n, 3, 2)`` from the output of ``local_blocks``."""
-    return simplex.block_gradient(LAYOUT, pts, mu, blocks)
-
-
 def radius_ratio_gradient(pts):
     """Radius ratio and its per-vertex gradient, shape ``(n,)`` and ``(n, 3, 2)``."""
-    blocks = local_blocks(pts)
-    return blocks[0], block_gradient(pts, *blocks)
+    g = geometry(pts)
+    return g.mu, gradient(g)
 
 
 def local_gradient_matrix(lg):
@@ -150,7 +167,7 @@ class Triangle:
         return float(radius_ratio(self._batch)[0])
 
     def gradient(self):
-        """Radius-ratio gradient together with the local matrix blocks."""
-        mu, A, B = local_blocks(self._batch)
-        grad = block_gradient(self._batch, mu, A, B)
-        return LocalGradient2D(float(mu[0]), A[0], B[0], grad[0])
+        """Radius-ratio gradient (closed form) together with the local blocks."""
+        g = geometry(self._batch)
+        mu, A, B = local_blocks(self._batch, g)
+        return LocalGradient2D(float(mu[0]), A[0], B[0], gradient(g)[0])

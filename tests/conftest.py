@@ -42,6 +42,19 @@ def random_tets(n, seed=0, mu_cap=50.0, min_vol=1e-3):
     return np.array(out)
 
 
+def block_gradient(kernel, pts, mu, *blocks):
+    """Reference per-vertex gradient ``mu * (G_local V)`` from ``local_blocks``.
+
+    The paper's block product (``kernel.LAYOUT``) on cell-local coordinates;
+    the blocks have zero row sums, so it equals the product on ``pts``.
+    """
+    pts = np.asarray(pts, dtype=float)
+    local = pts - pts[:, :1]
+    parts = [local[..., c] for c in range(local.shape[2])]
+    rows = kernel.LAYOUT.product(blocks, parts, lambda M, v: np.einsum("nij,nj->ni", M, v))
+    return mu[:, None, None] * np.stack(rows, axis=2)
+
+
 def central_diff(f, P, h):
     """Central-difference gradient of a scalar elementwise function."""
     P = np.asarray(P, dtype=float)

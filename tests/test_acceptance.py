@@ -391,7 +391,7 @@ def test_criterion_9_io_fidelity(tmp_path, lattice_run, sliver_runs, slide_run):
         lines = buf.getvalue().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters"
+            "min_measure,slide_residual,cap,cg_iters,eval_s"
         )
         F = [float(line.split(",")[1]) for line in lines[1:]]
         assert len(F) == report.iterations + 1

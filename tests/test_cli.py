@@ -65,7 +65,7 @@ class TestPerturbAndOptimize:
         lines = report.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters"
+            "min_measure,slide_residual,cap,cg_iters,eval_s"
         )
         F = [float(l.split(",")[1]) for l in lines[1:]]
         assert len(F) >= 2
@@ -124,6 +124,23 @@ class TestPerturbAndOptimize:
         assert code == 1
         assert err.startswith("invalid mesh: index-out-of-range[0]")
 
+    @pytest.mark.parametrize("normal", ["0 0", "0 2", "nan 1"], ids=["zero", "length-2", "nan"])
+    def test_bad_slide_normal_exits_one(self, tmp_path, capsys, normal):
+        src = tmp_path / "sq.txt"
+        out = tmp_path / "o.txt"
+        run(capsys, "gen", "--kind", "square", "--n", "4", str(src))
+        lines = src.read_text().splitlines()
+        first_tag = 1 + len(load_mesh(src).vertices) + len(load_mesh(src).cells)
+        lines[first_tag] = f"slide {normal}"
+        src.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            capsys, "optimize", str(src), str(out), "--boundary", "keep", "--method", "lbfgs"
+        )
+        assert code == 1
+        assert "invalid mesh: bad-slide-normal[0]" in err
+        assert "error: " in err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "quality", str(tmp_path / "missing.msh"))
         assert code == 1
@@ -142,7 +159,11 @@ class TestPerturbAndOptimize:
                 "--max-iters", "10", "--report", str(rep),
             )
             assert code == 0
-            outputs.append((out.read_bytes(), rep.read_bytes()))
+            # The last report column, eval_s, is wall-clock seconds; every
+            # other column must repeat to the byte.
+            report = [line.rsplit(",", 1)[0] for line in rep.read_text().splitlines()]
+            assert rep.read_text().splitlines()[0].endswith(",eval_s")
+            outputs.append((out.read_bytes(), report))
         assert outputs[0] == outputs[1]
 
     def test_overlay_and_dump(self, tmp_path, capsys):

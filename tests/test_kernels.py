@@ -5,12 +5,13 @@ import pytest
 from scipy import sparse
 
 from rrsmooth import mesh as m, simplex, tetrahedra, triangles
-from rrsmooth.assembly import assemble
+from rrsmooth.assembly import assemble, energy_gradient
+from rrsmooth.errors import DegenerateElement
 from rrsmooth.generate import (
     CUBE, SQUARE, GeneratorSpec, PlantSliver, RandomJitter, gen_mesh, perturb_mesh,
 )
 
-from conftest import random_tets, random_triangles
+from conftest import block_gradient, central_diff, random_tets, random_triangles
 
 KERNELS = pytest.mark.parametrize(
     "kernel, element, random_cells",
@@ -20,7 +21,7 @@ KERNELS = pytest.mark.parametrize(
 )
 
 INTERFACE = (
-    "geometry", "local_blocks", "block_gradient", "precond_blocks", "LAYOUT",
+    "geometry", "gradient", "local_blocks", "precond_blocks", "LAYOUT",
     "DEGENERACY_RTOL", "diameters", "signed_measure", "radius_ratio",
     "radius_ratio_gradient", "local_gradient_matrix",
 )
@@ -91,7 +92,7 @@ def hand_written_tet_gradient(pts, mu, A, B0, B1, B2):
 )
 def test_layout_gives_the_bits_of_the_hand_written_tet_product(pts):
     blocks = tetrahedra.local_blocks(pts)
-    got = tetrahedra.block_gradient(pts, *blocks)
+    got = block_gradient(tetrahedra, pts, *blocks)
     assert got.tobytes() == hand_written_tet_gradient(pts, *blocks).tobytes()
 
 
@@ -131,3 +132,76 @@ def test_layout_subtracts_negative_terms():
     assert rows[1].tobytes() == ((-y) - x).tobytes()
     grid = layout.matrix((1.0, 2.0), lambda rows: rows)
     assert grid == [[1.0, -2.0], [-2.0, -1.0]]
+
+
+# The closed-form gradient against the paper's block split and its other
+# references. Tolerances were fixed before the closed form was written.
+CELLS = {
+    "random": lambda dim: (random_triangles if dim == 2 else random_tets)(200, seed=31),
+    "mesh": lambda dim: (jittered_square() if dim == 2 else slivered_cube()).cell_points(),
+}
+CLOSED_FORM_CASES = pytest.mark.parametrize(
+    "kernel, cells",
+    [(k, c) for k in (triangles, tetrahedra) for c in CELLS],
+    ids=[f"{k}-{c}" for k in ("triangles", "tetrahedra") for c in CELLS],
+)
+
+
+def dim_of(kernel):
+    return len(kernel.LAYOUT.rows)
+
+
+class TestClosedFormGradient:
+    @CLOSED_FORM_CASES
+    def test_equals_the_materialized_block_product(self, kernel, cells):
+        pts = CELLS[cells](dim_of(kernel))
+        mu, grad = kernel.radius_ratio_gradient(pts)
+        _, *blocks = kernel.local_blocks(pts)
+        for c, P in enumerate(pts):
+            G = kernel.LAYOUT.matrix([b[c] for b in blocks], np.block)
+            V = (P - P[0]).T.ravel()
+            expected = (mu[c] * (G @ V)).reshape(P.shape[1], -1).T
+            scale = np.abs(expected).max()
+            assert np.abs(grad[c] - expected).max() <= 1e-13 * scale, c
+
+    @CLOSED_FORM_CASES
+    def test_matches_central_differences(self, kernel, cells):
+        pts = CELLS[cells](dim_of(kernel))[:60]
+        _, grads = kernel.radius_ratio_gradient(pts)
+        for P, g in zip(pts, grads):
+            h = 1e-6 * np.ptp(P, axis=0).max()
+            gfd = central_diff(lambda Q: kernel.radius_ratio(Q[None])[0], P, h)
+            assert np.linalg.norm(g - gfd) <= 1e-6 * np.linalg.norm(gfd)
+
+    @CLOSED_FORM_CASES
+    def test_unchanged_under_a_large_translation(self, kernel, cells):
+        pts = CELLS[cells](dim_of(kernel))
+        q = pts + 1e6
+        _, far = kernel.radius_ratio_gradient(q)
+        _, near = kernel.radius_ratio_gradient(q - 1e6)
+        rel = np.linalg.norm(far - near, axis=(1, 2)) / np.linalg.norm(near, axis=(1, 2))
+        assert rel.max() <= 1e-12
+
+    @CLOSED_FORM_CASES
+    def test_measure_has_the_bits_of_signed_measure(self, kernel, cells):
+        pts = CELLS[cells](dim_of(kernel))
+        expected = kernel.signed_measure(pts).tobytes()
+        assert kernel.geometry(pts)[0].tobytes() == expected
+        # The per-coordinate gather that energy_gradient reads.
+        soa = np.ascontiguousarray(np.asarray(pts).T).T
+        assert kernel.geometry(soa)[0].tobytes() == expected
+
+    @pytest.mark.parametrize("make", [jittered_square, slivered_cube], ids=["square", "slivered-cube"])
+    def test_mesh_path_measure_and_inverted_cell(self, make):
+        mesh = make()
+        _, _, g = energy_gradient(mesh)
+        assert g[0].tobytes() == mesh.signed_measures().tobytes()
+        cells = mesh.cells.copy()
+        c = mesh.n_cells // 2
+        cells[c, -2:] = cells[c, -1:-3:-1]
+        inverted = m.SimplexMesh(mesh.vertices, cells)
+        first = np.flatnonzero(simplex.degenerate(inverted.signed_measures(), inverted.cell_points()))
+        assert first[0] == c
+        with pytest.raises(DegenerateElement) as exc:
+            energy_gradient(inverted)
+        assert exc.value.cell == c

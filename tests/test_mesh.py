@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rrsmooth import mesh as m, tetrahedra, triangles
-from rrsmooth.errors import DegenerateElement, NonPlanarPatch
+from rrsmooth.errors import DegenerateElement, MeshError, NonPlanarPatch
+from rrsmooth.optim import OptimizeConfig, optimize
 from rrsmooth.generate import (
     CUBE,
     EQUILATERAL,
@@ -74,6 +75,34 @@ class TestValidate:
         k = 3 if kernel is triangles else 4
         pts = np.random.default_rng(7).normal(size=(500, k, k - 1)) + offset
         assert np.array_equal(kernel.diameters(pts), np.ptp(pts, axis=1).max(axis=1))
+
+    @staticmethod
+    def sliding_corner(normal):
+        """The square of the slide-normal bug: vertex 0 slides along ``normal``."""
+        mesh = perturb_mesh(gen_mesh(GeneratorSpec(SQUARE, 4)), RandomJitter(amplitude=0.3, seed=1))
+        mesh = m.classify_boundary(mesh, m.FIX_ALL)
+        mesh.constraint_kind[0] = m.SLIDE
+        mesh.slide_normals[0] = normal
+        return mesh
+
+    @pytest.mark.parametrize(
+        "normal", [(0.0, 0.0), (0.0, 2.0), (np.nan, 1.0), (np.inf, 0.0)],
+        ids=["zero", "length-2", "nan", "inf"],
+    )
+    def test_bad_slide_normal_is_reported(self, normal):
+        mesh = self.sliding_corner(normal)
+        v = m.validate(mesh)
+        assert [(x.rule, x.index) for x in v] == [("bad-slide-normal", 0)]
+        # Unchecked, lbfgs moved this vertex off its line: (0, 0) -> (0.081, 0.081).
+        with pytest.raises(MeshError, match=r"bad-slide-normal\[0\]"):
+            optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=20))
+
+    @pytest.mark.parametrize("factor, flagged", [(0.5, False), (2.0, True)])
+    def test_slide_normal_tolerance(self, factor, flagged):
+        mesh = self.sliding_corner((0.0, 1.0 + factor * m.SLIDE_NORMAL_TOL))
+        assert bool(m.validate(mesh)) is flagged
+        unit = self.sliding_corner((0.0, 1.0))
+        assert m.validate(unit) == []
 
     def test_repair_orientation(self):
         bad = unit_square_two_tris()

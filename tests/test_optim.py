@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rrsmooth.generate import (
 )
 from rrsmooth.optim import (
     CgInfo,
+    FunctionProblem,
     OptimizeConfig,
     _two_loop,
     backtracking_search,
@@ -199,6 +201,42 @@ class TestTwoLoop:
             H = V @ H @ V.T + rho * np.outer(s, s)
             pairs.append((s, y, rho))
             x = x_new
+
+
+def next_directions_after_flat_pairs(count=200):
+    """LBFGS's next direction after one curvature pair of rounding-level y.s.
+
+    Each case is an exact line search (the new gradient g is orthogonal to
+    the step s) along which the gradient changed only across s, so y.s is
+    rounding noise. Returns ``(g, d)`` per case.
+    """
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(count):
+        s, y, g = rng.normal(size=(3, 2))
+        y += (1e-17 - (y @ s) / (s @ s)) * s
+        g -= (g @ s) / (s @ s) * s
+        problem = FunctionProblem(lambda x: (0.0, g), np.zeros(2))
+        strategy = optim._Lbfgs(problem, memory=5, precondition=False)
+        strategy.accept(np.zeros(2), s, g - y, g)
+        out.append((g, strategy.direction(s, g)[0]))
+    return out
+
+
+class TestCurvaturePairTolerance:
+    def test_rounding_level_pairs_are_skipped(self):
+        # Without a pair the direction is -g, which always descends.
+        for g, d in next_directions_after_flat_pairs():
+            assert np.isfinite(d).all() and g @ d < 0
+
+    def test_without_the_tolerance_some_direction_ascends(self, monkeypatch):
+        # y.s of either sign is rounding noise; a positive one passes a zero
+        # tolerance, and rho = 1 / y.s then swamps g: the direction is all
+        # but orthogonal to g, and in some cases points uphill.
+        monkeypatch.setattr(optim, "_CURVATURE_PAIR_TOL", 0.0)
+        cases = next_directions_after_flat_pairs()
+        failed = [not (np.isfinite(d).all() and g @ d < 0) for g, d in cases]
+        assert any(failed)
 
 
 class TestLbfgsOnQuadratics:
@@ -492,7 +530,7 @@ class TestMeshOptimizers:
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters"
+            "min_measure,slide_residual,cap,cg_iters,eval_s"
         )
         assert len(lines) - 1 == report.iterations + 1
         energies = [float(line.split(",")[1]) for line in lines[1:]]
@@ -505,6 +543,7 @@ class TestMeshOptimizers:
         # The fixed point solves with P every step, under a finite cap.
         assert float(row[10]) == last.cap and np.isfinite(last.cap)
         assert int(row[11]) == last.cg_iters > 0
+        assert float(row[12]) == last.eval_s > 0.0
 
 
 def jittered_meshes():
@@ -663,6 +702,21 @@ class TestRecordedWork:
         iterations = sum(info.iterations for _, (_, info) in solves)
         assert sum(r.cg_iters for r in report.records) == iterations
         assert (iterations > 0) == (method in ("fixedpoint", "plbfgs", "pnlcg"))
+
+    @pytest.mark.parametrize("method", ["lbfgs", "plbfgs"])
+    def test_eval_seconds_fit_in_the_wall_time(self, method):
+        mesh = slivered_cube(n=3, count=1)
+        start = time.perf_counter()
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=5))
+        wall = time.perf_counter() - start
+        eval_s = [r.eval_s for r in report.records]
+        # Record 0 holds the initial evaluation, every step its line search.
+        assert all(t > 0.0 for t in eval_s)
+        assert 0.0 < sum(eval_s) <= wall
+
+    def test_function_problems_record_no_eval_seconds(self):
+        _, report = minimize_lbfgs(lambda x: (float(x @ x), 2.0 * x), np.ones(3))
+        assert all(r.eval_s == 0.0 for r in report.records)
 
 
 class TestConfigValidation:
