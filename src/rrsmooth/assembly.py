@@ -12,18 +12,18 @@ The gradient itself is evaluated in closed form by the element kernel
 (``gradient``) and scatter-added per vertex; G_F's blocks are the paper's
 split of it, materialized only by :func:`assemble` (for ``--dump-system``
 and the tests that check the split against the gradient), while the
-preconditioner P is built from the split's symmetric part. Every function
-here reaches the element kernel through ``mesh.kernel(dim)`` and reads it
-the same way in both dimensions: no local block carries mu, so cell c adds
-``(mu_c / n_cells) * block`` to G_F's blocks and
-``(mu_c / n_cells) * precond_blocks`` to P.
+preconditioner P is the graph Laplacian of the kernel's non-negative edge
+weights (``precond_weights``). Every function here reaches the element
+kernel through ``mesh.kernel(dim)`` and reads it the same way in both
+dimensions: nothing local carries mu, so cell c adds ``mu_c / n_cells``
+times its blocks to G_F's and times its edge weights to P's.
 
 Assembly scatter-adds per-element contributions deterministically, so
 identical meshes produce bit-identical results. The preconditioner's
-sparsity pattern, the slot of every local entry in it, and the checks that
+sparsity pattern, the slot of every edge entry in it, and the checks that
 it can be positive definite depend on connectivity only: they are built once
 per run (:func:`preconditioner_topology`), and each build is then one
-``np.bincount`` of the local matrices into ``P.data``. The gradient field is
+``np.bincount`` of the edge weights into ``P.data``. The gradient field is
 summed by ``np.bincount`` too; both sum in cell order.
 """
 
@@ -106,8 +106,8 @@ def _sum_per_vertex(mesh, values):
 
 
 def _cell_weights(mesh, mu):
-    """``mu_c / n_cells`` per cell, shaped to scale ``(n, k, k)`` local matrices."""
-    return ((1.0 / mesh.n_cells) * mu)[:, None, None]
+    """``mu_c / n_cells`` per cell: the scale of every local contribution."""
+    return (1.0 / mesh.n_cells) * mu
 
 
 def assemble(mesh):
@@ -118,7 +118,7 @@ def assemble(mesh):
     """
     F, grad_field, geometry = energy_gradient(mesh)
     _, *blocks = kernel(mesh.dim).local_blocks(mesh.cell_points(), geometry)
-    scale = _cell_weights(mesh, geometry.mu)
+    scale = _cell_weights(mesh, geometry.mu)[:, None, None]
     A, *B_blocks = (_scatter_square(mesh.cells, scale * b, mesh.n_vertices) for b in blocks)
     return GlobalGradientSystem(
         F=F,
@@ -164,9 +164,9 @@ class Topology:
     """The part of P that depends on connectivity only, built once per run.
 
     ``active`` lists the non-fixed vertices in the order of P's rows,
-    ``indptr`` and ``indices`` are P's CSR pattern, and ``slot`` sends each
-    local entry ``(cell, i, j)`` to its position in ``P.data``, or one past
-    the end when its row or column is a fixed vertex.
+    ``indptr`` and ``indices`` are P's CSR pattern, and ``slot`` sends the
+    entries (i, j), (j, i), (i, i), (j, j) of every (edge ij, cell) to their
+    positions in ``P.data``, or one past the end for a fixed row or column.
     """
 
     active: np.ndarray
@@ -192,14 +192,14 @@ def preconditioner_topology(mesh):
 
     active = np.flatnonzero(~fixed)
     n = len(active)
-    row_of = np.full(mesh.n_vertices, -1)
+    row_of = np.full(mesh.n_vertices, -1, dtype=np.int32)
     row_of[active] = np.arange(n)
-    local = row_of[mesh.cells]
-    k = local.shape[1]
-    rows = np.repeat(local, k, axis=1).ravel()
-    cols = np.tile(local, k).ravel()
+    tail, head = kernel(mesh.dim).EDGES
+    i, j = row_of[mesh.cells[:, tail].T], row_of[mesh.cells[:, head].T]
+    rows = np.concatenate([i, j, i, j]).ravel()
+    cols = np.concatenate([j, i, i, j]).ravel()
     kept = (rows >= 0) & (cols >= 0)
-    keys, inverse = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
+    keys, inverse = np.unique(rows[kept].astype(np.int64) * n + cols[kept], return_inverse=True)
     slot = np.full(rows.size, len(keys), dtype=np.int32)
     slot[kept] = inverse
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -210,26 +210,26 @@ def preconditioner_topology(mesh):
 def assemble_preconditioner(mesh, topology=None, geometry=None):
     """Build the reduced SPD preconditioner for the current geometry.
 
-    Cell c adds ``(mu_c / n_cells) * precond_blocks(geometry)[c]``: in 2D
-    the scalar block A, already a Laplacian with negative off-diagonals; in
-    3D the abs-clamped local matrices, which keep every row weakly
-    diagonally dominant. Rows/columns of fixed vertices are removed;
-    positive definiteness then needs a connected mesh and at least one
-    fixed vertex.
+    P is the Laplacian of the edge weights ``w = (mu_c / n_cells) *
+    precond_weights(geometry)``, all non-negative (in 2D A's own weights, in
+    3D the abs of A's two weight terms), so every row is weakly diagonally
+    dominant. Rows/columns of fixed vertices are removed; positive
+    definiteness then needs a connected mesh and at least one fixed vertex.
 
     ``topology`` (from :func:`preconditioner_topology`) and ``geometry``
     (the third output of :func:`energy_gradient` at this mesh) are computed
-    when not given. The local matrices are summed into ``P.data`` by one
-    ``np.bincount`` over the fixed pattern, in cell order.
+    when not given. The entries ``[-w, -w, w, w]`` are summed into
+    ``P.data`` by one ``np.bincount`` over the fixed pattern, in cell order.
     """
     if topology is None:
         topology = preconditioner_topology(mesh)
     k = kernel(mesh.dim)
     if geometry is None:
         geometry = k.geometry(mesh.cell_points())
-    local = _cell_weights(mesh, geometry.mu) * k.precond_blocks(geometry)
+    w = _cell_weights(mesh, geometry.mu) * k.precond_weights(geometry)
     nnz, n = len(topology.indices), len(topology.active)
-    data = np.bincount(topology.slot, weights=local.ravel(), minlength=nnz + 1)
+    entries = np.concatenate([-w, -w, w, w]).ravel()
+    data = np.bincount(topology.slot, weights=entries, minlength=nnz + 1)
     P = sparse.csr_matrix((data[:-1], topology.indices, topology.indptr), shape=(n, n))
     return Preconditioner(P=P, active=topology.active)
 

@@ -32,10 +32,6 @@ SLIDE_NORMAL_TOL = 1e-12
 POOR_QUALITY_THRESHOLD = 0.3
 HISTOGRAM_BINS = 20
 
-# Facets opposite each vertex, oriented outward for a positive cell.
-_TRI_FACETS = ((1, 2), (2, 0), (0, 1))
-_TET_FACETS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
-
 # A root of a cell's measure polynomial counts as real when its imaginary
 # part is at most this fraction of its modulus. Rounding turns a third or
 # more of the tangential double roots (a cell touching zero measure and
@@ -136,18 +132,9 @@ class SimplexMesh:
         return kernel(self.dim).radius_ratio(self.cell_points())
 
     def mean_edge_length(self):
-        i, j = _edge_index_pairs(self.dim)
+        i, j = kernel(self.dim).EDGES
         e = self.vertices[self.cells[:, j]] - self.vertices[self.cells[:, i]]
         return float(np.linalg.norm(e, axis=2).mean())
-
-
-def _edge_index_pairs(dim):
-    if dim == 2:
-        pairs = [(0, 1), (1, 2), (2, 0)]
-    else:
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    arr = np.array(pairs, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
 
 
 @dataclass(frozen=True)
@@ -218,7 +205,7 @@ def boundary_facets(mesh):
     Returns (facets, owner_cells): facets is (m, dim) vertex indices in the
     outward orientation inherited from the positive cell.
     """
-    local = _TRI_FACETS if mesh.dim == 2 else _TET_FACETS
+    local = kernel(mesh.dim).FACETS
     all_facets = np.concatenate([mesh.cells[:, list(f)] for f in local], axis=0)
     owners = np.tile(np.arange(mesh.n_cells), len(local))
     key = np.sort(all_facets, axis=1)
@@ -481,7 +468,7 @@ def _largest_real_root(a):
 
 def vertex_adjacency(mesh):
     """Sparse symmetric vertex adjacency induced by the cells."""
-    i, j = _edge_index_pairs(mesh.dim)
+    i, j = kernel(mesh.dim).EDGES
     rows = mesh.cells[:, i].ravel()
     cols = mesh.cells[:, j].ravel()
     n = mesh.n_vertices

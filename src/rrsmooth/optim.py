@@ -15,7 +15,7 @@ budget, or a named failure.
 
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -247,10 +247,13 @@ class IterationRecord:
     min_measure: float = math.nan
     slide_residual: float = 0.0
     # The step's inversion cap, CG iterations of its P solves, and seconds
-    # in its evaluations (record 0: the initial evaluation).
+    # in its evaluations (record 0: the initial evaluation), its P builds
+    # and its P solves.
     cap: float = math.nan
     cg_iters: int = 0
     eval_s: float = 0.0
+    p_build_s: float = 0.0
+    cg_s: float = 0.0
 
 
 @dataclass
@@ -297,14 +300,14 @@ class OptimizeReport:
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
             fh.write(
                 "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-                "min_measure,slide_residual,cap,cg_iters,eval_s\n"
+                "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
                     f"{r.ls_kind},{int(r.armijo_ok)},{int(r.curvature_ok)},"
                     f"{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
-                    f"{r.cg_iters},{r.eval_s:.17g}\n"
+                    f"{r.cg_iters},{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g}\n"
                 )
 
 
@@ -338,11 +341,8 @@ class FunctionProblem:
     def precond_factory(self, x):
         return self._solve
 
-    def take_cg_iters(self):
-        return 0
-
-    def take_eval_s(self):
-        return 0.0
+    def take_work(self):
+        return {}
 
     def step_metrics(self, x_old, x_new):
         return {}
@@ -367,8 +367,9 @@ class MeshProblem:
         self.topology = None
         # (x, kernel geometry) of the last point evaluated.
         self.kept = None
-        self.cg_iters = 0
-        self.eval_s = 0.0
+        # IterationRecord's work fields (cg_iters, eval_s, p_build_s, cg_s)
+        # summed since the last take_work().
+        self.work = Counter()
 
     def mesh_at(self, x):
         return self.mesh.with_vertices(x.reshape(self.nv, self.dim))
@@ -383,7 +384,7 @@ class MeshProblem:
             out = f, self.project_field(grad_field).ravel()
         except DegenerateElement:
             out = math.inf, None
-        self.eval_s += time.perf_counter() - start
+        self.work["eval_s"] += time.perf_counter() - start
         return out
 
     def project(self, v):
@@ -407,32 +408,31 @@ class MeshProblem:
         P is built from the kernel geometry of the last evaluation when x is
         that point, as it is whenever `_descend` asks.
         """
+        start = time.perf_counter()
         if self.topology is None:
             self.topology = preconditioner_topology(self.mesh)
         geometry = None
         if self.kept is not None and np.array_equal(self.kept[0], x):
             geometry = self.kept[1]
         pre = assemble_preconditioner(self.mesh_at(x), self.topology, geometry)
+        self.work["p_build_s"] += time.perf_counter() - start
 
         def solve(vec):
+            start = time.perf_counter()
             rhs = vec.reshape(self.nv, self.dim)
             out = np.zeros_like(rhs)
             for c in range(self.dim):
                 out[pre.active, c], info = cg_solve(pre.P, rhs[pre.active, c])
-                self.cg_iters += info.iterations
+                self.work["cg_iters"] += info.iterations
+            self.work["cg_s"] += time.perf_counter() - start
             return self.project_field(out).ravel()
 
         return solve
 
-    def take_cg_iters(self):
-        """CG iterations since the last call."""
-        n, self.cg_iters = self.cg_iters, 0
-        return n
-
-    def take_eval_s(self):
-        """Seconds spent in evaluations since the last call."""
-        t, self.eval_s = self.eval_s, 0.0
-        return t
+    def take_work(self):
+        """IterationRecord's work fields summed since the last call."""
+        work, self.work = self.work, Counter()
+        return work
 
     def step_metrics(self, x_old, x_new):
         m = self.mesh_at(x_new)
@@ -495,8 +495,7 @@ def _take_step(problem, config, x, f, g, d, k, kind):
         armijo_ok=ls.armijo_ok,
         curvature_ok=ls.curvature_ok,
         cap=cap,
-        cg_iters=problem.take_cg_iters(),
-        eval_s=problem.take_eval_s(),
+        **problem.take_work(),
         **problem.step_metrics(x, x_new),
     )
     return x_new, f_new, g_new, record
@@ -622,7 +621,7 @@ def _descend(problem, config, strategy):
     x = problem.x0.copy()
     f, g = problem.eval(x)
     g0n = _inf_norm(g)
-    records = [IterationRecord(0, f, g0n, 0.0, 0, eval_s=problem.take_eval_s())]
+    records = [IterationRecord(0, f, g0n, 0.0, 0, **problem.take_work())]
     history = deque([f], maxlen=_ENERGY_PATIENCE + 1)
     for k in range(config.max_iters):
         if _grad_converged(_inf_norm(g), g0n, config):

@@ -1,15 +1,18 @@
-"""What the two element kernels share: the degeneracy threshold and G_F's layout.
+"""What the two element kernels share: the degeneracy threshold, G_F's
+layout and the local Laplacian.
 
 ``triangles`` and ``tetrahedra`` export one interface, looked up by
 dimension through :func:`rrsmooth.mesh.kernel`: ``geometry(pts)`` (the one
 checked geometry pass, a namedtuple with ``mu``), ``gradient(g)`` (the
 per-vertex gradient of mu in closed form), ``radius_ratio_gradient(pts)``,
-``local_blocks(pts, g=None) -> (mu, A, *B)``, ``precond_blocks(g)``,
-``LAYOUT``, ``DEGENERACY_RTOL``, ``diameters``, ``signed_measure`` and
-``radius_ratio``. The gradient is evaluated in closed form; the blocks are
-the paper's split of it, ``grad = mu * (G_local V)`` with no block carrying
-mu, materialized only for the assembled G_F, the preconditioner and the
-tests that check the split against the closed form.
+``local_blocks(pts, g=None) -> (mu, A, *B)``, ``precond_weights(g)``,
+``EDGES``, ``FACETS``, ``LAYOUT``, ``DEGENERACY_RTOL``, ``diameters``,
+``signed_measure`` and ``radius_ratio``. The gradient is evaluated in
+closed form; the blocks are the paper's split of it,
+``grad = mu * (G_local V)`` with no block carrying mu, materialized only for
+the assembled G_F and the tests that check the split against the closed
+form. A is the :func:`laplacian` of per-edge weights, and the preconditioner
+the graph Laplacian of ``precond_weights``, their non-negative form.
 """
 
 import numpy as np
@@ -78,3 +81,14 @@ class Layout:
         """``stack`` (``np.block``, ``sparse.bmat``) of the signed block grid."""
         return stack([[-blocks[k] if neg else blocks[k] for neg, k in row] for row in self.rows])
 
+
+def laplacian(w, edges):
+    """Dense ``(n, k, k)`` Laplacians of weights ``(n_edges, n)`` on a kernel's
+    ``EDGES``: ``-w`` at (i, j) and (j, i), and zero row sums."""
+    tail, head = edges
+    k = max(tail.max(), head.max()) + 1
+    L = np.zeros((w.shape[1], k, k))
+    L[:, tail, head] = L[:, head, tail] = -w.T
+    diagonal = np.arange(k)
+    L[:, diagonal, diagonal] = -L.sum(axis=2)
+    return L

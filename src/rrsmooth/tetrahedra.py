@@ -1,5 +1,5 @@
 """Tetrahedron geometry: measures, radius ratio and its gradient, the local
-blocks of G_F and the abs-clamped local matrices of the SPD preconditioner.
+blocks of G_F and the edge weights of the SPD preconditioner.
 
 Kernels are vectorized over a batch axis: ``pts`` has shape ``(n, 4, 3)``
 with positive signed volume. Face ``i`` is the face opposite vertex ``i``.
@@ -26,8 +26,9 @@ invariant. The paper's split of the same gradient is the block product
 (``LAYOUT``) ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``,
 A symmetric and the B blocks antisymmetric: ``local_blocks`` materializes
 it for G_F (``--dump-system``) and the tests, which check it against the
-closed form, and A's abs-clamped form is the preconditioner. The module
-exports the interface of :mod:`rrsmooth.simplex`.
+closed form. A is the Laplacian of signed edge weights; the preconditioner
+is that of their non-negative form (``precond_weights``), which is positive
+semi-definite. The module exports the interface of :mod:`rrsmooth.simplex`.
 """
 
 from collections import namedtuple
@@ -42,10 +43,13 @@ LAYOUT = simplex.Layout("A B0 B1 B2", ["A B2 B1", "-B2 A B0", "-B1 -B0 A"])
 
 # Each edge (i, j) with the two vertices (k, l) off it, as even permutations
 # of (0, 1, 2, 3). Edges 0-2 are e1, e2, e3.
-_EDGES = (
+_EDGE_PERMS = (
     (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 2, 0), (2, 3, 0, 1)
 )
-_TAIL, _HEAD = np.array(_EDGES)[:, 0], np.array(_EDGES)[:, 1]
+EDGES = _TAIL, _HEAD = tuple(np.array(_EDGE_PERMS)[:, :2].T)
+
+# Face i is opposite vertex i, oriented outward for a positive cell.
+FACETS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
 # Face f's normal is edge _FACE_EDGES[0][f] x edge _FACE_EDGES[1][f]:
 # (x2 - x1) x (x3 - x1) for face 0, then N_1, N_2, N_3.
@@ -55,9 +59,9 @@ _FACE_EDGES = ([3, 1, 2, 0], [4, 2, 0, 1])
 def _corners():
     """Each edge (i, j, k, l) has a corner at l in face k and one at k in face
     l. Per corner v: the edge, the edges vi and vj, and the face."""
-    index = {frozenset(edge[:2]): e for e, edge in enumerate(_EDGES)}
+    index = {frozenset(edge[:2]): e for e, edge in enumerate(_EDGE_PERMS)}
     rows = [(e, index[frozenset((v, i))], index[frozenset((v, j))], face)
-            for e, (i, j, k, l) in enumerate(_EDGES) for v, face in ((l, k), (k, l))]
+            for e, (i, j, k, l) in enumerate(_EDGE_PERMS) for v, face in ((l, k), (k, l))]
     return [list(column) for column in zip(*rows)]
 
 
@@ -112,7 +116,7 @@ def geometry(pts):
     """The one geometry pass every kernel reads.
 
     Every field is per coordinate (leading axis) over a trailing cell axis:
-    ``edges`` ``(3, 6, n)`` holds ``x_j - x_i`` per edge of ``_EDGES``,
+    ``edges`` ``(3, 6, n)`` holds ``x_j - x_i`` per edge ij of ``EDGES``,
     ``edge_sq`` ``(3, n)`` is ``|e1|^2, |e2|^2, |e3|^2``, ``normals``
     ``(3, 4, n)`` the doubled area vectors of faces 0-3, ``face_areas``
     ``(4, n)``, and ``cot`` ``(6, n)`` the cotangent weight of each edge
@@ -186,20 +190,6 @@ def radius_ratio_gradient(pts):
     return g.mu, gradient(g)
 
 
-def _m_matrix(g):
-    """Symmetric matrix of the |d0| term: a star of weights 2 d0.n at vertex 0."""
-    c23, c31, c12 = (g.d0[:, None] * g.normals[:, 1:]).sum(axis=0)
-    M = np.zeros((len(g.mu), 4, 4))
-    M[:, 0, 0] = 2 * (c23 + c31 + c12)
-    M[:, 0, 1] = M[:, 1, 0] = -2 * c23
-    M[:, 0, 2] = M[:, 2, 0] = -2 * c31
-    M[:, 0, 3] = M[:, 3, 0] = -2 * c12
-    M[:, 1, 1] = 2 * c23
-    M[:, 2, 2] = 2 * c31
-    M[:, 3, 3] = 2 * c12
-    return M
-
-
 def _k_matrix(g):
     """Antisymmetric matrix of the |d0| term, from the squared vertex-0 edge lengths."""
     n10, n20, n30 = g.edge_sq
@@ -214,14 +204,18 @@ def _k_matrix(g):
     return K
 
 
-def _s_matrix(g):
-    """Symmetric surface-area gradient matrix (a cotangent-type Laplacian)."""
-    S = np.zeros((len(g.mu), 4, 4))
-    for e, (i, j, _, _) in enumerate(_EDGES):
-        S[:, i, j] = S[:, j, i] = -g.cot[e]
-    # Zero row sums: the diagonal balances the cotangent weights exactly.
-    S[:, np.arange(4), np.arange(4)] = -S.sum(axis=2)
-    return S
+def _weight_terms(g):
+    """A's edge weights as two ``(6, n)`` terms: ``2 d0.N_k / |d0|^2`` on the
+    vertex-0 edges 0-2, zero elsewhere (the |d0| term), and ``cot_e / s``."""
+    star = np.zeros_like(g.cot)
+    star[:3] = 2.0 * (g.d0[:, None] * g.normals[:, 1:]).sum(axis=0) / g.d0_sq
+    return star, g.cot / g.surface
+
+
+def precond_weights(g):
+    """The preconditioner's edge weights ``(6, n)``: the abs of A's two terms."""
+    star, cot = _weight_terms(g)
+    return np.abs(star) + np.abs(cot)
 
 
 def _volume_block(pts, c):
@@ -245,7 +239,7 @@ def local_blocks(pts, g=None):
     K = _k_matrix(g)
     inv_d0sq = (1.0 / g.d0_sq)[:, None, None]
     inv_6vol = (1.0 / (6.0 * g.volume))[:, None, None]
-    A = _m_matrix(g) * inv_d0sq + _s_matrix(g) / g.surface[:, None, None]
+    A = simplex.laplacian(np.add(*_weight_terms(g)), EDGES)
     B0 = -g.d0[0, :, None, None] * K * inv_d0sq + _volume_block(pts, 0) * inv_6vol
     B1 = g.d0[1, :, None, None] * K * inv_d0sq - _volume_block(pts, 1) * inv_6vol
     B2 = -g.d0[2, :, None, None] * K * inv_d0sq + _volume_block(pts, 2) * inv_6vol
@@ -257,33 +251,10 @@ def local_gradient_matrix(lg):
     return LAYOUT.matrix((lg.A_local, lg.B0, lg.B1, lg.B2), np.block)
 
 
-def _abs_clamped(W):
-    """``-|W|`` off the diagonal, with the diagonal rebalanced to zero row sums."""
-    idx = np.arange(4)
-    out = -np.abs(W)
-    out[:, idx, idx] = 0.0
-    out[:, idx, idx] = -out.sum(axis=2)
-    return out
-
-
-def precond_blocks(g):
-    """Abs-clamped symmetric local matrices ``(n, 4, 4)`` from ``geometry(pts)``.
-
-    Off-diagonal weights of both the M and S parts are clamped to
-    ``-|w|`` and diagonals rebalanced to keep zero row sums, which makes
-    every A_abs a weakly diagonally dominant symmetric M-matrix and hence
-    positive semi-definite for any non-degenerate element.
-    """
-    return (
-        _abs_clamped(_m_matrix(g)) / g.d0_sq[:, None, None]
-        + _abs_clamped(_s_matrix(g)) / g.surface[:, None, None]
-    )
-
-
 def abs_local_matrix(pts):
-    """Radius ratio and abs-clamped local matrix: ``(mu, A_abs)``."""
+    """Radius ratio and the preconditioner's local Laplacian: ``(mu, A_abs)``."""
     g = geometry(pts)
-    return g.mu, precond_blocks(g)
+    return g.mu, simplex.laplacian(precond_weights(g), EDGES)
 
 
 class Tetrahedron:

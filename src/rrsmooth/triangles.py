@@ -17,9 +17,11 @@ edges ij at a vertex, and ``2 grad A`` is the opposite edge turned by 90
 degrees. The paper's split of it, ``mu * [[A, B], [-B, A]] @ [X; Y]``
 (``LAYOUT``, no block carrying mu), is materialized by ``local_blocks`` for
 G_F (``--dump-system``) and the tests, which check it against the closed
-form; A is the preconditioner. Every kernel reads one geometry pass
-(``geometry``) on per-coordinate arrays ``pts.T``, which checks the area
-once. The module exports the kernel interface of :mod:`rrsmooth.simplex`.
+form. A is the Laplacian of the edge weights ``c_k``, which are positive,
+so the preconditioner assembles A itself from them (``precond_weights``).
+Every kernel reads one geometry pass (``geometry``) on per-coordinate
+arrays ``pts.T``, which checks the area once. The module exports the
+kernel interface of :mod:`rrsmooth.simplex`.
 """
 
 from collections import namedtuple
@@ -31,6 +33,11 @@ from . import simplex
 from .simplex import DEGENERACY_RTOL, diameters  # noqa: F401  (kernel interface)
 
 LAYOUT = simplex.Layout("A B", ["A B", "-B A"])
+
+# Facet (edge) k is opposite vertex k, oriented outward for a positive cell;
+# EDGES holds the same edges as (tail, head) arrays.
+FACETS = ((1, 2), (2, 0), (0, 1))
+EDGES = tuple(np.array(FACETS).T)
 
 # Sign pattern of the antisymmetric block B = (1 / area) * _B_SIGNS.
 _B_SIGNS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -89,14 +96,17 @@ def geometry(pts):
     return Geometry(area, edges, lengths, p, p * q / (16.0 * area**2))
 
 
-def _edge_weights(g):
-    """``c_k = 1 / (p l_k) + 1 / l_k^2``, shape ``(3, n)``."""
+def precond_weights(g):
+    """``c_k = 1 / (p l_k) + 1 / l_k^2`` per edge of ``EDGES``, shape ``(3, n)``.
+
+    They are A's weights and positive, so they are also the preconditioner's.
+    """
     return 1.0 / (g.p * g.lengths) + 1.0 / g.lengths**2
 
 
 def gradient(g):
     """Per-vertex gradient of mu ``(n, 3, 2)`` in closed form, from ``geometry(pts)``."""
-    w = _edge_weights(g) * g.edges
+    w = precond_weights(g) * g.edges
     G = w[:, [1, 2, 0]] - w[:, [2, 0, 1]]
     G[0] += g.edges[1] / g.area
     G[1] -= g.edges[0] / g.area
@@ -108,23 +118,6 @@ def radius_ratio(pts):
     return geometry(pts).mu
 
 
-def precond_blocks(g):
-    """The Laplacian block A ``(n, 3, 3)`` from ``geometry(pts)``.
-
-    Its off-diagonals are negative and its rows sum to zero, so in 2D the
-    preconditioner assembles A itself.
-    """
-    c0, c1, c2 = _edge_weights(g)
-    A = np.zeros((len(g.mu), 3, 3))
-    A[:, 0, 0] = c1 + c2
-    A[:, 1, 1] = c2 + c0
-    A[:, 2, 2] = c0 + c1
-    A[:, 0, 1] = A[:, 1, 0] = -c2
-    A[:, 0, 2] = A[:, 2, 0] = -c1
-    A[:, 1, 2] = A[:, 2, 1] = -c0
-    return A
-
-
 def local_blocks(pts, g=None):
     """Local matrix form of the gradient: ``(mu, A, B)`` with shapes (n,), (n,3,3).
 
@@ -133,7 +126,8 @@ def local_blocks(pts, g=None):
     """
     if g is None:
         g = geometry(pts)
-    return g.mu, precond_blocks(g), (1.0 / g.area)[:, None, None] * _B_SIGNS
+    A = simplex.laplacian(precond_weights(g), EDGES)
+    return g.mu, A, (1.0 / g.area)[:, None, None] * _B_SIGNS
 
 
 def radius_ratio_gradient(pts):

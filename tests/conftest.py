@@ -55,6 +55,51 @@ def block_gradient(kernel, pts, mu, *blocks):
     return mu[:, None, None] * np.stack(rows, axis=2)
 
 
+def dense_laplacians(kernel, g):
+    """Reference ``(A, A_abs)``, each ``(n, k, k)``, built as dense blocks.
+
+    In 2D both are the hand-written 3x3 Laplacian A of the weights ``c_k``.
+    In 3D ``A = M / |d0|^2 + S / s`` from the star matrix M of the |d0| term
+    and the cotangent matrix S, and ``A_abs`` is the same sum after each of
+    M and S has its off-diagonals clamped to ``-|w|`` and its diagonal
+    rebalanced to zero row sums.
+    """
+    n = len(g.mu)
+    if kernel is triangles:
+        c0, c1, c2 = 1.0 / (g.p * g.lengths) + 1.0 / g.lengths**2
+        A = np.zeros((n, 3, 3))
+        A[:, 0, 0] = c1 + c2
+        A[:, 1, 1] = c2 + c0
+        A[:, 2, 2] = c0 + c1
+        A[:, 0, 1] = A[:, 1, 0] = -c2
+        A[:, 0, 2] = A[:, 2, 0] = -c1
+        A[:, 1, 2] = A[:, 2, 1] = -c0
+        return A, A
+    c23, c31, c12 = (g.d0[:, None] * g.normals[:, 1:]).sum(axis=0)
+    M = np.zeros((n, 4, 4))
+    M[:, 0, 0] = 2 * (c23 + c31 + c12)
+    M[:, 0, 1] = M[:, 1, 0] = -2 * c23
+    M[:, 0, 2] = M[:, 2, 0] = -2 * c31
+    M[:, 0, 3] = M[:, 3, 0] = -2 * c12
+    M[:, 1, 1] = 2 * c23
+    M[:, 2, 2] = 2 * c31
+    M[:, 3, 3] = 2 * c12
+    S = np.zeros((n, 4, 4))
+    for e, (i, j) in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]):
+        S[:, i, j] = S[:, j, i] = -g.cot[e]
+    idx = np.arange(4)
+    S[:, idx, idx] = -S.sum(axis=2)
+
+    def clamped(W):
+        out = -np.abs(W)
+        out[:, idx, idx] = 0.0
+        out[:, idx, idx] = -out.sum(axis=2)
+        return out
+
+    d0_sq, s = g.d0_sq[:, None, None], g.surface[:, None, None]
+    return M * (1.0 / d0_sq) + S / s, clamped(M) / d0_sq + clamped(S) / s
+
+
 def central_diff(f, P, h):
     """Central-difference gradient of a scalar elementwise function."""
     P = np.asarray(P, dtype=float)

@@ -249,10 +249,12 @@ class TestPreconditioner:
 
 
 def coo_preconditioner(mesh):
-    """P by a COO scatter of every local entry, then the active rows and columns."""
+    """P by a COO scatter of every entry of the dense local Laplacians, then
+    the active rows and columns."""
     kernel = m.kernel(mesh.dim)
     g = kernel.geometry(mesh.cell_points())
-    local = (g.mu / mesh.n_cells)[:, None, None] * kernel.precond_blocks(g)
+    local = simplex.laplacian(kernel.precond_weights(g), kernel.EDGES)
+    local = (g.mu / mesh.n_cells)[:, None, None] * local
     k = mesh.cells.shape[1]
     rows = np.repeat(mesh.cells, k, axis=1).ravel()
     cols = np.tile(mesh.cells, k).ravel()

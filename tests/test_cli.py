@@ -65,7 +65,7 @@ class TestPerturbAndOptimize:
         lines = report.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters,eval_s"
+            "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s"
         )
         F = [float(l.split(",")[1]) for l in lines[1:]]
         assert len(F) >= 2
@@ -159,10 +159,10 @@ class TestPerturbAndOptimize:
                 "--max-iters", "10", "--report", str(rep),
             )
             assert code == 0
-            # The last report column, eval_s, is wall-clock seconds; every
-            # other column must repeat to the byte.
-            report = [line.rsplit(",", 1)[0] for line in rep.read_text().splitlines()]
-            assert rep.read_text().splitlines()[0].endswith(",eval_s")
+            # The last three report columns, eval_s, p_build_s and cg_s, are
+            # wall-clock seconds; every other column must repeat to the byte.
+            report = [line.rsplit(",", 3)[0] for line in rep.read_text().splitlines()]
+            assert rep.read_text().splitlines()[0].endswith(",eval_s,p_build_s,cg_s")
             outputs.append((out.read_bytes(), report))
         assert outputs[0] == outputs[1]
 

@@ -11,7 +11,9 @@ from rrsmooth.generate import (
     CUBE, SQUARE, GeneratorSpec, PlantSliver, RandomJitter, gen_mesh, perturb_mesh,
 )
 
-from conftest import block_gradient, central_diff, random_tets, random_triangles
+from conftest import (
+    block_gradient, central_diff, dense_laplacians, random_tets, random_triangles,
+)
 
 KERNELS = pytest.mark.parametrize(
     "kernel, element, random_cells",
@@ -21,8 +23,8 @@ KERNELS = pytest.mark.parametrize(
 )
 
 INTERFACE = (
-    "geometry", "gradient", "local_blocks", "precond_blocks", "LAYOUT",
-    "DEGENERACY_RTOL", "diameters", "signed_measure", "radius_ratio",
+    "geometry", "gradient", "local_blocks", "precond_weights", "EDGES", "FACETS",
+    "LAYOUT", "DEGENERACY_RTOL", "diameters", "signed_measure", "radius_ratio",
     "radius_ratio_gradient", "local_gradient_matrix",
 )
 
@@ -64,7 +66,9 @@ def test_geometry_is_shared_by_every_output(kernel, element, random_cells):
     assert mu.tobytes() == fresh_mu.tobytes() == g.mu.tobytes()
     for b, f in zip(blocks, fresh):
         assert b.tobytes() == f.tobytes()
-    assert kernel.precond_blocks(g).shape == blocks[0].shape
+    weights = kernel.precond_weights(g)
+    assert weights.shape == (len(kernel.EDGES[0]), len(pts))
+    assert simplex.laplacian(weights, kernel.EDGES).shape == blocks[0].shape
 
 
 def hand_written_tet_gradient(pts, mu, A, B0, B1, B2):
@@ -205,3 +209,43 @@ class TestClosedFormGradient:
         with pytest.raises(DegenerateElement) as exc:
             energy_gradient(inverted)
         assert exc.value.cell == c
+
+
+LAPLACIAN_CASES = pytest.mark.parametrize(
+    "kernel, pts",
+    [(triangles, random_triangles(1000, seed=41)), (triangles, jittered_square().cell_points()),
+     (tetrahedra, random_tets(1000, seed=41)), (tetrahedra, slivered_cube().cell_points())],
+    ids=["random-triangles", "jittered-square", "random-tets", "slivered-cube"],
+)
+
+
+def max_entry_error(got, expected, scale):
+    """Largest entry error per cell, relative to that cell's largest entry of ``scale``."""
+    return (np.abs(got - expected).max(axis=(1, 2)) / np.abs(scale).max(axis=(1, 2))).max()
+
+
+class TestLaplacian:
+    """A and P's local matrix are Laplacians of edge weights; the dense
+    M/S construction (``dense_laplacians``) is the reference."""
+
+    @LAPLACIAN_CASES
+    def test_weights_give_the_dense_abs_clamped_matrix(self, kernel, pts):
+        g = kernel.geometry(pts)
+        weights = kernel.precond_weights(g)
+        assert np.all(weights >= 0.0)
+        got = simplex.laplacian(weights, kernel.EDGES)
+        _, expected = dense_laplacians(kernel, g)
+        if kernel is triangles:
+            assert got.tobytes() == expected.tobytes()
+        assert max_entry_error(got, expected, expected) <= 1e-15
+
+    @LAPLACIAN_CASES
+    def test_signed_weights_give_the_dense_block_a(self, kernel, pts):
+        g = kernel.geometry(pts)
+        _, A, *_ = kernel.local_blocks(pts, g)
+        expected, abs_clamped = dense_laplacians(kernel, g)
+        if kernel is triangles:
+            assert A.tobytes() == expected.tobytes()
+        # The 3D weights sum terms of either sign: rounding is relative to
+        # their magnitudes, which the abs-clamped matrix adds up.
+        assert max_entry_error(A, expected, abs_clamped) <= 1e-15

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from rrsmooth import assembly, tetrahedra
+from rrsmooth import assembly, simplex, tetrahedra
 from rrsmooth import mesh as m
 from rrsmooth import optim
 from rrsmooth.errors import IndefiniteMatrix, LineSearchFailed
@@ -530,7 +530,7 @@ class TestMeshOptimizers:
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters,eval_s"
+            "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s"
         )
         assert len(lines) - 1 == report.iterations + 1
         energies = [float(line.split(",")[1]) for line in lines[1:]]
@@ -544,6 +544,8 @@ class TestMeshOptimizers:
         assert float(row[10]) == last.cap and np.isfinite(last.cap)
         assert int(row[11]) == last.cg_iters > 0
         assert float(row[12]) == last.eval_s > 0.0
+        assert float(row[13]) == last.p_build_s > 0.0
+        assert float(row[14]) == last.cg_s > 0.0
 
 
 def jittered_meshes():
@@ -689,6 +691,22 @@ class TestPreconditionerReuse:
         assert [args[2] is not None for args, _ in built] == [True, False]
 
 
+    @pytest.mark.parametrize(
+        "method, shape",
+        [("plbfgs", "cube"), ("fixedpoint", "cube"), ("plbfgs", "square"), ("fixedpoint", "square")],
+    )
+    def test_no_dense_local_matrix_is_built(self, monkeypatch, method, shape):
+        # P is one scatter of edge weights; the dense local Laplacian is
+        # built only for G_F's block A.
+        mesh = slivered_cube(n=3, count=1) if shape == "cube" else jittered_square(6, 0.3, m.FIX_ALL)
+        dense = recording(monkeypatch, simplex, "laplacian")
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=4))
+        assert report.iterations == 4
+        assert dense == []
+        assembly.assemble(mesh)
+        assert len(dense) == 1
+
+
 class TestRecordedWork:
     @pytest.mark.parametrize("method", optim.METHODS)
     def test_records_carry_the_cap_and_cg_iterations(self, monkeypatch, method):
@@ -716,7 +734,77 @@ class TestRecordedWork:
 
     def test_function_problems_record_no_eval_seconds(self):
         _, report = minimize_lbfgs(lambda x: (float(x @ x), 2.0 * x), np.ones(3))
-        assert all(r.eval_s == 0.0 for r in report.records)
+        assert all(r.eval_s == r.p_build_s == r.cg_s == 0.0 for r in report.records)
+
+    def test_p_build_and_cg_seconds_fit_in_the_wall_time(self):
+        mesh = slivered_cube(n=3, count=1)
+        start = time.perf_counter()
+        _, report = optimize(mesh, OptimizeConfig(method="plbfgs", max_iters=5))
+        wall = time.perf_counter() - start
+        build = sum(r.p_build_s for r in report.records)
+        cg = sum(r.cg_s for r in report.records)
+        # One P build and solve per step; none before the first.
+        assert report.records[0].p_build_s == report.records[0].cg_s == 0.0
+        assert all(r.p_build_s > 0.0 and r.cg_s > 0.0 for r in report.records[1:])
+        assert build > 0.0 and cg > 0.0
+        assert build + cg + sum(r.eval_s for r in report.records) <= wall
+
+    @pytest.mark.parametrize("method", ["lbfgs", "nlcg"])
+    def test_methods_without_p_record_no_p_seconds(self, method):
+        mesh = slivered_cube(n=3, count=1)
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=5))
+        assert report.iterations == 5
+        assert all(r.p_build_s == r.cg_s == 0.0 for r in report.records)
+
+
+def contracting_direction():
+    """A square n=4 with one near-sliver and a descent direction whose cap is 1/2.
+
+    An interior vertex v is moved 90% of the way to the opposite edge of one
+    of its cells; the direction moves v back across its star to the midpoint
+    of the opposite edge of the cell facing the other way, which reaches zero
+    area at t = 0.5.
+    """
+    mesh = jittered_square(4, 0.2, m.FIX_ALL)
+    v = np.flatnonzero(~mesh.fixed_mask())[4]
+    star = np.flatnonzero((mesh.cells == v).any(axis=1))
+    verts = mesh.vertices.copy()
+
+    def to_opposite_midpoint(c):
+        return verts[[u for u in mesh.cells[c] if u != v]].mean(axis=0) - verts[v]
+
+    to_mid = {c: to_opposite_midpoint(c) for c in star}
+    first = star[0]
+    facing = min(star, key=lambda c: to_mid[c] @ to_mid[first] / np.linalg.norm(to_mid[c]))
+    verts[v] += 0.9 * to_mid[first]
+    d = np.zeros_like(verts)
+    d[v] = 2.0 * to_opposite_midpoint(facing)
+    return mesh.with_vertices(verts), d.ravel()
+
+
+class TestStepCapFactor:
+    """Why the cap is scaled below 1: the bound itself is where a cell reaches
+    zero measure, so a first trial there evaluates to inf and is wasted. The
+    test shows that some factor below 1 is needed, not that it must be 0.9."""
+
+    @pytest.mark.parametrize("factor", [1.0, 0.9])
+    def test_first_trial_at_the_cap(self, monkeypatch, factor):
+        mesh, d = contracting_direction()
+        bound = m.max_step_before_inversion(mesh, d.reshape(-1, 2))
+        assert bound == pytest.approx(0.5, rel=1e-12)
+        problem = optim.MeshProblem(mesh, OptimizeConfig(step_cap_factor=factor))
+        x = problem.x0
+        f, g = problem.eval(x)
+        assert g @ d < 0.0
+        trials = recording(monkeypatch, problem, "eval")
+        _, f_new, _, record = optim._take_step(problem, problem.config, x, f, g, d, 0, "armijo")
+        assert record.cap == factor * bound < 1.0
+        # Both searches try min(1, cap) first: the cap itself.
+        (first_x,), (first_f, _) = trials[0]
+        np.testing.assert_array_equal(first_x, problem.step(x, d, record.cap))
+        assert math.isfinite(first_f) == (factor < 1.0)
+        assert record.ls_evals == (1 if factor < 1.0 else 2)
+        assert f_new < f
 
 
 class TestConfigValidation:

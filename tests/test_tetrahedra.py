@@ -96,10 +96,10 @@ class TestGradient:
             np.testing.assert_allclose(
                 B + np.transpose(B, (0, 2, 1)), 0.0, atol=1e-13 * np.abs(B).max()
             )
-        # S symmetric and K antisymmetric by construction.
+        # A symmetric and K antisymmetric by construction.
         g = tetrahedra.geometry(pts)
-        K, S = tetrahedra._k_matrix(g), tetrahedra._s_matrix(g)
-        np.testing.assert_array_equal(S, np.transpose(S, (0, 2, 1)))
+        np.testing.assert_array_equal(A, np.transpose(A, (0, 2, 1)))
+        K = tetrahedra._k_matrix(g)
         np.testing.assert_array_equal(K, -np.transpose(K, (0, 2, 1)))
 
     def test_gradient_equals_block_product(self):
