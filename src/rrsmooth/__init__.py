@@ -49,7 +49,6 @@ from .optim import (
     OptimizeReport,
     backtracking_search,
     cg_solve,
-    fixed_point_step,
     minimize_lbfgs,
     minimize_nlcg,
     optimize,

@@ -246,17 +246,6 @@ class SpdAuditReport:
     strictly_dominant_rows: int
     n_components: int
 
-    def lines(self):
-        return [
-            f"rows                    {self.n_rows}",
-            f"max |entry|             {self.matrix_norm:.6e}",
-            f"symmetry residual       {self.symmetry_residual:.3e}",
-            f"min row dominance       {self.min_row_margin:.3e}",
-            f"weakly dominant         {self.weakly_dominant}",
-            f"strictly dominant rows  {self.strictly_dominant_rows}",
-            f"graph components        {self.n_components}",
-        ]
-
 
 def spd_audit(precond):
     """Audit symmetry, row diagonal dominance and graph connectivity of P."""

@@ -28,6 +28,11 @@ SLIDE_PLANAR = "slide-planar"
 # classify_boundary, or written with 17 digits, are unit to a few ulps.
 SLIDE_NORMAL_TOL = 1e-12
 
+# classify_boundary's slide-planar angles in degrees: the coplanarity
+# tolerance, and the largest deviation read as a curved boundary, not a crease.
+ANGLE_TOL_DEG = 1.0
+CREASE_ANGLE_DEG = 60.0
+
 # Quality threshold used for the "poor element" count in reports.
 POOR_QUALITY_THRESHOLD = 0.3
 HISTOGRAM_BINS = 20
@@ -153,6 +158,8 @@ def validate(mesh):
     """Check mesh invariants; returns a list of Violations (empty when valid)."""
     out = []
     nv = mesh.n_vertices
+    if mesh.n_cells == 0:
+        out.append(Violation("no-cells", 0, "the mesh has no cells"))
     if not np.all(np.isfinite(mesh.vertices)):
         for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
             out.append(Violation("non-finite-coordinate", int(v), "vertex has nan/inf"))
@@ -243,14 +250,14 @@ def _facet_adjacency(facets):
     return np.stack([owner[:-1][same], owner[1:][same]], axis=1)
 
 
-def classify_boundary(mesh, policy, angle_tol_deg=1.0, crease_angle_deg=60.0):
+def classify_boundary(mesh, policy):
     """Assign vertex constraints from the boundary structure.
 
     fix-all pins every boundary vertex. slide-planar groups boundary facets
-    into planar patches (normals within angle_tol_deg across shared
+    into planar patches (normals within ANGLE_TOL_DEG across shared
     sub-facets); vertices interior to one patch may slide in its plane,
     vertices on patch seams are fixed. A facet whose every neighbor deviates
-    by more than the tolerance but less than crease_angle_deg signals a
+    by more than the tolerance but less than CREASE_ANGLE_DEG signals a
     discretized curved boundary, which this policy does not support.
     """
     if policy not in (FIX_ALL, SLIDE_PLANAR):
@@ -276,17 +283,17 @@ def classify_boundary(mesh, policy, angle_tol_deg=1.0, crease_angle_deg=60.0):
     for col in (0, 1):
         np.minimum.at(min_angle, pairs[:, col], angle)
         has_neighbor[pairs[:, col]] = True
-        np.logical_or.at(has_coplanar, pairs[:, col], angle <= angle_tol_deg)
-    curved = has_neighbor & ~has_coplanar & (min_angle < crease_angle_deg)
+        np.logical_or.at(has_coplanar, pairs[:, col], angle <= ANGLE_TOL_DEG)
+    curved = has_neighbor & ~has_coplanar & (min_angle < CREASE_ANGLE_DEG)
     if np.any(curved):
         f = int(np.flatnonzero(curved)[0])
         raise NonPlanarPatch(
             f"boundary facet {f} deviates {min_angle[f]:.2f} deg from every "
-            f"neighbor (tolerance {angle_tol_deg} deg): boundary appears curved"
+            f"neighbor (tolerance {ANGLE_TOL_DEG} deg): boundary appears curved"
         )
 
     # Planar patches: components of the facet graph restricted to coplanar pairs.
-    coplanar = pairs[angle <= angle_tol_deg]
+    coplanar = pairs[angle <= ANGLE_TOL_DEG]
     adj = sparse.coo_matrix(
         (np.ones(len(coplanar)), (coplanar[:, 0], coplanar[:, 1])), shape=(m, m)
     )

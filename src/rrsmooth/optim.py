@@ -14,6 +14,7 @@ budget, or a named failure.
 """
 
 import math
+import numbers
 import time
 from collections import Counter, deque
 from contextlib import nullcontext
@@ -39,8 +40,21 @@ PNLCG = "pnlcg"
 METHODS = (FIXED_POINT, LBFGS, PLBFGS, NLCG, PNLCG)
 
 _CURVATURE_PAIR_TOL = 1e-14
-# Stop on an energy stall when the drop over this many steps is below energy_tol.
+# Stop on an energy stall: a drop over _ENERGY_PATIENCE steps of at most
+# ENERGY_TOL (finite, positive) relative to the energy.
 _ENERGY_PATIENCE = 3
+ENERGY_TOL = 1e-12
+LBFGS_MEMORY = 10  # curvature pairs the two-loop recursion keeps (at least 1)
+# Both searches' sufficient-decrease and curvature constants; strong Wolfe
+# needs 0 < c1 < c2 < 1.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+LAM_MIN = 1e-16  # backtracking fails below this step length (finite, positive)
+# Steps are capped at this fraction of the step where the first cell reaches
+# zero measure. Above 1 a cell could invert; at 1 the first trial is the step
+# where a cell reaches zero measure, which evaluates to inf.
+STEP_CAP_FACTOR = 0.9
+_WOLFE_MAX_EVALS = 60  # trials one strong Wolfe search may spend
 
 
 @dataclass
@@ -93,22 +107,17 @@ class LineSearchResult:
     f: float
     df: float
     evals: int
-    armijo_ok: bool
     curvature_ok: bool
 
 
-def strong_wolfe_search(
-    phi, lam_init=1.0, c1=1e-4, c2=0.9, lam_cap=math.inf, max_evals=60, f0=None, df0=None
-):
+def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf):
     """Bracket-and-zoom line search for the strong Wolfe conditions.
 
-    ``phi(lam)`` must return ``(f, f')`` along the ray; the accepted step
-    satisfies both the sufficient-decrease and the curvature-magnitude
-    condition and never exceeds ``lam_cap``. Non-finite trial values are
+    ``phi(lam)`` returns ``(f, f')`` along the ray, ``(f0, df0)`` at 0. From
+    a first trial at ``min(1, lam_cap)`` the accepted step satisfies both
+    conditions and never exceeds ``lam_cap``. Non-finite trial values are
     treated as overshoots and bracketed away.
     """
-    if f0 is None or df0 is None:
-        f0, df0 = phi(0.0)
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     evals = 0
@@ -119,23 +128,23 @@ def strong_wolfe_search(
         return phi(lam)
 
     def done(lam, f, df):
-        return LineSearchResult(lam, f, df, evals, True, True)
+        return LineSearchResult(lam, f, df, evals, True)
 
     lam_prev, f_prev, df_prev = 0.0, f0, df0
-    lam = min(lam_init, lam_cap)
-    for i in range(max_evals):
+    lam = min(1.0, lam_cap)
+    for i in range(_WOLFE_MAX_EVALS):
         f, df = ev(lam)
         if not math.isfinite(f) or f > f0 + c1 * lam * df0 or (i > 0 and f >= f_prev):
             return _zoom(
                 ev, lam_prev, f_prev, df_prev, lam, f, df, f0, df0, c1, c2,
-                max_evals - evals, done,
+                _WOLFE_MAX_EVALS - evals, done,
             )
         if abs(df) <= -c2 * df0:
             return done(lam, f, df)
         if df >= 0.0:
             return _zoom(
                 ev, lam, f, df, lam_prev, f_prev, df_prev, f0, df0, c1, c2,
-                max_evals - evals, done,
+                _WOLFE_MAX_EVALS - evals, done,
             )
         if lam >= lam_cap:
             raise LineSearchFailed(
@@ -180,56 +189,43 @@ def _zoom(ev, lo, f_lo, df_lo, hi, f_hi, df_hi, f0, df0, c1, c2, budget, done):
     raise LineSearchFailed("zoom could not satisfy the strong Wolfe conditions")
 
 
-def backtracking_search(
-    phi, lam_init=1.0, shrink=0.5, c1=1e-4, lam_cap=math.inf, lam_min=1e-16,
-    f0=None, df0=None,
-):
-    """Armijo backtracking; fails when the step underflows lam_min."""
-    if f0 is None or df0 is None:
-        f0, df0 = phi(0.0)
+def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
+    """Armijo backtracking, halving from ``min(1, lam_cap)`` down to LAM_MIN."""
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     evals = 0
-    lam = min(lam_init, lam_cap)
-    while lam >= lam_min:
+    lam = min(1.0, lam_cap)
+    while lam >= LAM_MIN:
         f, df = phi(lam)
         evals += 1
         if math.isfinite(f) and f <= f0 + c1 * lam * df0:
-            return LineSearchResult(lam, f, df, evals, True, abs(df) <= -df0)
-        lam *= shrink
-    raise LineSearchFailed(f"step length underflowed {lam_min:.1e}")
+            return LineSearchResult(lam, f, df, evals, abs(df) <= -df0)
+        lam *= 0.5
+    raise LineSearchFailed(f"step length underflowed {LAM_MIN:.1e}")
 
 
 @dataclass
 class OptimizeConfig:
-    """Knobs shared by every optimizer; defaults follow quasi-Newton practice."""
+    """A run's method, iteration budget and gradient stop.
+
+    The gradient stop is ``|g|_inf <= max(grad_tol * |g0|_inf, grad_tol_abs)``.
+    All methods share the module constants ENERGY_TOL, LBFGS_MEMORY,
+    WOLFE_C1, WOLFE_C2, LAM_MIN and STEP_CAP_FACTOR.
+    """
 
     method: str = PLBFGS
     max_iters: int = 200
     grad_tol: float = 1e-8
     grad_tol_abs: float = 1e-10
-    energy_tol: float = 1e-12
-    lbfgs_memory: int = 10
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    lam_min: float = 1e-16
-    step_cap_factor: float = 0.9
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be >= 1")
-        for name in ("grad_tol", "grad_tol_abs", "energy_tol", "lam_min"):
+        for name in ("grad_tol", "grad_tol_abs"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        # Above 1 the cap would pass the step at which a cell inverts.
-        if not 0.0 < self.step_cap_factor <= 1.0:
-            raise ValueError("step_cap_factor must be in (0, 1]")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 @dataclass
@@ -242,7 +238,6 @@ class IterationRecord:
     lam: float
     ls_evals: int
     ls_kind: str = ""
-    armijo_ok: bool = True
     curvature_ok: bool = True
     min_measure: float = math.nan
     slide_residual: float = 0.0
@@ -262,7 +257,6 @@ class OptimizeReport:
     records: list
     termination: str
     fun_evals: int
-    grad_evals: int
     quality_before: object = None
     quality_after: object = None
     extras: dict = field(default_factory=dict)
@@ -279,7 +273,7 @@ class OptimizeReport:
         out = [
             f"method       {self.method}",
             f"iterations   {self.iterations}",
-            f"evaluations  {self.fun_evals} function / {self.grad_evals} gradient",
+            f"evaluations  {self.fun_evals} (energy and gradient)",
             f"termination  {self.termination}",
             f"energy       {self.records[0].F:.12g} -> {self.final_energy:.12g}",
         ]
@@ -299,13 +293,13 @@ class OptimizeReport:
         owned = not hasattr(path_or_file, "write")
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
             fh.write(
-                "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
+                "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
                 "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
-                    f"{r.ls_kind},{int(r.armijo_ok)},{int(r.curvature_ok)},"
+                    f"{r.ls_kind},{int(r.curvature_ok)},"
                     f"{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
                     f"{r.cg_iters},{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g}\n"
                 )
@@ -351,15 +345,13 @@ class FunctionProblem:
 class MeshProblem:
     """Mesh objective over the flattened (n_vertices * dim) coordinate array."""
 
-    def __init__(self, mesh, config):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.config = config
         self.nv = mesh.n_vertices
         self.dim = mesh.dim
         self.x0 = mesh.vertices.ravel().copy()
         self.fixed = mesh.fixed_mask()
         self.slide = mesh.slide_mask()
-        self.normals = mesh.slide_normals
         self.project_field = constraint_projector(mesh)
         self.fun_evals = 0
         # Built at the first P build: methods without P never need it, and a
@@ -400,7 +392,7 @@ class MeshProblem:
         bound = max_step_before_inversion(
             self.mesh_at(x), d.reshape(self.nv, self.dim)
         )
-        return self.config.step_cap_factor * bound
+        return STEP_CAP_FACTOR * bound
 
     def precond_factory(self, x):
         """The solve with P built at x, per coordinate, as a projected vector map.
@@ -440,7 +432,7 @@ class MeshProblem:
         residual = 0.0
         if disp.size:
             norms = np.linalg.norm(disp, axis=1)
-            dots = np.abs(np.einsum("ij,ij->i", disp, self.normals[self.slide]))
+            dots = np.abs(np.einsum("ij,ij->i", disp, self.mesh.slide_normals[self.slide]))
             moved = norms > 0
             if moved.any():
                 residual = float((dots[moved] / norms[moved]).max())
@@ -454,14 +446,14 @@ def _grad_converged(gnorm, g0norm, config):
     return gnorm <= max(config.grad_tol * g0norm, config.grad_tol_abs)
 
 
-def _energy_stalled(history, config):
+def _energy_stalled(history):
     if len(history) <= _ENERGY_PATIENCE:
         return False
     drop = history[0] - history[-1]
-    return drop <= config.energy_tol * max(abs(history[-1]), 1.0)
+    return drop <= ENERGY_TOL * max(abs(history[-1]), 1.0)
 
 
-def _take_step(problem, config, x, f, g, d, k, kind):
+def _take_step(problem, x, f, g, d, k, kind):
     """Run one line search along d; returns (x_new, f_new, g_new, record)."""
     cache = {}
 
@@ -475,15 +467,9 @@ def _take_step(problem, config, x, f, g, d, k, kind):
     df0 = float(g @ d)
     cap = problem.lam_cap(x, d)
     if kind == "armijo":
-        ls = backtracking_search(
-            phi, lam_init=1.0, c1=config.wolfe_c1, lam_cap=cap,
-            lam_min=config.lam_min, f0=f, df0=df0,
-        )
+        ls = backtracking_search(phi, f, df0, c1=WOLFE_C1, lam_cap=cap)
     else:
-        ls = strong_wolfe_search(
-            phi, lam_init=1.0, c1=config.wolfe_c1, c2=config.wolfe_c2,
-            lam_cap=cap, f0=f, df0=df0,
-        )
+        ls = strong_wolfe_search(phi, f, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=cap)
     x_new, f_new, g_new = cache[ls.lam]
     record = IterationRecord(
         index=k + 1,
@@ -492,7 +478,6 @@ def _take_step(problem, config, x, f, g, d, k, kind):
         lam=ls.lam,
         ls_evals=ls.evals,
         ls_kind=kind,
-        armijo_ok=ls.armijo_ok,
         curvature_ok=ls.curvature_ok,
         cap=cap,
         **problem.take_work(),
@@ -626,7 +611,7 @@ def _descend(problem, config, strategy):
     for k in range(config.max_iters):
         if _grad_converged(_inf_norm(g), g0n, config):
             return x, records, "grad_tol"
-        if _energy_stalled(history, config):
+        if _energy_stalled(history):
             return x, records, "energy_tol"
         try:
             d, is_fallback = strategy.direction(x, g)
@@ -638,9 +623,7 @@ def _descend(problem, config, strategy):
             return x, records, "grad_tol"
         while True:
             try:
-                x_new, f_new, g_new, rec = _take_step(
-                    problem, config, x, f, g, d, k, strategy.kind
-                )
+                x_new, f_new, g_new, rec = _take_step(problem, x, f, g, d, k, strategy.kind)
                 break
             except LineSearchFailed:
                 if is_fallback:
@@ -659,7 +642,7 @@ def _run(problem, config, method):
     if method == FIXED_POINT:
         strategy = _FixedPoint(problem)
     elif method in (LBFGS, PLBFGS):
-        strategy = _Lbfgs(problem, config.lbfgs_memory, method == PLBFGS)
+        strategy = _Lbfgs(problem, LBFGS_MEMORY, method == PLBFGS)
     else:
         strategy = _Nlcg(problem, method == PNLCG)
     x, records, termination = _descend(problem, config, strategy)
@@ -668,7 +651,6 @@ def _run(problem, config, method):
         records=records,
         termination=termination,
         fun_evals=problem.fun_evals,
-        grad_evals=problem.fun_evals,  # every evaluation returns the gradient too
         extras=strategy.extras,
     )
     return x, report
@@ -680,38 +662,16 @@ def minimize_lbfgs(fun_grad, x0, config=None, precond_solve=None):
     With ``precond_solve`` the inner two-loop seed solves P r = q; without
     it the seed is the identity (no implicit scaling).
     """
-    config = config or OptimizeConfig(method=LBFGS)
     problem = FunctionProblem(fun_grad, x0, precond_solve)
-    return _run(problem, config, PLBFGS if precond_solve is not None else LBFGS)
+    method = PLBFGS if precond_solve is not None else LBFGS
+    return _run(problem, config or OptimizeConfig(), method)
 
 
 def minimize_nlcg(fun_grad, x0, config=None, precond_solve=None):
     """Polak-Ribiere nonlinear CG on a plain objective."""
-    config = config or OptimizeConfig(method=NLCG)
     problem = FunctionProblem(fun_grad, x0, precond_solve)
-    return _run(problem, config, PNLCG if precond_solve is not None else NLCG)
-
-
-def fixed_point_step(mesh, config=None):
-    """One fixed-point update: direction, guarded line search, new mesh.
-
-    Returns ``(direction_field, new_mesh, record)``. The direction is the
-    preconditioned gradient step ``-P^-1 g``, in 2D the frozen-off-diagonal
-    update of the paper; the step along it is accepted by backtracking in
-    2D and a strong Wolfe search in 3D.
-    """
-    config = config or OptimizeConfig(method=FIXED_POINT)
-    problem = MeshProblem(mesh, config)
-    strategy = _FixedPoint(problem)
-    x = problem.x0
-    f, g = problem.eval(x)
-    d, _ = strategy.direction(x, g)
-    field = d.reshape(problem.nv, problem.dim)
-    if not np.any(d):
-        record = IterationRecord(1, f, _inf_norm(g), 0.0, 0, ls_kind=strategy.kind)
-        return field, mesh.copy(), record
-    x_new, _, _, record = _take_step(problem, config, x, f, g, d, 0, strategy.kind)
-    return field, problem.mesh_at(x_new), record
+    method = PNLCG if precond_solve is not None else NLCG
+    return _run(problem, config or OptimizeConfig(), method)
 
 
 def optimize(mesh, config=None):
@@ -729,7 +689,7 @@ def optimize(mesh, config=None):
             + "; ".join(str(v) for v in violations[:5])
         )
     quality_before = quality_stats(mesh)
-    problem = MeshProblem(mesh, config)
+    problem = MeshProblem(mesh)
     x, report = _run(problem, config, config.method)
     out = problem.mesh_at(x)
     report.quality_before = quality_before

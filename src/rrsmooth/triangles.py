@@ -71,12 +71,6 @@ def signed_area(pts):
 signed_measure = signed_area
 
 
-def edge_lengths(pts):
-    """Edge lengths ``(l0, l1, l2)``, edge i opposite vertex i."""
-    pts = np.asarray(pts, dtype=float)
-    return np.linalg.norm(pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]], axis=2)
-
-
 def geometry(pts):
     """The one geometry pass every kernel reads.
 
@@ -153,9 +147,6 @@ class Triangle:
 
     def signed_area(self):
         return float(signed_area(self._batch)[0])
-
-    def edge_lengths(self):
-        return edge_lengths(self._batch)[0]
 
     def radius_ratio(self):
         return float(radius_ratio(self._batch)[0])

@@ -130,5 +130,15 @@ RIGHT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @pytest.fixture
+def exact_line_search(monkeypatch):
+    """Wolfe constants so small that each accepted step is the exact minimizer
+    along its ray to rounding, as the quadratic-termination identities need."""
+    from rrsmooth import optim
+
+    monkeypatch.setattr(optim, "WOLFE_C1", 1e-13)
+    monkeypatch.setattr(optim, "WOLFE_C2", 1e-10)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -64,7 +64,7 @@ class TestPerturbAndOptimize:
         assert out_path.exists()
         lines = report.read_text().splitlines()
         assert lines[0] == (
-            "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
             "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s"
         )
         F = [float(l.split(",")[1]) for l in lines[1:]]

@@ -43,6 +43,13 @@ class TestValidate:
         v = m.validate(bad)
         assert any(x.rule == "index-out-of-range" and x.index == 1 for x in v)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mesh_without_cells(self, dim):
+        empty = m.SimplexMesh(np.zeros((dim + 1, dim)), np.zeros((0, dim + 1), int))
+        assert [v.rule for v in m.validate(empty)] == ["no-cells"]
+        with pytest.raises(MeshError, match="no-cells"):
+            optimize(empty)
+
     def test_repeated_vertex(self):
         bad = unit_square_two_tris()
         bad.cells[1, 2] = bad.cells[1, 0]

@@ -27,7 +27,6 @@ from rrsmooth.optim import (
     _two_loop,
     backtracking_search,
     cg_solve,
-    fixed_point_step,
     minimize_lbfgs,
     minimize_nlcg,
     optimize,
@@ -150,12 +149,17 @@ class TestBacktracking:
         assert 0.0 < res.lam <= 1.0
         assert math.exp(res.lam) - 2.0 * res.lam <= 1.0 + 1e-4 * res.lam * (-1.0)
 
-    def test_underflow_raises(self):
+    def test_underflow_raises(self, monkeypatch):
+        monkeypatch.setattr(optim, "LAM_MIN", 1e-4)
+        trials = []
+
         def phi(lam):
+            trials.append(lam)
             return 1.0, 0.0  # never satisfies Armijo
 
         with pytest.raises(LineSearchFailed):
-            backtracking_search(phi, f0=0.0, df0=-1.0, lam_min=1e-4)
+            backtracking_search(phi, f0=0.0, df0=-1.0)
+        assert min(trials) == 2.0**-13 >= optim.LAM_MIN
 
 
 def quadratic_problem(Q, b=None):
@@ -166,11 +170,6 @@ def quadratic_problem(Q, b=None):
         return 0.5 * x @ (Q @ x) - b @ x, Q @ x - b
 
     return fun_grad
-
-
-def exact_ls_config(**kw):
-    kw.setdefault("grad_tol_abs", 1e-10)
-    return OptimizeConfig(method="lbfgs", wolfe_c1=1e-13, wolfe_c2=1e-10, **kw)
 
 
 class TestTwoLoop:
@@ -239,33 +238,37 @@ class TestCurvaturePairTolerance:
         assert any(failed)
 
 
+@pytest.mark.usefixtures("exact_line_search")
 class TestLbfgsOnQuadratics:
-    def test_converges_within_dimension_plus_two(self, rng):
+    def test_converges_within_dimension_plus_two(self, rng, monkeypatch):
         for n in (2, 4, 7):
             A = rng.normal(size=(n, n))
             Q = A @ A.T + 0.5 * np.eye(n)
             fun_grad = quadratic_problem(Q)
             x0 = rng.normal(size=n)
-            cfg = exact_ls_config(max_iters=n + 2, lbfgs_memory=n + 2)
+            monkeypatch.setattr(optim, "LBFGS_MEMORY", n + 2)
+            cfg = OptimizeConfig(max_iters=n + 2)
             x, report = minimize_lbfgs(fun_grad, x0, cfg)
             assert np.linalg.norm(Q @ x, np.inf) <= 1e-10
             assert report.iterations <= n + 2
 
-    def test_skips_tiny_curvature_pairs(self):
+    def test_skips_tiny_curvature_pairs(self, monkeypatch):
         # A flat direction produces y ~ 0; the pair must be dropped, not
         # poison rho.
         Q = np.diag([1.0, 1e-18])
         fun_grad = quadratic_problem(Q)
-        cfg = exact_ls_config(max_iters=5, lbfgs_memory=4, grad_tol_abs=1e-9)
+        monkeypatch.setattr(optim, "LBFGS_MEMORY", 4)
+        cfg = OptimizeConfig(max_iters=5, grad_tol_abs=1e-9)
         x, report = minimize_lbfgs(fun_grad, np.array([1.0, 1.0]), cfg)
         assert abs(x[0]) < 1e-9
 
 
+@pytest.mark.usefixtures("exact_line_search")
 class TestNlcgOnQuadratics:
     def test_two_variable_quadratic_two_iterations(self):
         Q = np.array([[3.0, 1.0], [1.0, 2.0]])
         fun_grad = quadratic_problem(Q)
-        cfg = exact_ls_config(max_iters=3)
+        cfg = OptimizeConfig(max_iters=3)
         x, report = minimize_nlcg(fun_grad, np.array([1.0, -2.0]), cfg)
         assert np.linalg.norm(Q @ x, np.inf) <= 1e-9
         assert report.iterations <= 2 + 1
@@ -277,7 +280,7 @@ class TestNlcgOnQuadratics:
         b = rng.normal(size=n)
         fun_grad = quadratic_problem(Q, b)
         x0 = np.zeros(n)
-        cfg = exact_ls_config(max_iters=n, grad_tol_abs=1e-13, grad_tol=1e-13)
+        cfg = OptimizeConfig(max_iters=n, grad_tol_abs=1e-13, grad_tol=1e-13)
         _, report = minimize_nlcg(fun_grad, x0, cfg)
         betas = report.extras["betas"]
 
@@ -335,6 +338,15 @@ def jittered_square(n, amplitude, policy):
     return m.classify_boundary(mesh, policy)
 
 
+def first_fixed_point_direction(mesh):
+    """The fixed point's first direction field, projected -P^-1 g at the input."""
+    problem = optim.MeshProblem(mesh)
+    x = problem.x0
+    _, g = problem.eval(x)
+    d, _ = optim._FixedPoint(problem).direction(x, g)
+    return d.reshape(problem.nv, problem.dim)
+
+
 class TestFixedPoint:
     def test_stationary_mesh_terminates_immediately(self):
         mesh = optimal_square_mesh()
@@ -345,9 +357,7 @@ class TestFixedPoint:
 
     def test_step_on_stationary_mesh_is_zero(self):
         mesh = optimal_square_mesh()
-        d, out, record = fixed_point_step(mesh)
-        assert np.abs(d).max() <= 1e-10
-        assert record.lam == 0.0 or record.ls_evals <= 2
+        assert np.abs(first_fixed_point_direction(mesh)).max() <= 1e-10
 
     def test_perturbed_lattice_recovers_quality(self):
         mesh = perturbed_lattice()
@@ -357,14 +367,13 @@ class TestFixedPoint:
         assert stats.min_q >= 0.99
         assert report.iterations <= 30
 
-    def test_perturbed_lattice_gradient_convergence(self):
+    def test_perturbed_lattice_gradient_convergence(self, monkeypatch):
         # Reaches an absolute free-gradient norm of 1e-8 within 30 iterations.
         from rrsmooth.assembly import assemble
 
+        monkeypatch.setattr(optim, "ENERGY_TOL", 1e-16)
         mesh = perturbed_lattice()
-        cfg = OptimizeConfig(
-            method="fixedpoint", max_iters=30, grad_tol_abs=1e-8, energy_tol=1e-16
-        )
+        cfg = OptimizeConfig(method="fixedpoint", max_iters=30, grad_tol_abs=1e-8)
         out, report = optimize(mesh, cfg)
         assert report.termination == "grad_tol"
         g = assemble(out).gradient_field()
@@ -375,7 +384,8 @@ class TestFixedPoint:
         from rrsmooth.assembly import assemble
 
         f0 = assemble(mesh).F
-        d, out, record = fixed_point_step(mesh)
+        out, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=1))
+        assert report.iterations == 1
         f1 = assemble(out).F
         assert f1 < f0
 
@@ -405,7 +415,7 @@ class TestFixedPoint:
             sol, info = cg_solve(P, rhs[c][free], tol=1e-13)
             assert info.converged
             ref[free, c] = sol - mesh.vertices[free, c]
-        d, _, _ = fixed_point_step(mesh)
+        d = first_fixed_point_direction(mesh)
         assert np.linalg.norm(d - ref) <= 1e-6 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize(
@@ -487,7 +497,6 @@ class TestMeshOptimizers:
         energies = [r.F for r in report.records]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
         for r in report.records[1:]:
-            assert r.armijo_ok
             if r.ls_kind == "wolfe":
                 assert r.curvature_ok
 
@@ -504,7 +513,6 @@ class TestMeshOptimizers:
         for method in ("fixedpoint", "plbfgs", "nlcg"):
             _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=10))
             assert report.fun_evals >= report.iterations
-            assert report.grad_evals >= report.iterations
 
     def test_invalid_mesh_rejected(self):
         from rrsmooth.errors import MeshError
@@ -514,14 +522,6 @@ class TestMeshOptimizers:
         with pytest.raises(MeshError):
             optimize(mesh, OptimizeConfig(method="plbfgs"))
 
-    def test_fixed_point_step_propagates_line_search_failure(self):
-        # An ascent-only situation is impossible on a valid mesh, but a cap
-        # of effectively zero forces the search to fail and propagate.
-        mesh = slivered_cube(n=3, count=1)
-        cfg = OptimizeConfig(method="fixedpoint", step_cap_factor=1e-300)
-        with pytest.raises(LineSearchFailed):
-            fixed_point_step(mesh, config=cfg)
-
     def test_report_csv_shape(self, tmp_path):
         mesh = perturbed_lattice(6)
         out, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=10))
@@ -529,7 +529,7 @@ class TestMeshOptimizers:
         report.write_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
-            "iter,F,grad_norm,lambda,ls_evals,ls_kind,armijo_ok,curvature_ok,"
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
             "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s"
         )
         assert len(lines) - 1 == report.iterations + 1
@@ -537,15 +537,15 @@ class TestMeshOptimizers:
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
         # Every record field is written, in full precision.
         last, row = report.records[-1], lines[-1].split(",")
-        assert row[5:8] == [last.ls_kind, str(int(last.armijo_ok)), str(int(last.curvature_ok))]
-        assert float(row[8]) == last.min_measure
-        assert float(row[9]) == last.slide_residual
+        assert row[5:7] == [last.ls_kind, str(int(last.curvature_ok))]
+        assert float(row[7]) == last.min_measure
+        assert float(row[8]) == last.slide_residual
         # The fixed point solves with P every step, under a finite cap.
-        assert float(row[10]) == last.cap and np.isfinite(last.cap)
-        assert int(row[11]) == last.cg_iters > 0
-        assert float(row[12]) == last.eval_s > 0.0
-        assert float(row[13]) == last.p_build_s > 0.0
-        assert float(row[14]) == last.cg_s > 0.0
+        assert float(row[9]) == last.cap and np.isfinite(last.cap)
+        assert int(row[10]) == last.cg_iters > 0
+        assert float(row[11]) == last.eval_s > 0.0
+        assert float(row[12]) == last.p_build_s > 0.0
+        assert float(row[13]) == last.cg_s > 0.0
 
 
 def jittered_meshes():
@@ -564,10 +564,10 @@ class TestAbnormalStops:
 
     @pytest.mark.parametrize("shape", ["square", "cube"])
     @pytest.mark.parametrize("method", optim.METHODS)
-    def test_zero_step_cap_fails_the_line_search(self, meshes, shape, method):
+    def test_zero_step_cap_fails_the_line_search(self, meshes, shape, method, monkeypatch):
         mesh = m.classify_boundary(meshes[shape], m.FIX_ALL)
-        cfg = OptimizeConfig(method=method, step_cap_factor=1e-300)
-        out, report = optimize(mesh, cfg)
+        monkeypatch.setattr(optim, "STEP_CAP_FACTOR", 1e-300)
+        out, report = optimize(mesh, OptimizeConfig(method=method))
         assert report.termination == "line_search_failed"
         assert report.iterations == 0
         np.testing.assert_array_equal(out.vertices, mesh.vertices)
@@ -588,20 +588,46 @@ class TestAbnormalStops:
 
     @pytest.mark.parametrize("shape", ["square", "cube"])
     @pytest.mark.parametrize("method", optim.METHODS)
-    def test_energy_stall(self, meshes, shape, method):
+    def test_energy_stall(self, meshes, shape, method, monkeypatch):
         mesh = m.classify_boundary(meshes[shape], m.FIX_ALL)
-        _, report = optimize(mesh, OptimizeConfig(method=method, energy_tol=0.5))
+        monkeypatch.setattr(optim, "ENERGY_TOL", 0.5)
+        _, report = optimize(mesh, OptimizeConfig(method=method))
         assert report.termination == "energy_tol"
         assert report.iterations == 3
 
     @pytest.mark.parametrize("method", ["lbfgs", "plbfgs"])
-    def test_failed_search_is_not_retried_along_the_same_direction(self, meshes, method):
+    def test_failed_search_is_not_retried_along_the_same_direction(
+        self, meshes, method, monkeypatch
+    ):
         # With no curvature pairs the quasi-Newton direction already is the
         # steepest one: one evaluation at x0, one failed trial, then stop.
         mesh = m.classify_boundary(meshes["cube"], m.FIX_ALL)
-        _, report = optimize(mesh, OptimizeConfig(method=method, step_cap_factor=1e-300))
+        monkeypatch.setattr(optim, "STEP_CAP_FACTOR", 1e-300)
+        _, report = optimize(mesh, OptimizeConfig(method=method))
         assert report.termination == "line_search_failed"
         assert report.fun_evals == 2
+
+
+class TestEnergyPatience:
+    """Why a stall is judged over _ENERGY_PATIENCE = 3 steps: near the
+    minimum PLBFGS takes single steps, and pairs of steps, whose energy drop
+    is below ENERGY_TOL before the gradient has converged. With a shorter
+    window this run stops early (after 22 and 23 steps, with the largest
+    gradient entry at 2.7e-7 and 7.7e-8); with 3 it reaches grad_tol after
+    24. The test shows that 3 is needed here, not that more is never needed.
+    """
+
+    @pytest.mark.parametrize(
+        "patience, termination",
+        [(1, "energy_tol"), (2, "energy_tol"), (3, "grad_tol")],
+    )
+    def test_shorter_windows_stop_before_the_gradient_converges(
+        self, monkeypatch, patience, termination
+    ):
+        monkeypatch.setattr(optim, "_ENERGY_PATIENCE", patience)
+        mesh = jittered_square(8, 0.3, m.SLIDE_PLANAR)
+        _, report = optimize(mesh, OptimizeConfig(method="plbfgs"))
+        assert report.termination == termination
 
 
 def counting(monkeypatch, name):
@@ -677,7 +703,7 @@ class TestPreconditionerReuse:
     @pytest.mark.parametrize("shape", ["square", "cube"])
     def test_factory_builds_the_fresh_preconditioner(self, monkeypatch, shape):
         mesh = m.classify_boundary(jittered_meshes()[shape], m.FIX_ALL)
-        problem = optim.MeshProblem(mesh, OptimizeConfig())
+        problem = optim.MeshProblem(mesh)
         built = recording(monkeypatch, optim, "assemble_preconditioner")
         x = problem.x0
         other = problem.step(x, problem.project(np.ones_like(x)), 1e-3)
@@ -792,12 +818,13 @@ class TestStepCapFactor:
         mesh, d = contracting_direction()
         bound = m.max_step_before_inversion(mesh, d.reshape(-1, 2))
         assert bound == pytest.approx(0.5, rel=1e-12)
-        problem = optim.MeshProblem(mesh, OptimizeConfig(step_cap_factor=factor))
+        monkeypatch.setattr(optim, "STEP_CAP_FACTOR", factor)
+        problem = optim.MeshProblem(mesh)
         x = problem.x0
         f, g = problem.eval(x)
         assert g @ d < 0.0
         trials = recording(monkeypatch, problem, "eval")
-        _, f_new, _, record = optim._take_step(problem, problem.config, x, f, g, d, 0, "armijo")
+        _, f_new, _, record = optim._take_step(problem, x, f, g, d, 0, "armijo")
         assert record.cap == factor * bound < 1.0
         # Both searches try min(1, cap) first: the cap itself.
         (first_x,), (first_f, _) = trials[0]
@@ -808,34 +835,19 @@ class TestStepCapFactor:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_wolfe_constants(self):
-        with pytest.raises(ValueError):
-            OptimizeConfig(wolfe_c1=0.5, wolfe_c2=0.1)
-
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             OptimizeConfig(method="newton")
-
-    def test_rejects_zero_memory(self):
-        with pytest.raises(ValueError):
-            OptimizeConfig(lbfgs_memory=0)
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("grad_tol", math.nan),
             ("grad_tol_abs", math.inf),
-            ("energy_tol", -1.0),
-            ("lam_min", math.nan),
-            ("lam_min", 0.0),
-            ("step_cap_factor", 0.0),
-            ("step_cap_factor", 1.5),
-            ("step_cap_factor", math.nan),
+            ("max_iters", -1),
+            ("max_iters", 2.5),
         ],
     )
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizeConfig(**{field: value})
-
-    def test_accepts_a_full_step_cap(self):
-        assert OptimizeConfig(step_cap_factor=1.0).step_cap_factor == 1.0
