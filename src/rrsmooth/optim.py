@@ -55,6 +55,10 @@ LAM_MIN = 1e-16  # backtracking fails below this step length (finite, positive)
 # where a cell reaches zero measure, which evaluates to inf.
 STEP_CAP_FACTOR = 0.9
 _WOLFE_MAX_EVALS = 60  # trials one strong Wolfe search may spend
+# Relative residual at which the optimize path's P solves stop. A step needs
+# a descent direction, not an exact P^-1 g (see cg_solve); tighter costs CG
+# iterations for the same steps, much looser costs energy per step.
+CG_RTOL = 1e-2
 
 
 @dataclass
@@ -65,10 +69,14 @@ class CgInfo:
 
 
 def cg_solve(A, b, tol=1e-8, max_iters=None):
-    """Conjugate gradients for SPD A; returns (x, CgInfo).
+    """Conjugate gradients for SPD A from x = 0; returns (x, CgInfo).
 
-    Raises IndefiniteMatrix if a search direction has non-positive
-    curvature, which means A is not SPD.
+    Stops once the relative residual ``|b - A x| / |b|`` is at most ``tol``
+    or after ``max_iters`` iterations. Every truncation descends: each
+    iterate ``x_k`` with k >= 1 satisfies ``b @ x_k = x_k @ A @ x_k > 0``
+    (Steihaug 1983), so ``-x_k`` is a descent direction for a gradient b
+    whenever b != 0. Raises IndefiniteMatrix if a search direction has
+    non-positive curvature, which means A is not SPD.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -241,11 +249,14 @@ class IterationRecord:
     curvature_ok: bool = True
     min_measure: float = math.nan
     slide_residual: float = 0.0
-    # The step's inversion cap, CG iterations of its P solves, and seconds
-    # in its evaluations (record 0: the initial evaluation), its P builds
-    # and its P solves.
+    # The step's inversion cap, the CG iterations of its P solves and their
+    # worst relative residual, whether _descend replaced the strategy's
+    # direction by its fallback, and seconds in its evaluations (record 0:
+    # the initial evaluation), its P builds and its P solves.
     cap: float = math.nan
     cg_iters: int = 0
+    cg_residual: float = 0.0
+    fallback: bool = False
     eval_s: float = 0.0
     p_build_s: float = 0.0
     cg_s: float = 0.0
@@ -294,14 +305,16 @@ class OptimizeReport:
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
             fh.write(
                 "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
-                "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s\n"
+                "min_measure,slide_residual,cap,cg_iters,cg_residual,fallback,"
+                "eval_s,p_build_s,cg_s\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
                     f"{r.ls_kind},{int(r.curvature_ok)},"
                     f"{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
-                    f"{r.cg_iters},{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g}\n"
+                    f"{r.cg_iters},{r.cg_residual:.17g},{int(r.fallback)},"
+                    f"{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g}\n"
                 )
 
 
@@ -359,8 +372,8 @@ class MeshProblem:
         self.topology = None
         # (x, kernel geometry) of the last point evaluated.
         self.kept = None
-        # IterationRecord's work fields (cg_iters, eval_s, p_build_s, cg_s)
-        # summed since the last take_work().
+        # IterationRecord's work fields since the last take_work(): cg_iters,
+        # eval_s, p_build_s and cg_s summed, cg_residual the largest.
         self.work = Counter()
 
     def mesh_at(self, x):
@@ -398,7 +411,13 @@ class MeshProblem:
         """The solve with P built at x, per coordinate, as a projected vector map.
 
         P is built from the kernel geometry of the last evaluation when x is
-        that point, as it is whenever `_descend` asks.
+        that point, as it is whenever `_descend` asks. Each CG solve stops at
+        the relative residual CG_RTOL, so the map is an inexact P^-1. For a
+        projected g it still gives ``g @ solve(g) > 0`` (see cg_solve; the
+        projector is symmetric and idempotent), so the fixed point's and
+        PNLCG's steepest direction ``-solve(g)`` descend. PLBFGS applies the
+        map to the two-loop vector, where it is a non-linear seed H0; a
+        direction that does not descend is caught by `_descend`'s fallback.
         """
         start = time.perf_counter()
         if self.topology is None:
@@ -414,8 +433,10 @@ class MeshProblem:
             rhs = vec.reshape(self.nv, self.dim)
             out = np.zeros_like(rhs)
             for c in range(self.dim):
-                out[pre.active, c], info = cg_solve(pre.P, rhs[pre.active, c])
+                b = rhs[pre.active, c]
+                out[pre.active, c], info = cg_solve(pre.P, b, tol=CG_RTOL)
                 self.work["cg_iters"] += info.iterations
+                self.work["cg_residual"] = max(self.work["cg_residual"], info.residual)
             self.work["cg_s"] += time.perf_counter() - start
             return self.project_field(out).ravel()
 
@@ -427,7 +448,16 @@ class MeshProblem:
         return work
 
     def step_metrics(self, x_old, x_new):
-        m = self.mesh_at(x_new)
+        """The accepted step's smallest cell measure and slide drift.
+
+        The accepted trial is the last point the line search evaluated, so
+        its measures are read from the kept geometry (field 0: the area or
+        volume, with the bits of ``signed_measures``).
+        """
+        if self.kept is not None and np.array_equal(self.kept[0], x_new):
+            measures = self.kept[1][0]
+        else:
+            measures = self.mesh_at(x_new).signed_measures()
         disp = (x_new - x_old).reshape(self.nv, self.dim)[self.slide]
         residual = 0.0
         if disp.size:
@@ -437,7 +467,7 @@ class MeshProblem:
             if moved.any():
                 residual = float((dots[moved] / norms[moved]).max())
         return {
-            "min_measure": float(m.signed_measures().min()),
+            "min_measure": float(measures.min()),
             "slide_residual": residual,
         }
 
@@ -578,10 +608,13 @@ class _FixedPoint(_Strategy):
     The fixed point freezes the off-diagonal blocks of G_F and solves with
     the SPD diagonal block. In 2D the reduced preconditioner P is that block
     on the free rows, so the frozen-off-diagonal update
-    ``P V_new = -(B V) - A_fixed V_fixed`` is exactly ``V_new = V - P^-1 g``.
-    The residual form ``project(-P^-1 g)`` is used everywhere: it descends
-    whenever g != 0, while the coordinate form, with sliding vertices or the
-    abs-clamped P of 3D, settles where ``g = (A_ff - P) V_free``, not g = 0.
+    ``P V_new = -(B V) - A_fixed V_fixed`` is ``V_new = V - P^-1 g``, up to
+    the CG residual CG_RTOL of the solve. The truncated solve still descends:
+    g is projected and the projector is symmetric, so ``g @ solve(g) > 0``
+    for any CG truncation (see cg_solve). The residual form
+    ``project(-P^-1 g)`` is used everywhere: it descends whenever g != 0,
+    while the coordinate form, with sliding vertices or the abs-clamped P of
+    3D, settles where ``g = (A_ff - P) V_free``, not g = 0.
     """
 
     def __init__(self, problem):
@@ -601,7 +634,8 @@ def _descend(problem, config, strategy):
 
     ``strategy.direction(x, g)`` returns ``(d, d_is_the_fallback)``,
     ``fallback(g)`` the direction to retry with once, and ``accept`` sees
-    every accepted step.
+    every accepted step. A record's ``fallback`` says whether its step was
+    taken along ``fallback(g)`` in place of the strategy's direction.
     """
     x = problem.x0.copy()
     f, g = problem.eval(x)
@@ -617,6 +651,7 @@ def _descend(problem, config, strategy):
             d, is_fallback = strategy.direction(x, g)
         except MeshError as e:
             return x, records, f"preconditioner_error: {e}"
+        own_direction = not is_fallback
         if not is_fallback and not float(g @ d) < 0.0:
             d, is_fallback = strategy.fallback(g), True
         if not float(g @ d) < 0.0:
@@ -629,6 +664,7 @@ def _descend(problem, config, strategy):
                 if is_fallback:
                     return x, records, "line_search_failed"
                 d, is_fallback = strategy.fallback(g), True
+        rec.fallback = own_direction and is_fallback
         strategy.accept(x, x_new, g, g_new)
         x, f, g = x_new, f_new, g_new
         records.append(rec)

@@ -71,6 +71,34 @@ class TestCgSolve:
         assert np.all(x == 0.0)
         assert info == CgInfo(0, 1.0, False)
 
+    def test_every_truncation_descends(self, rng):
+        # Stopped after any k >= 1 iterations, CG from 0 returns x_k with
+        # b @ x_k = x_k @ P @ x_k > 0 (Steihaug 1983), so -x_k descends for
+        # the gradient b. The identity holds to rounding; past convergence
+        # its error grows slowly with k as orthogonality is lost.
+        for _ in range(20):
+            P = reduced_laplacian(rng, 16)
+            b = rng.normal(size=P.shape[0])
+            for k in range(1, P.shape[0] + 1):
+                x, info = cg_solve(P, b, tol=0.0, max_iters=k)
+                assert info.iterations == k
+                assert b @ x > 0.0
+                assert b @ x == pytest.approx(x @ (P @ x), rel=1e-10)
+
+
+def reduced_laplacian(rng, n):
+    """A connected weighted graph Laplacian on n vertices with 1-3 of them
+    fixed, reduced to the free rows and columns: SPD, like P."""
+    tail, head = np.arange(n - 1), np.arange(1, n)
+    extra = rng.integers(0, n, size=(2, 2 * n))
+    extra = extra[:, extra[0] != extra[1]]
+    i, j = np.concatenate([tail, extra[0]]), np.concatenate([head, extra[1]])
+    w = rng.uniform(0.1, 1.0, size=i.size)
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    L = sparse.coo_matrix((np.concatenate([-w, -w, w, w]), (rows, cols)), shape=(n, n)).tocsr()
+    free = np.setdiff1d(np.arange(n), rng.choice(n, size=rng.integers(1, 4), replace=False))
+    return L[free][:, free]
+
 
 class TestStrongWolfe:
     def test_quadratic_accepts_unit_step(self):
@@ -396,9 +424,11 @@ class TestFixedPoint:
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_2d_direction_is_the_frozen_off_diagonal_solve(self, n):
+    def test_2d_direction_is_the_frozen_off_diagonal_solve(self, n, monkeypatch):
         # Reference: freeze B, solve the diagonal block A on the free rows
-        # with the true A acting on the fixed coordinates.
+        # with the true A acting on the fixed coordinates. The paper's
+        # algebra is checked under an exact P solve; at CG_RTOL the
+        # direction solves P d = -g to that relative residual per coordinate.
         from rrsmooth.assembly import assemble
 
         mesh = jittered_square(n, 0.3, m.FIX_ALL)
@@ -415,8 +445,18 @@ class TestFixedPoint:
             sol, info = cg_solve(P, rhs[c][free], tol=1e-13)
             assert info.converged
             ref[free, c] = sol - mesh.vertices[free, c]
-        d = first_fixed_point_direction(mesh)
+        with monkeypatch.context() as exact:
+            exact.setattr(optim, "CG_RTOL", 1e-13)
+            d = first_fixed_point_direction(mesh)
         assert np.linalg.norm(d - ref) <= 1e-6 * np.linalg.norm(ref)
+
+        problem = optim.MeshProblem(mesh)
+        _, g = problem.eval(problem.x0)
+        g = g.reshape(-1, 2)
+        d = first_fixed_point_direction(mesh)
+        for c in range(2):
+            residual = P @ d[free, c] + g[free, c]
+            assert np.linalg.norm(residual) <= optim.CG_RTOL * np.linalg.norm(g[free, c])
 
     @pytest.mark.parametrize(
         "make",
@@ -441,8 +481,89 @@ class TestFixedPoint:
         monkeypatch.setattr(optim._FixedPoint, "fallback", counted)
         _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=30))
         assert len(fallbacks) == 0
+        assert not any(r.fallback for r in report.records)
         if mesh.dim == 3:
             assert report.termination == "grad_tol"
+
+
+class TestInexactSolves:
+    """The optimize path solves P only to the relative residual CG_RTOL."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: jittered_square(8, 0.3, m.SLIDE_PLANAR),
+            lambda: slivered_cube(n=4, count=1, policy=m.SLIDE_PLANAR),
+        ],
+        ids=["square8-slide-planar", "cube4-slide-planar"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 5, None])
+    def test_truncated_solves_descend(self, monkeypatch, make, k):
+        # g is projected and the projector is symmetric, so g @ solve(g) is
+        # the sum over coordinates of b @ x_k > 0: the fixed point's and
+        # PNLCG's steepest direction descend for every CG truncation.
+        if k is not None:
+            solve = optim.cg_solve
+            monkeypatch.setattr(
+                optim, "cg_solve", lambda A, b, **_: solve(A, b, tol=0.0, max_iters=k)
+            )
+        problem = optim.MeshProblem(make())
+        x = problem.x0
+        _, g = problem.eval(x)
+        d, _ = optim._FixedPoint(problem).direction(x, g)
+        assert g @ d < 0.0
+        nlcg = optim._Nlcg(problem, precondition=True)
+        nlcg.direction(x, g)
+        assert g @ nlcg.steepest < 0.0
+
+    def test_why_cg_rtol_is_loose_but_not_looser(self, monkeypatch):
+        # An exact solve spends several times the CG iterations for the same
+        # 30 steps; a much looser one (0.1) ends measurably higher in energy.
+        # The test shows that some bound is needed, not that it must be 1e-2.
+        mesh = jittered_square(16, 0.3, m.FIX_ALL)
+        runs = {}
+        for name, tol in (("exact", 1e-8), ("default", optim.CG_RTOL), ("loose", 0.1)):
+            monkeypatch.setattr(optim, "CG_RTOL", tol)
+            _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=30))
+            assert report.iterations == 30
+            runs[name] = (sum(r.cg_iters for r in report.records), report.final_energy)
+        assert runs["exact"][0] >= 4 * runs["default"][0]
+        floor = runs["exact"][1]
+        assert runs["loose"][1] - floor > 3 * (runs["default"][1] - floor)
+
+
+class TestStepMetrics:
+    @pytest.mark.parametrize("method", ["fixedpoint", "plbfgs"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: jittered_square(8, 0.3, m.FIX_ALL),
+            lambda: jittered_square(8, 0.3, m.SLIDE_PLANAR),
+            lambda: slivered_cube(n=4, count=1),
+            lambda: slivered_cube(n=4, count=1, policy=m.SLIDE_PLANAR),
+        ],
+        ids=["square-fix-all", "square-slide-planar", "cube-fix-all", "cube-slide-planar"],
+    )
+    def test_min_measure_is_read_from_the_kept_geometry(self, monkeypatch, make, method):
+        problem = optim.MeshProblem(make())
+        passes = recording(monkeypatch, m.SimplexMesh, "signed_measures")
+        metrics = recording(monkeypatch, problem, "step_metrics")
+        _, report = optim._run(problem, OptimizeConfig(method=method, max_iters=8), method)
+        assert passes == []
+        assert len(metrics) == report.iterations > 0
+        for record, ((_, x_new), _) in zip(report.records[1:], metrics):
+            fresh = problem.mesh_at(x_new).signed_measures().min()
+            assert record.min_measure == fresh
+
+    def test_a_point_not_evaluated_last_gets_a_fresh_pass(self, monkeypatch):
+        problem = optim.MeshProblem(jittered_square(6, 0.3, m.FIX_ALL))
+        x = problem.x0
+        problem.eval(x)
+        other = problem.step(x, problem.project(np.ones_like(x)), 1e-3)
+        passes = recording(monkeypatch, m.SimplexMesh, "signed_measures")
+        metrics = problem.step_metrics(x, other)
+        assert len(passes) == 1
+        assert metrics["min_measure"] == problem.mesh_at(other).signed_measures().min()
 
 
 class TestMeshOptimizers:
@@ -530,7 +651,8 @@ class TestMeshOptimizers:
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters,eval_s,p_build_s,cg_s"
+            "min_measure,slide_residual,cap,cg_iters,cg_residual,fallback,"
+            "eval_s,p_build_s,cg_s"
         )
         assert len(lines) - 1 == report.iterations + 1
         energies = [float(line.split(",")[1]) for line in lines[1:]]
@@ -543,9 +665,11 @@ class TestMeshOptimizers:
         # The fixed point solves with P every step, under a finite cap.
         assert float(row[9]) == last.cap and np.isfinite(last.cap)
         assert int(row[10]) == last.cg_iters > 0
-        assert float(row[11]) == last.eval_s > 0.0
-        assert float(row[12]) == last.p_build_s > 0.0
-        assert float(row[13]) == last.cg_s > 0.0
+        assert float(row[11]) == last.cg_residual > 0.0
+        assert row[12] == str(int(last.fallback))
+        assert float(row[13]) == last.eval_s > 0.0
+        assert float(row[14]) == last.p_build_s > 0.0
+        assert float(row[15]) == last.cg_s > 0.0
 
 
 def jittered_meshes():
@@ -746,6 +870,25 @@ class TestRecordedWork:
         iterations = sum(info.iterations for _, (_, info) in solves)
         assert sum(r.cg_iters for r in report.records) == iterations
         assert (iterations > 0) == (method in ("fixedpoint", "plbfgs", "pnlcg"))
+        # Each step's worst relative residual; 0 where no P solve was made.
+        residuals = [r.cg_residual for r in report.records]
+        assert residuals[0] == 0.0
+        assert max(residuals) == max((info.residual for _, (_, info) in solves), default=0.0)
+        assert all((0.0 < r <= optim.CG_RTOL) == (iterations > 0) for r in residuals[1:])
+
+    def test_records_mark_the_steps_taken_along_the_fallback(self, monkeypatch):
+        # An ascent direction from the strategy is replaced by -g every step.
+        direction = optim._FixedPoint.direction
+
+        def ascent(self, x, g):
+            d, is_fallback = direction(self, x, g)
+            return -d, is_fallback
+
+        monkeypatch.setattr(optim._FixedPoint, "direction", ascent)
+        mesh = jittered_square(6, 0.3, m.FIX_ALL)
+        _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=4))
+        assert report.iterations == 4
+        assert [r.fallback for r in report.records] == [False, True, True, True, True]
 
     @pytest.mark.parametrize("method", ["lbfgs", "plbfgs"])
     def test_eval_seconds_fit_in_the_wall_time(self, method):
