@@ -54,7 +54,5 @@ from .optim import (
     optimize,
     strong_wolfe_search,
 )
-from .tetrahedra import LocalGradient3D, Tetrahedron
-from .triangles import LocalGradient2D, Triangle
 
 __version__ = "0.1.0"

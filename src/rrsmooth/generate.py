@@ -180,6 +180,8 @@ def _interior_vertex_mask(mesh):
 
 
 def _jitter(mesh, mode):
+    if not np.isfinite(mode.amplitude):
+        raise InvalidSpec(f"jitter amplitude must be finite, got {mode.amplitude}")
     if mode.amplitude == 0.0:
         return mesh.copy()
     rng = XorShift64Star(mode.seed)

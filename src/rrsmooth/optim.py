@@ -115,7 +115,6 @@ class LineSearchResult:
     f: float
     df: float
     evals: int
-    curvature_ok: bool
 
 
 def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf):
@@ -136,7 +135,7 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
         return phi(lam)
 
     def done(lam, f, df):
-        return LineSearchResult(lam, f, df, evals, True)
+        return LineSearchResult(lam, f, df, evals)
 
     lam_prev, f_prev, df_prev = 0.0, f0, df0
     lam = min(1.0, lam_cap)
@@ -207,7 +206,7 @@ def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
         f, df = phi(lam)
         evals += 1
         if math.isfinite(f) and f <= f0 + c1 * lam * df0:
-            return LineSearchResult(lam, f, df, evals, abs(df) <= -df0)
+            return LineSearchResult(lam, f, df, evals)
         lam *= 0.5
     raise LineSearchFailed(f"step length underflowed {LAM_MIN:.1e}")
 
@@ -246,7 +245,6 @@ class IterationRecord:
     lam: float
     ls_evals: int
     ls_kind: str = ""
-    curvature_ok: bool = True
     min_measure: float = math.nan
     slide_residual: float = 0.0
     # The step's inversion cap, the CG iterations of its P solves and their
@@ -304,15 +302,14 @@ class OptimizeReport:
         owned = not hasattr(path_or_file, "write")
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
             fh.write(
-                "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
-                "min_measure,slide_residual,cap,cg_iters,cg_residual,fallback,"
+                "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
+                "slide_residual,cap,cg_iters,cg_residual,fallback,"
                 "eval_s,p_build_s,cg_s\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
-                    f"{r.ls_kind},{int(r.curvature_ok)},"
-                    f"{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
+                    f"{r.ls_kind},{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
                     f"{r.cg_iters},{r.cg_residual:.17g},{int(r.fallback)},"
                     f"{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g}\n"
                 )
@@ -508,7 +505,6 @@ def _take_step(problem, x, f, g, d, k, kind):
         lam=ls.lam,
         ls_evals=ls.evals,
         ls_kind=kind,
-        curvature_ok=ls.curvature_ok,
         cap=cap,
         **problem.take_work(),
         **problem.step_metrics(x, x_new),

@@ -1,10 +1,11 @@
-"""Tetrahedron geometry: measures, radius ratio and its gradient, the local
-blocks of G_F and the edge weights of the SPD preconditioner.
+"""Tetrahedron geometry: radius ratio and its gradient, the local blocks of
+G_F and the edge weights of the SPD preconditioner.
 
 Kernels are vectorized over a batch axis: ``pts`` has shape ``(n, 4, 3)``
-with positive signed volume. Face ``i`` is the face opposite vertex ``i``.
-The geometry pass reads contiguous ``(n,)`` arrays per coordinate and
-vertex, ``pts.T`` (no copy for ``mesh.cell_coords().T``).
+with positive signed volume; a single cell is the batch ``pts[None]``.
+Face ``i`` is the face opposite vertex ``i``. The geometry pass reads
+contiguous ``(n,)`` arrays per coordinate and vertex, ``pts.T`` (no copy for
+``mesh.cell_coords().T``).
 
 Conventions:
 
@@ -32,7 +33,6 @@ semi-definite. The module exports the interface of :mod:`rrsmooth.simplex`.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,25 +71,7 @@ _CORNER_EDGE, _CORNER_VI, _CORNER_VJ, _CORNER_FACE = _corners()
 # even permutations (i, j, k, l) above: pts[:, _VOL_IDX] - pts[:, _VOL_IDX.T].
 _VOL_IDX = np.array([[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]])
 
-TetMeasures = namedtuple("TetMeasures", "volume face_areas surface circumradius inradius d0")
-
-Geometry = namedtuple("Geometry", "volume edges edge_sq normals face_areas surface cot d0 d0_sq mu")
-
-
-@dataclass(frozen=True)
-class LocalGradient3D:
-    """Radius ratio, per-vertex gradient and local 4x4 matrix blocks.
-
-    As in 2D, the blocks do not carry the mu factor:
-    ``grad = mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``.
-    """
-
-    mu: float
-    A_local: np.ndarray
-    B0: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    grad: np.ndarray
+Geometry = namedtuple("Geometry", "volume edges edge_sq normals surface cot d0 d0_sq mu")
 
 
 def signed_volume(pts):
@@ -118,10 +100,10 @@ def geometry(pts):
     Every field is per coordinate (leading axis) over a trailing cell axis:
     ``edges`` ``(3, 6, n)`` holds ``x_j - x_i`` per edge ij of ``EDGES``,
     ``edge_sq`` ``(3, n)`` is ``|e1|^2, |e2|^2, |e3|^2``, ``normals``
-    ``(3, 4, n)`` the doubled area vectors of faces 0-3, ``face_areas``
-    ``(4, n)``, and ``cot`` ``(6, n)`` the cotangent weight of each edge
-    summed over the two faces through it. Raises DegenerateElement for an
-    inverted or collapsed cell.
+    ``(3, 4, n)`` the doubled area vectors of faces 0-3, ``surface`` the
+    total face area, and ``cot`` ``(6, n)`` the cotangent weight of each
+    edge summed over the two faces through it. Raises DegenerateElement for
+    an inverted or collapsed cell.
     """
     pts = np.asarray(pts, dtype=float)
     X = np.ascontiguousarray(pts.T)
@@ -143,7 +125,7 @@ def geometry(pts):
     corner = sq[_CORNER_VI] + sq[_CORNER_VJ] - sq[_CORNER_EDGE]
     cot = (corner / (8.0 * areas[_CORNER_FACE])).reshape(6, 2, -1).sum(axis=1)
     mu = s * np.sqrt(d0_sq) / (108.0 * vol**2)
-    return Geometry(vol, E, edge_sq, normals, areas, s, cot, d0, d0_sq, mu)
+    return Geometry(vol, E, edge_sq, normals, s, cot, d0, d0_sq, mu)
 
 
 def gradient(g):
@@ -164,19 +146,6 @@ def gradient(g):
     G[:, 0] = -G[:, 1:].sum(axis=1)
     G *= g.mu
     return G.T
-
-
-def measures(pts):
-    """Volume, face areas, total surface, circumradius, inradius and d0."""
-    g = geometry(pts)
-    return TetMeasures(
-        g.volume,
-        g.face_areas.T,
-        g.surface,
-        np.sqrt(g.d0_sq) / (12.0 * g.volume),
-        3.0 * g.volume / g.surface,
-        g.d0.T,
-    )
 
 
 def radius_ratio(pts):
@@ -246,49 +215,8 @@ def local_blocks(pts, g=None):
     return g.mu, A, B0, B1, B2
 
 
-def local_gradient_matrix(lg):
-    """Assemble the 12x12 block matrix of a LocalGradient3D (without mu)."""
-    return LAYOUT.matrix((lg.A_local, lg.B0, lg.B1, lg.B2), np.block)
-
-
+# Unused here; the tests read it and perfbench/tracing.py patches it.
 def abs_local_matrix(pts):
     """Radius ratio and the preconditioner's local Laplacian: ``(mu, A_abs)``."""
     g = geometry(pts)
     return g.mu, simplex.laplacian(precond_weights(g), EDGES)
-
-
-class Tetrahedron:
-    """A single positively oriented tetrahedron."""
-
-    def __init__(self, vertices):
-        self.vertices = np.asarray(vertices, dtype=float).reshape(4, 3)
-
-    @property
-    def _batch(self):
-        return self.vertices[None]
-
-    def signed_volume(self):
-        return float(signed_volume(self._batch)[0])
-
-    def measures(self):
-        m = measures(self._batch)
-        return TetMeasures(
-            float(m.volume[0]),
-            m.face_areas[0],
-            float(m.surface[0]),
-            float(m.circumradius[0]),
-            float(m.inradius[0]),
-            m.d0[0],
-        )
-
-    def radius_ratio(self):
-        return float(radius_ratio(self._batch)[0])
-
-    def gradient(self):
-        """Radius-ratio gradient (closed form) together with the local blocks."""
-        g = geometry(self._batch)
-        mu, A, B0, B1, B2 = local_blocks(self._batch, g)
-        return LocalGradient3D(float(mu[0]), A[0], B0[0], B1[0], B2[0], gradient(g)[0])
-
-    def abs_local_matrix(self):
-        return abs_local_matrix(self._batch)[1][0]

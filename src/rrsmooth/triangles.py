@@ -2,7 +2,7 @@
 
 All kernel functions are vectorized over a leading batch axis: ``pts`` has
 shape ``(n, 3, 2)`` with vertices ordered counter-clockwise (positive signed
-area). The ``Triangle`` class wraps a single element.
+area); a single cell is the batch ``pts[None]``.
 
 Edge ``i`` is the edge opposite vertex ``i``, so ``l0 = |x2 - x1|``,
 ``l1 = |x0 - x2|`` and ``l2 = |x1 - x0|``. The radius ratio is
@@ -25,7 +25,6 @@ kernel interface of :mod:`rrsmooth.simplex`.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +42,6 @@ EDGES = tuple(np.array(FACETS).T)
 _B_SIGNS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 Geometry = namedtuple("Geometry", "area edges lengths p mu")
-
-
-@dataclass(frozen=True)
-class LocalGradient2D:
-    """Radius ratio, per-vertex gradient and local 3x3 matrix blocks.
-
-    ``grad = mu * [[A_local, B_local], [-B_local, A_local]] @ [X; Y]``, where
-    ``A_local`` is a weighted Laplacian (zero row sums, negative
-    off-diagonals), ``B_local`` is antisymmetric, and, as in 3D, neither
-    block carries the mu factor.
-    """
-
-    mu: float
-    A_local: np.ndarray
-    B_local: np.ndarray
-    grad: np.ndarray
 
 
 def signed_area(pts):
@@ -128,31 +111,3 @@ def radius_ratio_gradient(pts):
     """Radius ratio and its per-vertex gradient, shape ``(n,)`` and ``(n, 3, 2)``."""
     g = geometry(pts)
     return g.mu, gradient(g)
-
-
-def local_gradient_matrix(lg):
-    """Assemble the 6x6 block matrix of a LocalGradient2D (without mu)."""
-    return LAYOUT.matrix((lg.A_local, lg.B_local), np.block)
-
-
-class Triangle:
-    """A single positively oriented triangle in the plane."""
-
-    def __init__(self, vertices):
-        self.vertices = np.asarray(vertices, dtype=float).reshape(3, 2)
-
-    @property
-    def _batch(self):
-        return self.vertices[None]
-
-    def signed_area(self):
-        return float(signed_area(self._batch)[0])
-
-    def radius_ratio(self):
-        return float(radius_ratio(self._batch)[0])
-
-    def gradient(self):
-        """Radius-ratio gradient (closed form) together with the local blocks."""
-        g = geometry(self._batch)
-        mu, A, B = local_blocks(self._batch, g)
-        return LocalGradient2D(float(mu[0]), A[0], B[0], gradient(g)[0])

@@ -129,6 +129,22 @@ EQUILATERAL_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 RIGHT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def spy_wolfe(mp):
+    """Wrap ``optim.strong_wolfe_search`` through the MonkeyPatch ``mp``; the
+    returned list collects ``(df0, result)`` of every search that returns."""
+    from rrsmooth import optim
+
+    search, searches = optim.strong_wolfe_search, []
+
+    def spy(phi, f0, df0, **kwargs):
+        result = search(phi, f0, df0, **kwargs)
+        searches.append((df0, result))
+        return result
+
+    mp.setattr(optim, "strong_wolfe_search", spy)
+    return searches
+
+
 @pytest.fixture
 def exact_line_search(monkeypatch):
     """Wolfe constants so small that each accepted step is the exact minimizer

@@ -28,12 +28,26 @@ from rrsmooth.generate import (
     perturb_mesh,
 )
 from rrsmooth.meshio import load_mesh, save_mesh
-from rrsmooth.optim import OptimizeConfig, _two_loop, cg_solve, minimize_nlcg, optimize
+from rrsmooth.optim import (
+    WOLFE_C2, OptimizeConfig, _two_loop, cg_solve, minimize_nlcg, optimize,
+)
 
-from conftest import central_diff, random_tets, random_triangles
+from conftest import central_diff, random_tets, random_triangles, spy_wolfe
 
-# Completed optimization runs: name -> (mesh_in, mesh_out, report).
+# Completed optimization runs: name -> (mesh_in, mesh_out, report), and the
+# (df0, result) of every strong-Wolfe search they made.
 RUNS = {}
+WOLFE_SEARCHES = []
+
+
+def run(name, mesh, config):
+    """optimize, kept in RUNS with its strong-Wolfe searches."""
+    with pytest.MonkeyPatch.context() as mp:
+        searches = spy_wolfe(mp)
+        out, report = optimize(mesh, config)
+    RUNS[name] = (mesh, out, report)
+    WOLFE_SEARCHES.extend(searches)
+    return out, report
 
 
 def note(criterion, message):
@@ -55,9 +69,9 @@ def perturbed_lattice(n=8):
 def lattice_run():
     mesh = perturbed_lattice()
     t0 = time.monotonic()
-    out, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=30))
+    config = OptimizeConfig(method="fixedpoint", max_iters=30)
+    out, report = run("fixedpoint-lattice", mesh, config)
     elapsed = time.monotonic() - t0
-    RUNS["fixedpoint-lattice"] = (mesh, out, report)
     return mesh, out, report, elapsed
 
 
@@ -73,10 +87,11 @@ def sliver_runs(sliver_mesh):
     runs = {}
     for method in ("plbfgs", "lbfgs", "pnlcg", "nlcg"):
         t0 = time.monotonic()
-        out, report = optimize(sliver_mesh, OptimizeConfig(method=method, max_iters=50))
+        out, report = run(
+            f"{method}-slivercube", sliver_mesh, OptimizeConfig(method=method, max_iters=50)
+        )
         elapsed = time.monotonic() - t0
         runs[method] = (out, report, elapsed)
-        RUNS[f"{method}-slivercube"] = (sliver_mesh, out, report)
     return runs
 
 
@@ -85,8 +100,7 @@ def slide_run():
     mesh = gen_mesh(GeneratorSpec(CUBE, 4))
     mesh = perturb_mesh(mesh, PlantSliver(count=2, eps=0.02))
     mesh = m.classify_boundary(mesh, m.SLIDE_PLANAR)
-    out, report = optimize(mesh, OptimizeConfig(method="plbfgs", max_iters=25))
-    RUNS["plbfgs-slideplanar"] = (mesh, out, report)
+    out, report = run("plbfgs-slideplanar", mesh, OptimizeConfig(method="plbfgs", max_iters=25))
     return mesh, out, report
 
 
@@ -317,19 +331,22 @@ def test_criterion_7_optimizer_identities(lattice_run, sliver_runs, slide_run, e
         r = r_new
     assert worst_beta <= 1e-10
 
-    # Every accepted step met Armijo, so no step raised the energy; the
-    # curvature flag is recorded on every Wolfe step.
-    steps = 0
+    # Every accepted step met Armijo, so no step raised the energy, and every
+    # accepted Wolfe step meets the strong curvature condition.
+    steps = wolfe_steps = 0
     for name, (_, _, report) in RUNS.items():
         for prev, rec in zip(report.records, report.records[1:]):
             assert rec.F <= prev.F, f"{name}: energy rose at iteration {rec.index}"
-            if rec.ls_kind == "wolfe":
-                assert rec.curvature_ok, f"{name}: curvature failed at {rec.index}"
+            wolfe_steps += rec.ls_kind == "wolfe"
             steps += 1
+    assert len(WOLFE_SEARCHES) == wolfe_steps > 0
+    for df0, res in WOLFE_SEARCHES:
+        assert abs(res.df) <= -WOLFE_C2 * df0
     note(
         7,
         f"two-loop vs dense BFGS rel err {worst_dir:.2e}; PR-beta vs CG beta "
-        f"{worst_beta:.2e}; curvature and descent verified on {steps} accepted steps "
+        f"{worst_beta:.2e}; descent verified on {steps} accepted steps and the "
+        f"curvature condition on their {wolfe_steps} Wolfe steps "
         f"across {len(RUNS)} runs",
     )
 
@@ -386,8 +403,8 @@ def test_criterion_9_io_fidelity(tmp_path, lattice_run, sliver_runs, slide_run):
         report.write_csv(buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == (
-            "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters,cg_residual,fallback,"
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
+            "slide_residual,cap,cg_iters,cg_residual,fallback,"
             "eval_s,p_build_s,cg_s"
         )
         F = [float(line.split(",")[1]) for line in lines[1:]]

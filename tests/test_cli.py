@@ -64,8 +64,8 @@ class TestPerturbAndOptimize:
         assert out_path.exists()
         lines = report.read_text().splitlines()
         assert lines[0] == (
-            "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters,cg_residual,fallback,"
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
+            "slide_residual,cap,cg_iters,cg_residual,fallback,"
             "eval_s,p_build_s,cg_s"
         )
         F = [float(l.split(",")[1]) for l in lines[1:]]
@@ -82,6 +82,17 @@ class TestPerturbAndOptimize:
         run(capsys, "perturb", str(src), str(a), "--jitter", "0.2", "--seed", "9")
         run(capsys, "perturb", str(src), str(b), "--jitter", "0.2", "--seed", "9")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_jitter_exits_one(self, tmp_path, capsys, amplitude):
+        src = tmp_path / "c3.txt"
+        out = tmp_path / "out.txt"
+        run(capsys, "gen", "--kind", "cube", "--n", "3", str(src))
+        code, _, err = run(capsys, "perturb", str(src), str(out), "--jitter", amplitude)
+        assert code == 1
+        assert err.startswith("error: ") and "amplitude" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_optimize_without_fixed_vertices_fails_with_two(self, tmp_path, capsys):
         src = tmp_path / "sq.msh"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rrsmooth import mesh as m, tetrahedra, triangles
-from rrsmooth.errors import DegenerateElement, MeshError, NonPlanarPatch
+from rrsmooth.errors import DegenerateElement, InvalidSpec, MeshError, NonPlanarPatch
 from rrsmooth.optim import OptimizeConfig, optimize
 from rrsmooth.generate import (
     CUBE,
@@ -149,8 +149,6 @@ class TestGenerators:
         assert vols.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_invalid_spec(self):
-        from rrsmooth.errors import InvalidSpec
-
         with pytest.raises(InvalidSpec):
             gen_mesh(GeneratorSpec(CUBE, 0))
         with pytest.raises(InvalidSpec):
@@ -489,6 +487,12 @@ class TestPerturb:
         np.testing.assert_array_equal(a.vertices, b.vertices)
         assert m.validate(a) == []
         assert not np.array_equal(a.vertices, mesh.vertices)
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    def test_jitter_rejects_a_non_finite_amplitude(self, amplitude):
+        mesh = gen_mesh(GeneratorSpec(CUBE, 3))
+        with pytest.raises(InvalidSpec, match="amplitude must be finite"):
+            perturb_mesh(mesh, RandomJitter(amplitude=amplitude, seed=1))
 
     def test_jitter_leaves_boundary_alone(self):
         mesh = gen_mesh(GeneratorSpec(SQUARE, 4))

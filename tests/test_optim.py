@@ -21,6 +21,7 @@ from rrsmooth.generate import (
     perturb_mesh,
 )
 from rrsmooth.optim import (
+    WOLFE_C2,
     CgInfo,
     FunctionProblem,
     OptimizeConfig,
@@ -32,6 +33,8 @@ from rrsmooth.optim import (
     optimize,
     strong_wolfe_search,
 )
+
+from conftest import spy_wolfe
 
 
 class TestCgSolve:
@@ -612,14 +615,16 @@ class TestMeshOptimizers:
             for r in report.records[1:]:
                 assert r.min_measure > 0
 
-    def test_monotone_descent_and_wolfe_flags(self):
+    def test_monotone_descent_and_wolfe_flags(self, monkeypatch):
         mesh = slivered_cube(n=3, count=1)
+        searches = spy_wolfe(monkeypatch)
         out, report = optimize(mesh, OptimizeConfig(method="plbfgs", max_iters=15))
         energies = [r.F for r in report.records]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
-        for r in report.records[1:]:
-            if r.ls_kind == "wolfe":
-                assert r.curvature_ok
+        # Every accepted Wolfe step meets the strong curvature condition.
+        assert len(searches) == sum(r.ls_kind == "wolfe" for r in report.records) > 0
+        for df0, res in searches:
+            assert abs(res.df) <= -WOLFE_C2 * df0
 
     def test_deterministic_reports(self):
         mesh = slivered_cube(n=3, count=1)
@@ -650,8 +655,8 @@ class TestMeshOptimizers:
         report.write_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
-            "iter,F,grad_norm,lambda,ls_evals,ls_kind,curvature_ok,"
-            "min_measure,slide_residual,cap,cg_iters,cg_residual,fallback,"
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
+            "slide_residual,cap,cg_iters,cg_residual,fallback,"
             "eval_s,p_build_s,cg_s"
         )
         assert len(lines) - 1 == report.iterations + 1
@@ -659,17 +664,17 @@ class TestMeshOptimizers:
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
         # Every record field is written, in full precision.
         last, row = report.records[-1], lines[-1].split(",")
-        assert row[5:7] == [last.ls_kind, str(int(last.curvature_ok))]
-        assert float(row[7]) == last.min_measure
-        assert float(row[8]) == last.slide_residual
+        assert row[5] == last.ls_kind
+        assert float(row[6]) == last.min_measure
+        assert float(row[7]) == last.slide_residual
         # The fixed point solves with P every step, under a finite cap.
-        assert float(row[9]) == last.cap and np.isfinite(last.cap)
-        assert int(row[10]) == last.cg_iters > 0
-        assert float(row[11]) == last.cg_residual > 0.0
-        assert row[12] == str(int(last.fallback))
-        assert float(row[13]) == last.eval_s > 0.0
-        assert float(row[14]) == last.p_build_s > 0.0
-        assert float(row[15]) == last.cg_s > 0.0
+        assert float(row[8]) == last.cap and np.isfinite(last.cap)
+        assert int(row[9]) == last.cg_iters > 0
+        assert float(row[10]) == last.cg_residual > 0.0
+        assert row[11] == str(int(last.fallback))
+        assert float(row[12]) == last.eval_s > 0.0
+        assert float(row[13]) == last.p_build_s > 0.0
+        assert float(row[14]) == last.cg_s > 0.0
 
 
 def jittered_meshes():

@@ -3,16 +3,20 @@ import pytest
 
 from rrsmooth import tetrahedra
 from rrsmooth.errors import DegenerateElement
-from rrsmooth.tetrahedra import Tetrahedron, local_gradient_matrix
 
 from conftest import CORNER_TET, REGULAR_TET, central_diff, random_tets
 
 
+def radii(g):
+    """Circumradius R = |d0| / (12 vol) and inradius r = 3 vol / s from ``geometry``."""
+    return np.sqrt(g.d0_sq) / (12.0 * g.volume), 3.0 * g.volume / g.surface
+
+
 class TestMeasures:
     def test_regular_tet_is_equilateral(self):
-        m = Tetrahedron(REGULAR_TET).measures()
-        assert m.circumradius == pytest.approx(3.0 * m.inradius, rel=1e-12)
-        assert Tetrahedron(REGULAR_TET).radius_ratio() == pytest.approx(1.0, abs=1e-12)
+        R, r = radii(tetrahedra.geometry(REGULAR_TET[None]))
+        assert R[0] == pytest.approx(3.0 * r[0], rel=1e-12)
+        assert tetrahedra.radius_ratio(REGULAR_TET[None])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_corner_tet_against_direct_solve(self):
         # Oracle: circumcenter c solves |c - x_i| = |c - x_0| (linear system),
@@ -23,31 +27,32 @@ class TestMeasures:
         center = np.linalg.solve(A, b)
         R_oracle = np.linalg.norm(center - P[0])
 
-        m = Tetrahedron(P).measures()
-        assert m.volume == pytest.approx(1.0 / 6.0, rel=1e-14)
-        assert m.surface == pytest.approx((3.0 + np.sqrt(3.0)) / 2.0, rel=1e-14)
-        assert m.circumradius == pytest.approx(R_oracle, rel=1e-12)
-        assert m.circumradius == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
-        assert m.inradius == pytest.approx(1.0 / (3.0 + np.sqrt(3.0)), rel=1e-12)
+        g = tetrahedra.geometry(P[None])
+        (R,), (r,) = radii(g)
+        assert g.volume[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert g.surface[0] == pytest.approx((3.0 + np.sqrt(3.0)) / 2.0, rel=1e-14)
+        assert R == pytest.approx(R_oracle, rel=1e-12)
+        assert R == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
+        assert r == pytest.approx(1.0 / (3.0 + np.sqrt(3.0)), rel=1e-12)
         # d0 ties back to the circumradius definition.
-        assert np.linalg.norm(m.d0) / (12.0 * m.volume) == pytest.approx(
-            m.circumradius, rel=1e-13
+        assert np.linalg.norm(g.d0[:, 0]) / (12.0 * g.volume[0]) == pytest.approx(
+            R_oracle, rel=1e-13
         )
 
     def test_flat_tet_raises(self):
         with pytest.raises(DegenerateElement):
-            Tetrahedron([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]]).measures()
+            tetrahedra.geometry(np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]]]))
 
     def test_circumradius_at_least_three_inradius(self):
         pts = random_tets(300, seed=11)
-        m = tetrahedra.measures(pts)
-        assert np.all(m.circumradius >= 3.0 * m.inradius - 1e-12)
+        R, r = radii(tetrahedra.geometry(pts))
+        assert np.all(R >= 3.0 * r - 1e-12)
 
 
 class TestRadiusRatio:
     def test_corner_tet_value(self):
         expected = (1.0 + np.sqrt(3.0)) / 2.0
-        assert Tetrahedron(CORNER_TET).radius_ratio() == pytest.approx(expected, rel=1e-12)
+        assert tetrahedra.radius_ratio(CORNER_TET[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sliver_family_monotone_blowup(self):
         def sliver(eps):
@@ -55,28 +60,15 @@ class TestRadiusRatio:
                 [[1, 0, 0], [-1, 0, 0], [0, -1, eps], [0, 1, eps]], dtype=float
             )
 
-        mus = [Tetrahedron(sliver(e)).radius_ratio() for e in (0.5, 0.1, 0.01)]
+        mus = [tetrahedra.radius_ratio(sliver(e)[None])[0] for e in (0.5, 0.1, 0.01)]
         assert mus[0] < mus[1] < mus[2]
         assert mus[2] > 10.0
-
-    def test_scale_and_rotation_invariance(self, rng):
-        pts = random_tets(50, seed=12)
-        mu = tetrahedra.radius_ratio(pts)
-        axis = np.array([1.0, 2.0, 3.0])
-        axis /= np.linalg.norm(axis)
-        th = 0.9
-        Kx = np.array(
-            [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-        )
-        Q = np.eye(3) + np.sin(th) * Kx + (1 - np.cos(th)) * (Kx @ Kx)
-        moved = 0.37 * pts @ Q.T + np.array([5.0, -2.0, 0.5])
-        np.testing.assert_allclose(tetrahedra.radius_ratio(moved), mu, rtol=1e-11)
 
 
 class TestGradient:
     def test_regular_tet_gradient_vanishes(self):
-        lg = Tetrahedron(REGULAR_TET).gradient()
-        assert np.abs(lg.grad).max() < 1e-12
+        grad = tetrahedra.gradient(tetrahedra.geometry(REGULAR_TET[None]))[0]
+        assert np.abs(grad).max() < 1e-12
 
     def test_matches_central_differences(self):
         pts = random_tets(200, seed=14)
@@ -102,16 +94,6 @@ class TestGradient:
         K = tetrahedra._k_matrix(g)
         np.testing.assert_array_equal(K, -np.transpose(K, (0, 2, 1)))
 
-    def test_gradient_equals_block_product(self):
-        pts = random_tets(100, seed=16)
-        for P in pts:
-            lg = Tetrahedron(P).gradient()
-            V = np.concatenate([P[:, 0], P[:, 1], P[:, 2]])
-            gv = lg.mu * (local_gradient_matrix(lg) @ V)
-            stacked = np.stack([gv[:4], gv[4:8], gv[8:]], axis=1)
-            rel = np.linalg.norm(stacked - lg.grad) / np.linalg.norm(lg.grad)
-            assert rel <= 1e-12
-
 
 class TestAbsLocalMatrix:
     def test_symmetric_exactly(self):
@@ -129,7 +111,7 @@ class TestAbsLocalMatrix:
         assert np.all(diag >= off - 1e-12 * scale[:, None])
 
     def test_regular_tet_positive_semidefinite(self):
-        A = Tetrahedron(REGULAR_TET).abs_local_matrix()
+        A = tetrahedra.abs_local_matrix(REGULAR_TET[None])[1][0]
         w = np.linalg.eigvalsh(A)
         assert w[0] >= -1e-12 * np.abs(A).max()
 
