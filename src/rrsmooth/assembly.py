@@ -134,13 +134,12 @@ def assemble(mesh):
 def energy_gradient(mesh):
     """Energy, scatter-added gradient field and the kernel's geometry.
 
-    One geometry pass on the per-coordinate gather ``mesh.cell_coords()``
-    and the closed-form gradient; no local block is built. The geometry is
-    what :func:`assemble_preconditioner` reads at this mesh.
+    One geometry pass, ``mesh.geometry()`` on the per-coordinate gather,
+    and the closed-form gradient; no local block is built. The optimizer
+    keeps the geometry for the preconditioner, the cap and the step record.
     """
-    k = kernel(mesh.dim)
-    geometry = k.geometry(mesh.cell_coords().T)
-    grad_field = _sum_per_vertex(mesh, k.gradient(geometry) / mesh.n_cells)
+    geometry = mesh.geometry()
+    grad_field = _sum_per_vertex(mesh, kernel(mesh.dim).gradient(geometry) / mesh.n_cells)
     return float(geometry.mu.mean()), grad_field, geometry
 
 
@@ -223,10 +222,9 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
     """
     if topology is None:
         topology = preconditioner_topology(mesh)
-    k = kernel(mesh.dim)
     if geometry is None:
-        geometry = k.geometry(mesh.cell_points())
-    w = _cell_weights(mesh, geometry.mu) * k.precond_weights(geometry)
+        geometry = mesh.geometry()
+    w = _cell_weights(mesh, geometry.mu) * kernel(mesh.dim).precond_weights(geometry)
     nnz, n = len(topology.indices), len(topology.active)
     entries = np.concatenate([-w, -w, w, w]).ravel()
     data = np.bincount(topology.slot, weights=entries, minlength=nnz + 1)

@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from . import simplex, tetrahedra, triangles
-from .errors import DegenerateElement, NonPlanarPatch
+from .errors import NonPlanarPatch
 
 # Per-vertex constraint kinds.
 FREE, FIXED, SLIDE = 0, 1, 2
@@ -99,9 +99,10 @@ class SimplexMesh:
         """Vertex coordinates gathered per cell, shape (n_cells, dim+1, dim)."""
         return self.vertices[self.cells]
 
-    def cell_coords(self):
-        """``vertices.T[:, cells.T]``, (dim, dim+1, n_cells), one contiguous row each."""
-        return np.take(np.ascontiguousarray(self.vertices.T), self.cells.T, axis=1)
+    def cell_coords(self, field=None):
+        """``field.T[:, cells.T]`` (field defaults to the vertices), (dim, dim+1, n_cells)."""
+        field = self.vertices if field is None else field
+        return np.take(np.ascontiguousarray(field.T), self.cells.T, axis=1)
 
     def fixed_mask(self):
         return self.constraint_kind == FIXED
@@ -130,11 +131,12 @@ class SimplexMesh:
             self.slide_normals,
         )
 
+    def geometry(self):
+        """The kernel's checked geometry pass, on the per-coordinate gather."""
+        return kernel(self.dim).geometry(self.cell_coords().T)
+
     def signed_measures(self):
         return kernel(self.dim).signed_measure(self.cell_points())
-
-    def radius_ratios(self):
-        return kernel(self.dim).radius_ratio(self.cell_points())
 
     def mean_edge_length(self):
         i, j = kernel(self.dim).EDGES
@@ -347,7 +349,7 @@ class QualityStats:
 
 def quality_stats(mesh):
     """Per-element quality statistics; degenerate cells raise with their index."""
-    q = 1.0 / mesh.radius_ratios()
+    q = 1.0 / mesh.geometry().mu
     # Roundoff can push q a few ulp past 1; clamp so no cell falls out of
     # the histogram range.
     hist, _ = np.histogram(np.clip(q, 0.0, 1.0), bins=HISTOGRAM_BINS, range=(0.0, 1.0))
@@ -361,18 +363,18 @@ def quality_stats(mesh):
     )
 
 
-def max_step_before_inversion(mesh, direction):
+def max_step_before_inversion(mesh, direction, geometry=None):
     """Largest lam such that vertices + t*direction keeps every cell positive
     for all t in [0, lam).
 
-    Each cell's measure polynomial, written in s = 1/t, is monic (see
-    :func:`_measure_polynomials`), and the bound is 1 / (largest positive
-    real s over all cells), or inf when there is none. Roots count as real
-    up to REAL_ROOT_RTOL. Triangles solve in closed form; tets solve only
-    the cells whose root bound can reach the largest root (see
-    :func:`_largest_real_root`), which gives the bits of solving them all.
+    The bound is 1 / (largest positive real root s of the cells' monic
+    measure polynomials in s = 1/t, :func:`_measure_polynomials`), or inf
+    when there is none. Roots count as real up to REAL_ROOT_RTOL. Triangles
+    solve in closed form; tets solve only the cells whose root bound can
+    reach the largest root (:func:`_largest_real_root`), with the bits of
+    solving them all. ``geometry`` is ``mesh.geometry()``, if the caller has it.
     """
-    a = _measure_polynomials(mesh, direction)
+    a = _measure_polynomials(mesh, direction, geometry)
     if mesh.dim == 2:
         b, c = a[:, 0], a[:, 1]
         disc = b * b - 4.0 * c
@@ -384,54 +386,23 @@ def max_step_before_inversion(mesh, direction):
         s_max = np.where(real & (roots > 0), roots, 0.0).max(initial=0.0)
     else:
         s_max = _largest_real_root(a)
-    return 1.0 / s_max if s_max > 0 else np.inf
+    with np.errstate(over="ignore"):  # 1 / s_max past the float range: no bound
+        return 1.0 / s_max if s_max > 0 else np.inf
 
 
-def _measure_polynomials(mesh, direction):
-    """Monic coefficients ``(n_cells, dim)`` of the measures along direction.
-
-    A cell's measure at vertices + t*direction is c0 + c1*t + ...; divided
-    by c0 and written in s = 1/t it is s**dim + (c1/c0)*s**(dim-1) + ...,
-    and row i holds (c1/c0, c2/c0, ...). The direction must be finite, else
-    ValueError names the first bad vertex; every cell must start positive
-    (c0 > 0), else DegenerateElement names the first that does not.
-    """
+def _measure_polynomials(mesh, direction, geometry=None):
+    """The kernel's ``measure_polynomial`` of every cell, from ``geometry``
+    (by default ``mesh.geometry()``, which raises DegenerateElement under
+    validate's rule). A misshapen or non-finite direction raises ValueError."""
     direction = np.asarray(direction, dtype=float)
     if direction.shape != mesh.vertices.shape:
         raise ValueError("direction must match the vertex array shape")
     bad = np.flatnonzero(~np.isfinite(direction).all(axis=1))
     if bad.size:
         raise ValueError(f"direction is not finite at vertex {bad[0]}")
-    cp = mesh.cell_points()
-    cu = direction[mesh.cells]
-    e = [cp[:, k] - cp[:, 0] for k in range(1, mesh.dim + 1)]
-    f = [cu[:, k] - cu[:, 0] for k in range(1, mesh.dim + 1)]
-
-    if mesh.dim == 2:
-        def cr(a, b):
-            return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-        (e1, e2), (f1, f2) = e, f
-        coeffs = [cr(e1, e2), cr(f1, e2) + cr(e1, f2), cr(f1, f2)]
-    else:
-        def dot(a, b):
-            return np.einsum("ij,ij->i", a, b)
-
-        # det(a, b, c) = a . (b x c); the seven determinants share four products.
-        (e1, e2, e3), (f1, f2, f3) = e, f
-        ee, fe, ef, ff = np.cross(e2, e3), np.cross(f2, e3), np.cross(e2, f3), np.cross(f2, f3)
-        coeffs = [
-            dot(e1, ee),
-            dot(f1, ee) + dot(e1, fe) + dot(e1, ef),
-            dot(f1, fe) + dot(f1, ef) + dot(e1, ff),
-            dot(f1, ff),
-        ]
-
-    c0 = coeffs[0]
-    bad = np.flatnonzero(~(c0 > 0))
-    if bad.size:
-        raise DegenerateElement("non-positive measure before the step", cell=int(bad[0]))
-    return np.stack(coeffs[1:], axis=1) / c0[:, None]
+    if geometry is None:
+        geometry = mesh.geometry()
+    return kernel(mesh.dim).measure_polynomial(geometry, mesh.cell_coords(direction).T)
 
 
 def _root_bound(a):

@@ -80,7 +80,7 @@ def save_mesh(mesh, path, fmt=None):
 
 def save_quality_overlay(mesh, path):
     """Write a VTK file carrying per-cell scalar quality = 1/mu."""
-    _write_vtk(mesh, path, quality=1.0 / mesh.radius_ratios())
+    _write_vtk(mesh, path, quality=1.0 / mesh.geometry().mu)
 
 
 class _LineReader:

@@ -398,20 +398,27 @@ class MeshProblem:
         fld[self.fixed] = x.reshape(self.nv, self.dim)[self.fixed]
         return out
 
+    def geometry_at(self, x):
+        """The kernel geometry at x: the kept one if x was evaluated last (as
+        always, except on the retry after a failed search), else a fresh pass."""
+        if self.kept is not None and np.array_equal(self.kept[0], x):
+            return self.kept[1]
+        return self.mesh_at(x).geometry()
+
     def lam_cap(self, x, d):
+        # By keyword: perfbench/tracing.py unpacks (mesh, direction) = args.
         bound = max_step_before_inversion(
-            self.mesh_at(x), d.reshape(self.nv, self.dim)
+            self.mesh_at(x), d.reshape(self.nv, self.dim), geometry=self.geometry_at(x)
         )
         return STEP_CAP_FACTOR * bound
 
     def precond_factory(self, x):
         """The solve with P built at x, per coordinate, as a projected vector map.
 
-        P is built from the kernel geometry of the last evaluation when x is
-        that point, as it is whenever `_descend` asks. Each CG solve stops at
-        the relative residual CG_RTOL, so the map is an inexact P^-1. For a
-        projected g it still gives ``g @ solve(g) > 0`` (see cg_solve; the
-        projector is symmetric and idempotent), so the fixed point's and
+        P is built from the kernel geometry at x (`geometry_at`). Each CG solve
+        stops at the relative residual CG_RTOL, so the map is an inexact P^-1.
+        For a projected g it still gives ``g @ solve(g) > 0`` (see cg_solve;
+        the projector is symmetric and idempotent), so the fixed point's and
         PNLCG's steepest direction ``-solve(g)`` descend. PLBFGS applies the
         map to the two-loop vector, where it is a non-linear seed H0; a
         direction that does not descend is caught by `_descend`'s fallback.
@@ -419,10 +426,7 @@ class MeshProblem:
         start = time.perf_counter()
         if self.topology is None:
             self.topology = preconditioner_topology(self.mesh)
-        geometry = None
-        if self.kept is not None and np.array_equal(self.kept[0], x):
-            geometry = self.kept[1]
-        pre = assemble_preconditioner(self.mesh_at(x), self.topology, geometry)
+        pre = assemble_preconditioner(self.mesh_at(x), self.topology, self.geometry_at(x))
         self.work["p_build_s"] += time.perf_counter() - start
 
         def solve(vec):
@@ -448,13 +452,10 @@ class MeshProblem:
         """The accepted step's smallest cell measure and slide drift.
 
         The accepted trial is the last point the line search evaluated, so
-        its measures are read from the kept geometry (field 0: the area or
-        volume, with the bits of ``signed_measures``).
+        its measures are the kept geometry's field 0 (the area or volume,
+        with the bits of ``signed_measures``).
         """
-        if self.kept is not None and np.array_equal(self.kept[0], x_new):
-            measures = self.kept[1][0]
-        else:
-            measures = self.mesh_at(x_new).signed_measures()
+        measures = self.geometry_at(x_new)[0]
         disp = (x_new - x_old).reshape(self.nv, self.dim)[self.slide]
         residual = 0.0
         if disp.size:

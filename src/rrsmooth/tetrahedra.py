@@ -128,6 +128,22 @@ def geometry(pts):
     return Geometry(vol, E, edge_sq, normals, s, cot, d0, d0_sq, mu)
 
 
+def measure_polynomial(g, du):
+    """The cap's monic volume coefficients ``(n, 3)`` (see :mod:`rrsmooth.simplex`)."""
+    def dot(a, b):
+        return np.einsum("ij,ij->i", a, b)
+
+    # 6 vol(t) = det(e1 + t f1, e2 + t f2, e3 + t f3): seven a . (b x c) sharing four
+    # crosses, summed on (n, 3) rows as geometry's volume einsum, which c0 repeats.
+    f1, f2, f3 = (du.T[:, k] - du.T[:, 0] for k in (1, 2, 3))
+    fe, ef, ff = _cross(f2, g.edges[:, 2]), _cross(g.edges[:, 1], f3), _cross(f2, f3)
+    e1, ee, f1, fe, ef, ff = (
+        np.ascontiguousarray(v.T) for v in (g.edges[:, 0], g.normals[:, 1], f1, fe, ef, ff)
+    )
+    coeffs = [dot(f1, ee) + dot(e1, fe) + dot(e1, ef), dot(f1, fe) + dot(f1, ef) + dot(e1, ff)]
+    return np.stack([*coeffs, dot(f1, ff)], axis=1) / dot(e1, ee)[:, None]
+
+
 def gradient(g):
     """Per-vertex gradient of mu ``(n, 4, 3)`` in closed form, from ``geometry(pts)``."""
     e, d0, sq = g.edges[:, :3], g.d0[:, None], g.edge_sq

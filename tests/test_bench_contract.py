@@ -25,3 +25,27 @@ def load_tracing():
 def test_patched_name_resolves_to_a_callable(entry):
     module_name, attr = entry[:2]
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def test_a_traced_run_counts_one_cap_per_line_search(monkeypatch):
+    # The tracer's cap counter reads (mesh, direction) from the positional
+    # arguments, so a geometry passed positionally would fail the traced run.
+    from rrsmooth import mesh as m, optim
+    from rrsmooth.generate import CUBE, GeneratorSpec, PlantSliver, gen_mesh, perturb_mesh
+
+    tracing = load_tracing()
+    mesh = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 3)), PlantSliver(count=1, eps=0.01))
+    mesh = m.classify_boundary(mesh, m.FIX_ALL)
+    searches = []
+    search = optim.strong_wolfe_search
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "strong_wolfe_search", counted)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        _, report = optim.optimize(mesh, optim.OptimizeConfig(method="plbfgs", max_iters=2))
+    assert report.iterations == 2
+    assert [s[0] for s in tracer.spans].count("mesh.cap") == len(searches) >= 2
+    assert tracer.counts["mesh.cap.moving_cells"] > 0

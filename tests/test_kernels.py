@@ -25,7 +25,7 @@ KERNELS = pytest.mark.parametrize(
 INTERFACE = (
     "geometry", "gradient", "local_blocks", "precond_weights", "EDGES", "FACETS",
     "LAYOUT", "DEGENERACY_RTOL", "diameters", "signed_measure", "radius_ratio",
-    "radius_ratio_gradient",
+    "radius_ratio_gradient", "measure_polynomial",
 )
 
 

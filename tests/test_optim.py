@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from rrsmooth import assembly, simplex, tetrahedra
+from rrsmooth import assembly, simplex, tetrahedra, triangles
 from rrsmooth import mesh as m
 from rrsmooth import optim
 from rrsmooth.errors import IndefiniteMatrix, LineSearchFailed
@@ -563,10 +563,12 @@ class TestStepMetrics:
         x = problem.x0
         problem.eval(x)
         other = problem.step(x, problem.project(np.ones_like(x)), 1e-3)
-        passes = recording(monkeypatch, m.SimplexMesh, "signed_measures")
+        passes = recording(monkeypatch, triangles, "geometry")
         metrics = problem.step_metrics(x, other)
         assert len(passes) == 1
         assert metrics["min_measure"] == problem.mesh_at(other).signed_measures().min()
+        problem.step_metrics(other, x)
+        assert len(passes) == 1
 
 
 class TestMeshOptimizers:
@@ -796,6 +798,10 @@ class TestWorkPerIteration:
         assert len(evals) == report.fun_evals
 
 
+def bits(x):
+    return np.float64(x).tobytes()
+
+
 def recording(monkeypatch, module, name):
     """Replace module.<name> with a wrapper that records (args, result) per call."""
     calls = []
@@ -820,30 +826,72 @@ class TestPreconditionerReuse:
         assert len(checks) == 1
 
     def test_one_geometry_pass_per_evaluation(self, monkeypatch):
-        # P is built from the geometry of the evaluation at the same point.
-        mesh = slivered_cube(n=3, count=1)
-        passes = recording(monkeypatch, tetrahedra, "geometry")
+        # P, the cap and the step record read the geometry of the evaluation
+        # at the same point. Inside the descent nothing gathers the per-cell
+        # (n_cells, k, dim) points or makes a measure pass of its own.
+        passes = {k: recording(monkeypatch, k, "geometry") for k in (triangles, tetrahedra)}
         builds = counting(monkeypatch, "assemble_preconditioner")
-        _, report = optimize(mesh, OptimizeConfig(method="plbfgs", max_iters=6))
-        assert len(builds) == report.iterations == 6
-        # Plus the quality statistics before and after the run.
-        assert len(passes) == report.fun_evals + 2
+        problems, per_cell, caps = [], [], []
+        run = optim._run
+
+        def tracked_run(problem, *args):
+            problems.append(problem)
+            try:
+                return run(problem, *args)
+            finally:
+                problems.append(None)
+
+        for name in ("cell_points", "signed_measures"):
+            def spy(self, fn=getattr(m.SimplexMesh, name), name=name):
+                if problems and problems[-1] is not None:
+                    per_cell.append(name)
+                return fn(self)
+
+            monkeypatch.setattr(m.SimplexMesh, name, spy)
+        cap = optim.max_step_before_inversion
+
+        def kept_cap(mesh, direction, geometry=None):
+            caps.append(geometry is problems[-1].kept[1])
+            return cap(mesh, direction, geometry=geometry)
+
+        monkeypatch.setattr(optim, "_run", tracked_run)
+        monkeypatch.setattr(optim, "max_step_before_inversion", kept_cap)
+        for method, mesh, kernel in (
+            ("plbfgs", slivered_cube(n=3, count=1), tetrahedra),
+            ("fixedpoint", jittered_square(6, 0.3, m.FIX_ALL), triangles),
+        ):
+            for calls in (passes[kernel], builds, caps):
+                calls.clear()
+            _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
+            assert per_cell == []
+            assert len(builds) == report.iterations == 6
+            # Plus the quality statistics before and after the run.
+            assert len(passes[kernel]) == report.fun_evals + 2
+            # One cap per step (no search failed here), each on the kept geometry.
+            assert caps == [True] * report.iterations
 
     @pytest.mark.parametrize("shape", ["square", "cube"])
     def test_factory_builds_the_fresh_preconditioner(self, monkeypatch, shape):
+        # P, the cap and the step record equal the plain public calls bit
+        # for bit, at the point evaluated last (the kept geometry) and at
+        # another one (a fresh pass).
         mesh = m.classify_boundary(jittered_meshes()[shape], m.FIX_ALL)
         problem = optim.MeshProblem(mesh)
         built = recording(monkeypatch, optim, "assemble_preconditioner")
         x = problem.x0
         other = problem.step(x, problem.project(np.ones_like(x)), 1e-3)
+        d = problem.project(np.random.default_rng(3).normal(size=x.shape))
         problem.eval(other)
         problem.eval(x)
         for point in (x, other):
+            at = problem.mesh_at(point)
             problem.precond_factory(point)
-            fresh = assembly.assemble_preconditioner(problem.mesh_at(point))
+            fresh = assembly.assemble_preconditioner(at)
             assert built[-1][1].P.data.tobytes() == fresh.P.data.tobytes()
-        # Only the build at the point evaluated last reads the kept geometry.
-        assert [args[2] is not None for args, _ in built] == [True, False]
+            bound = m.max_step_before_inversion(at, d.reshape(at.vertices.shape))
+            assert bits(problem.lam_cap(point, d)) == bits(optim.STEP_CAP_FACTOR * bound)
+            min_measure = problem.step_metrics(x, point)["min_measure"]
+            assert bits(min_measure) == bits(at.signed_measures().min())
 
 
     @pytest.mark.parametrize(
