@@ -23,20 +23,23 @@ identical meshes produce bit-identical results. The preconditioner's
 sparsity pattern, the slot of every edge entry in it, and the checks that
 it can be positive definite depend on connectivity only: they are built once
 per run (:func:`preconditioner_topology`), and each build is then one
-``np.bincount`` of the edge weights into ``P.data``. The gradient field is
+``np.bincount`` of the edge weights into P's entries. The gradient field is
 summed by ``np.bincount`` too; both sum in cell order.
+
+The optimize path runs on numpy alone: P is held in a column-major ELL layout
+and applied by :class:`Preconditioner`'s ``@``. scipy is imported only by the
+calls that build a scipy matrix (``Preconditioner.P``, :func:`assemble` and
+``gradient_matrix``) and by :func:`spd_audit` and :func:`write_matrix_market`.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import matmul
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DisconnectedMesh, NoFixedVertices
-from .mesh import is_connected, kernel
+from .mesh import components, is_connected, kernel
 
 
 def field_to_vec(field):
@@ -60,7 +63,7 @@ class GlobalGradientSystem:
 
     F: float
     V: np.ndarray
-    A: sparse.csr_matrix
+    A: "scipy.sparse.csr_matrix"
     B_blocks: tuple
     gradient: np.ndarray
     n_vertices: int
@@ -75,12 +78,16 @@ class GlobalGradientSystem:
 
     def gradient_matrix(self):
         """The full (dim n_v)^2 sparse G_F, mainly for debugging dumps."""
+        from scipy import sparse
+
         bmat = partial(sparse.bmat, format="csr")
         return kernel(self.dim).LAYOUT.matrix((self.A, *self.B_blocks), bmat)
 
 
 def _scatter_square(cells, local, n):
     """Sum (m, k, k) local matrices into an n x n CSR matrix."""
+    from scipy import sparse
+
     k = cells.shape[1]
     rows = np.broadcast_to(cells[:, :, None], (len(cells), k, k))
     cols = np.broadcast_to(cells[:, None, :], (len(cells), k, k))
@@ -147,30 +154,62 @@ def energy_gradient(mesh):
 class Preconditioner:
     """Reduced SPD matrix over non-fixed vertices, applied per coordinate.
 
-    ``active`` lists the vertex indices kept, in the order of P's rows.
+    ``active`` lists the vertex indices kept, in the order of P's rows. P is
+    held in a column-major ELL layout: row r's entries are ``data[:, r]`` in
+    the columns ``cols[:, r]``, in increasing column order, and a row shorter
+    than ``len(cols)`` is padded with zeros in its last column. ``pre @ x``
+    adds each row's products one after another in that order, starting from
+    the first, as scipy's CSR product does, so it has the bits of
+    ``pre.P @ x``. It reuses one gather buffer, so an instance serves one
+    thread.
     """
 
-    P: sparse.csr_matrix
+    data: np.ndarray
+    cols: np.ndarray
     active: np.ndarray
+
+    def __post_init__(self):
+        self._gathered = np.empty(self.data.shape)
 
     @property
     def n(self):
-        return self.P.shape[0]
+        return self.cols.shape[1]
+
+    def __matmul__(self, x):
+        # cols are in range, so "clip" changes no index; it only avoids the
+        # buffered copy that the default "raise" makes when given ``out``.
+        products = np.take(x, self.cols, out=self._gathered, mode="clip")
+        products *= self.data
+        return products.sum(axis=0)
+
+    @cached_property
+    def P(self):
+        """P as scipy's canonical CSR matrix, built (and scipy imported) on
+        first access; the optimize path never reads it."""
+        from scipy import sparse
+
+        stored = np.ones(self.cols.shape, dtype=bool)
+        stored[1:] = self.cols[1:] != self.cols[:-1]
+        stored = stored.T
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(stored.sum(axis=1), out=indptr[1:])
+        indices = self.cols.T[stored].astype(np.int32)
+        return sparse.csr_matrix((self.data.T[stored], indices, indptr), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
 class Topology:
     """The part of P that depends on connectivity only, built once per run.
 
-    ``active`` lists the non-fixed vertices in the order of P's rows,
-    ``indptr`` and ``indices`` are P's CSR pattern, and ``slot`` sends the
-    entries (i, j), (j, i), (i, i), (j, j) of every (edge ij, cell) to their
-    positions in ``P.data``, or one past the end for a fixed row or column.
+    ``active`` lists the non-fixed vertices in the order of P's rows, and
+    ``cols`` is P's ``(W, n)`` ELL pattern (see :class:`Preconditioner`).
+    ``slot`` sends the entries (i, j), (j, i), (i, i), (j, j) of every
+    (edge ij, cell) to their positions in the flattened ``(W, n)`` data, or
+    one past its end for a fixed row or column.
     """
 
     active: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    cols: np.ndarray
     slot: np.ndarray
 
 
@@ -199,11 +238,17 @@ def preconditioner_topology(mesh):
     cols = np.concatenate([j, i, i, j]).ravel()
     kept = (rows >= 0) & (cols >= 0)
     keys, inverse = np.unique(rows[kept].astype(np.int64) * n + cols[kept], return_inverse=True)
-    slot = np.full(rows.size, len(keys), dtype=np.int32)
-    slot[kept] = inverse
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return Topology(active, indptr, (keys % n).astype(np.int32), slot)
+    row, col = keys // n, keys % n
+    length = np.bincount(row, minlength=n)
+    first = np.cumsum(length) - length
+    width = length.max(initial=0)
+    ell = (np.arange(len(keys)) - first[row]) * n + row
+    ell_cols = np.empty((width, n), dtype=np.intp)
+    ell_cols[:] = col[first + length - 1]
+    ell_cols.reshape(-1)[ell] = col
+    slot = np.full(rows.size, width * n, dtype=np.intp)
+    slot[kept] = ell[inverse]
+    return Topology(active, ell_cols, slot)
 
 
 def assemble_preconditioner(mesh, topology=None, geometry=None):
@@ -217,19 +262,18 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
 
     ``topology`` (from :func:`preconditioner_topology`) and ``geometry``
     (the third output of :func:`energy_gradient` at this mesh) are computed
-    when not given. The entries ``[-w, -w, w, w]`` are summed into
-    ``P.data`` by one ``np.bincount`` over the fixed pattern, in cell order.
+    when not given. The entries ``[-w, -w, w, w]`` are summed into P's ELL
+    data by one ``np.bincount`` over the fixed pattern, in cell order.
     """
     if topology is None:
         topology = preconditioner_topology(mesh)
     if geometry is None:
         geometry = mesh.geometry()
     w = _cell_weights(mesh, geometry.mu) * kernel(mesh.dim).precond_weights(geometry)
-    nnz, n = len(topology.indices), len(topology.active)
+    width, n = topology.cols.shape
     entries = np.concatenate([-w, -w, w, w]).ravel()
-    data = np.bincount(topology.slot, weights=entries, minlength=nnz + 1)
-    P = sparse.csr_matrix((data[:-1], topology.indices, topology.indptr), shape=(n, n))
-    return Preconditioner(P=P, active=topology.active)
+    data = np.bincount(topology.slot, weights=entries, minlength=width * n + 1)
+    return Preconditioner(data[:-1].reshape(width, n), topology.cols, topology.active)
 
 
 @dataclass
@@ -255,7 +299,8 @@ def spd_audit(precond):
     off = np.asarray(np.abs(P).sum(axis=1)).ravel() - np.abs(diag)
     margin = np.abs(diag) - off
     tol = 1e-12 * norm
-    n_comp, _ = connected_components(P, directed=False)
+    pattern = P.tocoo()
+    n_comp, _ = components(P.shape[0], pattern.row, pattern.col)
     return SpdAuditReport(
         n_rows=P.shape[0],
         matrix_norm=norm,
@@ -269,6 +314,8 @@ def spd_audit(precond):
 
 def write_matrix_market(mat, path):
     """Dump a sparse matrix in Matrix Market coordinate text format."""
+    from scipy import sparse
+
     coo = sparse.coo_matrix(mat)
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")

@@ -9,8 +9,6 @@ reports it.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import simplex, tetrahedra, triangles
 from .errors import NonPlanarPatch
@@ -296,10 +294,7 @@ def classify_boundary(mesh, policy):
 
     # Planar patches: components of the facet graph restricted to coplanar pairs.
     coplanar = pairs[angle <= ANGLE_TOL_DEG]
-    adj = sparse.coo_matrix(
-        (np.ones(len(coplanar)), (coplanar[:, 0], coplanar[:, 1])), shape=(m, m)
-    )
-    n_patches, patch = connected_components(adj, directed=False)
+    n_patches, patch = components(m, coplanar[:, 0], coplanar[:, 1])
 
     patch_normal = np.zeros((n_patches, mesh.dim))
     np.add.at(patch_normal, patch, normals)
@@ -444,20 +439,40 @@ def _largest_real_root(a):
     return max(s_max, _row_roots(a[rest]).max(initial=0.0))
 
 
-def vertex_adjacency(mesh):
-    """Sparse symmetric vertex adjacency induced by the cells."""
-    i, j = kernel(mesh.dim).EDGES
-    rows = mesh.cells[:, i].ravel()
-    cols = mesh.cells[:, j].ravel()
-    n = mesh.n_vertices
-    ones = np.ones(rows.size)
-    adj = sparse.coo_matrix((ones, (rows, cols)), shape=(n, n))
-    return (adj + adj.T).tocsr()
+def components(n, i, j):
+    """Connected components of the undirected graph on ``n`` vertices with
+    edges ``(i[k], j[k])``; returns ``(count, labels)``.
+
+    Label propagation with pointer jumping: each round hooks the larger of
+    the two roots of every edge whose ends still differ onto the smaller,
+    then shortcuts every vertex to its root. A root is always the smallest
+    vertex of its tree, so no cycle forms. Labels number the components
+    0..count-1 in order of their smallest vertex. Self-loops and repeated
+    edges are allowed.
+    """
+    root = np.arange(n)
+    i, j = np.ravel(i), np.ravel(j)
+    while True:
+        ri, rj = root[i], root[j]
+        differ = ri != rj
+        if not differ.any():
+            break
+        i, j, ri, rj = i[differ], j[differ], ri[differ], rj[differ]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    roots, labels = np.unique(root, return_inverse=True)
+    return len(roots), labels
 
 
 def is_connected(mesh):
-    n_comp, _ = connected_components(vertex_adjacency(mesh), directed=False)
-    return n_comp == 1
+    """Whether the cells' edges connect every vertex, unused ones included."""
+    i, j = kernel(mesh.dim).EDGES
+    count, _ = components(mesh.n_vertices, mesh.cells[:, i], mesh.cells[:, j])
+    return count == 1
 
 
 def constraint_projector(mesh):

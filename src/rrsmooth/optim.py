@@ -71,11 +71,12 @@ class CgInfo:
 def cg_solve(A, b, tol=1e-8, max_iters=None):
     """Conjugate gradients for SPD A from x = 0; returns (x, CgInfo).
 
-    Stops once the relative residual ``|b - A x| / |b|`` is at most ``tol``
-    or after ``max_iters`` iterations. Every truncation descends: each
-    iterate ``x_k`` with k >= 1 satisfies ``b @ x_k = x_k @ A @ x_k > 0``
-    (Steihaug 1983), so ``-x_k`` is a descent direction for a gradient b
-    whenever b != 0. Raises IndefiniteMatrix if a search direction has
+    A is anything with ``A @ vector``, such as a ``Preconditioner``, a scipy
+    sparse matrix or a dense array. Stops once the relative residual
+    ``|b - A x| / |b|`` is at most ``tol`` or after ``max_iters`` iterations.
+    Every truncation descends: each iterate ``x_k`` with k >= 1 satisfies
+    ``b @ x_k = x_k @ A @ x_k > 0`` (Steihaug 1983), so ``-x_k`` is a descent
+    direction for a gradient b whenever b != 0. Raises IndefiniteMatrix if a search direction has
     non-positive curvature, which means A is not SPD.
     """
     b = np.asarray(b, dtype=float)
@@ -89,7 +90,10 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
+    step = np.empty(n)
     rr = r @ r
+    # The updates run in place, each with the bits of its plain form
+    # (x += alpha * p, r -= alpha * Ap, p = r + beta * p).
     for k in range(1, max_iters + 1):
         Ap = A @ p
         curvature = p @ Ap
@@ -98,13 +102,14 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
                 f"non-positive curvature {curvature:.3e} in CG iteration {k}"
             )
         alpha = rr / curvature
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(Ap, alpha, out=step)
         rr_new = r @ r
         res = math.sqrt(rr_new)
         if res <= tol * norm_b:
             return x, CgInfo(k, res / norm_b, True)
-        p = r + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     return x, CgInfo(max_iters, res / norm_b, False)
 
@@ -435,7 +440,7 @@ class MeshProblem:
             out = np.zeros_like(rhs)
             for c in range(self.dim):
                 b = rhs[pre.active, c]
-                out[pre.active, c], info = cg_solve(pre.P, b, tol=CG_RTOL)
+                out[pre.active, c], info = cg_solve(pre, b, tol=CG_RTOL)
                 self.work["cg_iters"] += info.iterations
                 self.work["cg_residual"] = max(self.work["cg_residual"], info.residual)
             self.work["cg_s"] += time.perf_counter() - start

@@ -25,6 +25,7 @@ from rrsmooth.generate import (
     gen_mesh,
     perturb_mesh,
 )
+from rrsmooth.optim import cg_solve
 
 from conftest import random_tets, random_triangles
 
@@ -197,6 +198,14 @@ class TestPreconditioner:
         with pytest.raises(DisconnectedMesh):
             assemble_preconditioner(both)
 
+    def test_vertex_no_cell_uses_rejected(self):
+        cube = gen_mesh(GeneratorSpec(CUBE, 2))
+        verts = np.vstack([cube.vertices, [[0.5, 0.5, 0.5 + 1e-3]]])
+        lonely = m.classify_boundary(m.SimplexMesh(verts, cube.cells), m.FIX_ALL)
+        assert not lonely.fixed_mask()[-1]
+        with pytest.raises(DisconnectedMesh):
+            assemble_preconditioner(lonely)
+
     def test_audit_on_generated_meshes(self):
         for kind, n in ((SQUARE, 4), (EQUILATERAL, 4), (CUBE, 3)):
             mesh = m.classify_boundary(gen_mesh(GeneratorSpec(kind, n)), m.FIX_ALL)
@@ -293,8 +302,47 @@ class TestFixedPattern:
         topology = preconditioner_topology(mesh)
         kept = assemble_preconditioner(mesh, topology, geometry)
         fresh = assemble_preconditioner(mesh)
+        csr = csr_reference(mesh, geometry)
         for name in ("data", "indices", "indptr"):
             assert getattr(kept.P, name).tobytes() == getattr(fresh.P, name).tobytes()
+            assert getattr(kept.P, name).dtype == getattr(csr, name).dtype
+            assert getattr(kept.P, name).tobytes() == getattr(csr, name).tobytes()
+
+    @BUILD_CASES
+    def test_ell_product_has_the_bits_of_the_csr_product(self, rng, kind, n, policy):
+        mesh = m.classify_boundary(jittered(kind, n, seed=7), policy)
+        pre = assemble_preconditioner(mesh)
+        for _ in range(5):
+            x = rng.normal(size=pre.n)
+            assert np.array_equal(pre @ x, pre.P @ x)
+        b = rng.normal(size=pre.n)
+        x, info = cg_solve(pre, b, tol=1e-10)
+        ref, ref_info = cg_solve(pre.P, b, tol=1e-10)
+        assert info == ref_info
+        assert x.tobytes() == ref.tobytes()
+
+
+def csr_reference(mesh, geometry):
+    """P by the CSR build the ELL layout replaced: np.unique keys of the
+    active (row, column) pairs in row-major order, one np.bincount into them."""
+    kernel = m.kernel(mesh.dim)
+    active = np.flatnonzero(~mesh.fixed_mask())
+    n = len(active)
+    row_of = np.full(mesh.n_vertices, -1)
+    row_of[active] = np.arange(n)
+    tail, head = kernel.EDGES
+    i, j = row_of[mesh.cells[:, tail].T], row_of[mesh.cells[:, head].T]
+    rows = np.concatenate([i, j, i, j]).ravel()
+    cols = np.concatenate([j, i, i, j]).ravel()
+    w = assembly._cell_weights(mesh, geometry.mu) * kernel.precond_weights(geometry)
+    entries = np.concatenate([-w, -w, w, w]).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, inverse = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
+    data = np.bincount(inverse, weights=entries[kept], minlength=len(keys))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indices = (keys % n).astype(np.int32)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 class TestMatrixMarket:

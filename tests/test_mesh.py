@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from rrsmooth import mesh as m, simplex, tetrahedra, triangles
 from rrsmooth.assembly import energy_gradient
@@ -248,6 +250,43 @@ class TestClassifyBoundary:
         assert m.validate(sphere) == []
         with pytest.raises(NonPlanarPatch):
             m.classify_boundary(sphere, m.SLIDE_PLANAR)
+
+
+def same_partition(a, b):
+    """Whether label arrays a and b split the vertices alike (up to relabelling)."""
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return pairs == len(np.unique(a)) == len(np.unique(b))
+
+
+@st.composite
+def graphs(draw):
+    """(n, edges) with edges among the first k <= n vertices: the rest are
+    isolated, and a small k makes self-loops and repeated edges likely."""
+    n = draw(st.integers(1, 60))
+    end = st.integers(0, draw(st.integers(1, n)) - 1)
+    return n, draw(st.lists(st.tuples(end, end), max_size=80))
+
+
+class TestComponents:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(graph=graphs())
+    @example(graph=(5, []))
+    @example(graph=(7, [(0, 0), (0, 1), (2, 2), (3, 5), (3, 5), (5, 3)]))
+    def test_matches_scipy(self, graph):
+        n, edges = graph
+        i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        count, labels = m.components(n, i, j)
+        adjacency = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+        expected, reference = connected_components(adjacency, directed=False)
+        assert count == expected
+        assert same_partition(labels, reference)
+        assert set(labels.tolist()) == set(range(count))
+
+    def test_long_path_in_shuffled_order(self, rng):
+        order = rng.permutation(2000)
+        count, labels = m.components(2000, order[:-1], order[1:])
+        assert count == 1
+        assert np.all(labels == 0)
 
 
 def one_cell(P):

@@ -88,6 +88,33 @@ class TestCgSolve:
                 assert b @ x > 0.0
                 assert b @ x == pytest.approx(x @ (P @ x), rel=1e-10)
 
+    def test_in_place_updates_keep_the_plain_loop_bits(self, rng):
+        for _ in range(10):
+            P = reduced_laplacian(rng, 40)
+            b = rng.normal(size=P.shape[0])
+            for tol in (1e-2, 1e-8, 0.0):
+                x, info = cg_solve(P, b, tol=tol)
+                ref, iterations = plain_cg(P, b, tol)
+                assert info.iterations == iterations
+                assert x.tobytes() == ref.tobytes()
+
+
+def plain_cg(A, b, tol):
+    """cg_solve's loop with freshly allocated updates: (x, iterations)."""
+    x, r = np.zeros(len(b)), b.copy()
+    p, rr = r.copy(), r @ r
+    for k in range(1, len(b) + 1):
+        Ap = A @ p
+        alpha = rr / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rr_new = r @ r
+        if math.sqrt(rr_new) <= tol * np.linalg.norm(b):
+            return x, k
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x, len(b)
+
 
 def reduced_laplacian(rng, n):
     """A connected weighted graph Laplacian on n vertices with 1-3 of them
