@@ -237,7 +237,13 @@ def preconditioner_topology(mesh):
     rows = np.concatenate([i, j, i, j]).ravel()
     cols = np.concatenate([j, i, i, j]).ravel()
     kept = (rows >= 0) & (cols >= 0)
-    keys, inverse = np.unique(rows[kept].astype(np.int64) * n + cols[kept], return_inverse=True)
+    key = rows[kept].astype(np.int64) * n + cols[kept]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first_of_run = np.r_[True, key[1:] != key[:-1]]
+    keys = key[first_of_run]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first_of_run) - 1
     row, col = keys // n, keys % n
     length = np.bincount(row, minlength=n)
     first = np.cumsum(length) - length

@@ -175,7 +175,7 @@ def _displace(mesh, mode):
 def _interior_vertex_mask(mesh):
     facets, _ = boundary_facets(mesh)
     interior = np.ones(mesh.n_vertices, dtype=bool)
-    interior[np.unique(facets)] = False
+    interior[facets] = False
     return interior
 
 

@@ -216,10 +216,11 @@ def boundary_facets(mesh):
     all_facets = np.concatenate([mesh.cells[:, list(f)] for f in local], axis=0)
     owners = np.tile(np.arange(mesh.n_cells), len(local))
     key = np.sort(all_facets, axis=1)
-    _, inverse, counts = np.unique(
-        key, axis=0, return_inverse=True, return_counts=True
-    )
-    on_boundary = counts[inverse] == 1
+    order = np.lexsort(key.T[::-1])
+    # In sorted order, a facet is shared iff it equals a neighbor.
+    shared = np.all(key[order[1:]] == key[order[:-1]], axis=1)
+    on_boundary = np.empty(len(key), dtype=bool)
+    on_boundary[order] = ~(np.r_[False, shared] | np.r_[shared, False])
     return all_facets[on_boundary], owners[on_boundary]
 
 
@@ -265,10 +266,8 @@ def classify_boundary(mesh, policy):
     facets, _ = boundary_facets(mesh)
     kind = np.zeros(mesh.n_vertices, dtype=np.int8)
     normals_out = np.zeros_like(mesh.vertices)
-    boundary_verts = np.unique(facets)
-
+    kind[facets] = FIXED
     if policy == FIX_ALL:
-        kind[boundary_verts] = FIXED
         return SimplexMesh(mesh.vertices, mesh.cells, kind, normals_out)
 
     normals = facet_normals(mesh, facets)
@@ -300,17 +299,16 @@ def classify_boundary(mesh, policy):
     np.add.at(patch_normal, patch, normals)
     patch_normal /= np.linalg.norm(patch_normal, axis=1, keepdims=True)
 
-    vert_patches = {}
-    for fi, f in enumerate(facets):
-        for v in f:
-            vert_patches.setdefault(int(v), set()).add(int(patch[fi]))
-    for v in boundary_verts:
-        ps = vert_patches[int(v)]
-        if len(ps) == 1:
-            kind[v] = SLIDE
-            normals_out[v] = patch_normal[next(iter(ps))]
-        else:
-            kind[v] = FIXED
+    # A boundary vertex slides when all its facets lie in one patch.
+    vert = facets.ravel()
+    vert_patch = np.repeat(patch, facets.shape[1])
+    order = np.lexsort((vert_patch, vert))
+    vert, vert_patch = vert[order], vert_patch[order]
+    distinct = np.r_[True, (vert[1:] != vert[:-1]) | (vert_patch[1:] != vert_patch[:-1])]
+    slide = np.bincount(vert[distinct], minlength=mesh.n_vertices) == 1
+    kind[slide] = SLIDE
+    one = slide[vert]
+    normals_out[vert[one]] = patch_normal[vert_patch[one]]
     return SimplexMesh(mesh.vertices, mesh.cells, kind, normals_out)
 
 
@@ -464,8 +462,8 @@ def components(n, i, j):
             if np.array_equal(up, root):
                 break
             root = up
-    roots, labels = np.unique(root, return_inverse=True)
-    return len(roots), labels
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), np.cumsum(is_root)[root] - 1
 
 
 def is_connected(mesh):

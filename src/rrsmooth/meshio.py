@@ -10,10 +10,15 @@ Three dialects:
   0-based cells and per-vertex constraint tags. Floats are printed with 17
   significant digits so round trips are byte-exact.
 
+Each numeric section is parsed by one ``np.loadtxt`` call, so its numbers
+follow loadtxt's syntax: no ``_`` digit separators, and integers are plain
+decimals that fit in 64 bits. Each written block is one ``%``-format string.
+
 Negatively oriented cells are repaired on load and the repair count logged.
 """
 
 import logging
+from collections import Counter
 
 import numpy as np
 
@@ -32,6 +37,8 @@ _MSH_TRIANGLE = 2
 _MSH_TET = 4
 _VTK_TRIANGLE = 5
 _VTK_TET = 10
+_MSH_NODE = np.dtype([("id", np.int64), ("xyz", float, (3,))])
+_TAGS = {"free": FREE, "fixed": FIXED, "slide": SLIDE}
 
 
 def detect_format(path):
@@ -47,35 +54,25 @@ def detect_format(path):
 def load_mesh(path, fmt=None):
     """Read a mesh file; orientation is repaired and repairs are logged."""
     fmt = fmt or detect_format(path)
-    if fmt == GMSH:
-        verts, cells = _read_msh(path)
-        kind = normals = None
-    elif fmt == VTK:
-        verts, cells = _read_vtk(path)
-        kind = normals = None
-    elif fmt == NATIVE:
-        verts, cells, kind, normals = _read_native(path)
-    else:
+    readers = {GMSH: _read_msh, VTK: _read_vtk, NATIVE: _read_native}
+    if fmt not in readers:
         raise UnsupportedFormat(f"unknown format {fmt!r}")
+    verts, cells, *constraints = readers[fmt](path)
     if cells.shape[0] == 0:
         raise EmptyMesh(f"{path}: no triangle/tetrahedron cells found")
     cells, repaired = repair_orientation(verts, cells)
     if repaired.size:
         logger.info("%s: repaired orientation of %d cells", path, repaired.size)
-    return SimplexMesh(verts, cells, kind, normals)
+    return SimplexMesh(verts, cells, *constraints)
 
 
 def save_mesh(mesh, path, fmt=None):
     """Write a mesh file in the requested or extension-implied format."""
     fmt = fmt or detect_format(path)
-    if fmt == GMSH:
-        _write_msh(mesh, path)
-    elif fmt == VTK:
-        _write_vtk(mesh, path, quality=None)
-    elif fmt == NATIVE:
-        _write_native(mesh, path)
-    else:
+    writers = {GMSH: _write_msh, VTK: _write_vtk, NATIVE: _write_native}
+    if fmt not in writers:
         raise UnsupportedFormat(f"unknown format {fmt!r}")
+    writers[fmt](mesh, path)
 
 
 def save_quality_overlay(mesh, path):
@@ -83,8 +80,14 @@ def save_quality_overlay(mesh, path):
     _write_vtk(mesh, path, quality=1.0 / mesh.geometry().mu)
 
 
+def _loadtxt(lines, dtype):
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+
+
 class _LineReader:
-    """Line iterator that remembers its position for error messages."""
+    """Line iterator that remembers its position for error messages. Only
+    when a section's one ``np.loadtxt`` call fails does :meth:`locate` walk
+    its lines, to name the first line a line-by-line read would reject."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -110,25 +113,51 @@ class _LineReader:
         except ValueError:
             self.fail(f"{context}: malformed number in {' '.join(tokens)!r}")
 
-    def fields(self, context, count, cast, what):
-        """The next line as ``count`` numbers, or ParseError there."""
-        parts = self.next(context).split()
-        if len(parts) != count:
-            self.fail(f"{context} line needs {count} {what}")
-        return self.values(parts, cast, context)
-
     def at_end(self):
         return self.pos >= len(self.lines)
+
+    def take(self, count):
+        """The next line's index, and the next ``count`` lines (fewer at EOF)."""
+        start = self.pos
+        self.pos = min(start + count, len(self.lines))
+        return start, self.lines[start : self.pos]
+
+    def section(self, count, dtype, context, fields=range(1 << 62)):
+        """The next ``count`` lines, parsed by one ``np.loadtxt`` call (a
+        record per line for a structured ``dtype``, else one flat array), and
+        the number of fields on each line, which must lie in ``fields``."""
+        count = max(count, 0)
+        start, lines = self.take(count)
+        widths = np.array([len(line.split()) for line in lines], dtype=np.int64)
+        if len(lines) == count and np.all((widths >= fields.start) & (widths < fields.stop)):
+            try:
+                text = lines if np.dtype(dtype).names else [" ".join(lines)]
+                return (_loadtxt(text, dtype) if widths.any() else np.zeros(0, dtype)), widths
+            except ValueError:
+                pass
+        self.locate(start, lines, dtype, context, lambda parts: (
+            len(parts) not in fields and f"{context}: a line of {len(parts)} fields", parts))
+
+    def locate(self, start, lines, dtype, context, check):
+        """ParseError at the first of ``lines`` (index ``start`` onwards) that
+        ``check(fields) -> (message, numbers)`` rejects or whose ``numbers``
+        do not parse as ``dtype``, else at the end of the file."""
+        for self.pos, line in enumerate(lines, start + 1):
+            message, numbers = check(line.split())
+            if message:
+                self.fail(message)
+            try:
+                if numbers:
+                    _loadtxt([" ".join(numbers)], dtype)
+            except ValueError:
+                self.fail(f"{context}: malformed number in {line.strip()!r}")
+        self.next(context)
+        self.fail(f"{context}: unreadable section")
 
 
 def _read_msh(path):
     rd = _LineReader(path)
-    nodes = []
-    node_ids = []
-    tris = []
-    tets = []
-    skipped = {}
-    saw_nodes = saw_elements = False
+    nodes, elements = [], []
     while not rd.at_end():
         line = rd.next("section header")
         if not line:
@@ -137,39 +166,19 @@ def _read_msh(path):
             header = rd.next("$MeshFormat")
             parts = header.split()
             if not parts or not parts[0].startswith("2.2"):
-                raise UnsupportedFormat(
-                    f"{path}: only MSH 2.2 ASCII is supported, got {header!r}"
-                )
+                raise UnsupportedFormat(f"{path}: only MSH 2.2 ASCII is supported, got {header!r}")
             if len(parts) >= 2 and parts[1] != "0":
                 raise UnsupportedFormat(f"{path}: binary MSH is not supported")
             if rd.next("$EndMeshFormat") != "$EndMeshFormat":
                 rd.fail("expected $EndMeshFormat")
         elif line == "$Nodes":
-            saw_nodes = True
             (count,) = rd.values([rd.next("node count")], int, "node count")
-            for _ in range(count):
-                parts = rd.next("$Nodes").split()
-                if len(parts) != 4:
-                    rd.fail(f"expected 'id x y z', got {len(parts)} fields")
-                node_ids.extend(rd.values(parts[:1], int, "node id"))
-                nodes.append(rd.values(parts[1:], float, "node"))
+            nodes.append(rd.section(count, _MSH_NODE, "$Nodes", range(4, 5))[0])
             if rd.next("$EndNodes") != "$EndNodes":
                 rd.fail("expected $EndNodes")
         elif line == "$Elements":
-            saw_elements = True
             (count,) = rd.values([rd.next("element count")], int, "element count")
-            for _ in range(count):
-                parts = rd.next("$Elements").split()
-                if len(parts) < 3:
-                    rd.fail("malformed element line")
-                _, etype, ntags, *rest = rd.values(parts, int, "element")
-                ids = rest[ntags:]
-                if etype == _MSH_TRIANGLE and len(ids) == 3:
-                    tris.append(ids)
-                elif etype == _MSH_TET and len(ids) == 4:
-                    tets.append(ids)
-                else:
-                    skipped[etype] = skipped.get(etype, 0) + 1
+            elements.append(rd.section(count, np.int64, "$Elements", range(3, 1 << 62)))
             if rd.next("$EndElements") != "$EndElements":
                 rd.fail("expected $EndElements")
         elif line.startswith("$") and not line.startswith("$End"):
@@ -177,59 +186,68 @@ def _read_msh(path):
             terminator = "$End" + line[1:]
             while rd.next(f"section {line}") != terminator:
                 pass
-    if not saw_nodes or not saw_elements:
+    if not nodes or not elements:
         raise ParseError("missing $Nodes or $Elements section", str(path))
+    nodes = np.concatenate(nodes)
+    flat, widths = (np.concatenate(arrays) for arrays in zip(*elements))
+    # A row is "id type ntags <tags> <node ids>": its ids are row[3:][ntags:].
+    first = np.cumsum(widths) - widths
+    etype, ntags, rest = flat[first + 1], flat[first + 2], widths - 3
+    skip = np.clip(np.where(ntags < 0, rest + ntags, ntags), 0, rest)
+    n_ids, begin = rest - skip, first + 3 + skip
+    tri = (etype == _MSH_TRIANGLE) & (n_ids == 3)
+    tet = (etype == _MSH_TET) & (n_ids == 4)
+    skipped = Counter(etype[~(tri | tet)].tolist())
     if skipped:
         logger.warning(
-            "%s: ignored unsupported element types %s",
-            path,
-            {k: v for k, v in sorted(skipped.items())},
+            "%s: ignored unsupported element types %s", path, dict(sorted(skipped.items()))
         )
-    coords = np.asarray(nodes, dtype=float).reshape(-1, 3)
-    index_of = {nid: i for i, nid in enumerate(node_ids)}
-    if len(index_of) != len(node_ids):
+    coords = np.ascontiguousarray(nodes["xyz"])
+    order = np.argsort(nodes["id"], kind="stable")
+    ids = nodes["id"][order]
+    if np.any(ids[1:] == ids[:-1]):
         raise ParseError("duplicate node ids", str(path))
 
     def remap(rows, width):
-        try:
-            return np.array(
-                [[index_of[v] for v in row] for row in rows], dtype=np.int64
-            ).reshape(-1, width)
-        except KeyError as e:
-            raise ParseError(f"element references unknown node id {e.args[0]}",
-                             str(path)) from None
+        cells = flat[begin[rows, None] + np.arange(width)]
+        at = np.searchsorted(ids, cells)
+        known = at < len(ids)
+        known[known] = ids[at[known]] == cells[known]
+        if not known.all():
+            raise ParseError(f"element references unknown node id {cells[~known][0]}", str(path))
+        return order[at]
 
-    if tets:
-        if tris:
-            logger.warning(
-                "%s: %d surface triangles ignored in favor of %d tets",
-                path, len(tris), len(tets),
-            )
-        return coords, remap(tets, 4)
-    cells = remap(tris, 3)
-    if cells.shape[0] and np.abs(coords[:, 2]).max() > 1e-12 * max(
-        np.abs(coords).max(), 1.0
-    ):
-        raise UnsupportedFormat(
-            f"{path}: triangle mesh with nonzero z (surface meshes unsupported)"
-        )
+    if tet.any():
+        if tri.any():
+            logger.warning("%s: %d surface triangles ignored in favor of %d tets",
+                           path, tri.sum(), tet.sum())
+        return coords, remap(tet, 4)
+    cells = remap(tri, 3)
+    if cells.shape[0] and np.abs(coords[:, 2]).max() > 1e-12 * max(np.abs(coords).max(), 1.0):
+        raise UnsupportedFormat(f"{path}: triangle mesh with nonzero z (surface meshes unsupported)")
     return coords[:, :2], cells
 
 
+def _xyz(mesh):
+    """Vertex coordinates as three columns (z = 0 in 2D)."""
+    return np.column_stack([mesh.vertices, np.zeros((mesh.n_vertices, 3 - mesh.dim))])
+
+
+def _block(row, values):
+    """``row`` formatted once per row of ``values``, as one string."""
+    return row * len(values) % tuple(np.ravel(values).tolist())
+
+
 def _write_msh(mesh, path):
+    n, m = mesh.n_vertices, mesh.n_cells
+    etype = _MSH_TET if mesh.dim == 3 else _MSH_TRIANGLE
+    nodes = np.column_stack([np.arange(1, n + 1), _xyz(mesh)])
+    elements = np.column_stack([np.arange(1, m + 1), mesh.cells + 1])
     with open(path, "w") as fh:
-        fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
-        fh.write(f"$Nodes\n{mesh.n_vertices}\n")
-        for i, v in enumerate(mesh.vertices):
-            x, y = v[0], v[1]
-            z = v[2] if mesh.dim == 3 else 0.0
-            fh.write(f"{i + 1} {x:.17g} {y:.17g} {z:.17g}\n")
-        fh.write("$EndNodes\n")
-        etype = _MSH_TET if mesh.dim == 3 else _MSH_TRIANGLE
-        fh.write(f"$Elements\n{mesh.n_cells}\n")
-        for i, cell in enumerate(mesh.cells):
-            ids = " ".join(str(v + 1) for v in cell)
-            fh.write(f"{i + 1} {etype} 2 0 0 {ids}\n")
+        fh.write(f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{n}\n")
+        fh.write(_block("%d %.17g %.17g %.17g\n", nodes))
+        fh.write(f"$EndNodes\n$Elements\n{m}\n")
+        fh.write(_block(f"%d {etype} 2 0 0" + " %d" * (mesh.dim + 1) + "\n", elements))
         fh.write("$EndElements\n")
 
 
@@ -244,13 +262,16 @@ def _read_vtk(path):
     if "UNSTRUCTURED_GRID" not in dataset:
         raise UnsupportedFormat(f"{path}: expected DATASET UNSTRUCTURED_GRID")
 
-    def read_numbers(count, context, cast):
-        out = []
-        while len(out) < count:
-            out.extend(rd.values(rd.next(context).split(), cast, context))
-        if len(out) != count:
-            rd.fail(f"{context}: expected {count} values, got {len(out)}")
-        return out
+    def read_numbers(count, context, dtype):
+        """The next ``count`` numbers, however the lines spread them."""
+        start, total = rd.pos, 0
+        while total < count and not rd.at_end():
+            total += len(rd.next(context).split())
+        lines, rd.pos = rd.pos - start + (total < count), start
+        values, _ = rd.section(lines, dtype, context)
+        if total != count:
+            rd.fail(f"{context}: expected {count} values, got {total}")
+        return values
 
     def counts(parts, n, extra=0):
         """The ``n`` counts after a section keyword, then up to ``extra`` words."""
@@ -258,9 +279,7 @@ def _read_vtk(path):
             rd.fail(f"{parts[0]} header needs {n} count(s), got {len(parts) - 1} fields")
         return rd.values(parts[1 : n + 1], int, parts[0])
 
-    points = None
-    raw_cells = None
-    types = None
+    points = raw_cells = types = None
     while not rd.at_end():
         line = rd.next("section")
         if not line:
@@ -269,16 +288,15 @@ def _read_vtk(path):
         key = parts[0].upper()
         if key == "POINTS":
             (n,) = counts(parts, 1, extra=1)
-            vals = read_numbers(3 * n, "POINTS", float)
-            points = np.asarray(vals, dtype=float).reshape(n, 3)
+            points = read_numbers(3 * n, "POINTS", float).reshape(n, 3)
         elif key == "CELLS":
             cells_line = rd.pos
             m, total = counts(parts, 2)
-            raw_cells = (m, read_numbers(total, "CELLS", int))
+            raw_cells = (m, read_numbers(total, "CELLS", np.int64))
         elif key == "CELL_TYPES":
             types_line = rd.pos
             (m,) = counts(parts, 1)
-            types = read_numbers(m, "CELL_TYPES", int)
+            types = read_numbers(m, "CELL_TYPES", np.int64)
         else:
             break  # CELL_DATA and friends: nothing else we need
     if points is None or raw_cells is None or types is None:
@@ -286,25 +304,26 @@ def _read_vtk(path):
     m, vals = raw_cells
     if len(types) != m:
         raise ParseError(f"CELL_TYPES lists {len(types)} cells, CELLS {m}", str(path), types_line)
-    cells = []
-    pos = 0
-    for t in types:
-        k = vals[pos] if pos < len(vals) else -1
-        if not 0 <= k < len(vals) - pos:
+    # Each cell is listed as "k id_1 ... id_k"; walk the sizes to its start.
+    sizes, starts, pos = vals.tolist(), [], 0
+    for _ in range(m):
+        if not (pos < len(sizes) and 0 <= sizes[pos] < len(sizes) - pos):
             raise ParseError("CELLS: cell sizes do not match the values listed",
                              str(path), cells_line)
-        ids = vals[pos + 1 : pos + 1 + k]
-        pos += 1 + k
-        if (t, k) in ((_VTK_TRIANGLE, 3), (_VTK_TET, 4)):
-            cells.append(ids)
-        else:
-            logger.warning("%s: ignored VTK cell type %d", path, t)
-    if not cells:
+        starts.append(pos)
+        pos += 1 + sizes[pos]
+    size = vals[starts]
+    kept = ((types == _VTK_TRIANGLE) & (size == 3)) | ((types == _VTK_TET) & (size == 4))
+    for t in types[~kept].tolist():
+        logger.warning("%s: ignored VTK cell type %d", path, t)
+    if not kept.any():
         return points, np.zeros((0, 4), dtype=np.int64)
-    width = len(cells[0])
-    if any(len(c) != width for c in cells):
+    width = size[kept][0]
+    if np.any(size[kept] != width):
         raise UnsupportedFormat(f"{path}: mixed cell dimensions")
-    cells = np.asarray(cells, dtype=np.int64)
+    if not len(points):
+        raise ParseError("CELLS lists cells, but POINTS lists no points", str(path), cells_line)
+    cells = vals[np.array(starts)[kept, None] + 1 + np.arange(width)]
     if width == 3:
         if np.abs(points[:, 2]).max() > 1e-12 * max(np.abs(points).max(), 1.0):
             raise UnsupportedFormat(f"{path}: triangle mesh with nonzero z")
@@ -313,76 +332,57 @@ def _read_vtk(path):
 
 
 def _write_vtk(mesh, path, quality=None):
+    m, k = mesh.n_cells, mesh.dim + 1
+    ctype = _VTK_TET if mesh.dim == 3 else _VTK_TRIANGLE
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write("rrsmooth mesh\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write("# vtk DataFile Version 2.0\nrrsmooth mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for v in mesh.vertices:
-            z = v[2] if mesh.dim == 3 else 0.0
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {z:.17g}\n")
-        k = mesh.dim + 1
-        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}\n")
-        for cell in mesh.cells:
-            fh.write(f"{k} " + " ".join(str(v) for v in cell) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        ctype = _VTK_TET if mesh.dim == 3 else _VTK_TRIANGLE
-        for _ in range(mesh.n_cells):
-            fh.write(f"{ctype}\n")
+        fh.write(_block("%.17g %.17g %.17g\n", _xyz(mesh)))
+        fh.write(f"CELLS {m} {m * (k + 1)}\n" + _block(f"{k}" + " %d" * k + "\n", mesh.cells))
+        fh.write(f"CELL_TYPES {m}\n" + f"{ctype}\n" * m)
         if quality is not None:
-            fh.write(f"CELL_DATA {mesh.n_cells}\n")
-            fh.write("SCALARS quality double 1\nLOOKUP_TABLE default\n")
-            for q in quality:
-                fh.write(f"{q:.17g}\n")
+            fh.write(f"CELL_DATA {m}\nSCALARS quality double 1\nLOOKUP_TABLE default\n")
+            fh.write(_block("%.17g\n", quality))
 
 
 def _read_native(path):
     rd = _LineReader(path)
-    dim, nv, nc = rd.fields("header", 3, int, "integers 'dim nv nc'")
+    dim, nv, nc = rd.section(1, np.int64, "header 'dim nv nc'", range(3, 4))[0].tolist()
     if dim not in (2, 3):
         rd.fail(f"dim must be 2 or 3, got {dim}")
     if nv < 0 or nc < 0:
         rd.fail("vertex and cell counts must be non-negative")
-    verts = np.empty((nv, dim))
-    for i in range(nv):
-        verts[i] = rd.fields("vertex", dim, float, "coordinates")
-    cells = np.empty((nc, dim + 1), dtype=np.int64)
-    for i in range(nc):
-        cells[i] = rd.fields("cell", dim + 1, int, "vertex indices")
-    kind = np.zeros(nv, dtype=np.int8)
+    verts = rd.section(nv, float, "vertex", range(dim, dim + 1))[0].reshape(nv, dim)
+    cells = rd.section(nc, np.int64, "cell", range(dim + 1, dim + 2))[0].reshape(nc, dim + 1)
+    start, lines = rd.take(nv)
+    kind = np.array([_TAGS.get((s.split(None, 1) or [""])[0], -1) for s in lines], np.int8)
+    slide = np.flatnonzero(kind == SLIDE)
     normals = np.zeros((nv, dim))
-    for i in range(nv):
-        parts = rd.next("constraint").split()
+    try:
+        if len(lines) == nv and np.all(kind >= 0):
+            rows = [lines[i] for i in slide.tolist()]
+            if rows:
+                normals[slide] = _loadtxt(rows, [("tag", "U5"), ("n", float, (dim,))])["n"]
+            return verts, cells, kind, normals
+    except ValueError:
+        pass
+
+    def check(parts):
         if not parts:
-            rd.fail("empty constraint line")
-        tag = parts[0]
-        if tag == "free":
-            kind[i] = FREE
-        elif tag == "fixed":
-            kind[i] = FIXED
-        elif tag == "slide":
-            if len(parts) != 1 + dim:
-                rd.fail(f"slide tag needs {dim} normal components")
-            kind[i] = SLIDE
-            normals[i] = rd.values(parts[1:], float, "slide normal")
-        else:
-            rd.fail(f"unknown constraint tag {tag!r}")
-    return verts, cells, kind, normals
+            return "empty constraint line", ()
+        if parts[0] == "slide":
+            return len(parts) != 1 + dim and f"slide tag needs {dim} normal components", parts[1:]
+        return parts[0] not in _TAGS and f"unknown constraint tag {parts[0]!r}", ()
+
+    rd.locate(start, lines, float, "constraint", check)
 
 
 def _write_native(mesh, path):
+    dim, kind = mesh.dim, mesh.constraint_kind
+    slide = "slide" + " %.17g" * dim + "\n"
+    tags = np.where(kind == FIXED, "fixed\n", np.where(kind == SLIDE, slide, "free\n"))
     with open(path, "w") as fh:
-        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(f"{c:.17g}" for c in v) + "\n")
-        for cell in mesh.cells:
-            fh.write(" ".join(str(v) for v in cell) + "\n")
-        for i in range(mesh.n_vertices):
-            k = mesh.constraint_kind[i]
-            if k == FIXED:
-                fh.write("fixed\n")
-            elif k == SLIDE:
-                n = " ".join(f"{c:.17g}" for c in mesh.slide_normals[i])
-                fh.write(f"slide {n}\n")
-            else:
-                fh.write("free\n")
+        fh.write(f"{dim} {mesh.n_vertices} {mesh.n_cells}\n")
+        fh.write(_block(" ".join(["%.17g"] * dim) + "\n", mesh.vertices))
+        fh.write(_block(" ".join(["%d"] * (dim + 1)) + "\n", mesh.cells))
+        fh.write("".join(tags.tolist()) % tuple(mesh.slide_normals[kind == SLIDE].ravel().tolist()))

@@ -128,6 +128,17 @@ class TestPerturbAndOptimize:
         assert code == 1
         assert err.startswith(f"error: {src}:3: ")
 
+    def test_vtk_cells_without_points_exit_one(self, tmp_path, capsys):
+        src = tmp_path / "nopoints.vtk"
+        src.write_text(
+            "# vtk DataFile Version 2.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            "POINTS 0 double\nCELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n5\n"
+        )
+        code, _, err = run(capsys, "quality", str(src))
+        assert code == 1
+        assert err.startswith(f"error: {src}:6: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("index", ["7", "-1"])
     def test_cell_index_out_of_range_is_reported(self, tmp_path, capsys, index):
         src = tmp_path / "bad.txt"

@@ -2,9 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rrsmooth import mesh as m
-from rrsmooth.errors import EmptyMesh, ParseError, UnsupportedFormat
+from rrsmooth.errors import EmptyMesh, MeshError, ParseError, UnsupportedFormat
 from rrsmooth.generate import CUBE, SQUARE, GeneratorSpec, RandomJitter, gen_mesh, perturb_mesh
 from rrsmooth.meshio import NATIVE, load_mesh, save_mesh, save_quality_overlay
 
@@ -169,10 +170,26 @@ class TestMalformedNumbers:
             pytest.param(
                 TRIANGLE_TXT, "free\nfree\nfree\n", "free\nslide 0 y\nfree\n", 7, id="slide-normal"
             ),
+            pytest.param(TRIANGLE_TXT, "1 0\n", "1 0 0\n", 3, id="vertex-fields"),
+            pytest.param(TRIANGLE_TXT, "free\nfree\nfree\n", "free\nfree\n", 8, id="txt-eof"),
+            pytest.param(TRIANGLE_TXT, "2 3 1\n", "2 3\n", 1, id="txt-header"),
+            pytest.param(MINIMAL_MSH, "2 1 0 0\n", "2 1 zz 0\n", 7, id="msh-node"),
+            pytest.param(MINIMAL_MSH, "2 1 0 0\n", "2.0 1 0 0\n", 7, id="msh-node-id"),
+            pytest.param(MINIMAL_MSH, "3 0 1 0\n", "3 0 1\n", 8, id="msh-node-fields"),
+            pytest.param(MINIMAL_MSH, "0 1 2 3\n", "0 1 2 x3\n", 12, id="msh-element"),
+            pytest.param(MINIMAL_MSH, "1 2 2 0 0 1 2 3\n", "1 2\n", 12, id="msh-element-fields"),
+            pytest.param(
+                MINIMAL_MSH, "1\n1 2 2 0 0 1 2 3\n", "2\n1 2\n2 2 2 0 0 1 2 x\n", 12,
+                id="msh-first-error-wins",
+            ),
+            pytest.param(MINIMAL_MSH, "1\n1 2 2 0 0", "2\n1 2 2 0 0", 13, id="msh-element-count"),
+            pytest.param(MINIMAL_MSH, "2 1 0 0\n", "2 1_0 0 0\n", 7, id="digit-separator"),
+            pytest.param(TRIANGLE_TXT, "0 1 2\n", "0 1 99999999999999999999\n", 5, id="int64-overflow"),
         ],
     )
     def test_parse_error_at_the_line(self, tmp_path, text, old, new, line):
-        path = tmp_path / ("bad.vtk" if text is TRIANGLE_VTK else "bad.txt")
+        ext = {TRIANGLE_VTK: "vtk", TRIANGLE_TXT: "txt", MINIMAL_MSH: "msh"}[text]
+        path = tmp_path / f"bad.{ext}"
         assert old in text
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(ParseError) as exc:
@@ -202,6 +219,14 @@ class TestVtk:
         for q in tail:
             assert float(q) == pytest.approx(0.82842712474619, rel=1e-12)
 
+    def test_cells_without_points_raise_a_typed_error(self, tmp_path):
+        path = tmp_path / "nopoints.vtk"
+        path.write_text(TRIANGLE_VTK.replace("POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\n", "POINTS 0 double\n"))
+        with pytest.raises(MeshError) as exc:
+            load_mesh(path)
+        assert isinstance(exc.value, ParseError)
+        assert exc.value.line == 6
+
     def test_vtk_roundtrip(self, tmp_path):
         mesh = jittered_cube()
         path = tmp_path / "c.vtk"
@@ -227,3 +252,142 @@ class TestFormatDetection:
         save_mesh(mesh, path, fmt=NATIVE)
         loaded = load_mesh(path, fmt=NATIVE)
         np.testing.assert_array_equal(loaded.cells, mesh.cells)
+
+
+# Reference writers: one formatted line at a time, as the writers were before
+# they built each block as one string. The writers must match them byte for byte.
+
+
+def reference_msh(mesh, path):
+    with open(path, "w") as fh:
+        fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
+        fh.write(f"$Nodes\n{mesh.n_vertices}\n")
+        for i, v in enumerate(mesh.vertices):
+            x, y = v[0], v[1]
+            z = v[2] if mesh.dim == 3 else 0.0
+            fh.write(f"{i + 1} {x:.17g} {y:.17g} {z:.17g}\n")
+        fh.write("$EndNodes\n")
+        etype = 4 if mesh.dim == 3 else 2
+        fh.write(f"$Elements\n{mesh.n_cells}\n")
+        for i, cell in enumerate(mesh.cells):
+            ids = " ".join(str(v + 1) for v in cell)
+            fh.write(f"{i + 1} {etype} 2 0 0 {ids}\n")
+        fh.write("$EndElements\n")
+
+
+def reference_vtk(mesh, path, quality=None):
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write("rrsmooth mesh\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} double\n")
+        for v in mesh.vertices:
+            z = v[2] if mesh.dim == 3 else 0.0
+            fh.write(f"{v[0]:.17g} {v[1]:.17g} {z:.17g}\n")
+        k = mesh.dim + 1
+        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}\n")
+        for cell in mesh.cells:
+            fh.write(f"{k} " + " ".join(str(v) for v in cell) + "\n")
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
+        ctype = 10 if mesh.dim == 3 else 5
+        for _ in range(mesh.n_cells):
+            fh.write(f"{ctype}\n")
+        if quality is not None:
+            fh.write(f"CELL_DATA {mesh.n_cells}\n")
+            fh.write("SCALARS quality double 1\nLOOKUP_TABLE default\n")
+            for q in quality:
+                fh.write(f"{q:.17g}\n")
+
+
+def reference_native(mesh, path):
+    with open(path, "w") as fh:
+        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n")
+        for v in mesh.vertices:
+            fh.write(" ".join(f"{c:.17g}" for c in v) + "\n")
+        for cell in mesh.cells:
+            fh.write(" ".join(str(v) for v in cell) + "\n")
+        for i in range(mesh.n_vertices):
+            k = mesh.constraint_kind[i]
+            if k == m.FIXED:
+                fh.write("fixed\n")
+            elif k == m.SLIDE:
+                n = " ".join(f"{c:.17g}" for c in mesh.slide_normals[i])
+                fh.write(f"slide {n}\n")
+            else:
+                fh.write("free\n")
+
+
+def awkward_numbers(mesh):
+    """``mesh`` with a few vertices moved to -0.0, a subnormal and 1e300."""
+    verts = mesh.vertices.copy()
+    verts[0, 0], verts[1, -1], verts[2, 0] = -0.0, 5e-324, 1e300
+    return m.SimplexMesh(verts, mesh.cells, mesh.constraint_kind, mesh.slide_normals)
+
+
+WRITTEN = ["square", "cube", "awkward-square", "awkward-cube"]
+
+
+def written(name, policy=None):
+    """A jittered square or cube, classified under ``policy`` if given."""
+    mesh = jittered_cube() if name.endswith("cube") else perturb_mesh(
+        gen_mesh(GeneratorSpec(SQUARE, 4)), RandomJitter(0.2, 5)
+    )
+    if policy is not None:
+        mesh = m.classify_boundary(mesh, policy)
+    return awkward_numbers(mesh) if name.startswith("awkward") else mesh
+
+
+class TestWritersMatchTheReference:
+    @pytest.mark.parametrize("name", WRITTEN)
+    @pytest.mark.parametrize("ext, reference", [("msh", reference_msh), ("vtk", reference_vtk)])
+    def test_same_bytes(self, tmp_path, name, ext, reference):
+        mesh = written(name)
+        save_mesh(mesh, tmp_path / f"a.{ext}")
+        reference(mesh, tmp_path / f"b.{ext}")
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("name", WRITTEN)
+    @pytest.mark.parametrize("policy", [m.FIX_ALL, m.SLIDE_PLANAR])
+    def test_same_native_bytes_under_each_policy(self, tmp_path, name, policy):
+        mesh = written(name, policy)
+        assert (mesh.constraint_kind == m.SLIDE).any() == (policy == m.SLIDE_PLANAR)
+        save_mesh(mesh, tmp_path / "a.txt")
+        reference_native(mesh, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize("name", ["square", "cube"])
+    def test_same_quality_overlay_bytes(self, tmp_path, name):
+        mesh = written(name)
+        save_quality_overlay(mesh, tmp_path / "a.vtk")
+        reference_vtk(mesh, tmp_path / "b.vtk", quality=1.0 / mesh.geometry().mu)
+        assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+
+    def test_empty_mesh_writes_empty_blocks(self, tmp_path):
+        mesh = m.SimplexMesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64))
+        for ext, reference in [("msh", reference_msh), ("vtk", reference_vtk), ("txt", reference_native)]:
+            save_mesh(mesh, tmp_path / f"a.{ext}")
+            reference(mesh, tmp_path / f"b.{ext}")
+            assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+
+AWKWARD = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+COORDINATE = st.one_of(AWKWARD, st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestRoundTripBits:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        coords=st.lists(COORDINATE, min_size=12, max_size=12),
+        ext=st.sampled_from(["msh", "vtk", "txt"]),
+    )
+    def test_every_format_reads_back_its_vertices_bit_for_bit(self, tmp_path_factory, dim, coords, ext):
+        verts = np.array(coords[: 4 * dim]).reshape(4, dim)
+        cells = np.array([[0, 1, 2], [0, 2, 3]]) if dim == 2 else np.array([[0, 1, 2, 3]])
+        path = tmp_path_factory.mktemp("rt") / f"m.{ext}"
+        save_mesh(m.SimplexMesh(verts, cells), path)
+        # Huge or tiny coordinates overflow or underflow the orientation check
+        # on load; only the parsed bits are under test here.
+        with np.errstate(all="ignore"):
+            loaded = load_mesh(path)
+        assert loaded.vertices.tobytes() == verts.tobytes()

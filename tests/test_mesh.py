@@ -207,6 +207,22 @@ class TestClassifyBoundary:
         assert tagged.fixed_mask().sum() == 16
         assert (~tagged.fixed_mask()).sum() == 9
 
+    @pytest.mark.parametrize("kind", [SQUARE, CUBE])
+    def test_boundary_facets_match_a_counting_reference(self, rng, kind):
+        mesh = jittered(kind)
+        shuffled = m.SimplexMesh(mesh.vertices, mesh.cells[rng.permutation(mesh.n_cells)])
+        for case in (mesh, shuffled):
+            local = m.kernel(case.dim).FACETS
+            facets = np.concatenate([case.cells[:, list(f)] for f in local])
+            owners = np.tile(np.arange(case.n_cells), len(local))
+            _, inverse, counts = np.unique(
+                np.sort(facets, axis=1), axis=0, return_inverse=True, return_counts=True
+            )
+            single = counts[inverse] == 1
+            got_facets, got_owners = m.boundary_facets(case)
+            np.testing.assert_array_equal(got_facets, facets[single])
+            np.testing.assert_array_equal(got_owners, owners[single])
+
     def test_slide_planar_cube(self):
         mesh = gen_mesh(GeneratorSpec(CUBE, 3))
         tagged = m.classify_boundary(mesh, m.SLIDE_PLANAR)
@@ -281,6 +297,9 @@ class TestComponents:
         assert count == expected
         assert same_partition(labels, reference)
         assert set(labels.tolist()) == set(range(count))
+        # Numbered in order of each component's smallest vertex.
+        first = [labels.tolist().index(k) for k in range(count)]
+        assert first == sorted(first)
 
     def test_long_path_in_shuffled_order(self, rng):
         order = rng.permutation(2000)
