@@ -196,11 +196,13 @@ def repair_orientation(vertices, cells):
     """Swap the last two vertices of negatively oriented cells.
 
     Returns (cells, repaired_indices); zero-measure cells and cells with a
-    vertex index out of range are left alone for validate to report.
+    vertex index out of range or a non-finite vertex are left alone for
+    validate to report.
     """
     cells = np.array(cells, dtype=np.int64, copy=True)
     vertices = np.asarray(vertices, dtype=float)
     ok = np.flatnonzero(((cells >= 0) & (cells < len(vertices))).all(axis=1))
+    ok = ok[np.isfinite(vertices).all(axis=1)[cells[ok]].all(axis=1)]
     flipped = ok[kernel(cells.shape[1] - 1).signed_measure(vertices[cells[ok]]) < 0]
     cells[flipped, -2:] = cells[flipped, -1:-3:-1]
     return cells, flipped

@@ -263,8 +263,20 @@ def _read_vtk(path):
         raise UnsupportedFormat(f"{path}: expected DATASET UNSTRUCTURED_GRID")
 
     def read_numbers(count, context, dtype):
-        """The next ``count`` numbers, however the lines spread them."""
+        """The next ``count`` numbers, however the lines spread them. They are
+        first read as lines as wide as the first; only when that misses are
+        the lines walked, to find where the section ends or fails."""
         start, total = rd.pos, 0
+        width = len(rd.lines[start].split()) if count > 0 and not rd.at_end() else 0
+        _, lines = rd.take(-(-count // width) if width else 0)
+        try:
+            if lines and lines[-1].strip():
+                values = _loadtxt([" ".join(lines)], dtype)
+                if len(values) == count:
+                    return values
+        except ValueError:
+            pass
+        rd.pos = start
         while total < count and not rd.at_end():
             total += len(rd.next(context).split())
         lines, rd.pos = rd.pos - start + (total < count), start
@@ -304,14 +316,18 @@ def _read_vtk(path):
     m, vals = raw_cells
     if len(types) != m:
         raise ParseError(f"CELL_TYPES lists {len(types)} cells, CELLS {m}", str(path), types_line)
-    # Each cell is listed as "k id_1 ... id_k"; walk the sizes to its start.
-    sizes, starts, pos = vals.tolist(), [], 0
-    for _ in range(m):
-        if not (pos < len(sizes) and 0 <= sizes[pos] < len(sizes) - pos):
-            raise ParseError("CELLS: cell sizes do not match the values listed",
-                             str(path), cells_line)
-        starts.append(pos)
-        pos += 1 + sizes[pos]
+    # Each cell is listed as "k id_1 ... id_k", so the next cell starts 1 + k
+    # values on; doubling that jump finds the first m starts. A start whose
+    # k is negative or runs past the values jumps to the end, len(vals).
+    n, at = len(vals), np.arange(len(vals))
+    fits = np.append((vals >= 0) & (vals < n - at), False)
+    jump = np.where(fits, np.append(at + 1 + np.clip(vals, 0, n), n), n)
+    starts = np.zeros(min(m, 1), dtype=np.int64)
+    while len(starts) < m:
+        starts, jump = np.append(starts, jump[starts]), jump[jump]
+    starts = starts[:m]
+    if not fits[starts].all():
+        raise ParseError("CELLS: cell sizes do not match the values listed", str(path), cells_line)
     size = vals[starts]
     kept = ((types == _VTK_TRIANGLE) & (size == 3)) | ((types == _VTK_TET) & (size == 4))
     for t in types[~kept].tolist():
@@ -323,7 +339,7 @@ def _read_vtk(path):
         raise UnsupportedFormat(f"{path}: mixed cell dimensions")
     if not len(points):
         raise ParseError("CELLS lists cells, but POINTS lists no points", str(path), cells_line)
-    cells = vals[np.array(starts)[kept, None] + 1 + np.arange(width)]
+    cells = vals[starts[kept, None] + 1 + np.arange(width)]
     if width == 3:
         if np.abs(points[:, 2]).max() > 1e-12 * max(np.abs(points).max(), 1.0):
             raise UnsupportedFormat(f"{path}: triangle mesh with nonzero z")

@@ -13,6 +13,8 @@ and the run stops on a gradient norm, an energy stall, the iteration
 budget, or a named failure.
 """
 
+import ctypes
+import functools
 import math
 import numbers
 import time
@@ -59,6 +61,37 @@ _WOLFE_MAX_EVALS = 60  # trials one strong Wolfe search may spend
 # a descent direction, not an exact P^-1 g (see cg_solve); tighter costs CG
 # iterations for the same steps, much looser costs energy per step.
 CG_RTOL = 1e-2
+# Freed heap the allocator keeps mapped once optimize has run (glibc only).
+# An evaluation frees its kernel temporaries (a few MB at cube n=10), and
+# glibc's default trims them back to the OS, so the next evaluation faults
+# them in again. Minor faults per optimize of 5-sliver cube inputs, third
+# and fourth run in one process, default -> these values: cube6 lbfgs
+# 7752-9793 -> 0-1, cube10 lbfgs 28108-41304 -> 0-1, cube16 plbfgs
+# 0-16018 -> 0-206; square40 fixedpoint 440 -> 0. A 32 MiB trim threshold
+# let cube16 fault again. Setting a threshold turns off glibc's dynamic mmap
+# threshold, so that one is set too, to its 64-bit maximum: arrays below it
+# come from the heap whatever the process allocated before, and the first
+# optimize after load_mesh faults less (cube16 plbfgs 16608 by default,
+# 11303 with the trim threshold alone, 9541 with both).
+HEAP_TRIM_THRESHOLD = 64 << 20
+HEAP_MMAP_THRESHOLD = 32 << 20
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap():
+    """Set the heap thresholds above, once per process; a silent no-op
+    where the C library has no ``mallopt``. Numbers keep their bits: only
+    where the allocator places memory changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
 @dataclass
@@ -717,8 +750,10 @@ def optimize(mesh, config=None):
 
     Returns ``(new_mesh, OptimizeReport)``. The input mesh is not modified;
     fixed vertices are bit-identical in the output and sliding vertices
-    stay in their planes.
+    stay in their planes. The first call in a process raises glibc's heap
+    thresholds (``HEAP_TRIM_THRESHOLD``), so evaluations reuse freed memory.
     """
+    _keep_freed_heap()
     config = config or OptimizeConfig()
     violations = validate(mesh)
     if violations:

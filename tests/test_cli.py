@@ -139,6 +139,18 @@ class TestPerturbAndOptimize:
         assert err.startswith(f"error: {src}:6: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["square", "cube"])
+    def test_non_finite_vertex_is_reported_without_warnings(self, tmp_path, capsys, kind):
+        src = tmp_path / "inf.txt"
+        run(capsys, "gen", "--kind", kind, "--n", "2", str(src))
+        lines = src.read_text().splitlines()
+        lines[1] = " ".join(["inf"] + ["0"] * (len(lines[1].split()) - 1))
+        src.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "quality", str(src))
+        assert code == 1
+        assert err.startswith("invalid mesh: non-finite-coordinate[0]")
+        assert "Warning" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("index", ["7", "-1"])
     def test_cell_index_out_of_range_is_reported(self, tmp_path, capsys, index):
         src = tmp_path / "bad.txt"

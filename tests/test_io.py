@@ -124,6 +124,25 @@ class TestNative:
         np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
         np.testing.assert_array_equal(loaded.constraint_kind, mesh.constraint_kind)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind", [SQUARE, CUBE])
+    def test_non_finite_vertex_loads_for_validate_to_report(self, tmp_path, kind, value):
+        # The suite turns numpy's warnings into errors, so a signed measure
+        # taken on the non-finite row would fail the load.
+        mesh = gen_mesh(GeneratorSpec(kind, 2))
+        path = tmp_path / "bad.txt"
+        save_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        lines[1] = " ".join([value] + ["0"] * (mesh.dim - 1))
+        last = 1 + mesh.n_vertices + mesh.n_cells - 1
+        assert 0 not in mesh.cells[-1]
+        *head, a, b = lines[last].split()
+        lines[last] = " ".join([*head, b, a])  # still repaired on load
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_mesh(path)
+        np.testing.assert_array_equal(loaded.cells, mesh.cells)
+        assert [(v.rule, v.index) for v in m.validate(loaded)] == [("non-finite-coordinate", 0)]
+
     def test_bad_tag_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 3 1\n0 0\n1 0\n0 1\n0 1 2\nfree\nfree\npinned\n")
@@ -234,6 +253,36 @@ class TestVtk:
         loaded = load_mesh(path)
         np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
         np.testing.assert_array_equal(loaded.cells, mesh.cells)
+
+    def test_any_line_layout_and_cell_sizes_load_alike(self, tmp_path, caplog):
+        # Points 9 numbers to a line (VTK's own writer), cells of mixed sizes
+        # two to a line, types on one line: the reader walks these lines.
+        mesh = jittered_cube()
+        canonical = tmp_path / "c.vtk"
+        save_mesh(mesh, canonical)
+        xyz = canonical.read_text().split("POINTS")[1].split("\n", 1)[1].split("CELLS")[0].split()
+        cells = [f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.cells.tolist()] + ["2 0 1", "1 5"]
+        types = ["10"] * mesh.n_cells + ["3", "1"]
+        path = tmp_path / "wrapped.vtk"
+        path.write_text(
+            "# vtk DataFile Version 2.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            f"POINTS {mesh.n_vertices} double\n"
+            + "".join(" ".join(xyz[i : i + 9]) + "\n" for i in range(0, len(xyz), 9))
+            + f"CELLS {len(cells)} {sum(len(c.split()) for c in cells)}\n"
+            + "".join(" ".join(cells[i : i + 2]) + "\n" for i in range(0, len(cells), 2))
+            + f"CELL_TYPES {len(types)}\n{' '.join(types)}\n"
+        )
+        with caplog.at_level(logging.WARNING):
+            loaded = load_mesh(path)
+        np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
+        np.testing.assert_array_equal(loaded.cells, mesh.cells)
+        assert sum("ignored VTK cell type" in r.message for r in caplog.records) == 2
+        text = path.read_text().replace("2 0 1 1 5", "2 0 1 9 5")
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_mesh(path)
+        assert "cell sizes do not match" in str(exc.value)
+        assert exc.value.line == 5 + -(-len(xyz) // 9) + 1
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         mesh = gen_mesh(GeneratorSpec(SQUARE, 2))
