@@ -9,14 +9,18 @@ antisymmetric off-diagonal blocks, laid out as the element kernel's
     2D: [[A, B], [-B, A]]          3D: [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]]
 
 The gradient itself is evaluated in closed form by the element kernel
-(``gradient``) and scatter-added per vertex; G_F's blocks are the paper's
-split of it, materialized only by :func:`assemble` (for ``--dump-system``
-and the tests that check the split against the gradient), while the
-preconditioner P is the graph Laplacian of the kernel's non-negative edge
-weights (``precond_weights``). Every function here reaches the element
-kernel through ``mesh.kernel(dim)`` and reads it the same way in both
-dimensions: nothing local carries mu, so cell c adds ``mu_c / n_cells``
-times its blocks to G_F's and times its edge weights to P's.
+(``gradient``) and scatter-added per vertex. G_F's blocks are the paper's
+split of it, and both they and the preconditioner P are sums of per-edge
+weights: A is the graph Laplacian of the kernel's signed ``block_weights``,
+each B the antisymmetric matrix of its own, and P the graph Laplacian of
+A's weights in non-negative form (``precond_weights``: in 3D the sum of
+the abs of A's two weight terms), so the paper's "minor processing" from A
+to P is an ``abs`` of edge weights. G_F is materialized only by
+:func:`assemble` (for ``--dump-system`` and the tests that check the split
+against the gradient). Every function here reaches the element kernel
+through ``mesh.kernel(dim)`` and reads it the same way in both dimensions:
+nothing local carries mu, so cell c adds ``mu_c / n_cells`` times its edge
+weights to G_F's and to P's.
 
 Assembly scatter-adds per-element contributions deterministically, so
 identical meshes produce bit-identical results. The preconditioner's
@@ -84,16 +88,21 @@ class GlobalGradientSystem:
         return kernel(self.dim).LAYOUT.matrix((self.A, *self.B_blocks), bmat)
 
 
-def _scatter_square(cells, local, n):
-    """Sum (m, k, k) local matrices into an n x n CSR matrix."""
+def _edge_matrix(mesh, w, laplacian):
+    """Sum edge weights ``(n_edges, n_cells)`` into an n x n CSR matrix: a
+    Laplacian, ``-w`` at (i, j) and (j, i) and ``w`` at (i, i) and (j, j) of
+    every edge ij, or antisymmetric, ``w`` at (i, j) and ``-w`` at (j, i).
+    Both mirror U, the sums above the diagonal, so neither rounds asymmetrically."""
     from scipy import sparse
 
-    k = cells.shape[1]
-    rows = np.broadcast_to(cells[:, :, None], (len(cells), k, k))
-    cols = np.broadcast_to(cells[:, None, :], (len(cells), k, k))
-    return sparse.csr_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    )
+    tail, head = kernel(mesh.dim).EDGES
+    i, j, w = mesh.cells[:, tail].ravel(), mesh.cells[:, head].ravel(), w.T.ravel()
+    n = mesh.n_vertices
+    upper = w if laplacian else np.where(i < j, w, -w)
+    U = sparse.csr_matrix((upper, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n))
+    if not laplacian:
+        return U - U.T
+    return sparse.diags(np.bincount(np.r_[i, j], np.r_[w, w], n)) - U - U.T
 
 
 def _sum_per_vertex(mesh, values):
@@ -124,14 +133,12 @@ def assemble(mesh):
     is inverted or collapsed.
     """
     F, grad_field, geometry = energy_gradient(mesh)
-    _, *blocks = kernel(mesh.dim).local_blocks(mesh.cell_points(), geometry)
-    scale = _cell_weights(mesh, geometry.mu)[:, None, None]
-    A, *B_blocks = (_scatter_square(mesh.cells, scale * b, mesh.n_vertices) for b in blocks)
+    a, *b = _cell_weights(mesh, geometry.mu) * kernel(mesh.dim).block_weights(geometry)
     return GlobalGradientSystem(
         F=F,
         V=field_to_vec(mesh.vertices),
-        A=A,
-        B_blocks=tuple(B_blocks),
+        A=_edge_matrix(mesh, a, laplacian=True),
+        B_blocks=tuple(_edge_matrix(mesh, w, laplacian=False) for w in b),
         gradient=field_to_vec(grad_field),
         n_vertices=mesh.n_vertices,
         dim=mesh.dim,
@@ -326,5 +333,5 @@ def write_matrix_market(mat, path):
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        entries = np.column_stack([coo.row + 1, coo.col + 1, coo.data]).ravel().tolist()
+        fh.write("%d %d %.17g\n" * coo.nnz % tuple(entries))

@@ -79,7 +79,7 @@ def build_parser():
     opt.add_argument(
         "--dump-system",
         metavar="PREFIX",
-        help="dump G_F and P in Matrix Market format before optimizing",
+        help="dump G_F and P (when it can be built) in Matrix Market format before optimizing",
     )
     return parser
 
@@ -137,8 +137,12 @@ def cmd_optimize(args):
     if args.boundary != "keep":
         mesh = classify_boundary(mesh, args.boundary)
     if args.dump_system:
+        # A mesh without a fixed vertex or of several components has no P.
         write_matrix_market(assemble(mesh).gradient_matrix(), args.dump_system + "_gf.mtx")
-        write_matrix_market(assemble_preconditioner(mesh).P, args.dump_system + "_p.mtx")
+        try:
+            write_matrix_market(assemble_preconditioner(mesh).P, args.dump_system + "_p.mtx")
+        except MeshError as e:
+            print(f"not writing P: {e}", file=sys.stderr)
     out, report = optimize(mesh, config)
     save_mesh(out, args.output)
     if args.report:

@@ -1,21 +1,21 @@
 """What the two element kernels share: the degeneracy threshold, G_F's
-layout and the local Laplacian.
+layout and the dense local Laplacian.
 
 ``triangles`` and ``tetrahedra`` export one interface, looked up by
 dimension through :func:`rrsmooth.mesh.kernel`: ``geometry(pts)`` (the one
 checked geometry pass, a namedtuple with ``mu``), ``gradient(g)`` (the
-per-vertex gradient of mu in closed form), ``radius_ratio_gradient(pts)``,
-``local_blocks(pts, g=None) -> (mu, A, *B)``, ``precond_weights(g)``,
-``measure_polynomial(g, du)``, ``EDGES``, ``FACETS``, ``LAYOUT``,
-``DEGENERACY_RTOL``, ``diameters``, ``signed_measure`` and ``radius_ratio``.
-The gradient is evaluated in closed form; the blocks are the paper's split
-of it, ``grad = mu * (G_local V)`` with no block carrying mu, materialized
-only for the assembled G_F and the tests that check the split against the
-closed form. A is the :func:`laplacian` of per-edge weights, and the
-preconditioner the graph Laplacian of ``precond_weights``, their
-non-negative form. For the inversion cap, row i of ``measure_polynomial``
-holds the dim lower coefficients, in ``s = 1/t`` (monic), of cell i's measure
-at ``x + t du`` over that at ``x``; ``du`` is the direction gathered like ``pts``.
+per-vertex gradient of mu in closed form), ``block_weights(g)``,
+``precond_weights(g)``, ``measure_polynomial(g, du)``, ``signed_measure``,
+``EDGES``, ``FACETS`` and ``LAYOUT``. The gradient is evaluated in closed
+form; G_F's blocks are the paper's split of it, ``grad = mu * (G_local V)``
+with no block carrying mu, given as weights ``(n_blocks, n_edges, n)`` on
+``EDGES`` (``block_weights``): A is the Laplacian of its weights and each
+B antisymmetric with its weight at (tail, head). The preconditioner is the
+Laplacian of ``precond_weights``, A's in non-negative form. Only
+``tetrahedra.abs_local_matrix`` and the tests build a dense :func:`laplacian`.
+For the inversion cap, row i of ``measure_polynomial`` holds the dim lower
+coefficients, in ``s = 1/t`` (monic), of cell i's measure at ``x + t du``
+over that at ``x``; ``du`` is the direction gathered like ``pts``.
 """
 
 import numpy as np

@@ -1,5 +1,5 @@
-"""Tetrahedron geometry: radius ratio and its gradient, the local blocks of
-G_F and the edge weights of the SPD preconditioner.
+"""Tetrahedron geometry: radius ratio and its gradient, and the edge weights
+of G_F's blocks and of the SPD preconditioner.
 
 Kernels are vectorized over a batch axis: ``pts`` has shape ``(n, 4, 3)``
 with positive signed volume; a single cell is the batch ``pts[None]``.
@@ -25,10 +25,11 @@ for ``J_k^T u = 2 (u . N_k) e_k + (|e_{k+2}|^2 e_{k+1} - |e_{k+1}|^2 e_{k+2}) x 
 (indices mod 3); vertex 0 takes minus their sum, as mu is translation
 invariant. The paper's split of the same gradient is the block product
 (``LAYOUT``) ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``,
-A symmetric and the B blocks antisymmetric: ``local_blocks`` materializes
-it for G_F (``--dump-system``) and the tests, which check it against the
-closed form. A is the Laplacian of signed edge weights; the preconditioner
-is that of their non-negative form (``precond_weights``), which is positive
+A symmetric and the B blocks antisymmetric, each given per edge
+(``block_weights``): A is the Laplacian of signed edge weights, each B the
+antisymmetric matrix of its own, and ``assembly.assemble`` scatters them
+into G_F (``--dump-system``). The preconditioner is the Laplacian of A's
+weights in non-negative form (``precond_weights``), which is positive
 semi-definite. The module exports the interface of :mod:`rrsmooth.simplex`.
 """
 
@@ -37,7 +38,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import simplex
-from .simplex import DEGENERACY_RTOL, diameters  # noqa: F401  (kernel interface)
 
 LAYOUT = simplex.Layout("A B0 B1 B2", ["A B2 B1", "-B2 A B0", "-B1 -B0 A"])
 
@@ -66,10 +66,6 @@ def _corners():
 
 
 _CORNER_EDGE, _CORNER_VI, _CORNER_VJ, _CORNER_FACE = _corners()
-
-# The volume gradient's coordinate matrices are D[i, j] = x_k - x_l over the
-# even permutations (i, j, k, l) above: pts[:, _VOL_IDX] - pts[:, _VOL_IDX.T].
-_VOL_IDX = np.array([[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]])
 
 Geometry = namedtuple("Geometry", "volume edges edge_sq normals surface cot d0 d0_sq mu")
 
@@ -164,31 +160,6 @@ def gradient(g):
     return G.T
 
 
-def radius_ratio(pts):
-    """Radius ratio mu >= 1 of each tetrahedron."""
-    return geometry(pts).mu
-
-
-def radius_ratio_gradient(pts):
-    """Radius ratio and per-vertex gradient, shapes ``(n,)`` and ``(n, 4, 3)``."""
-    g = geometry(pts)
-    return g.mu, gradient(g)
-
-
-def _k_matrix(g):
-    """Antisymmetric matrix of the |d0| term, from the squared vertex-0 edge lengths."""
-    n10, n20, n30 = g.edge_sq
-    k23, k31, k12 = n30 - n20, n10 - n30, n20 - n10
-    K = np.zeros((len(g.mu), 4, 4))
-    K[:, 0, 1], K[:, 1, 0] = -k23, k23
-    K[:, 0, 2], K[:, 2, 0] = -k31, k31
-    K[:, 0, 3], K[:, 3, 0] = -k12, k12
-    K[:, 1, 2], K[:, 2, 1] = -n30, n30
-    K[:, 1, 3], K[:, 3, 1] = n20, -n20
-    K[:, 2, 3], K[:, 3, 2] = -n10, n10
-    return K
-
-
 def _weight_terms(g):
     """A's edge weights as two ``(6, n)`` terms: ``2 d0.N_k / |d0|^2`` on the
     vertex-0 edges 0-2, zero elsewhere (the |d0| term), and ``cot_e / s``."""
@@ -203,32 +174,19 @@ def precond_weights(g):
     return np.abs(star) + np.abs(cot)
 
 
-def _volume_block(pts, c):
-    """Coordinate-``c`` matrix D of the volume gradient, antisymmetric.
-
-    ``grad vol = (1/12) [[0, -D2, D1], [D2, 0, -D0], [-D1, D0, 0]] @ V``.
-    """
-    return pts[:, _VOL_IDX, c] - pts[:, _VOL_IDX.T, c]
-
-
-def local_blocks(pts, g=None):
-    """Local matrix form: ``(mu, A, B0, B1, B2)``, blocks of shape ``(n, 4, 4)``.
-
-    The stacked per-vertex gradient of mu equals
-    ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``.
-    ``g`` is ``geometry(pts)`` when the caller already has it.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if g is None:
-        g = geometry(pts)
-    K = _k_matrix(g)
-    inv_d0sq = (1.0 / g.d0_sq)[:, None, None]
-    inv_6vol = (1.0 / (6.0 * g.volume))[:, None, None]
-    A = simplex.laplacian(np.add(*_weight_terms(g)), EDGES)
-    B0 = -g.d0[0, :, None, None] * K * inv_d0sq + _volume_block(pts, 0) * inv_6vol
-    B1 = g.d0[1, :, None, None] * K * inv_d0sq - _volume_block(pts, 1) * inv_6vol
-    B2 = -g.d0[2, :, None, None] * K * inv_d0sq + _volume_block(pts, 2) * inv_6vol
-    return g.mu, A, B0, B1, B2
+def block_weights(g):
+    """G_F's blocks ``(A, B0, B1, B2)`` as weights ``(4, 6, n)`` on ``EDGES``:
+    A's are the sum of ``_weight_terms``, and B_c's, at (tail, head), are
+    ``s_c (d0_c K / |d0|^2 - D_c / (6 vol))`` with ``s = (-1, 1, -1)``, K the
+    |d0| term's antisymmetric matrix and ``D_c[i, j] = x_k - x_l`` the volume
+    gradient's, over the even permutations (i, j, k, l) of ``_EDGE_PERMS``."""
+    n10, n20, n30 = g.edge_sq
+    K = np.stack([n20 - n30, n30 - n10, n10 - n20, -n30, n20, -n10])
+    # x_k - x_l per edge is -E5, E4, -E3, -E2, E1, -E0 of the edges x_j - x_i.
+    D = g.edges[:, ::-1] * np.array([-1.0, 1.0, -1.0, -1.0, 1.0, -1.0])[:, None]
+    s = np.array([-1.0, 1.0, -1.0])[:, None]
+    B = (s * g.d0)[:, None] * K * (1.0 / g.d0_sq) - s[:, None] * D * (1.0 / (6.0 * g.volume))
+    return np.concatenate([np.add(*_weight_terms(g))[None], B])
 
 
 # Unused here; the tests read it and perfbench/tracing.py patches it.

@@ -15,10 +15,11 @@ The gradient is evaluated in closed form (``gradient``):
 terms sum ``c_k (x_i - x_j)``, ``c_k = 1 / (p l_k) + 1 / l_k^2``, over the
 edges ij at a vertex, and ``2 grad A`` is the opposite edge turned by 90
 degrees. The paper's split of it, ``mu * [[A, B], [-B, A]] @ [X; Y]``
-(``LAYOUT``, no block carrying mu), is materialized by ``local_blocks`` for
-G_F (``--dump-system``) and the tests, which check it against the closed
-form. A is the Laplacian of the edge weights ``c_k``, which are positive,
-so the preconditioner assembles A itself from them (``precond_weights``).
+(``LAYOUT``, no block carrying mu), is given per edge (``block_weights``):
+A is the Laplacian of the weights ``c_k``, and B is antisymmetric with
+``-1 / area`` on every edge; ``assembly.assemble`` scatters them into G_F
+(``--dump-system``). The ``c_k`` are positive, so the preconditioner
+assembles A itself from them (``precond_weights``).
 Every kernel reads one geometry pass (``geometry``) on per-coordinate
 arrays ``pts.T``, which checks the area once. The module exports the
 kernel interface of :mod:`rrsmooth.simplex`.
@@ -29,7 +30,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import simplex
-from .simplex import DEGENERACY_RTOL, diameters  # noqa: F401  (kernel interface)
 
 LAYOUT = simplex.Layout("A B", ["A B", "-B A"])
 
@@ -37,9 +37,6 @@ LAYOUT = simplex.Layout("A B", ["A B", "-B A"])
 # EDGES holds the same edges as (tail, head) arrays.
 FACETS = ((1, 2), (2, 0), (0, 1))
 EDGES = tuple(np.array(FACETS).T)
-
-# Sign pattern of the antisymmetric block B = (1 / area) * _B_SIGNS.
-_B_SIGNS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 Geometry = namedtuple("Geometry", "area edges lengths p mu")
 
@@ -100,24 +97,8 @@ def gradient(g):
     return (g.mu * G).T
 
 
-def radius_ratio(pts):
-    """Radius ratio mu >= 1 of each triangle."""
-    return geometry(pts).mu
-
-
-def local_blocks(pts, g=None):
-    """Local matrix form of the gradient: ``(mu, A, B)`` with shapes (n,), (n,3,3).
-
-    The stacked gradient equals ``mu * [[A, B], [-B, A]] @ [X; Y]``. ``g``
-    is ``geometry(pts)`` when the caller already has it.
-    """
-    if g is None:
-        g = geometry(pts)
-    A = simplex.laplacian(precond_weights(g), EDGES)
-    return g.mu, A, (1.0 / g.area)[:, None, None] * _B_SIGNS
-
-
-def radius_ratio_gradient(pts):
-    """Radius ratio and its per-vertex gradient, shape ``(n,)`` and ``(n, 3, 2)``."""
-    g = geometry(pts)
-    return g.mu, gradient(g)
+def block_weights(g):
+    """G_F's blocks ``(A, B)`` as weights ``(2, 3, n)`` on ``EDGES``: A's are
+    ``c_k``, and B's, at (tail, head), ``-1 / area`` on every edge."""
+    c = precond_weights(g)
+    return np.stack([c, np.broadcast_to(-1.0 / g.area, c.shape)])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rrsmooth import triangles, tetrahedra
+from rrsmooth import simplex, triangles, tetrahedra
 
 
 def random_triangles(n, seed=0, mu_cap=50.0, min_area=1e-3):
@@ -18,7 +18,7 @@ def random_triangles(n, seed=0, mu_cap=50.0, min_area=1e-3):
             area = -area
         if area < min_area:
             continue
-        if triangles.radius_ratio(P[None])[0] > mu_cap:
+        if triangles.geometry(P[None]).mu[0] > mu_cap:
             continue
         out.append(P)
     return np.array(out)
@@ -36,14 +36,29 @@ def random_tets(n, seed=0, mu_cap=50.0, min_vol=1e-3):
             vol = -vol
         if vol < min_vol:
             continue
-        if tetrahedra.radius_ratio(P[None])[0] > mu_cap:
+        if tetrahedra.geometry(P[None]).mu[0] > mu_cap:
             continue
         out.append(P)
     return np.array(out)
 
 
+def dense_blocks(kernel, pts):
+    """``(mu, A, *B)``, each block ``(n, k, k)``, rebuilt from ``block_weights``:
+    A is the Laplacian of its weights, and each B is antisymmetric with its
+    weight at (tail, head) of every edge."""
+    g = kernel.geometry(pts)
+    a, *b = kernel.block_weights(g)
+    tail, head = kernel.EDGES
+    blocks = [simplex.laplacian(a, kernel.EDGES)]
+    for w in b:
+        B = np.zeros_like(blocks[0])
+        B[:, tail, head], B[:, head, tail] = w.T, -w.T
+        blocks.append(B)
+    return (g.mu, *blocks)
+
+
 def block_gradient(kernel, pts, mu, *blocks):
-    """Reference per-vertex gradient ``mu * (G_local V)`` from ``local_blocks``.
+    """Reference per-vertex gradient ``mu * (G_local V)`` from ``dense_blocks``.
 
     The paper's block product (``kernel.LAYOUT``) on cell-local coordinates;
     the blocks have zero row sums, so it equals the product on ``pts``.

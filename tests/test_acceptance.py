@@ -108,20 +108,20 @@ def test_criterion_1_gradient_correctness():
     t0 = time.monotonic()
 
     tris = random_triangles(500, seed=101)
-    _, tri_grads = triangles.radius_ratio_gradient(tris)
+    tri_grads = triangles.gradient(triangles.geometry(tris))
     worst_tri = 0.0
     for P, g in zip(tris, tri_grads):
         h = 1e-6 * np.ptp(P, axis=0).max()
-        gfd = central_diff(lambda Q: triangles.radius_ratio(Q[None])[0], P, h)
+        gfd = central_diff(lambda Q: triangles.geometry(Q[None]).mu[0], P, h)
         worst_tri = max(worst_tri, np.linalg.norm(g - gfd) / np.linalg.norm(gfd))
     assert worst_tri <= 1e-6
 
     tets = random_tets(500, seed=102)
-    _, tet_grads = tetrahedra.radius_ratio_gradient(tets)
+    tet_grads = tetrahedra.gradient(tetrahedra.geometry(tets))
     worst_tet = 0.0
     for P, g in zip(tets, tet_grads):
         h = 1e-6 * np.ptp(P, axis=0).max()
-        gfd = central_diff(lambda Q: tetrahedra.radius_ratio(Q[None])[0], P, h)
+        gfd = central_diff(lambda Q: tetrahedra.geometry(Q[None]).mu[0], P, h)
         worst_tet = max(worst_tet, np.linalg.norm(g - gfd) / np.linalg.norm(gfd))
     assert worst_tet <= 1e-6
 

@@ -60,7 +60,7 @@ class TestAssemble:
         from rrsmooth import tetrahedra
 
         mesh = jittered(CUBE, 2, seed=3)
-        _, grads = tetrahedra.radius_ratio_gradient(mesh.cell_points())
+        grads = tetrahedra.gradient(tetrahedra.geometry(mesh.cell_points()))
         expected = np.zeros_like(mesh.vertices)
         for cell, g in zip(mesh.cells, grads):
             expected[cell] += g / mesh.n_cells
@@ -93,15 +93,14 @@ class TestAssemble:
         assert rel <= 1e-6
 
     def test_block_symmetry_structure(self):
+        # Each vertex pair is summed once and mirrored: exact, not to roundoff.
         for mesh in (jittered(SQUARE, 3, seed=7), jittered(CUBE, 2, seed=8)):
             system = assemble(mesh)
-            assert np.abs((system.A - system.A.T).data).max() <= 1e-14 * np.abs(
-                system.A.data
-            ).max() if (system.A - system.A.T).nnz else True
+            assert (system.A != system.A.T).nnz == 0
             for B in system.B_blocks:
-                BT = (B + B.T).tocoo()
-                scale = np.abs(B.data).max()
-                assert BT.nnz == 0 or np.abs(BT.data).max() <= 1e-14 * scale
+                assert (B != -B.T).nnz == 0
+                stored = B.tocoo()
+                assert np.all(stored.row != stored.col)
 
     def test_degenerate_cell_reports_index(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -132,10 +131,10 @@ def test_gradient_is_exact_under_translation(case):
     # a gradient built from differences alone cannot move.
     if case == "triangles":
         pts = random_triangles(200, seed=21)
-        grad = lambda q: triangles.radius_ratio_gradient(q)[1]
+        grad = lambda q: triangles.gradient(triangles.geometry(q))
     elif case == "tets":
         pts = random_tets(200, seed=22)
-        grad = lambda q: tetrahedra.radius_ratio_gradient(q)[1]
+        grad = lambda q: tetrahedra.gradient(tetrahedra.geometry(q))
     else:
         mesh = jittered(CUBE, 3, seed=4)
         pts = mesh.vertices
@@ -156,7 +155,8 @@ class TestGradientScatter:
     )
     def test_bincount_gives_the_bits_of_add_at(self, mesh):
         # Both sum each vertex's entries in cell order, starting from zero.
-        _, grads = m.kernel(mesh.dim).radius_ratio_gradient(mesh.cell_points())
+        kernel = m.kernel(mesh.dim)
+        grads = kernel.gradient(kernel.geometry(mesh.cell_points()))
         expected = np.zeros_like(mesh.vertices)
         np.add.at(expected, mesh.cells, grads / mesh.n_cells)
         _, got, _ = energy_gradient(mesh)
@@ -242,10 +242,7 @@ class TestPreconditioner:
         # Oracle: recompute row sums after deleting fixed columns.
         mesh = m.classify_boundary(gen_mesh(GeneratorSpec(CUBE, 2)), m.FIX_ALL)
         pre = assemble_preconditioner(mesh)
-        full_pts = mesh.cell_points()
-        mu, A_abs = tetrahedra.abs_local_matrix(full_pts)
-        local = (mu / mesh.n_cells)[:, None, None] * A_abs
-        A_full = assembly._scatter_square(mesh.cells, local, mesh.n_vertices)
+        A_full = coo_laplacian(mesh)
         adjacency_to_fixed = np.asarray(
             np.abs(A_full[:, mesh.fixed_mask()]).sum(axis=1)
         ).ravel()
@@ -257,9 +254,9 @@ class TestPreconditioner:
         assert np.all(margin[touches] > 1e-12 * np.abs(P.data).max())
 
 
-def coo_preconditioner(mesh):
-    """P by a COO scatter of every entry of the dense local Laplacians, then
-    the active rows and columns."""
+def coo_laplacian(mesh):
+    """The unreduced P by a COO scatter of every entry of the dense local
+    Laplacians."""
     kernel = m.kernel(mesh.dim)
     g = kernel.geometry(mesh.cell_points())
     local = simplex.laplacian(kernel.precond_weights(g), kernel.EDGES)
@@ -268,9 +265,13 @@ def coo_preconditioner(mesh):
     rows = np.repeat(mesh.cells, k, axis=1).ravel()
     cols = np.tile(mesh.cells, k).ravel()
     nv = mesh.n_vertices
-    full = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def coo_preconditioner(mesh):
+    """P by the COO scatter, then the active rows and columns."""
     active = np.flatnonzero(~mesh.fixed_mask())
-    return full[active][:, active]
+    return coo_laplacian(mesh)[active][:, active]
 
 
 BUILD_CASES = pytest.mark.parametrize(
@@ -359,3 +360,28 @@ class TestMatrixMarket:
         i, j, v = lines[2].split()
         assert int(i) >= 1 and int(j) >= 1
         float(v)
+
+    def test_one_string_has_the_bytes_of_the_per_entry_loop(self, tmp_path):
+        def per_entry(mat, path):
+            """The writer as it was: one f-string per entry."""
+            coo = sparse.coo_matrix(mat)
+            with open(path, "w") as fh:
+                fh.write("%%MatrixMarket matrix coordinate real general\n")
+                fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
+                for i, j, v in zip(coo.row, coo.col, coo.data):
+                    fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+
+        values = [-1.5, 5e-324, -2.2250738585072014e-309, 0.1, 1 / 3, -2 / 3, 1e300,
+                  -1.7976931348623157e308, 123456789.01234567, -0.0]
+        rows = [0, 0, 1, 2, 3, 5, 7, 8, 10, 11]
+        cols = [0, 11, 3, 2, 1, 5, 9, 0, 10, 4]
+        matrices = {
+            "edge-cases": sparse.csr_matrix((values, (rows, cols)), shape=(12, 12)),
+            "g_f": assemble(jittered(CUBE, 2, seed=5)).gradient_matrix(),
+            "empty": sparse.csr_matrix((3, 4)),
+        }
+        for name, mat in matrices.items():
+            got, expected = tmp_path / f"{name}.mtx", tmp_path / f"{name}-ref.mtx"
+            write_matrix_market(mat, got)
+            per_entry(mat, expected)
+            assert got.read_bytes() == expected.read_bytes(), name

@@ -5,8 +5,9 @@ from scipy.io import mmread
 
 from rrsmooth.assembly import assemble, assemble_preconditioner, field_to_vec
 from rrsmooth.cli import main
-from rrsmooth.mesh import FIX_ALL, classify_boundary
-from rrsmooth.meshio import load_mesh
+from rrsmooth.generate import SQUARE, GeneratorSpec, RandomJitter, gen_mesh, perturb_mesh
+from rrsmooth.mesh import FIX_ALL, SimplexMesh, classify_boundary
+from rrsmooth.meshio import load_mesh, save_mesh
 
 
 def run(capsys, *argv):
@@ -94,17 +95,61 @@ class TestPerturbAndOptimize:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_optimize_without_fixed_vertices_fails_with_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dump", [False, True], ids=["without-dump", "with-dump"])
+    def test_optimize_without_fixed_vertices_fails_with_two(self, tmp_path, capsys, dump):
         src = tmp_path / "sq.msh"
         out = tmp_path / "o.msh"
+        prefix = tmp_path / "dump"
         run(capsys, "gen", "--kind", "square", "--n", "3", str(src))
         # 'keep' leaves every vertex free: the preconditioned method cannot run.
+        # --dump-system writes G_F, skips P and leaves the run's end alone.
         code, _, err = run(
             capsys, "optimize", str(src), str(out), "--boundary", "keep",
             "--method", "plbfgs", "--max-iters", "5",
+            *(["--dump-system", str(prefix)] if dump else []),
         )
         assert code == 2
         assert out.exists()  # partial outputs still written
+        assert "preconditioner_error" in err
+        assert ("not writing P: " in err) == dump
+        assert (tmp_path / "dump_gf.mtx").exists() == dump
+        assert not (tmp_path / "dump_p.mtx").exists()
+
+    def test_zero_area_cell_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "flat.txt"
+        out = tmp_path / "o.txt"
+        # Cell 1 has its three vertices on the line y = x.
+        src.write_text("2 4 2\n0 0\n1 0\n1 1\n2 2\n0 1 2\n0 2 3\n" + "free\n" * 4)
+        code, _, err = run(capsys, "optimize", str(src), str(out))
+        assert code == 1
+        assert err.startswith("invalid mesh: non-positive-orientation[1]")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dump", [False, True], ids=["without-dump", "with-dump"])
+    @pytest.mark.parametrize("method, expected", [("plbfgs", 2), ("lbfgs", 0)])
+    def test_disconnected_mesh(self, tmp_path, capsys, method, expected, dump):
+        # Two disjoint jittered squares: P cannot be positive definite, so the
+        # preconditioned method stops abnormally; lbfgs needs no P.
+        square = perturb_mesh(
+            gen_mesh(GeneratorSpec(SQUARE, 3)), RandomJitter(amplitude=0.2, seed=1)
+        )
+        src, out, report = tmp_path / "two.msh", tmp_path / "o.msh", tmp_path / "r.csv"
+        save_mesh(SimplexMesh(
+            np.vstack([square.vertices, square.vertices + [2.0, 0.0]]),
+            np.vstack([square.cells, square.cells + square.n_vertices]),
+        ), src)
+        code, _, err = run(
+            capsys, "optimize", str(src), str(out), "--method", method, "--max-iters", "5",
+            "--report", str(report), *(["--dump-system", str(tmp_path / "dump")] if dump else []),
+        )
+        assert code == expected, err
+        assert out.exists() and report.exists()
+        skipped = "not writing P: mesh vertex graph has multiple components\n"
+        assert (skipped in err) == dump
+        assert ("multiple components" in err.replace(skipped, "")) == (method == "plbfgs")
+        assert (tmp_path / "dump_gf.mtx").exists() == dump
+        assert not (tmp_path / "dump_p.mtx").exists()
 
     @pytest.mark.parametrize(
         "flag, value",

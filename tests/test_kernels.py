@@ -1,5 +1,7 @@
 """The one element-kernel interface: both kernels, one layout, one mu convention."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from rrsmooth.generate import (
 )
 
 from conftest import (
-    block_gradient, central_diff, dense_laplacians, random_tets, random_triangles,
+    block_gradient, central_diff, dense_blocks, dense_laplacians, random_tets, random_triangles,
 )
 
 KERNELS = pytest.mark.parametrize(
@@ -23,9 +25,8 @@ KERNELS = pytest.mark.parametrize(
 )
 
 INTERFACE = (
-    "geometry", "gradient", "local_blocks", "precond_weights", "EDGES", "FACETS",
-    "LAYOUT", "DEGENERACY_RTOL", "diameters", "signed_measure", "radius_ratio",
-    "radius_ratio_gradient", "measure_polynomial",
+    "geometry", "gradient", "block_weights", "precond_weights", "measure_polynomial",
+    "signed_measure", "EDGES", "FACETS", "LAYOUT",
 )
 
 
@@ -42,13 +43,24 @@ def jittered_square():
 def test_same_interface_and_mu_convention(kernel, random_cells):
     for name in INTERFACE:
         assert hasattr(kernel, name), name
+    # Exactly these public functions, so no wrapper creeps back: the interface
+    # and the measure it aliases, plus in 3D abs_local_matrix, which
+    # perfbench/tracing.py patches to time the preconditioner's local work.
+    defined = {
+        name for name, f in vars(kernel).items()
+        if inspect.isfunction(f) and f.__module__ == kernel.__name__ and not name.startswith("_")
+    }
+    expected = {name for name in INTERFACE if inspect.isfunction(getattr(kernel, name))}
+    expected.add(kernel.signed_measure.__name__)
+    if kernel is tetrahedra:
+        expected.add("abs_local_matrix")
+    assert defined == expected
     cells = random_cells(100, seed=16)
     dim = cells.shape[2]
     assert m.kernel(dim) is kernel
     assert len(kernel.LAYOUT.rows) == dim
-    assert kernel.DEGENERACY_RTOL == simplex.DEGENERACY_RTOL
     # Blocks carry no mu: the gradient is mu times the local block product.
-    mu, *blocks = kernel.local_blocks(cells)
+    mu, *blocks = dense_blocks(kernel, cells)
     grads = kernel.gradient(kernel.geometry(cells))
     for c, P in enumerate(cells):
         G = kernel.LAYOUT.matrix([b[c] for b in blocks], np.block)
@@ -62,14 +74,14 @@ def test_same_interface_and_mu_convention(kernel, random_cells):
 def test_geometry_is_shared_by_every_output(kernel, random_cells):
     pts = random_cells(50, seed=17)
     g = kernel.geometry(pts)
-    mu, *blocks = kernel.local_blocks(pts, g)
-    fresh_mu, *fresh = kernel.local_blocks(pts)
-    assert mu.tobytes() == fresh_mu.tobytes() == g.mu.tobytes()
-    for b, f in zip(blocks, fresh):
-        assert b.tobytes() == f.tobytes()
-    weights = kernel.precond_weights(g)
-    assert weights.shape == (len(kernel.EDGES[0]), len(pts))
-    assert simplex.laplacian(weights, kernel.EDGES).shape == blocks[0].shape
+    mu, *blocks = dense_blocks(kernel, pts)
+    assert mu.tobytes() == g.mu.tobytes()
+    shape = (len(kernel.EDGES[0]), len(pts))
+    weights = kernel.block_weights(g)
+    assert weights.shape == (len(blocks), *shape)
+    assert kernel.block_weights(kernel.geometry(pts)).tobytes() == weights.tobytes()
+    assert kernel.precond_weights(g).shape == shape
+    assert simplex.laplacian(kernel.precond_weights(g), kernel.EDGES).shape == blocks[0].shape
 
 
 # Relative rounding of mu under a similarity is at most C * eps * (1 + |offset|
@@ -101,10 +113,10 @@ def test_radius_ratio_is_similarity_invariant(kernel, random_cells, log_scale, e
     dim = pts.shape[2]
     scale, shift = 10.0**log_scale, np.array(offset[:dim])
     moved = scale * pts @ rotation(entries, dim).T + shift
-    mu = kernel.radius_ratio(pts)
+    mu = kernel.geometry(pts).mu
     diameter = scale * np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1).max(axis=(1, 2))
     bound = SIMILARITY_C * np.finfo(float).eps * (1.0 + np.linalg.norm(shift) / diameter)
-    assert np.all(np.abs(kernel.radius_ratio(moved) - mu) <= bound * mu)
+    assert np.all(np.abs(kernel.geometry(moved).mu - mu) <= bound * mu)
 
 
 def hand_written_tet_gradient(pts, mu, A, B0, B1, B2):
@@ -131,9 +143,54 @@ def hand_written_tet_gradient(pts, mu, A, B0, B1, B2):
     ids=["random-tets", "slivered-cube"],
 )
 def test_layout_gives_the_bits_of_the_hand_written_tet_product(pts):
-    blocks = tetrahedra.local_blocks(pts)
+    blocks = dense_blocks(tetrahedra, pts)
     got = block_gradient(tetrahedra, pts, *blocks)
     assert got.tobytes() == hand_written_tet_gradient(pts, *blocks).tobytes()
+
+
+def hand_written_blocks(kernel, pts):
+    """G_F's local blocks ``(A, *B)`` as the dense builders wrote them before
+    the blocks became edge weights: B from a sign pattern in 2D, and in 3D
+    from the |d0| term's matrix K and the volume gradient's D."""
+    g = kernel.geometry(pts)
+    if kernel is triangles:
+        signs = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+        return simplex.laplacian(kernel.precond_weights(g), kernel.EDGES), (
+            (1.0 / g.area)[:, None, None] * signs
+        )
+    n10, n20, n30 = g.edge_sq
+    k23, k31, k12 = n30 - n20, n10 - n30, n20 - n10
+    K = np.zeros((len(g.mu), 4, 4))
+    K[:, 0, 1], K[:, 1, 0] = -k23, k23
+    K[:, 0, 2], K[:, 2, 0] = -k31, k31
+    K[:, 0, 3], K[:, 3, 0] = -k12, k12
+    K[:, 1, 2], K[:, 2, 1] = -n30, n30
+    K[:, 1, 3], K[:, 3, 1] = n20, -n20
+    K[:, 2, 3], K[:, 3, 2] = -n10, n10
+    # D[i, j] = x_k - x_l over the even permutations (i, j, k, l).
+    idx = np.array([[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]])
+    D = [pts[:, idx, c] - pts[:, idx.T, c] for c in range(3)]
+    inv_d0sq = (1.0 / g.d0_sq)[:, None, None]
+    inv_6vol = (1.0 / (6.0 * g.volume))[:, None, None]
+    return (
+        simplex.laplacian(np.add(*kernel._weight_terms(g)), kernel.EDGES),
+        -g.d0[0, :, None, None] * K * inv_d0sq + D[0] * inv_6vol,
+        g.d0[1, :, None, None] * K * inv_d0sq - D[1] * inv_6vol,
+        -g.d0[2, :, None, None] * K * inv_d0sq + D[2] * inv_6vol,
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel, pts",
+    [(triangles, random_triangles(500, seed=29)), (triangles, jittered_square().cell_points()),
+     (tetrahedra, random_tets(500, seed=29)), (tetrahedra, slivered_cube().cell_points())],
+    ids=["random-triangles", "jittered-square", "random-tets", "slivered-cube"],
+)
+def test_block_weights_give_the_hand_written_blocks(kernel, pts):
+    # Same arithmetic per entry; only the zero diagonal of B may change sign.
+    _, *blocks = dense_blocks(kernel, pts)
+    for got, expected in zip(blocks, hand_written_blocks(kernel, pts), strict=True):
+        assert np.array_equal(got, expected)
 
 
 def spelled_out(system):
@@ -195,8 +252,8 @@ class TestClosedFormGradient:
     @CLOSED_FORM_CASES
     def test_equals_the_materialized_block_product(self, kernel, cells):
         pts = CELLS[cells](dim_of(kernel))
-        mu, grad = kernel.radius_ratio_gradient(pts)
-        _, *blocks = kernel.local_blocks(pts)
+        mu, *blocks = dense_blocks(kernel, pts)
+        grad = kernel.gradient(kernel.geometry(pts))
         for c, P in enumerate(pts):
             G = kernel.LAYOUT.matrix([b[c] for b in blocks], np.block)
             V = (P - P[0]).T.ravel()
@@ -207,18 +264,18 @@ class TestClosedFormGradient:
     @CLOSED_FORM_CASES
     def test_matches_central_differences(self, kernel, cells):
         pts = CELLS[cells](dim_of(kernel))[:60]
-        _, grads = kernel.radius_ratio_gradient(pts)
+        grads = kernel.gradient(kernel.geometry(pts))
         for P, g in zip(pts, grads):
             h = 1e-6 * np.ptp(P, axis=0).max()
-            gfd = central_diff(lambda Q: kernel.radius_ratio(Q[None])[0], P, h)
+            gfd = central_diff(lambda Q: kernel.geometry(Q[None]).mu[0], P, h)
             assert np.linalg.norm(g - gfd) <= 1e-6 * np.linalg.norm(gfd)
 
     @CLOSED_FORM_CASES
     def test_unchanged_under_a_large_translation(self, kernel, cells):
         pts = CELLS[cells](dim_of(kernel))
         q = pts + 1e6
-        _, far = kernel.radius_ratio_gradient(q)
-        _, near = kernel.radius_ratio_gradient(q - 1e6)
+        far = kernel.gradient(kernel.geometry(q))
+        near = kernel.gradient(kernel.geometry(q - 1e6))
         rel = np.linalg.norm(far - near, axis=(1, 2)) / np.linalg.norm(near, axis=(1, 2))
         assert rel.max() <= 1e-12
 
@@ -278,7 +335,7 @@ class TestLaplacian:
     @LAPLACIAN_CASES
     def test_signed_weights_give_the_dense_block_a(self, kernel, pts):
         g = kernel.geometry(pts)
-        _, A, *_ = kernel.local_blocks(pts, g)
+        _, A, *_ = dense_blocks(kernel, pts)
         expected, abs_clamped = dense_laplacians(kernel, g)
         if kernel is triangles:
             assert A.tobytes() == expected.tobytes()

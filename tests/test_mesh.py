@@ -65,7 +65,7 @@ class TestValidate:
     def test_degeneracy_threshold(self, kernel, factor):
         # One cell of unit diameter whose measure is factor * DEGENERACY_RTOL:
         # validate and the kernel must draw the line at the same place.
-        h = factor * kernel.DEGENERACY_RTOL
+        h = factor * simplex.DEGENERACY_RTOL
         if kernel is triangles:
             P = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0 * h]])
         else:
@@ -77,12 +77,12 @@ class TestValidate:
         if factor < 1:
             assert [v.rule for v in flagged] == ["non-positive-orientation"]
             with pytest.raises(DegenerateElement):
-                kernel.radius_ratio(P[None])
+                kernel.geometry(P[None])
             with pytest.raises(DegenerateElement):
                 m.max_step_before_inversion(one_cell(P), down)
         else:
             assert flagged == []
-            assert np.isfinite(kernel.radius_ratio(P[None])).all()
+            assert np.isfinite(kernel.geometry(P[None]).mu).all()
             lam = m.max_step_before_inversion(one_cell(P), down)
             assert lam == pytest.approx(P[-1, -1], rel=1e-12)
 
@@ -92,7 +92,7 @@ class TestValidate:
         # The threshold scale must keep the bits of np.ptp over the vertices.
         k = 3 if kernel is triangles else 4
         pts = np.random.default_rng(7).normal(size=(500, k, k - 1)) + offset
-        assert np.array_equal(kernel.diameters(pts), np.ptp(pts, axis=1).max(axis=1))
+        assert np.array_equal(simplex.diameters(pts), np.ptp(pts, axis=1).max(axis=1))
 
     @staticmethod
     def sliding_corner(normal):

@@ -926,15 +926,15 @@ class TestPreconditionerReuse:
         [("plbfgs", "cube"), ("fixedpoint", "cube"), ("plbfgs", "square"), ("fixedpoint", "square")],
     )
     def test_no_dense_local_matrix_is_built(self, monkeypatch, method, shape):
-        # P is one scatter of edge weights; the dense local Laplacian is
-        # built only for G_F's block A.
+        # P and G_F's blocks are scatters of edge weights; neither builds a
+        # dense local Laplacian.
         mesh = slivered_cube(n=3, count=1) if shape == "cube" else jittered_square(6, 0.3, m.FIX_ALL)
         dense = recording(monkeypatch, simplex, "laplacian")
         _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=4))
         assert report.iterations == 4
         assert dense == []
         assembly.assemble(mesh)
-        assert len(dense) == 1
+        assert dense == []
 
 
 class TestRecordedWork:

@@ -4,7 +4,7 @@ import pytest
 from rrsmooth import tetrahedra
 from rrsmooth.errors import DegenerateElement
 
-from conftest import CORNER_TET, REGULAR_TET, central_diff, random_tets
+from conftest import CORNER_TET, REGULAR_TET, central_diff, dense_blocks, random_tets
 
 
 def radii(g):
@@ -16,7 +16,7 @@ class TestMeasures:
     def test_regular_tet_is_equilateral(self):
         R, r = radii(tetrahedra.geometry(REGULAR_TET[None]))
         assert R[0] == pytest.approx(3.0 * r[0], rel=1e-12)
-        assert tetrahedra.radius_ratio(REGULAR_TET[None])[0] == pytest.approx(1.0, abs=1e-12)
+        assert tetrahedra.geometry(REGULAR_TET[None]).mu[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_corner_tet_against_direct_solve(self):
         # Oracle: circumcenter c solves |c - x_i| = |c - x_0| (linear system),
@@ -52,7 +52,7 @@ class TestMeasures:
 class TestRadiusRatio:
     def test_corner_tet_value(self):
         expected = (1.0 + np.sqrt(3.0)) / 2.0
-        assert tetrahedra.radius_ratio(CORNER_TET[None])[0] == pytest.approx(expected, rel=1e-12)
+        assert tetrahedra.geometry(CORNER_TET[None]).mu[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sliver_family_monotone_blowup(self):
         def sliver(eps):
@@ -60,7 +60,7 @@ class TestRadiusRatio:
                 [[1, 0, 0], [-1, 0, 0], [0, -1, eps], [0, 1, eps]], dtype=float
             )
 
-        mus = [tetrahedra.radius_ratio(sliver(e)[None])[0] for e in (0.5, 0.1, 0.01)]
+        mus = [tetrahedra.geometry(sliver(e)[None]).mu[0] for e in (0.5, 0.1, 0.01)]
         assert mus[0] < mus[1] < mus[2]
         assert mus[2] > 10.0
 
@@ -72,27 +72,26 @@ class TestGradient:
 
     def test_matches_central_differences(self):
         pts = random_tets(200, seed=14)
-        _, grads = tetrahedra.radius_ratio_gradient(pts)
+        grads = tetrahedra.gradient(tetrahedra.geometry(pts))
         for P, g in zip(pts, grads):
             h = 1e-6 * np.ptp(P, axis=0).max()
-            gfd = central_diff(lambda Q: tetrahedra.radius_ratio(Q[None])[0], P, h)
+            gfd = central_diff(lambda Q: tetrahedra.geometry(Q[None]).mu[0], P, h)
             rel = np.linalg.norm(g - gfd) / np.linalg.norm(gfd)
             assert rel <= 1e-6
 
     def test_block_structure(self):
         pts = random_tets(100, seed=15)
-        _, A, B0, B1, B2 = tetrahedra.local_blocks(pts)
+        _, A, B0, B1, B2 = dense_blocks(tetrahedra, pts)
         At = np.transpose(A, (0, 2, 1))
         np.testing.assert_allclose(A, At, atol=1e-13 * np.abs(A).max())
         for B in (B0, B1, B2):
             np.testing.assert_allclose(
                 B + np.transpose(B, (0, 2, 1)), 0.0, atol=1e-13 * np.abs(B).max()
             )
-        # A symmetric and K antisymmetric by construction.
-        g = tetrahedra.geometry(pts)
+        # One weight per edge: A symmetric and every B antisymmetric exactly.
         np.testing.assert_array_equal(A, np.transpose(A, (0, 2, 1)))
-        K = tetrahedra._k_matrix(g)
-        np.testing.assert_array_equal(K, -np.transpose(K, (0, 2, 1)))
+        for B in (B0, B1, B2):
+            np.testing.assert_array_equal(B, -np.transpose(B, (0, 2, 1)))
 
 
 class TestAbsLocalMatrix:
