@@ -44,16 +44,30 @@ HISTOGRAM_BINS = 20
 # which 1e-5 misses. Counting a near-real pair as real only lowers the bound.
 REAL_ROOT_RTOL = 1e-4
 
-# The tet cap first solves the cubics with the largest root bounds, then
-# only those whose bound, widened by ROOT_BOUND_RTOL, reaches the largest
-# root found. Fujiwara's bound is attained (s**3 - s**2 - s - 2 has the
-# root 2 = bound), and there LAPACK's root exceeds the computed bound by up
-# to ~3e-15 relative, so pruning at the bound itself could drop the cell
-# that sets the cap.
-ROOT_BOUND_RTOL = 1e-9
-# Rows solved before any pruning. Any count gives the same result; 64 cost
-# about 0.2 ms and, on cube n=10 directions, leave 0 to 700 of 6000 rows.
-_CAP_FIRST_ROWS = 64
+# The tet cap first solves the _CAP_FIRST_ROWS cubics p with the largest
+# _root_estimate, which only orders them, and takes the largest root s found.
+# It then clears a cubic when q(u) = p(S + u), S = s (1 - CAP_MARGIN), has
+# only positive coefficients, and solves every other one. Such a q has no
+# root with |arg u| < pi/3, so every root of p right of S has
+# |Im| >= sqrt(3) (Re - S). A root there is at least
+# (sqrt(3) CAP_MARGIN - REAL_ROOT_RTOL) s / 2 = 8.2e-4 s away from every
+# point that counts as real at or above s: 58 times the widest rounding
+# split of a triple root (1.4e-5 s, see REAL_ROOT_RTOL), the largest error
+# seen in a cell's roots. So no cleared cubic has a root counted real above s.
+CAP_MARGIN = 1e-3
+# A shifted coefficient clears only when it exceeds this fraction of the sum
+# of its terms' moduli, far above the few ulps of rounding in its sum.
+CAP_SHIFT_RTOL = 1e-13
+# A cubic clears only when |c_k| <= (CAP_ROOT_SCALE S)**k, which puts its
+# roots within 2 CAP_ROOT_SCALE S of 0 (Fujiwara's bound). LAPACK's error on
+# a root grows with the largest root B of its cubic: about eps B for a simple
+# root, and up to sqrt(eps B S), 2.1e-4 S here, for a double root near S. A
+# cubic with only positive coefficients, such as a1 = 1e9, a2 = 1e-20,
+# a3 = 1e-31, can return a positive real root near 1e-20.
+CAP_ROOT_SCALE = 1e8
+# Rows solved first. Any count gives the same result; on cube n=6 and 10
+# directions the cell that sets the cap is among the first 4 on 95% of calls.
+_CAP_FIRST_ROWS = 4
 
 
 def kernel(dim):
@@ -365,9 +379,9 @@ def max_step_before_inversion(mesh, direction, geometry=None):
     The bound is 1 / (largest positive real root s of the cells' monic
     measure polynomials in s = 1/t, :func:`_measure_polynomials`), or inf
     when there is none. Roots count as real up to REAL_ROOT_RTOL. Triangles
-    solve in closed form; tets solve only the cells whose root bound can
-    reach the largest root (:func:`_largest_real_root`), with the bits of
-    solving them all. ``geometry`` is ``mesh.geometry()``, if the caller has it.
+    solve in closed form; tets solve only the cells whose roots can reach
+    the largest root (:func:`_largest_real_root`), with the bits of solving
+    them all. ``geometry`` is ``mesh.geometry()``, if the caller has it.
     """
     a = _measure_polynomials(mesh, direction, geometry)
     if mesh.dim == 2:
@@ -381,8 +395,8 @@ def max_step_before_inversion(mesh, direction, geometry=None):
         s_max = np.where(real & (roots > 0), roots, 0.0).max(initial=0.0)
     else:
         s_max = _largest_real_root(a)
-    with np.errstate(over="ignore"):  # 1 / s_max past the float range: no bound
-        return 1.0 / s_max if s_max > 0 else np.inf
+    # A Python float: 1 / s_max past the float range is inf, no bound, unwarned.
+    return 1.0 / float(s_max) if s_max > 0 else np.inf
 
 
 def _measure_polynomials(mesh, direction, geometry=None):
@@ -392,22 +406,29 @@ def _measure_polynomials(mesh, direction, geometry=None):
     direction = np.asarray(direction, dtype=float)
     if direction.shape != mesh.vertices.shape:
         raise ValueError("direction must match the vertex array shape")
-    bad = np.flatnonzero(~np.isfinite(direction).all(axis=1))
-    if bad.size:
+    if not np.isfinite(direction).all():
+        bad = np.flatnonzero(~np.isfinite(direction).all(axis=1))
         raise ValueError(f"direction is not finite at vertex {bad[0]}")
     if geometry is None:
         geometry = mesh.geometry()
     return kernel(mesh.dim).measure_polynomial(geometry, mesh.cell_coords(direction).T)
 
 
-def _root_bound(a):
-    """Fujiwara's bound on the root moduli of s**3 + a1 s**2 + a2 s + a3.
+def _root_estimate(a):
+    """Each row's largest root with its constant term dropped: the larger root
+    of s**2 + a1 s + a2, ``(-a1 + sqrt(a1**2 - 4 a2)) / 2`` (``-a1 / 2`` for a
+    complex pair). ``a`` is (n, 3).
 
-    ``a`` is (n, 3); every root of row i has modulus at most
-    ``2 max(|a1|, |a2|**(1/2), |a3/2|**(1/3))``.
+    In t = 1/s it is where the cell's measure, to second order in t, first
+    reaches zero; the tet cap orders its cubics by it.
     """
-    a = np.abs(a)
-    return 2.0 * np.maximum(np.maximum(a[:, 0], np.sqrt(a[:, 1])), np.cbrt(0.5 * a[:, 2]))
+    c = a.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = c[0] * c[0] - 4.0 * c[1]
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+        d -= c[0]
+    d *= 0.5
+    return d
 
 
 def _row_roots(a):
@@ -423,20 +444,50 @@ def _row_roots(a):
 def _largest_real_root(a):
     """Largest positive real root over the monic cubics in the rows of ``a``.
 
-    Equal to solving every row, but solves few: the rows with the largest
-    :func:`_root_bound` first, then every other row whose bound, widened by
-    ROOT_BOUND_RTOL, reaches the largest root found. A row with a NaN bound
-    is kept. LAPACK solves each companion matrix on its own, so a row's
-    roots have the same bits in any batch.
+    Equal to solving every row, but solves few: the _CAP_FIRST_ROWS rows
+    with the largest :func:`_root_estimate`, then every row that the Taylor
+    shift at ``S = s (1 - CAP_MARGIN)`` does not clear (see CAP_MARGIN).
+    Every row is solved when S is 0 or so far from 1 that S**-3 is not a
+    normal number, and a row with an inf or NaN is never cleared. LAPACK
+    solves each companion matrix on its own, so a row's roots have the same
+    bits in any batch.
     """
-    bound = _root_bound(a)
-    first = np.arange(len(a))
-    if len(a) > _CAP_FIRST_ROWS:
-        first = np.argpartition(bound, -_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
+    if len(a) <= _CAP_FIRST_ROWS:
+        return _row_roots(a).max(initial=0.0)
+    first = _root_estimate(a).argpartition(-_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
     s_max = _row_roots(a[first]).max(initial=0.0)
-    rest = ~(bound * (1.0 + ROOT_BOUND_RTOL) < s_max)
+    S = s_max * (1.0 - CAP_MARGIN)
+    if 1e-100 < S < 1e100:
+        rest = ~_shift_clears(a.T, S)
+    else:
+        rest = np.ones(len(a), dtype=bool)
     rest[first] = False
-    return max(s_max, _row_roots(a[rest]).max(initial=0.0))
+    if not rest.any():
+        return s_max
+    return max(s_max, _row_roots(a[rest]).max())
+
+
+def _shift_clears(c, S):
+    """Whether each monic cubic, coefficients ``c`` (3, n), shifted to s = S + u
+    has only positive coefficients, each above CAP_SHIFT_RTOL times the sum of
+    its terms' moduli.
+
+    With b_k = c_k / S**k, the shifted coefficients of u**2, u and 1 are, up
+    to the factors S, S**2 and S**3, 3 + b1, 3 + 2 b1 + b2 and
+    1 + b1 + b2 + b3: W c + k with W >= 0. The sums of their terms' moduli
+    are W |c| + k, so the test is
+    ``W (c - CAP_SHIFT_RTOL |c|) + (1 - CAP_SHIFT_RTOL) k > 0``. A cubic with
+    a coefficient past CAP_ROOT_SCALE's limit does not clear.
+    """
+    r, t = 1.0 / S, CAP_ROOT_SCALE * S
+    W = np.array([[r, 0.0, 0.0], [2.0 * r, r * r, 0.0], [r, r * r, r * r * r]])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not cleared
+        mod = np.abs(c)
+        q = W @ (c - CAP_SHIFT_RTOL * mod)
+        q += (1.0 - CAP_SHIFT_RTOL) * np.array([[3.0], [3.0], [1.0]])
+        clear = q > 0.0
+        clear &= mod <= np.array([[t], [t * t], [t * t * t]])
+        return np.logical_and.reduce(clear, axis=0)
 
 
 def components(n, i, j):

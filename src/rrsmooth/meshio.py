@@ -80,8 +80,8 @@ def save_quality_overlay(mesh, path):
     _write_vtk(mesh, path, quality=1.0 / mesh.geometry().mu)
 
 
-def _loadtxt(lines, dtype):
-    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+def _loadtxt(lines, dtype, ndmin=1):
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=ndmin)
 
 
 class _LineReader:
@@ -125,9 +125,20 @@ class _LineReader:
     def section(self, count, dtype, context, fields=range(1 << 62)):
         """The next ``count`` lines, parsed by one ``np.loadtxt`` call (a
         record per line for a structured ``dtype``, else one flat array), and
-        the number of fields on each line, which must lie in ``fields``."""
+        the number of fields on each line, which must lie in ``fields``.
+        Lines as wide as the first are read as a table; only when that misses
+        are each line's fields counted."""
         count = max(count, 0)
         start, lines = self.take(count)
+        width = len(lines[0].split()) if lines else 0
+        if len(lines) == count and width and width in fields:
+            try:
+                # loadtxt skips blank lines: the row count catches them.
+                table = _loadtxt(lines, dtype, 1 if np.dtype(dtype).names else 2)
+                if len(table) == count:
+                    return table.reshape(-1), np.full(count, width)
+            except ValueError:
+                pass
         widths = np.array([len(line.split()) for line in lines], dtype=np.int64)
         if len(lines) == count and np.all((widths >= fields.start) & (widths < fields.stop)):
             try:

@@ -90,6 +90,22 @@ def _cross(a, b):
     return out
 
 
+def _dot(a, b):
+    """Dot product over the leading axis of length 3, with the bits of numpy's
+    ``einsum("ij,ij->i")`` on the ``(n, 3)`` rows, without copying to them.
+
+    einsum sums a 3-term row as ``(a0 b0 + a2 b2) + a1 b1`` onto a zero, which
+    turns a -0.0 sum into +0.0; so :func:`geometry`'s volume keeps the bits of
+    :func:`signed_volume`, and the cap's coefficients those of einsum on
+    ``(n, 3)`` rows.
+    """
+    out = a[0] * b[0]
+    out += a[2] * b[2]
+    out += a[1] * b[1]
+    out += 0.0
+    return out
+
+
 def geometry(pts):
     """The one geometry pass every kernel reads.
 
@@ -105,10 +121,7 @@ def geometry(pts):
     X = np.ascontiguousarray(pts.T)
     E = X[:, _HEAD] - X[:, _TAIL]
     normals = _cross(E[:, _FACE_EDGES[0]], E[:, _FACE_EDGES[1]])
-    # signed_volume's arithmetic on the same (n, 3) layout, so the same bits.
-    vol = np.einsum(
-        "ij,ij->i", np.ascontiguousarray(E[:, 0].T), np.ascontiguousarray(normals[:, 1].T)
-    ) / 6.0
+    vol = _dot(E[:, 0], normals[:, 1]) / 6.0
     simplex.check_degenerate(vol, pts, "volume")
     sq = (E * E).sum(axis=0)
     edge_sq = sq[:3]
@@ -125,19 +138,30 @@ def geometry(pts):
 
 
 def measure_polynomial(g, du):
-    """The cap's monic volume coefficients ``(n, 3)`` (see :mod:`rrsmooth.simplex`)."""
-    def dot(a, b):
-        return np.einsum("ij,ij->i", a, b)
-
-    # 6 vol(t) = det(e1 + t f1, e2 + t f2, e3 + t f3): seven a . (b x c) sharing four
-    # crosses, summed on (n, 3) rows as geometry's volume einsum, which c0 repeats.
-    f1, f2, f3 = (du.T[:, k] - du.T[:, 0] for k in (1, 2, 3))
-    fe, ef, ff = _cross(f2, g.edges[:, 2]), _cross(g.edges[:, 1], f3), _cross(f2, f3)
-    e1, ee, f1, fe, ef, ff = (
-        np.ascontiguousarray(v.T) for v in (g.edges[:, 0], g.normals[:, 1], f1, fe, ef, ff)
-    )
-    coeffs = [dot(f1, ee) + dot(e1, fe) + dot(e1, ef), dot(f1, fe) + dot(f1, ef) + dot(e1, ff)]
-    return np.stack([*coeffs, dot(f1, ff)], axis=1) / dot(e1, ee)[:, None]
+    """The cap's monic volume coefficients ``(n, 3)`` (see :mod:`rrsmooth.simplex`),
+    a view of a ``(3, n)`` array."""
+    # 6 vol(t) = det(e1 + t f1, e2 + t f2, e3 + t f3), f_k = du_k - du_0, expands
+    # into the eight D[i, j, k] = p1_i . (p2_j x p3_k) with p_k = (e_k, f_k): t**m's
+    # coefficient sums those with m f's, and D[0, 0, 0] = 6 vol.
+    n = len(g.mu)
+    P = np.empty((5, 2, 3, n))
+    P[:3, 0] = g.edges[:, :3]
+    np.subtract(du.T[:, 1:], du.T[:, :1], out=P[:3, 1])
+    # x and y again after z, so the cross product, in _cross's arithmetic,
+    # reads rolled views.
+    P[3:] = P[:2]
+    L, R = P[:, :, None, 1], P[:, None, :, 2]
+    C = L[1:4] * R[2:5]
+    C -= L[2:5] * R[1:4]
+    D = _dot(P[:3, :, None, None, 0], C[:, None])
+    a = np.empty((3, n))
+    np.add(D[1, 0, 0], D[0, 1, 0], out=a[0])
+    a[0] += D[0, 0, 1]
+    np.add(D[1, 1, 0], D[1, 0, 1], out=a[1])
+    a[1] += D[0, 1, 1]
+    a[2] = D[1, 1, 1]
+    a /= D[0, 0, 0]
+    return a.T
 
 
 def gradient(g):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -522,60 +524,245 @@ def stacked_cells(points):
     return m.SimplexMesh(points.reshape(-1, dim), np.arange(n * k).reshape(n, k))
 
 
+@functools.cache
+def double_and_triple_rows():
+    """Cap cubics of the cells of test_double_roots_in_3d and of the centroid
+    test: a tangential double root, and a triple root."""
+    rng = np.random.default_rng(5)
+    P = random_tets(300, seed=3)
+    a = rng.uniform(0.1, 10.0, 300)
+    b = rng.uniform(-10.0, a)
+    Q = np.linalg.qr(rng.normal(size=(300, 3, 3)))[0]
+    D = Q @ (np.stack([a, a, b], axis=1)[:, :, None] * np.swapaxes(Q, 1, 2))
+    d = -np.einsum("nij,nkj->nki", D, P - rng.uniform(-1, 1, (300, 1, 3)))
+    double = m._measure_polynomials(stacked_cells(P), d.reshape(-1, 3))
+    P = random_tets(300, seed=0)
+    triple = m._measure_polynomials(
+        stacked_cells(P), (P.mean(axis=1, keepdims=True) - P).reshape(-1, 3)
+    )
+    return np.ascontiguousarray(double), np.ascontiguousarray(triple)
+
+
+@pytest.fixture(scope="module")
+def recorded_caps():
+    """Every cap cubic batch of a cube n=6 lbfgs solve on a sliver input."""
+    mesh = m.classify_boundary(
+        perturb_mesh(perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 6)), RandomJitter(0.1, 6)),
+                     PlantSliver(5, 0.01)),
+        m.FIX_ALL,
+    )
+    recorded, search = [], m._largest_real_root
+
+    def record(a):
+        recorded.append(np.array(a))
+        return search(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(m, "_largest_real_root", record)
+        optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=15))
+    return recorded
+
+
+def cap_cubics(kind, k, rng):
+    """``k`` cubic rows of one family."""
+    if kind == "extremal":
+        # s**3 - r s**2 - r**2 s - 2 r**3 has the root 2r, on Fujiwara's bound.
+        r = 10.0 ** rng.uniform(-90, 90, k)
+        return np.stack([-r, -r * r, -2.0 * r**3], axis=1)
+    if kind in ("double", "triple"):
+        rows = double_and_triple_rows()[kind == "triple"]
+        return rows[rng.integers(len(rows), size=k)]
+    if kind == "linear":
+        # One moving vertex: a double root at 0 that rounding may make positive.
+        return np.stack([rng.normal(size=k) * 10.0 ** rng.uniform(-5, 5, k),
+                         np.zeros(k), np.zeros(k)], axis=1)
+    if kind == "positive":
+        return np.abs(rng.normal(size=(k, 3))) * 10.0 ** rng.uniform(-5, 5, (k, 3))
+    if kind == "spurious":
+        # No sign change, yet LAPACK returns a positive root near 1e-20 on a few.
+        return spurious_rows(k, rng)
+    a = rng.choice([-1.0, 1.0], (k, 3)) * 10.0 ** rng.uniform(-100, 100, (k, 3))
+    a[rng.random(a.shape) < 0.1] = 0.0
+    return a
+
+
+def spurious_rows(k, rng):
+    return np.array([1e9, 1e-20, 1e-31]) * rng.uniform(0.5, 2.0, (k, 3))
+
+
+def fujiwara_bound(a):
+    """Fujiwara's bound on the root moduli of s**3 + a1 s**2 + a2 s + a3.
+
+    ``a`` is (n, 3); every root of row i has modulus at most
+    ``2 max(|a1|, |a2|**(1/2), |a3/2|**(1/3))``. CAP_ROOT_SCALE relies on
+    its weaker form ``2 max(|a1|, |a2|**(1/2), |a3|**(1/3))``.
+    """
+    a = np.abs(a)
+    return 2.0 * np.maximum(np.maximum(a[:, 0], np.sqrt(a[:, 1])), np.cbrt(0.5 * a[:, 2]))
+
+
 class TestRootBound:
-    def assert_bounds_roots(self, a):
-        bound = m._root_bound(a) * (1.0 + m.ROOT_BOUND_RTOL)
-        assert np.all(np.abs(cubic_roots(a)) <= bound[:, None])
+    # Relative slack on Fujiwara's bound: LAPACK's root may round above it.
+    RTOL = 1e-9
+
+    def assert_bounds_roots(self, a, shifts):
+        # Every root is within Fujiwara's bound, and a row that _shift_clears
+        # clears at S has every root within 2 CAP_ROOT_SCALE S and none
+        # counted real at or above s = S / (1 - CAP_MARGIN): skipping it
+        # cannot change the cap.
+        roots = np.abs(cubic_roots(a))
+        assert np.all(roots <= fujiwara_bound(a)[:, None] * (1.0 + self.RTOL))
+        top = m._row_roots(a)
+        cleared = 0
+        for S in shifts:
+            clear = m._shift_clears(a.T, S)
+            cleared += clear.sum()
+            assert np.all(roots[clear] <= 2.0 * m.CAP_ROOT_SCALE * S * (1.0 + self.RTOL))
+            assert np.all(top[clear] < S / (1.0 - m.CAP_MARGIN))
+        assert cleared > 0
+
+    def own_shifts(self, a, k, rng):
+        # S = s (1 - CAP_MARGIN) for the largest roots s of k rows of a.
+        top = m._row_roots(a)
+        top = top[(top > 1e-99) & (top < 1e99)]
+        return rng.choice(top, k, replace=False) * (1.0 - m.CAP_MARGIN)
 
     def test_random_cubics(self):
         rng = np.random.default_rng(11)
         a = rng.choice([-1.0, 1.0], (20000, 3)) * 10.0 ** rng.uniform(-100, 100, (20000, 3))
         a[rng.random(a.shape) < 0.1] = 0.0
         a[:1000] = rng.normal(size=(1000, 3))
-        self.assert_bounds_roots(a)
+        shifts = np.concatenate([10.0 ** np.arange(-96.0, 97.0, 8.0), self.own_shifts(a, 50, rng)])
+        self.assert_bounds_roots(a, shifts)
 
     def test_double_and_triple_roots(self):
         # The cells of test_double_roots_in_3d and of the centroid test.
-        rng = np.random.default_rng(5)
-        P = random_tets(300, seed=3)
-        a = rng.uniform(0.1, 10.0, 300)
-        b = rng.uniform(-10.0, a)
-        Q = np.linalg.qr(rng.normal(size=(300, 3, 3)))[0]
-        D = Q @ (np.stack([a, a, b], axis=1)[:, :, None] * np.swapaxes(Q, 1, 2))
-        d = -np.einsum("nij,nkj->nki", D, P - rng.uniform(-1, 1, (300, 1, 3)))
-        double = m._measure_polynomials(stacked_cells(P), d.reshape(-1, 3))
-        P = random_tets(300, seed=0)
-        triple = m._measure_polynomials(
-            stacked_cells(P), (P.mean(axis=1, keepdims=True) - P).reshape(-1, 3)
-        )
-        self.assert_bounds_roots(np.concatenate([double, triple]))
+        a = np.concatenate(double_and_triple_rows())
+        self.assert_bounds_roots(a, self.own_shifts(a, 100, np.random.default_rng(2)))
 
     def test_bound_is_attained_and_rounding_crosses_it(self):
-        # s**3 - r s**2 - r**2 s - 2 r**3 has the root 2r, equal to its
-        # bound; LAPACK's root lands a few ulp above it on about half of
-        # them, which is why pruning widens the bound by ROOT_BOUND_RTOL.
+        # s**3 - r s**2 - r**2 s - 2 r**3 = (s - 2r)(s**2 + r s + r**2) has the
+        # root 2r, equal to its bound; LAPACK's root lands a few ulp above it
+        # on about half of them, far inside CAP_MARGIN. The shift clears each
+        # just right of 2r and none just left of it.
         r = np.geomspace(1e-90, 1e90, 4001)
         a = np.stack([-r, -r * r, -2.0 * r**3], axis=1)
-        excess = np.abs(cubic_roots(a)).max(axis=1) / m._root_bound(a) - 1.0
+        excess = np.abs(cubic_roots(a)).max(axis=1) / fujiwara_bound(a) - 1.0
         assert np.any(excess > 0.0)
-        assert excess.max() <= 1e-3 * m.ROOT_BOUND_RTOL
+        assert excess.max() <= 1e-3 * self.RTOL
+        for i in range(0, len(r), 10):
+            row = a[i : i + 1].T
+            assert m._shift_clears(row, 2.0 * r[i] * (1.0 + m.CAP_MARGIN))[0]
+            assert not m._shift_clears(row, 2.0 * r[i] * (1.0 - m.CAP_MARGIN))[0]
 
-    def test_margin_keeps_a_cell_whose_root_rounds_above_its_bound(self, monkeypatch):
-        # A cell on the extremal family whose computed root exceeds its
-        # bound, behind 64 cells with the bound 20 rho and the real root rho
-        # in between: without the margin it is pruned and the cap is wrong.
-        r = np.geomspace(0.5, 2.0, 2001)
-        a = np.stack([-r, -r * r, -2.0 * r**3], axis=1)
-        top = m._row_roots(a)
-        i = np.argmax(top / m._root_bound(a))
-        rho = 0.5 * (m._root_bound(a)[i] + top[i])
-        decoy = np.array([[-rho, 100 * rho**2, -100 * rho**3]])
-        s_decoy = m._row_roots(decoy)[0]
-        assert m._root_bound(a)[i] < s_decoy < top[i]
-        batch = np.concatenate([np.repeat(decoy, m._CAP_FIRST_ROWS, axis=0), a[i : i + 1]])
-        assert m._largest_real_root(batch) == top[i] == full_batch_root(batch)
-        monkeypatch.setattr(m, "ROOT_BOUND_RTOL", 0.0)
+
+def outcome(search, a):
+    try:
+        return bits(search(a))
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+class TestLargestRealRoot:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.fixed_dictionaries({
+            kind: st.integers(0, 12)
+            for kind in ("extremal", "double", "triple", "linear", "positive", "spurious", "random")
+        }),
+        recorded=st.one_of(st.none(), st.integers(0, 10**6)),
+        nan=st.booleans(),
+    )
+    def test_equals_the_full_batch(self, recorded_caps, seed, counts, recorded, nan):
+        # Every pruned search has the bits of solving every row, or raises as
+        # it does on a NaN row.
+        rng = np.random.default_rng(seed)
+        parts = [cap_cubics(kind, k, rng) for kind, k in counts.items()]
+        if recorded is not None:
+            parts.append(recorded_caps[recorded % len(recorded_caps)])
+        if nan:
+            parts.append(np.full((1, 3), np.nan))
+        a = np.concatenate(parts)
+        a = a[rng.permutation(len(a))]
+        assert outcome(m._largest_real_root, a) == outcome(full_batch_root, a)
+        # The layout measure_polynomial returns: a view of (3, n) columns.
+        assert outcome(m._largest_real_root, np.ascontiguousarray(a.T).T) == outcome(
+            full_batch_root, a
+        )
+
+    def test_margin_keeps_a_near_real_pair_above_the_shift(self, monkeypatch):
+        # Decoys with the real root 1 and the pair 5 +- 10i rank first, so the
+        # cap shifts to S = 1 - CAP_MARGIN. The last cubic has the roots 1/2
+        # and 1 + 5e-9 +- 9e-5 i, a pair counted real above 1. At a margin of
+        # 0 every coefficient of its shift to S = 1 is positive, so it is
+        # cleared and the cap is wrong.
+        decoy = np.real(np.poly([1.0, 5.0 + 10.0j, 5.0 - 10.0j]))[1:]
+        near = np.real(np.poly([0.5, 1.0 + 5e-9 + 9e-5j, 1.0 + 5e-9 - 9e-5j]))[1:]
+        batch = np.concatenate([np.repeat(decoy[None], m._CAP_FIRST_ROWS, axis=0), [near]])
+        assert np.all(m._root_estimate(batch[:-1]) > m._root_estimate(batch[-1:]))
+        s_decoy, s_near = m._row_roots(batch[[0, -1]])
+        assert s_decoy < s_near
+        assert m._largest_real_root(batch) == s_near == full_batch_root(batch)
+        monkeypatch.setattr(m, "CAP_MARGIN", 0.0)
         assert m._largest_real_root(batch) == s_decoy
+
+    def test_a_shift_within_rounding_of_zero_is_solved(self, monkeypatch):
+        # The last cubic has a root 1e-14 left of the shift S: its shifted
+        # constant term p(S) is 1e-14 of the sum of its terms' moduli, inside
+        # CAP_SHIFT_RTOL, so it is solved rather than cleared on a sign that
+        # rounding could have set.
+        decoy = np.real(np.poly([1.0, 5.0 + 10.0j, 5.0 - 10.0j]))[1:]
+        s = m._row_roots(decoy[None])[0]
+        near = np.real(np.poly([s * (1.0 - m.CAP_MARGIN) * (1.0 - 1e-14), -1.0, -2.0]))[1:]
+        batch = np.concatenate([np.repeat(decoy[None], m._CAP_FIRST_ROWS, axis=0), [near]])
+        solved = count_solved_rows(monkeypatch)
+        assert m._largest_real_root(batch) == s
+        assert solved == [m._CAP_FIRST_ROWS, 1]
+
+    def test_a_cubic_without_sign_change_can_set_the_cap(self, rng):
+        # LAPACK returns a positive root s near 1e-20 for a few cubics with
+        # only positive coefficients and a1 = 1e9. Behind decoys that rank
+        # first with no positive root (S = 0) or with the root s / 2, s is the
+        # cap: no cubic is dropped on its signs alone, and one whose roots
+        # reach far past S is solved.
+        rows = spurious_rows(2000, rng)
+        spurious = rows[np.argmax(m._row_roots(rows))]
+        s = m._row_roots(spurious[None])[0]
+        assert s > 0
+        for roots in ([-0.5 * s, s + 1e-19j, s - 1e-19j], [0.5 * s, 1e-19j, -1e-19j]):
+            decoy = np.real(np.poly(roots))[1:]
+            batch = np.concatenate([np.repeat(decoy[None], m._CAP_FIRST_ROWS, axis=0), [spurious]])
+            assert np.all(m._root_estimate(batch[:-1]) > m._root_estimate(batch[-1:]))
+            assert m._largest_real_root(batch) == s == full_batch_root(batch)
+
+    def test_a_sliver_solve_solves_few_rows(self, monkeypatch):
+        # Every cubic of cube n=6 is 1296 rows; the first lbfgs direction of a
+        # sliver input solves fewer than 64 of them, the median call at most
+        # 8, and LAPACK never gets an empty batch.
+        mesh = m.classify_boundary(
+            perturb_mesh(perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 6)), RandomJitter(0.1, 1)),
+                         PlantSliver(5, 0.01)),
+            m.FIX_ALL,
+        )
+        calls, search, solve = [], m._largest_real_root, m._row_roots
+
+        def per_call(a):
+            calls.append([])
+            return search(a)
+
+        def counted(a):
+            calls[-1].append(len(a))
+            return solve(a)
+
+        monkeypatch.setattr(m, "_largest_real_root", per_call)
+        monkeypatch.setattr(m, "_row_roots", counted)
+        optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=10))
+        rows = [sum(c) for c in calls]
+        assert len(rows) >= 10
+        assert rows[0] < 64
+        assert np.median(rows) <= 8
+        assert min(min(c) for c in calls) > 0
 
 
 class TestPerturb:

@@ -3,6 +3,7 @@ import pytest
 
 from rrsmooth import tetrahedra
 from rrsmooth.errors import DegenerateElement
+from rrsmooth.generate import CUBE, GeneratorSpec, PlantSliver, RandomJitter, gen_mesh, perturb_mesh
 
 from conftest import CORNER_TET, REGULAR_TET, central_diff, dense_blocks, random_tets
 
@@ -119,3 +120,60 @@ class TestAbsLocalMatrix:
         _, A = tetrahedra.abs_local_matrix(pts)
         w = np.linalg.eigvalsh(A)
         assert np.all(w[:, 0] >= -1e-12 * np.abs(A).max(axis=(1, 2)))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def jittered_cube_points():
+    mesh = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 5)), RandomJitter(0.3, 4))
+    return perturb_mesh(mesh, PlantSliver(3, 0.01)).cell_points()
+
+
+class TestKernelBits:
+    """The geometry pass and the cap's coefficients sum (3, n) rows in the
+    order of numpy's einsum on (n, 3) rows, so they keep its bits."""
+
+    def test_dot_has_the_bits_of_einsum(self):
+        rng = np.random.default_rng(21)
+        x, y = rng.normal(size=(2, 3, 20000)) * 10.0 ** rng.uniform(-20, 20, (2, 3, 20000))
+        # Signed zeros: einsum sums onto +0.0, so a -0.0 sum comes out +0.0.
+        x[:, :1000] = 0.0
+        y[:, :500] *= -1.0
+        x[1, 1000:1500] = -0.0
+        reference = np.einsum("ij,ij->i", np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
+        np.testing.assert_array_equal(bits(tetrahedra._dot(x, y)), bits(reference))
+
+    @pytest.mark.parametrize("points", [
+        lambda: random_tets(2000, seed=22), jittered_cube_points,
+    ], ids=["random", "jittered-cube"])
+    def test_geometry_volume_has_the_bits_of_signed_volume(self, points):
+        pts = points()
+        np.testing.assert_array_equal(
+            bits(tetrahedra.geometry(pts).volume), bits(tetrahedra.signed_volume(pts))
+        )
+
+    def test_measure_polynomial_has_the_bits_of_the_triple_products(self):
+        # 6 vol(t) = det(e1 + t f1, e2 + t f2, e3 + t f3), each triple product
+        # an einsum of (n, 3) rows and np.cross, over 6 vol(0).
+        rng = np.random.default_rng(23)
+        pts = np.concatenate([random_tets(1000, seed=24), jittered_cube_points()])
+        du = rng.normal(size=pts.shape) * 10.0 ** rng.uniform(-3, 3, (len(pts), 1, 1))
+        du[rng.random(du.shape[:2]) < 0.5] = 0.0
+
+        def dot(a, b):
+            return np.einsum("ij,ij->i", a, b)
+
+        e1, e2, e3 = (pts[:, k] - pts[:, 0] for k in (1, 2, 3))
+        f1, f2, f3 = (du[:, k] - du[:, 0] for k in (1, 2, 3))
+        ee, fe, ef, ff = np.cross(e2, e3), np.cross(f2, e3), np.cross(e2, f3), np.cross(f2, f3)
+        reference = np.stack([
+            dot(f1, ee) + dot(e1, fe) + dot(e1, ef),
+            dot(f1, fe) + dot(f1, ef) + dot(e1, ff),
+            dot(f1, ff),
+        ], axis=1) / dot(e1, ee)[:, None]
+        g = tetrahedra.geometry(np.ascontiguousarray(pts.T).T)
+        got = tetrahedra.measure_polynomial(g, np.ascontiguousarray(du.T).T)
+        assert got.shape == reference.shape
+        np.testing.assert_array_equal(bits(got), bits(reference))
