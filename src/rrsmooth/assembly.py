@@ -22,13 +22,13 @@ through ``mesh.kernel(dim)`` and reads it the same way in both dimensions:
 nothing local carries mu, so cell c adds ``mu_c / n_cells`` times its edge
 weights to G_F's and to P's.
 
-Assembly scatter-adds per-element contributions deterministically, so
-identical meshes produce bit-identical results. The preconditioner's
-sparsity pattern, the slot of every edge entry in it, and the checks that
-it can be positive definite depend on connectivity only: they are built once
-per run (:func:`preconditioner_topology`), and each build is then one
-``np.bincount`` of the edge weights into P's entries. The gradient field is
-summed by ``np.bincount`` too; both sum in cell order.
+Assembly sums deterministically, so identical meshes give bit-identical
+results. G_F's blocks and P sum their edge weights in one ``np.bincount``
+(:func:`_edge_sums`) by one pair index (:func:`_vertex_pairs`), each vertex
+pair once, so A and P are exactly symmetric. P's pattern, its gather from the
+sums and the positive-definiteness checks depend on connectivity only and are
+built once per run (:func:`preconditioner_topology`). The gradient field is
+summed by ``np.bincount`` too, in cell order.
 
 The optimize path runs on numpy alone: P is held in a column-major ELL layout
 and applied by :class:`Preconditioner`'s ``@``. scipy is imported only by the
@@ -88,21 +88,39 @@ class GlobalGradientSystem:
         return kernel(self.dim).LAYOUT.matrix((self.A, *self.B_blocks), bmat)
 
 
-def _edge_matrix(mesh, w, laplacian):
+def _vertex_pairs(mesh):
+    """The vertex pairs ``lo < hi`` joined by a cell edge, ascending, and the
+    slots each (edge, cell) weight is summed into: its pair's (1 + pair), then
+    its tail's and its head's (1 + n_pairs + vertex). Slot 0 gets nothing."""
+    tail, head = kernel(mesh.dim).EDGES
+    i, j = mesh.cells[:, tail].T.ravel(), mesh.cells[:, head].T.ravel()
+    n = mesh.n_vertices
+    keys, pair = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
+    vertex = 1 + len(keys)
+    return keys // n, keys % n, np.concatenate([1 + pair, vertex + i, vertex + j])
+
+
+def _edge_sums(index, w, minlength=0):
+    """Laplacian sums of edge weights ``(n_edges, n_cells)``, each from zero in
+    (edge, cell) order, tails before heads: ``-w`` per pair, ``w`` per vertex."""
+    return np.bincount(index, np.concatenate([-w, w, w]).ravel(), minlength)
+
+
+def _edge_matrix(mesh, pairs, w, laplacian):
     """Sum edge weights ``(n_edges, n_cells)`` into an n x n CSR matrix: a
     Laplacian, ``-w`` at (i, j) and (j, i) and ``w`` at (i, i) and (j, j) of
     every edge ij, or antisymmetric, ``w`` at (i, j) and ``-w`` at (j, i).
-    Both mirror U, the sums above the diagonal, so neither rounds asymmetrically."""
+    Both mirror U, the pair sums above the diagonal, which scipy only packs."""
     from scipy import sparse
 
-    tail, head = kernel(mesh.dim).EDGES
-    i, j, w = mesh.cells[:, tail].ravel(), mesh.cells[:, head].ravel(), w.T.ravel()
-    n = mesh.n_vertices
-    upper = w if laplacian else np.where(i < j, w, -w)
-    U = sparse.csr_matrix((upper, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n))
-    if not laplacian:
-        return U - U.T
-    return sparse.diags(np.bincount(np.r_[i, j], np.r_[w, w], n)) - U - U.T
+    lo, hi, index = pairs
+    n, stop = mesh.n_vertices, len(lo) + 1
+    if not laplacian:  # pairs sum -w: flipped, U(lo, hi) sums w where tail < head
+        tail, head = kernel(mesh.dim).EDGES
+        w = np.where(mesh.cells[:, tail].T < mesh.cells[:, head].T, -w, w)
+    sums = _edge_sums(index, w, stop + n)
+    U = sparse.csr_matrix((sums[1:stop], (lo, hi)), shape=(n, n))
+    return sparse.diags(sums[stop:]) + U + U.T if laplacian else U - U.T
 
 
 def _sum_per_vertex(mesh, values):
@@ -134,11 +152,12 @@ def assemble(mesh):
     """
     F, grad_field, geometry = energy_gradient(mesh)
     a, *b = _cell_weights(mesh, geometry.mu) * kernel(mesh.dim).block_weights(geometry)
+    pairs = _vertex_pairs(mesh)
     return GlobalGradientSystem(
         F=F,
         V=field_to_vec(mesh.vertices),
-        A=_edge_matrix(mesh, a, laplacian=True),
-        B_blocks=tuple(_edge_matrix(mesh, w, laplacian=False) for w in b),
+        A=_edge_matrix(mesh, pairs, a, laplacian=True),
+        B_blocks=tuple(_edge_matrix(mesh, pairs, w, laplacian=False) for w in b),
         gradient=field_to_vec(grad_field),
         n_vertices=mesh.n_vertices,
         dim=mesh.dim,
@@ -210,14 +229,14 @@ class Topology:
 
     ``active`` lists the non-fixed vertices in the order of P's rows, and
     ``cols`` is P's ``(W, n)`` ELL pattern (see :class:`Preconditioner`).
-    ``slot`` sends the entries (i, j), (j, i), (i, i), (j, j) of every
-    (edge ij, cell) to their positions in the flattened ``(W, n)`` data, or
-    one past its end for a fixed row or column.
+    ``index`` is the pair index (:func:`_vertex_pairs`); ``gather`` picks each
+    ELL entry's sum: its pair's, its vertex's on the diagonal, 0 for padding.
     """
 
     active: np.ndarray
     cols: np.ndarray
-    slot: np.ndarray
+    index: np.ndarray
+    gather: np.ndarray
 
 
 def preconditioner_topology(mesh):
@@ -237,31 +256,23 @@ def preconditioner_topology(mesh):
 
     active = np.flatnonzero(~fixed)
     n = len(active)
-    row_of = np.full(mesh.n_vertices, -1, dtype=np.int32)
+    lo, hi, index = _vertex_pairs(mesh)
+    row_of = np.full(mesh.n_vertices, -1)
     row_of[active] = np.arange(n)
-    tail, head = kernel(mesh.dim).EDGES
-    i, j = row_of[mesh.cells[:, tail].T], row_of[mesh.cells[:, head].T]
-    rows = np.concatenate([i, j, i, j]).ravel()
-    cols = np.concatenate([j, i, i, j]).ravel()
-    kept = (rows >= 0) & (cols >= 0)
-    key = rows[kept].astype(np.int64) * n + cols[kept]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first_of_run = np.r_[True, key[1:] != key[:-1]]
-    keys = key[first_of_run]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first_of_run) - 1
-    row, col = keys // n, keys % n
+    both = np.flatnonzero((row_of[lo] >= 0) & (row_of[hi] >= 0))
+    i, j = row_of[lo[both]], row_of[hi[both]]
+    rows, cols = np.r_[i, j, :n], np.r_[j, i, :n]
+    order = np.argsort(rows * n + cols)
+    row, col = rows[order], cols[order]
     length = np.bincount(row, minlength=n)
     first = np.cumsum(length) - length
     width = length.max(initial=0)
-    ell = (np.arange(len(keys)) - first[row]) * n + row
-    ell_cols = np.empty((width, n), dtype=np.intp)
-    ell_cols[:] = col[first + length - 1]
+    ell = (np.arange(len(row)) - first[row]) * n + row
+    ell_cols = np.tile(col[first + length - 1], (width, 1))
     ell_cols.reshape(-1)[ell] = col
-    slot = np.full(rows.size, width * n, dtype=np.intp)
-    slot[kept] = ell[inverse]
-    return Topology(active, ell_cols, slot)
+    gather = np.zeros((width, n), dtype=np.intp)
+    gather.reshape(-1)[ell] = 1 + np.r_[both, both, len(lo) + active][order]
+    return Topology(active, ell_cols, index, gather)
 
 
 def assemble_preconditioner(mesh, topology=None, geometry=None):
@@ -275,18 +286,17 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
 
     ``topology`` (from :func:`preconditioner_topology`) and ``geometry``
     (the third output of :func:`energy_gradient` at this mesh) are computed
-    when not given. The entries ``[-w, -w, w, w]`` are summed into P's ELL
-    data by one ``np.bincount`` over the fixed pattern, in cell order.
+    when not given. P's ELL data is gathered from :func:`_edge_sums`, as A's
+    entries are, so P is exactly symmetric, and in 2D it is A on the free
+    rows and columns, bit for bit.
     """
     if topology is None:
         topology = preconditioner_topology(mesh)
     if geometry is None:
         geometry = mesh.geometry()
     w = _cell_weights(mesh, geometry.mu) * kernel(mesh.dim).precond_weights(geometry)
-    width, n = topology.cols.shape
-    entries = np.concatenate([-w, -w, w, w]).ravel()
-    data = np.bincount(topology.slot, weights=entries, minlength=width * n + 1)
-    return Preconditioner(data[:-1].reshape(width, n), topology.cols, topology.active)
+    data = _edge_sums(topology.index, w)[topology.gather]
+    return Preconditioner(data, topology.cols, topology.active)
 
 
 @dataclass

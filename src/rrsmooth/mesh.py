@@ -177,6 +177,9 @@ def validate(mesh):
     if not np.all(np.isfinite(mesh.vertices)):
         for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
             out.append(Violation("non-finite-coordinate", int(v), "vertex has nan/inf"))
+    for v in np.flatnonzero(~np.isin(mesh.constraint_kind, (FREE, FIXED, SLIDE))):
+        kind = mesh.constraint_kind[v]
+        out.append(Violation("unknown-constraint-kind", int(v), f"constraint kind {kind}"))
     slide = np.flatnonzero(mesh.slide_mask())
     length = np.linalg.norm(mesh.slide_normals[slide], axis=1)
     for v, n in zip(slide, length):

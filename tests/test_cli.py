@@ -283,3 +283,31 @@ class TestPerturbAndOptimize:
         # 17 significant digits round-trip every entry exactly.
         P = assemble_preconditioner(mesh).P
         assert (mmread(prefix + "_p.mtx").tocsr() != P).nnz == 0
+
+    def test_dump_system_with_every_vertex_fixed(self, tmp_path, capsys):
+        # P has no rows; building its pattern used to raise IndexError.
+        src = str(tmp_path / "in.msh")
+        run(capsys, "gen", "--kind", "cube", "--n", "1", src)
+        prefix = str(tmp_path / "dump")
+        code, _, err = run(
+            capsys, "optimize", src, str(tmp_path / "o.msh"), "--dump-system", prefix
+        )
+        assert code == 0, err
+        assert (tmp_path / "dump_p.mtx").read_text().splitlines()[1] == "0 0 0"
+
+    @pytest.mark.parametrize("boundary", [FIX_ALL, "slide-planar"])
+    def test_dumped_p_mirrors_every_entry(self, tmp_path, capsys, boundary):
+        src, jittered, bad = (str(tmp_path / name) for name in ("in.msh", "j.msh", "bad.msh"))
+        run(capsys, "gen", "--kind", "cube", "--n", "4", src)
+        run(capsys, "perturb", src, jittered, "--jitter", "0.2", "--seed", "10")
+        run(capsys, "perturb", jittered, bad, "--sliver", "2", "0.05", "--seed", "1")
+        prefix = str(tmp_path / "dump")
+        code, _, err = run(
+            capsys, "optimize", bad, str(tmp_path / "o.msh"), "--boundary", boundary,
+            "--max-iters", "1", "--dump-system", prefix,
+        )
+        assert code == 0, err
+        lines = (tmp_path / "dump_p.mtx").read_text().splitlines()[2:]
+        entries = {tuple(line.split()) for line in lines}
+        assert len(entries) == len(lines) > 0
+        assert {(j, i, v) for i, j, v in entries} == entries
