@@ -3,8 +3,10 @@
 The five methods differ only in their search direction: the fixed point's
 preconditioned gradient step -P^-1 g (in 2D the paper's frozen-off-diagonal
 update), the LBFGS two-loop recursion or the Polak-Ribiere nonlinear-CG
-update, the latter two with or without the SPD preconditioner P. Everything
-else is shared by :func:`_descend`: every direction is projected onto the
+update, the latter two with or without the SPD preconditioner P; the
+two-loop seed, the identity or the inexact P^-1, is scaled by
+s.y / y.H0 y of the newest curvature pair. Everything else is shared by
+:func:`_descend`: every direction is projected onto the
 constraint set (fixed vertices never move, sliding vertices stay in their
 planes), each step is capped so no cell can invert and accepted by an
 Armijo (2D fixed point) or strong-Wolfe line search, a non-descent direction
@@ -288,7 +290,7 @@ class IterationRecord:
     # The step's inversion cap, the CG iterations of its P solves and their
     # worst relative residual, whether _descend replaced the strategy's
     # direction by its fallback, and seconds in its evaluations (record 0:
-    # the initial evaluation), its P builds and its P solves.
+    # the initial evaluation), its P builds, its P solves and its caps.
     cap: float = math.nan
     cg_iters: int = 0
     cg_residual: float = 0.0
@@ -296,6 +298,7 @@ class IterationRecord:
     eval_s: float = 0.0
     p_build_s: float = 0.0
     cg_s: float = 0.0
+    cap_s: float = 0.0
 
 
 @dataclass
@@ -342,14 +345,14 @@ class OptimizeReport:
             fh.write(
                 "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
                 "slide_residual,cap,cg_iters,cg_residual,fallback,"
-                "eval_s,p_build_s,cg_s\n"
+                "eval_s,p_build_s,cg_s,cap_s\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
                     f"{r.ls_kind},{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
                     f"{r.cg_iters},{r.cg_residual:.17g},{int(r.fallback)},"
-                    f"{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g}\n"
+                    f"{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g},{r.cap_s:.17g}\n"
                 )
 
 
@@ -408,7 +411,7 @@ class MeshProblem:
         # (x, kernel geometry) of the last point evaluated.
         self.kept = None
         # IterationRecord's work fields since the last take_work(): cg_iters,
-        # eval_s, p_build_s and cg_s summed, cg_residual the largest.
+        # eval_s, p_build_s, cg_s and cap_s summed, cg_residual the largest.
         self.work = Counter()
 
     def mesh_at(self, x):
@@ -444,10 +447,12 @@ class MeshProblem:
         return self.mesh_at(x).geometry()
 
     def lam_cap(self, x, d):
+        start = time.perf_counter()
         # By keyword: perfbench/tracing.py unpacks (mesh, direction) = args.
         bound = max_step_before_inversion(
             self.mesh_at(x), d.reshape(self.nv, self.dim), geometry=self.geometry_at(x)
         )
+        self.work["cap_s"] += time.perf_counter() - start
         return STEP_CAP_FACTOR * bound
 
     def precond_factory(self, x):
@@ -552,7 +557,10 @@ def _take_step(problem, x, f, g, d, k, kind):
 
 
 def _two_loop(g, pairs, precond_solve):
-    """LBFGS two-loop recursion; returns H @ g for the implicit inverse Hessian."""
+    """LBFGS two-loop recursion; returns H @ g for the implicit inverse Hessian.
+
+    ``precond_solve`` is the seed H0 as a vector map, the identity if None.
+    """
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
@@ -564,6 +572,22 @@ def _two_loop(g, pairs, precond_solve):
         b = rho * float(y @ r)
         r += (a - b) * s
     return r
+
+
+def _seed_scale(s, y, h0y):
+    """The two-loop seed's scale gamma = s.y / y.H0 y, from a curvature pair.
+
+    Nocedal and Wright, *Numerical Optimization*, eq. 7.20: scaled by gamma,
+    H0 has the curvature the newest step measured along y, so the line
+    search's unit first trial is mostly accepted (unscaled, 2D lbfgs spends
+    2 evaluations per step, scaled about 1). Pairs pass `_CURVATURE_PAIR_TOL`,
+    so s.y > 0; where y.H0 y underflows or is not positive (a seed that is
+    not SPD) the ratio is not finite and positive, and the seed stays
+    unscaled (gamma = 1).
+    """
+    yh0y = float(y @ h0y)
+    gamma = float(y @ s) / yh0y if yh0y > 0.0 else math.nan
+    return gamma if 0.0 < gamma < math.inf else 1.0
 
 
 class _Strategy:
@@ -580,7 +604,13 @@ class _Strategy:
 
 
 class _Lbfgs(_Strategy):
-    """(P)LBFGS directions; the fallback is the preconditioned steepest one."""
+    """(P)LBFGS directions; the fallback is the preconditioned steepest one.
+
+    The two-loop seed H0 is the identity (LBFGS) or the inexact P^-1 solve
+    (PLBFGS), times `_seed_scale` of the newest pair. For PLBFGS that scale
+    costs one more P solve per step, of y. Before the first pair the seed
+    is unscaled, and so is the fallback.
+    """
 
     def __init__(self, problem, memory, precondition):
         super().__init__(problem)
@@ -591,9 +621,20 @@ class _Lbfgs(_Strategy):
     def direction(self, x, g):
         if self.precondition:
             self.solve = self.problem.precond_factory(x)
-        d = self.problem.project(-_two_loop(g, self.pairs, self.solve))
+        d = self.problem.project(-_two_loop(g, self.pairs, self._seed()))
         # Without curvature pairs the two-loop result is the fallback itself.
         return d, not self.pairs
+
+    def _seed(self):
+        solve = self.solve
+        if not self.pairs:
+            return solve
+        s, y, _ = self.pairs[-1]
+        if solve is None:
+            gamma = _seed_scale(s, y, y)
+            return lambda q: gamma * q
+        gamma = _seed_scale(s, y, solve(y))
+        return lambda q: gamma * solve(q)
 
     def fallback(self, g):
         self.pairs.clear()
@@ -731,7 +772,8 @@ def minimize_lbfgs(fun_grad, x0, config=None, precond_solve=None):
     """Limited-memory BFGS on a plain objective ``fun_grad(x) -> (f, g)``.
 
     With ``precond_solve`` the inner two-loop seed solves P r = q; without
-    it the seed is the identity (no implicit scaling).
+    it the seed is the identity. Once a curvature pair is stored, the seed
+    is scaled by gamma = s.y / y.H0 y of the newest pair (`_seed_scale`).
     """
     problem = FunctionProblem(fun_grad, x0, precond_solve)
     method = PLBFGS if precond_solve is not None else LBFGS

@@ -67,7 +67,7 @@ class TestPerturbAndOptimize:
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
             "slide_residual,cap,cg_iters,cg_residual,fallback,"
-            "eval_s,p_build_s,cg_s"
+            "eval_s,p_build_s,cg_s,cap_s"
         )
         F = [float(l.split(",")[1]) for l in lines[1:]]
         assert len(F) >= 2
@@ -239,10 +239,10 @@ class TestPerturbAndOptimize:
                 "--max-iters", "10", "--report", str(rep),
             )
             assert code == 0
-            # The last three report columns, eval_s, p_build_s and cg_s, are
-            # wall-clock seconds; every other column must repeat to the byte.
-            report = [line.rsplit(",", 3)[0] for line in rep.read_text().splitlines()]
-            assert rep.read_text().splitlines()[0].endswith(",eval_s,p_build_s,cg_s")
+            # The last four report columns, eval_s, p_build_s, cg_s and cap_s,
+            # are wall-clock seconds; every other column must repeat to the byte.
+            report = [line.rsplit(",", 4)[0] for line in rep.read_text().splitlines()]
+            assert rep.read_text().splitlines()[0].endswith(",eval_s,p_build_s,cg_s,cap_s")
             outputs.append((out.read_bytes(), report))
         assert outputs[0] == outputs[1]
 

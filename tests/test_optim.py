@@ -321,6 +321,58 @@ class TestLbfgsOnQuadratics:
         assert abs(x[0]) < 1e-9
 
 
+def lbfgs_evaluations_per_iteration(n, seed):
+    """lbfgs on a jittered square n, run to |g|_inf <= 1e-5."""
+    mesh = perturb_mesh(gen_mesh(GeneratorSpec(SQUARE, n)), RandomJitter(0.3, seed))
+    mesh = m.classify_boundary(mesh, m.FIX_ALL)
+    _, report = optimize(mesh, OptimizeConfig(method="lbfgs", grad_tol_abs=1e-5))
+    assert report.termination == "grad_tol"
+    return report.fun_evals / report.iterations
+
+
+class TestSeedScale:
+    # The two-loop seed scaled by gamma = s.y / y.H0 y of the newest pair.
+    @pytest.mark.parametrize("n", [10, 20])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_unit_first_trial_is_mostly_accepted(self, monkeypatch, n, seed):
+        # Scaled, 2D lbfgs spends 1.01-1.07 evaluations per iteration on
+        # these squares; unscaled (gamma = 1) its first trial is too long and
+        # the search pays a second evaluation on nearly every step (2.00-2.02).
+        assert lbfgs_evaluations_per_iteration(n, seed) <= 1.2
+        monkeypatch.setattr(optim, "_seed_scale", lambda s, y, h0y: 1.0)
+        assert lbfgs_evaluations_per_iteration(n, seed) >= 1.8
+
+    @pytest.mark.parametrize("method", ["lbfgs", "plbfgs"])
+    @pytest.mark.parametrize("shape", ["square", "cube"])
+    def test_the_scale_used_is_finite_and_positive(self, monkeypatch, method, shape):
+        # gamma comes only from stored pairs, which passed the curvature-pair
+        # rule, and from H0 y: y itself, or a truncated CG solve of y, for
+        # which y @ solve(y) > 0 (see cg_solve).
+        mesh = slivered_cube(n=3, count=1) if shape == "cube" else jittered_square(8, 0.3, m.SLIDE_PLANAR)
+        scales = recording(monkeypatch, optim, "_seed_scale")
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=20))
+        # Every step after the first had a pair.
+        assert len(scales) == report.iterations - 1 >= 10
+        for (s, y, h0y), gamma in scales:
+            assert float(y @ s) > optim._CURVATURE_PAIR_TOL * np.linalg.norm(s) * np.linalg.norm(y)
+            assert 0.0 < gamma < math.inf
+            assert gamma == float(y @ s) / float(y @ h0y)
+
+    def test_a_scale_that_is_not_finite_and_positive_is_not_used(self):
+        # y.y underflows to 0 on a pair that passes the curvature-pair rule,
+        # and a seed that is not SPD gives y.H0 y < 0: the seed stays unscaled.
+        s, y = np.array([1.0, 0.0]), np.array([1e-170, 0.0])
+        assert y @ s > optim._CURVATURE_PAIR_TOL * np.linalg.norm(s) * np.linalg.norm(y)
+        assert optim._seed_scale(s, y, y) == 1.0
+        assert optim._seed_scale(s, s, -s) == 1.0
+        g = np.array([0.0, -2.0])
+        strategy = optim._Lbfgs(FunctionProblem(lambda x: (0.0, g), np.zeros(2)), 5, False)
+        strategy.accept(np.zeros(2), s, g - y, g)
+        d, _ = strategy.direction(s, g)
+        assert len(strategy.pairs) == 1
+        assert np.array_equal(d, -_two_loop(g, strategy.pairs, None))
+
+
 @pytest.mark.usefixtures("exact_line_search")
 class TestNlcgOnQuadratics:
     def test_two_variable_quadratic_two_iterations(self):
@@ -686,7 +738,7 @@ class TestMeshOptimizers:
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
             "slide_residual,cap,cg_iters,cg_residual,fallback,"
-            "eval_s,p_build_s,cg_s"
+            "eval_s,p_build_s,cg_s,cap_s"
         )
         assert len(lines) - 1 == report.iterations + 1
         energies = [float(line.split(",")[1]) for line in lines[1:]]
@@ -704,6 +756,7 @@ class TestMeshOptimizers:
         assert float(row[12]) == last.eval_s > 0.0
         assert float(row[13]) == last.p_build_s > 0.0
         assert float(row[14]) == last.cg_s > 0.0
+        assert float(row[15]) == last.cap_s > 0.0
 
 
 def jittered_meshes():
@@ -983,7 +1036,22 @@ class TestRecordedWork:
 
     def test_function_problems_record_no_eval_seconds(self):
         _, report = minimize_lbfgs(lambda x: (float(x @ x), 2.0 * x), np.ones(3))
-        assert all(r.eval_s == r.p_build_s == r.cg_s == 0.0 for r in report.records)
+        assert all(r.eval_s == r.p_build_s == r.cg_s == r.cap_s == 0.0 for r in report.records)
+
+    @pytest.mark.parametrize("method", optim.METHODS)
+    def test_cap_seconds_time_every_cap(self, monkeypatch, method):
+        mesh = slivered_cube(n=3, count=1)
+        caps = recording(monkeypatch, optim, "max_step_before_inversion")
+        start = time.perf_counter()
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=5))
+        wall = time.perf_counter() - start
+        # One cap per step (no search failed here), none before the first.
+        assert report.iterations == len(caps) == 5
+        assert report.records[0].cap_s == 0.0
+        assert all(r.cap_s > 0.0 for r in report.records[1:])
+        # Caps, evaluations, P builds and P solves never overlap.
+        fields = ("cap_s", "eval_s", "p_build_s", "cg_s")
+        assert sum(getattr(r, f) for r in report.records for f in fields) <= wall
 
     def test_p_build_and_cg_seconds_fit_in_the_wall_time(self):
         mesh = slivered_cube(n=3, count=1)
