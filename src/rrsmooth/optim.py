@@ -21,7 +21,7 @@ import math
 import numbers
 import time
 from collections import Counter, deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +34,14 @@ from .assembly import (
     preconditioner_topology,
 )
 from .errors import DegenerateElement, IndefiniteMatrix, LineSearchFailed, MeshError
-from .mesh import constraint_projector, max_step_before_inversion, quality_stats, validate
+from .mesh import (
+    cap_geometry,
+    constraint_projector,
+    max_step_before_inversion,
+    quality_stats,
+    step_lower_bounds,
+    validate,
+)
 
 FIXED_POINT = "fixedpoint"
 LBFGS = "lbfgs"
@@ -149,6 +156,42 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
     return x, CgInfo(max_iters, res / norm_b, False)
 
 
+class StepCap:
+    """A line search's step cap, read through a lower bound on it.
+
+    ``bound`` is at most the cap. ``exact``, if given, returns
+    ``(cap, cell)`` and is called at most once, the first time a trial
+    passes ``bound``; from then on ``bound`` is the cap and ``cell`` the cell
+    that set it (-1 while ``bound`` is only the lower bound, or when no cell
+    bounds the step). Without ``exact``, ``bound`` is the cap itself, as for
+    a float ``lam_cap``.
+    """
+
+    def __init__(self, bound, exact=None):
+        self.bound = bound
+        self.cell = -1
+        self._exact = exact
+
+    def value(self):
+        """The cap, computed on first use."""
+        if self._exact is not None:
+            exact, self._exact = self._exact, None
+            self.bound, self.cell = exact()
+        return self.bound
+
+    def clip(self, lam):
+        """``min(lam, cap)``; the cap is read only when lam passes the bound."""
+        return lam if lam <= self.bound else min(lam, self.value())
+
+    def reached(self, lam):
+        """``lam >= cap``; the cap is read only when lam reaches the bound."""
+        return not lam < self.bound and lam >= self.value()
+
+
+def _step_cap(lam_cap):
+    return lam_cap if isinstance(lam_cap, StepCap) else StepCap(lam_cap)
+
+
 @dataclass
 class LineSearchResult:
     lam: float
@@ -163,7 +206,11 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
     ``phi(lam)`` returns ``(f, f')`` along the ray, ``(f0, df0)`` at 0. From
     a first trial at ``min(1, lam_cap)`` the accepted step satisfies both
     conditions and never exceeds ``lam_cap``. Non-finite trial values are
-    treated as overshoots and bracketed away.
+    treated as overshoots and bracketed away. ``lam_cap`` is a float or a
+    :class:`StepCap`; the cap is read in three places, the first trial
+    ``min(1, cap)``, the doubling ``min(2 lam, cap)`` and the stop
+    ``lam >= cap``, and a StepCap computes it only where a trial passes its
+    lower bound, so the trials are those of the float cap.
     """
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
@@ -177,8 +224,9 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
     def done(lam, f, df):
         return LineSearchResult(lam, f, df, evals)
 
+    cap = _step_cap(lam_cap)
     lam_prev, f_prev, df_prev = 0.0, f0, df0
-    lam = min(1.0, lam_cap)
+    lam = cap.clip(1.0)
     for i in range(_WOLFE_MAX_EVALS):
         f, df = ev(lam)
         if not math.isfinite(f) or f > f0 + c1 * lam * df0 or (i > 0 and f >= f_prev):
@@ -193,12 +241,12 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
                 ev, lam, f, df, lam_prev, f_prev, df_prev, f0, df0, c1, c2,
                 _WOLFE_MAX_EVALS - evals, done,
             )
-        if lam >= lam_cap:
+        if cap.reached(lam):
             raise LineSearchFailed(
                 "reached the inversion cap with the curvature condition unmet"
             )
         lam_prev, f_prev, df_prev = lam, f, df
-        lam = min(2.0 * lam, lam_cap)
+        lam = cap.clip(2.0 * lam)
     raise LineSearchFailed("bracketing exhausted its evaluation budget")
 
 
@@ -237,11 +285,15 @@ def _zoom(ev, lo, f_lo, df_lo, hi, f_hi, df_hi, f0, df0, c1, c2, budget, done):
 
 
 def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
-    """Armijo backtracking, halving from ``min(1, lam_cap)`` down to LAM_MIN."""
+    """Armijo backtracking, halving from ``min(1, lam_cap)`` down to LAM_MIN.
+
+    ``lam_cap`` is a float or a :class:`StepCap`, read only in the first
+    trial, and there only when 1 passes a StepCap's lower bound.
+    """
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     evals = 0
-    lam = min(1.0, lam_cap)
+    lam = _step_cap(lam_cap).clip(1.0)
     while lam >= LAM_MIN:
         f, df = phi(lam)
         evals += 1
@@ -287,11 +339,15 @@ class IterationRecord:
     ls_kind: str = ""
     min_measure: float = math.nan
     slide_residual: float = 0.0
-    # The step's inversion cap, the CG iterations of its P solves and their
-    # worst relative residual, whether _descend replaced the strategy's
-    # direction by its fallback, and seconds in its evaluations (record 0:
-    # the initial evaluation), its P builds, its P solves and its caps.
+    # The step's inversion cap (an upper bound on lam: the exact cap, or its
+    # lower bound where no trial passed that) and the cell that set the exact
+    # cap (-1 for the lower bound, or where no cell bounds the step), the CG
+    # iterations of its P solves and their worst relative residual, whether
+    # _descend replaced the strategy's direction by its fallback, and seconds
+    # in its evaluations (record 0: the initial evaluation), its P builds,
+    # its P solves and its caps (the lower bound and the exact cap).
     cap: float = math.nan
+    cap_cell: int = -1
     cg_iters: int = 0
     cg_residual: float = 0.0
     fallback: bool = False
@@ -344,14 +400,14 @@ class OptimizeReport:
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
             fh.write(
                 "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
-                "slide_residual,cap,cg_iters,cg_residual,fallback,"
+                "slide_residual,cap,cap_cell,cg_iters,cg_residual,fallback,"
                 "eval_s,p_build_s,cg_s,cap_s\n"
             )
             for r in self.records:
                 fh.write(
                     f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
                     f"{r.ls_kind},{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
-                    f"{r.cg_iters},{r.cg_residual:.17g},{int(r.fallback)},"
+                    f"{r.cap_cell},{r.cg_iters},{r.cg_residual:.17g},{int(r.fallback)},"
                     f"{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g},{r.cap_s:.17g}\n"
                 )
 
@@ -381,7 +437,7 @@ class FunctionProblem:
         return x + lam * d
 
     def lam_cap(self, x, d):
-        return math.inf
+        return StepCap(math.inf)
 
     def precond_factory(self, x):
         return self._solve
@@ -417,18 +473,25 @@ class MeshProblem:
     def mesh_at(self, x):
         return self.mesh.with_vertices(x.reshape(self.nv, self.dim))
 
-    def eval(self, x):
+    @contextmanager
+    def _timed(self, name):
+        """Add the wall-clock seconds of the block to the work field ``name``."""
         start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.work[name] += time.perf_counter() - start
+
+    def eval(self, x):
         self.fun_evals += 1
         self.kept = None
-        try:
-            f, grad_field, geometry = energy_gradient(self.mesh_at(x))
+        with self._timed("eval_s"):
+            try:
+                f, grad_field, geometry = energy_gradient(self.mesh_at(x))
+            except DegenerateElement:
+                return math.inf, None
             self.kept = (x.copy(), geometry)
-            out = f, self.project_field(grad_field).ravel()
-        except DegenerateElement:
-            out = math.inf, None
-        self.work["eval_s"] += time.perf_counter() - start
-        return out
+            return f, self.project_field(grad_field).ravel()
 
     def project(self, v):
         return self.project_field(v.reshape(self.nv, self.dim)).ravel()
@@ -447,13 +510,30 @@ class MeshProblem:
         return self.mesh_at(x).geometry()
 
     def lam_cap(self, x, d):
-        start = time.perf_counter()
-        # By keyword: perfbench/tracing.py unpacks (mesh, direction) = args.
-        bound = max_step_before_inversion(
-            self.mesh_at(x), d.reshape(self.nv, self.dim), geometry=self.geometry_at(x)
-        )
-        self.work["cap_s"] += time.perf_counter() - start
-        return STEP_CAP_FACTOR * bound
+        """The step cap along d from x, STEP_CAP_FACTOR times the inversion
+        cap, as a :class:`StepCap` whose bound is STEP_CAP_FACTOR times the
+        cells' smallest ``step_lower_bounds``. The exact cap is pruned by
+        those bounds and computed only if a trial passes the bound. Both read
+        the geometry at x, taken now: the search's trials replace the kept
+        one. Until then the exact cap holds only the fields it reads, so the
+        trials' evaluations do not run beside a second full geometry.
+        """
+        mesh, direction = self.mesh_at(x), d.reshape(self.nv, self.dim)
+        with self._timed("cap_s"):
+            geometry = self.geometry_at(x)
+            lower = step_lower_bounds(mesh, direction, geometry)
+            bound = STEP_CAP_FACTOR * float(lower.min())
+            geometry = cap_geometry(geometry)
+
+        def exact():
+            with self._timed("cap_s"):
+                # By keyword: perfbench/tracing.py unpacks (mesh, direction) = args.
+                lam, cell = max_step_before_inversion(
+                    mesh, direction, geometry=geometry, lower=lower
+                )
+            return STEP_CAP_FACTOR * lam, cell
+
+        return StepCap(bound, exact)
 
     def precond_factory(self, x):
         """The solve with P built at x, per coordinate, as a projected vector map.
@@ -466,22 +546,20 @@ class MeshProblem:
         map to the two-loop vector, where it is a non-linear seed H0; a
         direction that does not descend is caught by `_descend`'s fallback.
         """
-        start = time.perf_counter()
-        if self.topology is None:
-            self.topology = preconditioner_topology(self.mesh)
-        pre = assemble_preconditioner(self.mesh_at(x), self.topology, self.geometry_at(x))
-        self.work["p_build_s"] += time.perf_counter() - start
+        with self._timed("p_build_s"):
+            if self.topology is None:
+                self.topology = preconditioner_topology(self.mesh)
+            pre = assemble_preconditioner(self.mesh_at(x), self.topology, self.geometry_at(x))
 
         def solve(vec):
-            start = time.perf_counter()
-            rhs = vec.reshape(self.nv, self.dim)
-            out = np.zeros_like(rhs)
-            for c in range(self.dim):
-                b = rhs[pre.active, c]
-                out[pre.active, c], info = cg_solve(pre, b, tol=CG_RTOL)
-                self.work["cg_iters"] += info.iterations
-                self.work["cg_residual"] = max(self.work["cg_residual"], info.residual)
-            self.work["cg_s"] += time.perf_counter() - start
+            with self._timed("cg_s"):
+                rhs = vec.reshape(self.nv, self.dim)
+                out = np.zeros_like(rhs)
+                for c in range(self.dim):
+                    b = rhs[pre.active, c]
+                    out[pre.active, c], info = cg_solve(pre, b, tol=CG_RTOL)
+                    self.work["cg_iters"] += info.iterations
+                    self.work["cg_residual"] = max(self.work["cg_residual"], info.residual)
             return self.project_field(out).ravel()
 
         return solve
@@ -549,7 +627,8 @@ def _take_step(problem, x, f, g, d, k, kind):
         lam=ls.lam,
         ls_evals=ls.evals,
         ls_kind=kind,
-        cap=cap,
+        cap=cap.bound,
+        cap_cell=cap.cell,
         **problem.take_work(),
         **problem.step_metrics(x, x_new),
     )

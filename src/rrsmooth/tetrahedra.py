@@ -143,7 +143,7 @@ def measure_polynomial(g, du):
     # 6 vol(t) = det(e1 + t f1, e2 + t f2, e3 + t f3), f_k = du_k - du_0, expands
     # into the eight D[i, j, k] = p1_i . (p2_j x p3_k) with p_k = (e_k, f_k): t**m's
     # coefficient sums those with m f's, and D[0, 0, 0] = 6 vol.
-    n = len(g.mu)
+    n = g.edges.shape[-1]
     P = np.empty((5, 2, 3, n))
     P[:3, 0] = g.edges[:, :3]
     np.subtract(du.T[:, 1:], du.T[:, :1], out=P[:3, 1])

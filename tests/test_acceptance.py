@@ -404,7 +404,7 @@ def test_criterion_9_io_fidelity(tmp_path, lattice_run, sliver_runs, slide_run):
         lines = buf.getvalue().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
-            "slide_residual,cap,cg_iters,cg_residual,fallback,"
+            "slide_residual,cap,cap_cell,cg_iters,cg_residual,fallback,"
             "eval_s,p_build_s,cg_s,cap_s"
         )
         F = [float(line.split(",")[1]) for line in lines[1:]]

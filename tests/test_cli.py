@@ -66,7 +66,7 @@ class TestPerturbAndOptimize:
         lines = report.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
-            "slide_residual,cap,cg_iters,cg_residual,fallback,"
+            "slide_residual,cap,cap_cell,cg_iters,cg_residual,fallback,"
             "eval_s,p_build_s,cg_s,cap_s"
         )
         F = [float(l.split(",")[1]) for l in lines[1:]]

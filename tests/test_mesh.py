@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from rrsmooth import mesh as m, simplex, tetrahedra, triangles
+from rrsmooth import mesh as m, optim, simplex, tetrahedra, triangles
 from rrsmooth.assembly import energy_gradient
 from rrsmooth.errors import DegenerateElement, InvalidSpec, MeshError, NonPlanarPatch
-from rrsmooth.optim import OptimizeConfig, optimize
+from rrsmooth.optim import STEP_CAP_FACTOR, OptimizeConfig, optimize
 from rrsmooth.generate import (
     CUBE,
     EQUILATERAL,
@@ -526,6 +526,212 @@ class TestStepBound:
         assert 1 - 1e-4 <= lam <= 1 + 1e-6
 
 
+class TestLowerBound:
+    """``step_lower_bounds``: no cell's cap lies below its bound, and the cap
+    pruned by the bounds has the bits of the full one."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        family=st.sampled_from(["random", "flat", "sliver", "sliding", "tangential"]),
+        seed=st.integers(0, 2**32 - 1),
+        flatness=st.floats(-12.0, 0.0),
+        offset=st.floats(0.0, 8.0),
+        scale=st.floats(-120.0, 80.0),
+    )
+    def test_no_cap_is_below_its_bound(self, dim, family, seed, flatness, offset, scale):
+        # 64 cells of one family, far from the origin and with the direction
+        # scaled by powers of ten: every cell's bound is at most its own cap,
+        # so the smallest bound is at most the cap.
+        rng = np.random.default_rng(seed)
+        pts, d = bound_cells(dim, family, rng, 10.0**flatness)
+        pts = pts + 10.0**offset * rng.uniform(-1.0, 1.0, (len(pts), 1, dim))
+        keep = ~simplex.degenerate(m.kernel(dim).signed_measure(pts), pts)
+        assume(keep.any())
+        mesh = stacked_cells(pts[keep])
+        d = 10.0**scale * d[keep].reshape(-1, dim)
+        lower = m.step_lower_bounds(mesh, d, mesh.geometry())
+        roots = m._largest_roots(m._measure_polynomials(mesh, d))
+        with np.errstate(divide="ignore"):
+            caps = 1.0 / roots
+        assert np.all(lower <= caps)
+        lam = m.max_step_before_inversion(mesh, d)
+        assert STEP_CAP_FACTOR * lower.min() <= STEP_CAP_FACTOR * lam
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rounding_needs_the_margin(self, monkeypatch, dim):
+        # A flat right-angled cell, its last vertex at relative height 1e-10
+        # over vertex 0, turned and moved at random, with that vertex pushed
+        # straight through the opposite facet. Its measure is linear in t,
+        # so its exact step is -c0 / c1 in rationals, and its bound lies
+        # within 1e-20 of it: rounding alone decides the side. Unlowered,
+        # the bound exceeds the exact step on some of these cells, so a search
+        # could skip a cap that binds; lowered by LOWER_BOUND_RTOL it is below
+        # both the exact step and the computed cap on every one.
+        rng = np.random.default_rng(4)
+        over = 0
+        for _ in range(40):
+            pts, d = flat_cells(dim, rng, 1e-10, 1)
+            pts += 10.0 ** rng.uniform(0, 4) * rng.uniform(-1.0, 1.0, dim)
+            mesh, d = stacked_cells(pts), d.reshape(-1, dim)
+            step = exact_linear_step(mesh.vertices, d)
+            lowered = m.step_lower_bounds(mesh, d, mesh.geometry())[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(m, "LOWER_BOUND_RTOL", 0.0)
+                unlowered = m.step_lower_bounds(mesh, d, mesh.geometry())[0]
+            over += Fraction(unlowered) > step
+            assert Fraction(lowered) <= step
+            assert lowered <= m.max_step_before_inversion(mesh, d)
+        assert over > 0
+
+    def test_a_tiny_direction_keeps_a_finite_bound(self, monkeypatch):
+        # Below 1e-154 in every entry a cell's ||D||_F**2 leaves the normal
+        # range, and below 1e-162 it underflows to 0, which would make its
+        # bound infinite though its cubic has a root.
+        # Here vertex 3 moves toward the opposite face's centroid.
+        P = random_tets(1, seed=2)[0]
+        d = np.zeros_like(P)
+        d[3] = 1e-170 * (P[:3].mean(axis=0) - P[3])
+        mesh = one_cell(P)
+        lam = m.max_step_before_inversion(mesh, d)
+        assert lam == pytest.approx(1e170, rel=1e-12)
+        assert m.step_lower_bounds(mesh, d, mesh.geometry())[0] <= lam
+        monkeypatch.setattr(m, "_DIRECTION_SQ_FLOOR", 0.0)
+        with np.errstate(divide="ignore"):
+            assert m.step_lower_bounds(mesh, d, mesh.geometry())[0] == np.inf
+
+    @pytest.mark.parametrize("kind, largest", [(SQUARE, 6), (CUBE, 3)], ids=["square", "cube"])
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        size=st.integers(2, 6),
+        amplitude=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+        policy=st.sampled_from([m.FIX_ALL, m.SLIDE_PLANAR]),
+        still=st.sampled_from([0.0, 0.9]),
+        first=st.integers(1, 16),
+    )
+    def test_pruned_cap_has_the_full_caps_bits(
+        self, kind, largest, size, amplitude, seed, policy, still, first
+    ):
+        # Pruned at any mesh size and from any number of first cells, the cap
+        # keeps the bits of solving every cell, and names a cell that sets it.
+        mesh, d = cap_case(kind, min(size, largest), amplitude, seed, policy)
+        d[np.random.default_rng(seed).random(mesh.n_vertices) < still] = 0.0
+        g = mesh.geometry()
+        lower = m.step_lower_bounds(mesh, d, g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(m, "_CAP_PRUNE_MIN_CELLS", 0)
+            patch.setattr(m, "_CAP_FIRST_CELLS", first)
+            lam, cell = m.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
+        assert bits(lam) == bits(m.max_step_before_inversion(mesh, d, geometry=g))
+        roots = m._largest_roots(m._measure_polynomials(mesh, d, g))
+        if lam == np.inf:
+            assert cell == -1
+        else:
+            assert roots[cell] == roots.max()
+
+    def test_a_large_mesh_builds_few_coefficients(self, monkeypatch, rng):
+        # Above _CAP_PRUNE_MIN_CELLS the pruned cap builds coefficients for a
+        # fraction of the cells, with the bits of the full cap.
+        mesh = m.classify_boundary(
+            perturb_mesh(perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 8)), RandomJitter(0.1, 1)),
+                         PlantSliver(5, 0.01)),
+            m.FIX_ALL,
+        )
+        assert mesh.n_cells > m._CAP_PRUNE_MIN_CELLS
+        built, polynomial = [], tetrahedra.measure_polynomial
+
+        def counted(g, du):
+            built.append(len(du))
+            return polynomial(g, du)
+
+        monkeypatch.setattr(tetrahedra, "measure_polynomial", counted)
+        g = mesh.geometry()
+        for trial in range(5):
+            d = m.constraint_projector(mesh)(rng.normal(size=mesh.vertices.shape))
+            lower = m.step_lower_bounds(mesh, d, g)
+            built.clear()
+            lam, cell = m.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
+            assert sum(built) < mesh.n_cells / 2
+            assert bits(lam) == bits(m.max_step_before_inversion(mesh, d, geometry=g))
+
+
+def bound_cells(dim, family, rng, h, n=64):
+    """``n`` cells ``(n, dim + 1, dim)`` of a family and a direction on them.
+
+    random: random cells and directions; flat: see :func:`flat_cells`;
+    sliver: vertices within ``h`` of a random plane; sliding: each cell's
+    vertices move within one random plane; tangential: scalings about a
+    point by ``I - t D``, D with a double eigenvalue, so the measure touches
+    zero and comes back, or a triple one in 3D.
+    """
+    if family == "flat":
+        return flat_cells(dim, rng, h, n)
+    k = dim + 1
+    pts = rng.uniform(-1.0, 1.0, (n, k, dim))
+    d = rng.normal(size=(n, k, dim))
+    if family == "sliver":
+        normal = unit_vectors(rng, n, dim)
+        pts -= np.einsum("nkd,nd->nk", pts, normal)[:, :, None] * normal[:, None]
+        pts += h * rng.uniform(-1.0, 1.0, (n, k, 1)) * normal[:, None]
+    elif family == "sliding":
+        normal = unit_vectors(rng, n, dim)
+        d -= np.einsum("nkd,nd->nk", d, normal)[:, :, None] * normal[:, None]
+    elif family == "tangential":
+        Q = np.linalg.qr(rng.normal(size=(n, dim, dim)))[0]
+        a = rng.uniform(0.1, 10.0, n)
+        eig = np.stack([a] * (dim - 1) + [rng.choice([a, rng.uniform(-10.0, a)])], axis=1)
+        D = Q @ (eig[:, :, None] * np.swapaxes(Q, 1, 2))
+        d = -np.einsum("nij,nkj->nki", D, pts - rng.uniform(-1.0, 1.0, (n, 1, dim)))
+    return orient(pts, d)
+
+
+def flat_cells(dim, rng, h, n):
+    """Right-angled cells with legs 1 and the last one h, each turned and
+    scaled at random, with the last vertex pushed along that leg through the
+    opposite facet: the cells on which the bound is tightest."""
+    base = np.vstack([np.zeros(dim), np.eye(dim)])
+    base[-1, -1] = h
+    Q = np.linalg.qr(rng.normal(size=(n, dim, dim)))[0]
+    size = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1, 1))
+    pts = size * np.einsum("kd,nEd->nkE", base, Q)
+    d = np.zeros_like(pts)
+    d[:, -1] = -Q[:, :, -1] * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    return orient(pts, d)
+
+
+def orient(pts, d):
+    """Cells swapped to positive orientation, with their directions."""
+    neg = m.kernel(pts.shape[2]).signed_measure(pts) < 0
+    pts[neg, -2:], d[neg, -2:] = pts[neg, -1:-3:-1], d[neg, -1:-3:-1]
+    return pts, d
+
+
+def unit_vectors(rng, n, dim):
+    v = rng.normal(size=(n, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def exact_linear_step(vertices, d):
+    """The root of one cell's measure at vertices + t d, in rationals, when
+    the measure is linear in t."""
+
+    def det_at(t):
+        x = [[Fraction(v) + t * Fraction(dv) for v, dv in zip(*rows)]
+             for rows in zip(vertices.tolist(), d.tolist())]
+        return determinant([[a - b for a, b in zip(row, x[0])] for row in x[1:]])
+
+    c0 = det_at(0)
+    return -c0 / (det_at(1) - c0)
+
+
+def determinant(M):
+    if len(M) == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    return sum((-1) ** j * M[0][j] * determinant([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(3))
+
+
 def bits(x):
     return np.float64(x).tobytes()
 
@@ -604,21 +810,23 @@ def double_and_triple_rows():
 
 @pytest.fixture(scope="module")
 def recorded_caps():
-    """Every cap cubic batch of a cube n=6 lbfgs solve on a sliver input."""
+    """Every cubic batch the exact caps of a cube n=6 lbfgs solve on a sliver
+    input solve."""
     mesh = m.classify_boundary(
         perturb_mesh(perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 6)), RandomJitter(0.1, 6)),
                      PlantSliver(5, 0.01)),
         m.FIX_ALL,
     )
-    recorded, search = [], m._largest_real_root
+    recorded, search = [], m._binding_root
 
-    def record(a):
+    def record(a, *args):
         recorded.append(np.array(a))
-        return search(a)
+        return search(a, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(m, "_largest_real_root", record)
+        patch.setattr(m, "_binding_root", record)
         optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=15))
+    assert recorded
     return recorded
 
 
@@ -796,14 +1004,23 @@ class TestLargestRealRoot:
             assert m._largest_real_root(batch) == s == full_batch_root(batch)
 
     def test_a_sliver_solve_solves_few_rows(self, monkeypatch):
-        # Every cubic of cube n=6 is 1296 rows; the first lbfgs direction of a
-        # sliver input solves fewer than 64 of them, the median call at most
-        # 8, and LAPACK never gets an empty batch.
+        # Every cubic of cube n=6 is 1296 rows; along the first lbfgs direction
+        # of a sliver input the cap solves fewer than 64 of them, along the
+        # median direction at most 8, and LAPACK never gets an empty batch.
         mesh = m.classify_boundary(
             perturb_mesh(perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 6)), RandomJitter(0.1, 1)),
                          PlantSliver(5, 0.01)),
             m.FIX_ALL,
         )
+        directions, lam_cap = [], optim.MeshProblem.lam_cap
+
+        def recorded(problem, x, d):
+            directions.append((problem.mesh_at(x), d.reshape(-1, 3)))
+            return lam_cap(problem, x, d)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optim.MeshProblem, "lam_cap", recorded)
+            optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=10))
         calls, search, solve = [], m._largest_real_root, m._row_roots
 
         def per_call(a):
@@ -816,7 +1033,8 @@ class TestLargestRealRoot:
 
         monkeypatch.setattr(m, "_largest_real_root", per_call)
         monkeypatch.setattr(m, "_row_roots", counted)
-        optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=10))
+        for at, d in directions:
+            m.max_step_before_inversion(at, d)
         rows = [sum(c) for c in calls]
         assert len(rows) >= 10
         assert rows[0] < 64

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from rrsmooth import assembly, simplex, tetrahedra, triangles
@@ -737,7 +738,7 @@ class TestMeshOptimizers:
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
-            "slide_residual,cap,cg_iters,cg_residual,fallback,"
+            "slide_residual,cap,cap_cell,cg_iters,cg_residual,fallback,"
             "eval_s,p_build_s,cg_s,cap_s"
         )
         assert len(lines) - 1 == report.iterations + 1
@@ -750,13 +751,17 @@ class TestMeshOptimizers:
         assert float(row[7]) == last.slide_residual
         # The fixed point solves with P every step, under a finite cap.
         assert float(row[8]) == last.cap and np.isfinite(last.cap)
-        assert int(row[9]) == last.cg_iters > 0
-        assert float(row[10]) == last.cg_residual > 0.0
-        assert row[11] == str(int(last.fallback))
-        assert float(row[12]) == last.eval_s > 0.0
-        assert float(row[13]) == last.p_build_s > 0.0
-        assert float(row[14]) == last.cg_s > 0.0
-        assert float(row[15]) == last.cap_s > 0.0
+        assert int(row[9]) == last.cap_cell
+        assert [int(line.split(",")[9]) for line in lines[1:]] == [
+            r.cap_cell for r in report.records
+        ]
+        assert int(row[10]) == last.cg_iters > 0
+        assert float(row[11]) == last.cg_residual > 0.0
+        assert row[12] == str(int(last.fallback))
+        assert float(row[13]) == last.eval_s > 0.0
+        assert float(row[14]) == last.p_build_s > 0.0
+        assert float(row[15]) == last.cg_s > 0.0
+        assert float(row[16]) == last.cap_s > 0.0
 
 
 def jittered_meshes():
@@ -911,7 +916,7 @@ class TestPreconditionerReuse:
         # (n_cells, k, dim) points or makes a measure pass of its own.
         passes = {k: recording(monkeypatch, k, "geometry") for k in (triangles, tetrahedra)}
         builds = counting(monkeypatch, "assemble_preconditioner")
-        problems, per_cell, caps = [], [], []
+        problems, per_cell, caps, exact, bounds = [], [], [], [], []
         run = optim._run
 
         def tracked_run(problem, *args):
@@ -928,27 +933,38 @@ class TestPreconditionerReuse:
                 return fn(self)
 
             monkeypatch.setattr(m.SimplexMesh, name, spy)
-        cap = optim.max_step_before_inversion
+        cap, bound = optim.max_step_before_inversion, optim.step_lower_bounds
 
-        def kept_cap(mesh, direction, geometry=None):
+        def kept_bound(mesh, direction, geometry):
             caps.append(geometry is problems[-1].kept[1])
-            return cap(mesh, direction, geometry=geometry)
+            bounds.append(geometry)
+            return bound(mesh, direction, geometry)
+
+        # The exact cap runs after some of the search's trials, which replace
+        # the kept geometry: it reads the fields of the one its step's bound
+        # read.
+        def kept_cap(mesh, direction, geometry=None, **kwargs):
+            exact.append(geometry.edges is bounds[-1].edges and geometry[0] is bounds[-1][0])
+            return cap(mesh, direction, geometry=geometry, **kwargs)
 
         monkeypatch.setattr(optim, "_run", tracked_run)
+        monkeypatch.setattr(optim, "step_lower_bounds", kept_bound)
         monkeypatch.setattr(optim, "max_step_before_inversion", kept_cap)
         for method, mesh, kernel in (
             ("plbfgs", slivered_cube(n=3, count=1), tetrahedra),
             ("fixedpoint", jittered_square(6, 0.3, m.FIX_ALL), triangles),
         ):
-            for calls in (passes[kernel], builds, caps):
+            for calls in (passes[kernel], builds, caps, exact):
                 calls.clear()
             _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
             assert per_cell == []
             assert len(builds) == report.iterations == 6
             # Plus the quality statistics before and after the run.
             assert len(passes[kernel]) == report.fun_evals + 2
-            # One cap per step (no search failed here), each on the kept geometry.
+            # One bound per step (no search failed here), each on the kept
+            # geometry, and an exact cap on the steps that record its cell.
             assert caps == [True] * report.iterations
+            assert exact == [True] * sum(r.cap_cell >= 0 for r in report.records)
 
     @pytest.mark.parametrize("shape", ["square", "cube"])
     def test_factory_builds_the_fresh_preconditioner(self, monkeypatch, shape):
@@ -969,7 +985,12 @@ class TestPreconditionerReuse:
             fresh = assembly.assemble_preconditioner(at)
             assert built[-1][1].P.data.tobytes() == fresh.P.data.tobytes()
             bound = m.max_step_before_inversion(at, d.reshape(at.vertices.shape))
-            assert bits(problem.lam_cap(point, d)) == bits(optim.STEP_CAP_FACTOR * bound)
+            cap = problem.lam_cap(point, d)
+            assert cap.bound <= optim.STEP_CAP_FACTOR * bound
+            assert bits(cap.value()) == bits(optim.STEP_CAP_FACTOR * bound)
+            cell = at.with_vertices(at.vertices + bound * d.reshape(at.vertices.shape))
+            binding = np.argmin(np.abs(cell.signed_measures()))
+            assert cap.cell == binding
             min_measure = problem.step_metrics(x, point)["min_measure"]
             assert bits(min_measure) == bits(at.signed_measures().min())
 
@@ -1045,8 +1066,10 @@ class TestRecordedWork:
         start = time.perf_counter()
         _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=5))
         wall = time.perf_counter() - start
-        # One cap per step (no search failed here), none before the first.
-        assert report.iterations == len(caps) == 5
+        # A timed lower bound per step (no search failed here), none before
+        # the first, and an exact cap on the steps whose record names its cell.
+        assert report.iterations == 5
+        assert len(caps) == sum(r.cap_cell >= 0 for r in report.records)
         assert report.records[0].cap_s == 0.0
         assert all(r.cap_s > 0.0 for r in report.records[1:])
         # Caps, evaluations, P builds and P solves never overlap.
@@ -1072,6 +1095,125 @@ class TestRecordedWork:
         _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=5))
         assert report.iterations == 5
         assert all(r.p_build_s == r.cg_s == 0.0 for r in report.records)
+
+
+class TestLazyCap:
+    """The search reads the exact cap only where a trial passes the lower
+    bound, so every trial, and every step, is the one of the eager cap."""
+
+    def counted_cap(self, bound, cap, cell=3):
+        calls = []
+
+        def exact():
+            calls.append(1)
+            return cap, cell
+
+        return optim.StepCap(bound, exact), calls
+
+    @pytest.mark.parametrize("search", ["wolfe", "armijo"])
+    @pytest.mark.parametrize(
+        "minimum, bound, cap, reads",
+        [(1.0, 2.0, 3.0, 0), (1.0, 0.5, 0.8, 1), (50.0, 3.0, 4.0, 1), (50.0, 4.0, 9.0, 1)],
+    )
+    def test_trials_equal_the_float_caps(self, search, minimum, bound, cap, reads):
+        # phi(lam) = (lam - minimum)**2: the first trial, the doubling and the
+        # stop at the cap are the float cap's, and the cap is read at most
+        # once, only when a trial passes the bound.
+        def run(lam_cap):
+            trials = []
+
+            def phi(lam):
+                trials.append(lam)
+                return (lam - minimum) ** 2, 2.0 * (lam - minimum)
+
+            f0, df0 = minimum**2, -2.0 * minimum
+            try:
+                if search == "wolfe":
+                    strong_wolfe_search(phi, f0, df0, lam_cap=lam_cap)
+                else:
+                    backtracking_search(phi, f0, df0, lam_cap=lam_cap)
+            except LineSearchFailed as e:
+                trials.append(str(e))
+            return trials
+
+        lazy, calls = self.counted_cap(bound, cap)
+        assert run(lazy) == run(cap)
+        assert len(calls) == (reads if search == "wolfe" or bound < 1.0 else 0)
+        assert (lazy.bound, lazy.cell) == ((cap, 3) if calls else (bound, -1))
+
+    @pytest.mark.parametrize(
+        "method, shape",
+        [("lbfgs", "cube"), ("plbfgs", "cube"), ("nlcg", "cube"), ("fixedpoint", "square"),
+         ("plbfgs", "square")],
+    )
+    def test_lazy_and_eager_caps_take_the_same_steps(self, monkeypatch, method, shape):
+        mesh = slivered_cube(n=3, count=1) if shape == "cube" else jittered_square(6, 0.3, m.FIX_ALL)
+        config = OptimizeConfig(method=method, max_iters=8)
+        out, lazy = optimize(mesh, config)
+        lam_cap = optim.MeshProblem.lam_cap
+
+        def eager(problem, x, d):
+            cap = lam_cap(problem, x, d)
+            cap.value()
+            return cap
+
+        monkeypatch.setattr(optim.MeshProblem, "lam_cap", eager)
+        eager_out, eager = optimize(mesh, config)
+        assert eager_out.vertices.tobytes() == out.vertices.tobytes()
+        assert lazy.fun_evals == eager.fun_evals
+        for a, b in zip(lazy.records[1:], eager.records[1:], strict=True):
+            assert (bits(a.lam), bits(a.F), a.ls_evals) == (bits(b.lam), bits(b.F), b.ls_evals)
+            assert b.cap_cell >= 0
+            if a.cap_cell >= 0:
+                assert (bits(a.cap), a.cap_cell) == (bits(b.cap), b.cap_cell)
+            else:
+                assert a.lam <= a.cap <= b.cap
+        # Some steps never read the exact cap.
+        assert any(r.cap_cell < 0 for r in lazy.records[1:])
+
+
+class TestSlidePlanarSafety:
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from([SQUARE, CUBE]),
+        n=st.integers(2, 5),
+        amplitude=st.floats(0.05, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(optim.METHODS),
+    )
+    def test_steps_keep_the_safety_rules(self, kind, n, amplitude, seed, method):
+        # A few steps on a small jittered mesh with sliding boundary vertices,
+        # then one step along the steepest direction scaled so that its unit
+        # trial passes the lower bound: the exact cap is read. No cell
+        # inverts, fixed vertices keep their bits and sliding vertices stay
+        # in their planes.
+        base = gen_mesh(GeneratorSpec(kind, n if kind == SQUARE else min(n, 3)))
+        mesh = m.classify_boundary(perturb_mesh(base, RandomJitter(amplitude, seed)),
+                                   m.SLIDE_PLANAR)
+        with pytest.MonkeyPatch.context() as patch:
+            exact = recording(patch, optim, "max_step_before_inversion")
+            out, report = optimize(mesh, OptimizeConfig(method=method, max_iters=3))
+            assert all(r.min_measure > 0.0 for r in report.records[1:])
+            problem = optim.MeshProblem(out)
+            x = problem.x0
+            f, g = problem.eval(x)
+            d = -g * (2.0 * problem.lam_cap(x, -g).bound)
+            try:
+                x = optim._take_step(problem, x, f, g, d, 0, "wolfe")[0]
+            except LineSearchFailed:
+                pass
+        assert exact
+        assert_safe(mesh, problem.mesh_at(x))
+
+
+def assert_safe(mesh, out):
+    assert np.all(out.signed_measures() > 0.0)
+    fixed = mesh.fixed_mask()
+    assert out.vertices[fixed].tobytes() == mesh.vertices[fixed].tobytes()
+    slide = mesh.slide_mask()
+    disp = out.vertices[slide] - mesh.vertices[slide]
+    off_plane = np.abs(np.einsum("ij,ij->i", disp, mesh.slide_normals[slide]))
+    assert np.all(off_plane <= 1e-12 * np.linalg.norm(disp, axis=1) + 1e-300)
 
 
 def contracting_direction():
