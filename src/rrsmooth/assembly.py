@@ -28,7 +28,8 @@ results. G_F's blocks and P sum their edge weights in one ``np.bincount``
 pair once, so A and P are exactly symmetric. P's pattern, its gather from the
 sums and the positive-definiteness checks depend on connectivity only and are
 built once per run (:func:`preconditioner_topology`). The gradient field is
-summed by ``np.bincount`` too, in cell order.
+summed by one ``np.bincount`` too (:func:`energy_gradient`), by an index
+(:func:`scatter_index`) that the optimizer builds once per run.
 
 The optimize path runs on numpy alone: P is held in a column-major ELL layout
 and applied by :class:`Preconditioner`'s ``@``. scipy is imported only by the
@@ -123,20 +124,11 @@ def _edge_matrix(mesh, pairs, w, laplacian):
     return sparse.diags(sums[stop:]) + U + U.T if laplacian else U - U.T
 
 
-def _sum_per_vertex(mesh, values):
-    """Sum per-cell vertex vectors ``(n_cells, dim+1, dim)`` into a field.
-
-    One ``np.bincount`` per coordinate adds each vertex's entries in cell
-    order, starting from zero: the bits of ``np.add.at``, several times faster.
-    """
-    index = mesh.cells.ravel()
-    return np.stack(
-        [
-            np.bincount(index, weights=values[..., c].ravel(), minlength=mesh.n_vertices)
-            for c in range(mesh.dim)
-        ],
-        axis=1,
-    )
+def scatter_index(mesh):
+    """Where each entry of the kernel's ``(dim, dim+1, n_cells)`` gradient goes
+    in the flattened ``(n_vertices, dim)`` field: ``vertex * dim + coordinate``,
+    in (coordinate, slot, cell) order. It depends on connectivity only."""
+    return (mesh.cells.T[None] * mesh.dim + np.arange(mesh.dim)[:, None, None]).ravel()
 
 
 def _cell_weights(mesh, mu):
@@ -164,16 +156,22 @@ def assemble(mesh):
     )
 
 
-def energy_gradient(mesh):
+def energy_gradient(mesh, index=None):
     """Energy, scatter-added gradient field and the kernel's geometry.
 
     One geometry pass, ``mesh.geometry()`` on the per-coordinate gather,
-    and the closed-form gradient; no local block is built. The optimizer
-    keeps the geometry for the preconditioner, the cap and the step record.
+    and the closed-form gradient of ``mu / n_cells``; no local block is
+    built. One ``np.bincount`` by ``index`` (:func:`scatter_index`, built
+    here when not given) sums each field entry from zero in (coordinate,
+    slot, cell) order. The optimizer keeps the geometry for the
+    preconditioner, the cap and the step record.
     """
     geometry = mesh.geometry()
-    grad_field = _sum_per_vertex(mesh, kernel(mesh.dim).gradient(geometry) / mesh.n_cells)
-    return float(geometry.mu.mean()), grad_field, geometry
+    if index is None:
+        index = scatter_index(mesh)
+    grad = kernel(mesh.dim).gradient(geometry, 1.0 / mesh.n_cells)
+    grad_field = np.bincount(index, grad.T.ravel(), mesh.vertices.size)
+    return float(geometry.mu.mean()), grad_field.reshape(mesh.vertices.shape), geometry
 
 
 @dataclass

@@ -219,8 +219,10 @@ def validate(mesh):
         out.append(Violation("repeated-vertex", int(c), "cell lists a vertex twice"))
     if out:
         return out
-    meas = mesh.signed_measures()
-    for c in np.flatnonzero(simplex.degenerate(meas, mesh.cell_points())):
+    # One per-coordinate gather; the measures have the bits of signed_measures.
+    pts = mesh.cell_coords().T
+    meas = kernel(mesh.dim).signed_measure(pts)
+    for c in np.flatnonzero(simplex.degenerate(meas, pts)):
         out.append(
             Violation(
                 "non-positive-orientation",
@@ -381,9 +383,11 @@ class QualityStats:
         return "\n".join(lines)
 
 
-def quality_stats(mesh):
-    """Per-element quality statistics; degenerate cells raise with their index."""
-    q = 1.0 / mesh.geometry().mu
+def quality_stats(mesh, mu=None):
+    """Per-element quality statistics of q = 1/mu, from the cells' radius
+    ratios ``mu`` (by default ``mesh.geometry().mu``; degenerate cells raise
+    with their index)."""
+    q = 1.0 / (mesh.geometry().mu if mu is None else mu)
     # Roundoff can push q a few ulp past 1; clamp so no cell falls out of
     # the histogram range.
     hist, _ = np.histogram(np.clip(q, 0.0, 1.0), bins=HISTOGRAM_BINS, range=(0.0, 1.0))

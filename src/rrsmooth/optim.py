@@ -32,6 +32,7 @@ from .assembly import (
     assemble_preconditioner,
     energy_gradient,
     preconditioner_topology,
+    scatter_index,
 )
 from .errors import DegenerateElement, IndefiniteMatrix, LineSearchFailed, MeshError
 from .mesh import (
@@ -460,12 +461,15 @@ class MeshProblem:
         self.fixed = mesh.fixed_mask()
         self.slide = mesh.slide_mask()
         self.project_field = constraint_projector(mesh)
+        self.index = scatter_index(mesh)
         self.fun_evals = 0
         # Built at the first P build: methods without P never need it, and a
         # mesh without a fixed vertex, or disconnected, stops the run there.
         self.topology = None
         # (x, kernel geometry) of the last point evaluated.
         self.kept = None
+        # The cells' mu at x0, from its evaluation: the quality before the run.
+        self.start_mu = None
         # IterationRecord's work fields since the last take_work(): cg_iters,
         # eval_s, p_build_s, cg_s and cap_s summed, cg_residual the largest.
         self.work = Counter()
@@ -487,10 +491,12 @@ class MeshProblem:
         self.kept = None
         with self._timed("eval_s"):
             try:
-                f, grad_field, geometry = energy_gradient(self.mesh_at(x))
+                f, grad_field, geometry = energy_gradient(self.mesh_at(x), self.index)
             except DegenerateElement:
                 return math.inf, None
             self.kept = (x.copy(), geometry)
+            if self.start_mu is None and np.array_equal(x, self.x0):
+                self.start_mu = geometry.mu
             return f, self.project_field(grad_field).ravel()
 
     def project(self, v):
@@ -882,10 +888,10 @@ def optimize(mesh, config=None):
             "refusing to optimize an invalid mesh: "
             + "; ".join(str(v) for v in violations[:5])
         )
-    quality_before = quality_stats(mesh)
     problem = MeshProblem(mesh)
     x, report = _run(problem, config, config.method)
     out = problem.mesh_at(x)
-    report.quality_before = quality_before
-    report.quality_after = quality_stats(out)
+    # From the evaluations' geometry: x0's, and the kept one at x.
+    report.quality_before = quality_stats(mesh, problem.start_mu)
+    report.quality_after = quality_stats(out, problem.geometry_at(x).mu)
     return out, report

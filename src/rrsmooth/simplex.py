@@ -1,10 +1,11 @@
-"""What the two element kernels share: the degeneracy threshold, G_F's
-layout and the dense local Laplacian.
+"""What the two element kernels share: the degeneracy rule, G_F's layout
+and the dense local Laplacian.
 
 ``triangles`` and ``tetrahedra`` export one interface, looked up by
 dimension through :func:`rrsmooth.mesh.kernel`: ``geometry(pts)`` (the one
-checked geometry pass, a namedtuple with ``mu``), ``gradient(g)`` (the
-per-vertex gradient of mu in closed form), ``block_weights(g)``,
+checked geometry pass, a namedtuple with ``mu``), ``gradient(g, scale)``
+(the per-vertex gradient of ``scale * mu`` in closed form, the transpose of
+a per-coordinate ``(dim, dim+1, n)`` array), ``block_weights(g)``,
 ``precond_weights(g)``, ``measure_polynomial(g, du)``, ``signed_measure``,
 ``EDGES``, ``FACETS`` and ``LAYOUT``. The gradient is evaluated in closed
 form; G_F's blocks are the paper's split of it, ``grad = mu * (G_local V)``
@@ -39,14 +40,45 @@ def diameters(pts):
     return (hi - lo).max(axis=1)
 
 
-def degenerate(measure, pts):
-    """Cells whose signed measure is at most DEGENERACY_RTOL * diameter**dim."""
-    return measure <= DEGENERACY_RTOL * diameters(pts) ** pts.shape[2]
+def _edge_sq_sum(pts):
+    """Each cell's sum of squared edge lengths, over every vertex pair."""
+    X = np.asarray(pts).T
+    S = 0.0
+    for i in range(X.shape[1] - 1):
+        d = X[:, i + 1 :] - X[:, i : i + 1]
+        S = S + (d * d).reshape(-1, X.shape[-1]).sum(axis=0)
+    return S
 
 
-def check_degenerate(measure, pts, name):
-    """Raise DegenerateElement naming the first degenerate cell, if any."""
-    bad = np.flatnonzero(degenerate(measure, pts))
+def degenerate(measure, pts, edge_sq=None):
+    """Cells whose signed measure is at most DEGENERACY_RTOL * diameter**dim.
+
+    A cell's diameter is at most its longest edge, so at most ``sqrt(S)``,
+    ``S`` the sum of its squared edge lengths (``edge_sq``, computed from
+    ``pts`` when not given). A cell whose measure exceeds
+    ``2 DEGENERACY_RTOL S**(dim/2)`` clears the rule with a factor 2 to
+    spare for rounding, so only the others are gathered from ``pts`` for
+    :func:`diameters`. It flags the same cells as the rule on every cell.
+    """
+    dim = pts.shape[2]
+    # An overflow to inf clears no cell.
+    with np.errstate(over="ignore"):
+        if edge_sq is None:
+            edge_sq = _edge_sq_sum(pts)
+        bound = (2.0 * DEGENERACY_RTOL) * edge_sq
+        if dim == 3:
+            bound *= np.sqrt(edge_sq)
+    bad = ~(measure > bound)
+    suspects = np.flatnonzero(bad)
+    if suspects.size:
+        bad[suspects] = measure[suspects] <= DEGENERACY_RTOL * diameters(pts[suspects]) ** dim
+    return bad
+
+
+def check_degenerate(measure, pts, name, edge_sq):
+    """Raise DegenerateElement naming the first degenerate cell, if any
+    (:func:`degenerate`, given each cell's sum of squared edges)."""
+    bad = np.flatnonzero(degenerate(measure, pts, edge_sq))
     if bad.size:
         message = f"signed {name} {measure[bad[0]]:.3e} is non-positive or below threshold"
         raise DegenerateElement(message, cell=int(bad[0]))

@@ -5,7 +5,9 @@ Kernels are vectorized over a batch axis: ``pts`` has shape ``(n, 4, 3)``
 with positive signed volume; a single cell is the batch ``pts[None]``.
 Face ``i`` is the face opposite vertex ``i``. The geometry pass reads
 contiguous ``(n,)`` arrays per coordinate and vertex, ``pts.T`` (no copy for
-``mesh.cell_coords().T``).
+``mesh.cell_coords().T``), takes its edges from slices of them and its
+cotangents per edge, and checks degeneracy through ``simplex``'s prefilter
+on the squared edges it already has.
 
 Conventions:
 
@@ -23,12 +25,14 @@ at vertex k = 1..3, ``grad vol = N_k / 6``, ``grad s`` the cotangent
 Laplacian ``sum_j cot_kj (x_k - x_j)``, and ``grad|d0| = J_k^T d0 / |d0|``
 for ``J_k^T u = 2 (u . N_k) e_k + (|e_{k+2}|^2 e_{k+1} - |e_{k+1}|^2 e_{k+2}) x u``
 (indices mod 3); vertex 0 takes minus their sum, as mu is translation
-invariant. The paper's split of the same gradient is the block product
-(``LAYOUT``) ``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``,
-A symmetric and the B blocks antisymmetric, each given per edge
-(``block_weights``): A is the Laplacian of signed edge weights, each B the
-antisymmetric matrix of its own, and ``assembly.assemble`` scatters them
-into G_F (``--dump-system``). The preconditioner is the Laplacian of A's
+invariant. ``gradient(g, scale)`` folds ``scale * mu`` into the per-cell
+factors of the three terms and writes one ``(3, 4, n)`` array. The paper's
+split of the same gradient is the block product (``LAYOUT``)
+``mu * [[A, B2, B1], [-B2, A, B0], [-B1, -B0, A]] @ [X; Y; Z]``, A symmetric
+and the B blocks antisymmetric, each given per edge (``block_weights``): A
+is the Laplacian of signed edge weights, each B the antisymmetric matrix of
+its own, and ``assembly.assemble`` scatters them into G_F
+(``--dump-system``). The preconditioner is the Laplacian of A's
 weights in non-negative form (``precond_weights``), which is positive
 semi-definite. The module exports the interface of :mod:`rrsmooth.simplex`.
 """
@@ -51,42 +55,33 @@ EDGES = _TAIL, _HEAD = tuple(np.array(_EDGE_PERMS)[:, :2].T)
 # Face i is opposite vertex i, oriented outward for a positive cell.
 FACETS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
-# Face f's normal is edge _FACE_EDGES[0][f] x edge _FACE_EDGES[1][f]:
-# (x2 - x1) x (x3 - x1) for face 0, then N_1, N_2, N_3.
-_FACE_EDGES = ([3, 1, 2, 0], [4, 2, 0, 1])
-
-
-def _corners():
-    """Each edge (i, j, k, l) has a corner at l in face k and one at k in face
-    l. Per corner v: the edge, the edges vi and vj, and the face."""
-    index = {frozenset(edge[:2]): e for e, edge in enumerate(_EDGE_PERMS)}
-    rows = [(e, index[frozenset((v, i))], index[frozenset((v, j))], face)
-            for e, (i, j, k, l) in enumerate(_EDGE_PERMS) for v, face in ((l, k), (k, l))]
-    return [list(column) for column in zip(*rows)]
-
-
-_CORNER_EDGE, _CORNER_VI, _CORNER_VJ, _CORNER_FACE = _corners()
-
-Geometry = namedtuple("Geometry", "volume edges edge_sq normals surface cot d0 d0_sq mu")
+Geometry = namedtuple(
+    "Geometry", "volume edges edge_sq normals surface cot d0 d0_sq d0_normals mu"
+)
 
 
 def signed_volume(pts):
-    """Signed volume; positive when vertex 3 sees (0, 1, 2) counter-clockwise."""
-    pts = np.asarray(pts, dtype=float)
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    e3 = pts[:, 3] - pts[:, 0]
-    return np.einsum("ij,ij->i", e1, np.cross(e2, e3)) / 6.0
+    """Signed volume; positive when vertex 3 sees (0, 1, 2) counter-clockwise.
+
+    Computed per coordinate, on ``pts.T``, in the arithmetic of an einsum of
+    ``(n, 3)`` rows and ``np.cross``, so any layout of ``pts`` gives the bits
+    of :func:`geometry`'s volume.
+    """
+    X = np.asarray(pts, dtype=float).T
+    e = X[:, 1:] - X[:, :1]
+    return _dot(e[:, 0], _cross(e[:, 1], e[:, 2])) / 6.0
 
 
 signed_measure = signed_volume
 
 
-def _cross(a, b):
+def _cross(a, b, out=None):
     """Cross product over the leading axis; the arithmetic of ``np.cross``."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     for c, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.subtract(a[i] * b[j], a[j] * b[i], out=out[c])
+        np.multiply(a[i], b[j], out=out[c])
+        out[c] -= a[j] * b[i]
     return out
 
 
@@ -106,6 +101,14 @@ def _dot(a, b):
     return out
 
 
+def _rolled(a):
+    """``a`` with its first two rows again after its last: ``(k + 2, ...)``."""
+    out = np.empty((len(a) + 2, *a.shape[1:]))
+    out[: len(a)] = a
+    out[len(a) :] = a[:2]
+    return out
+
+
 def geometry(pts):
     """The one geometry pass every kernel reads.
 
@@ -113,28 +116,46 @@ def geometry(pts):
     ``edges`` ``(3, 6, n)`` holds ``x_j - x_i`` per edge ij of ``EDGES``,
     ``edge_sq`` ``(3, n)`` is ``|e1|^2, |e2|^2, |e3|^2``, ``normals``
     ``(3, 4, n)`` the doubled area vectors of faces 0-3, ``surface`` the
-    total face area, and ``cot`` ``(6, n)`` the cotangent weight of each
-    edge summed over the two faces through it. Raises DegenerateElement for
-    an inverted or collapsed cell.
+    total face area, ``cot`` ``(6, n)`` the cotangent weight of each edge
+    summed over the two faces through it, and ``d0_normals`` ``(3, n)`` is
+    ``d0 . N_k``. Raises DegenerateElement for an inverted or collapsed cell.
     """
     pts = np.asarray(pts, dtype=float)
     X = np.ascontiguousarray(pts.T)
-    E = X[:, _HEAD] - X[:, _TAIL]
-    normals = _cross(E[:, _FACE_EDGES[0]], E[:, _FACE_EDGES[1]])
-    vol = _dot(E[:, 0], normals[:, 1]) / 6.0
-    simplex.check_degenerate(vol, pts, "volume")
-    sq = (E * E).sum(axis=0)
+    n = X.shape[-1]
+    edges = np.empty((3, 6, n))
+    np.subtract(X[:, 1:], X[:, :1], out=edges[:, :3])
+    np.subtract(X[:, 2:], X[:, 1:2], out=edges[:, 3:5])
+    np.subtract(X[:, 3], X[:, 2], out=edges[:, 5])
+    # N_3 = e1 x e2 and face 0's (x2 - x1) x (x3 - x1), then N_1 = e2 x e3 and
+    # N_2 = e3 x e1.
+    normals = np.empty((3, 4, n))
+    _cross(edges[:, 0::3], edges[:, 1::3], out=normals[:, 3::-3])
+    _cross(edges[:, 1:3], edges[:, 2::-2], out=normals[:, 1:3])
+    vol = _dot(edges[:, 0], normals[:, 1]) / 6.0
+    sq = (edges * edges).reshape(3, -1).sum(axis=0).reshape(6, n)
+    simplex.check_degenerate(vol, pts, "volume", sq.sum(axis=0))
     edge_sq = sq[:3]
     d0 = edge_sq[2] * normals[:, 3] + edge_sq[0] * normals[:, 1] + edge_sq[1] * normals[:, 2]
     d0_sq = (d0 * d0).sum(axis=0)
     areas = 0.5 * np.sqrt((normals * normals).sum(axis=0))
     s = areas.sum(axis=0)
-    # Per corner, 2 u.w = |vi|^2 + |vj|^2 - |ij|^2 for u, w = x_i - x_v, x_j - x_v,
-    # and the half-cotangent is u.w / (4 area).
-    corner = sq[_CORNER_VI] + sq[_CORNER_VJ] - sq[_CORNER_EDGE]
-    cot = (corner / (8.0 * areas[_CORNER_FACE])).reshape(6, 2, -1).sum(axis=1)
+    # Per corner v of edge ij, 2 u.w = |vi|^2 + |vj|^2 - |ij|^2 for u, w = x_i - x_v,
+    # x_j - x_v, and the half-cotangent is u.w / (4 area). Read per edge from
+    # rolled rows: U the squared vertex-0 edges |e1|^2, |e2|^2, |e3|^2, W those
+    # of their opposite edges (EDGES 5, 4, 3), H 8 times the areas of faces
+    # 0-3, then 1 and 2. e_k's corners lie in faces k + 2 and k + 1 (mod 3,
+    # from 1); its opposite edge's in face k and face 0.
+    U, W = _rolled(edge_sq), _rolled(sq[:2:-1])
+    H = np.empty((6, n))
+    np.multiply(8.0, areas, out=H[:4])
+    H[4:] = H[1:3]
+    cot = np.empty((6, n))
+    np.add((U[1:4] + W[2:5] - U[:3]) / H[3:6], (U[2:5] + W[1:4] - U[:3]) / H[2:5], out=cot[:3])
+    np.add((U[1:4] + U[2:5] - W[:3]) / H[1:4], (W[1:4] + W[2:5] - W[:3]) / H[0], out=cot[:2:-1])
+    d0_normals = (d0[:, None] * normals[:, 1:]).sum(axis=0)
     mu = s * np.sqrt(d0_sq) / (108.0 * vol**2)
-    return Geometry(vol, E, edge_sq, normals, s, cot, d0, d0_sq, mu)
+    return Geometry(vol, edges, edge_sq, normals, s, cot, d0, d0_sq, d0_normals, mu)
 
 
 def measure_polynomial(g, du):
@@ -164,23 +185,35 @@ def measure_polynomial(g, du):
     return a.T
 
 
-def gradient(g):
-    """Per-vertex gradient of mu ``(n, 4, 3)`` in closed form, from ``geometry(pts)``."""
-    e, d0, sq = g.edges[:, :3], g.d0[:, None], g.edge_sq
-    # grad|d0| * |d0| at vertices 1-3: J_k^T d0.
-    c = (d0 * g.normals[:, 1:]).sum(axis=0)
-    w = sq[[2, 0, 1]] * e[:, [1, 2, 0]] - sq[[1, 2, 0]] * e[:, [2, 0, 1]]
-    jd0 = 2.0 * c * e + _cross(w, d0)
-    # grad s at vertices 1-3: sum over edges kj of cot_kj (x_k - x_j).
-    W = g.cot * g.edges
-    ds = np.stack(
-        [W[:, 0] - W[:, 3] - W[:, 4], W[:, 1] + W[:, 3] - W[:, 5], W[:, 2] + W[:, 4] + W[:, 5]],
-        axis=1,
-    )
-    G = np.empty((3, 4, len(g.mu)))
-    G[:, 1:] = jd0 / g.d0_sq + ds / g.surface - g.normals[:, 1:] / (3.0 * g.volume)
-    G[:, 0] = -G[:, 1:].sum(axis=1)
-    G *= g.mu
+def gradient(g, scale=1.0):
+    """Per-vertex gradient of ``scale * mu`` ``(n, 4, 3)`` in closed form, from
+    ``geometry(pts)``: the transpose of a ``(3, 4, n)`` array, per coordinate."""
+    m = scale * g.mu
+    n = len(m)
+    G = np.empty((3, 4, n))
+    Gk = G[:, 1:]
+    e = g.edges[:, :3]
+    # grad|d0| / |d0| at vertices 1-3: J_k^T d0 / |d0|^2, whose cross term is
+    # |e_{k+2}|^2 F_{k+1} - |e_{k+1}|^2 F_{k+2} for F_k = e_k x d0, rolled.
+    a = m / g.d0_sq
+    F = np.empty((3, 5, n))
+    _cross(e, (g.d0 * a)[:, None], out=F[:, :3])
+    F[:, 3:] = F[:, :2]
+    u = _rolled(g.edge_sq)
+    np.multiply(e, (2.0 * a) * g.d0_normals, out=Gk)
+    Gk += u[2:5] * F[:, 1:4]
+    Gk -= u[1:4] * F[:, 2:5]
+    # grad s / s at vertices 1-3: cot_kj (x_k - x_j) summed over the edges kj,
+    # each edge's weighted vector added at its head and taken at its tail.
+    W = g.edges * ((m / g.surface) * g.cot)
+    Gk += W[:, :3]
+    Gk[:, 1:] += W[:, 3:5]
+    Gk[:, 2] += W[:, 5]
+    Gk[:, :2] -= W[:, 3::2]
+    Gk[:, 0] -= W[:, 4]
+    # -2 grad vol / vol: N_k / (3 vol).
+    Gk -= g.normals[:, 1:] * (m / (3.0 * g.volume))
+    np.negative(Gk.sum(axis=1), out=G[:, 0])
     return G.T
 
 
@@ -188,7 +221,7 @@ def _weight_terms(g):
     """A's edge weights as two ``(6, n)`` terms: ``2 d0.N_k / |d0|^2`` on the
     vertex-0 edges 0-2, zero elsewhere (the |d0| term), and ``cot_e / s``."""
     star = np.zeros_like(g.cot)
-    star[:3] = 2.0 * (g.d0[:, None] * g.normals[:, 1:]).sum(axis=0) / g.d0_sq
+    star[:3] = 2.0 * g.d0_normals / g.d0_sq
     return star, g.cot / g.surface
 
 

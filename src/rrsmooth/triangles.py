@@ -21,7 +21,9 @@ A is the Laplacian of the weights ``c_k``, and B is antisymmetric with
 (``--dump-system``). The ``c_k`` are positive, so the preconditioner
 assembles A itself from them (``precond_weights``).
 Every kernel reads one geometry pass (``geometry``) on per-coordinate
-arrays ``pts.T``, which checks the area once. The module exports the
+arrays ``pts.T``, which takes the edges from slices of them and checks the
+area once. ``gradient(g, scale)`` folds ``scale * mu`` into per-cell factors
+and writes one ``(2, 3, n)`` array. The module exports the
 kernel interface of :mod:`rrsmooth.simplex`.
 """
 
@@ -42,10 +44,11 @@ Geometry = namedtuple("Geometry", "area edges lengths p mu")
 
 
 def signed_area(pts):
-    """Signed area of each triangle; positive for CCW orientation."""
-    pts = np.asarray(pts, dtype=float)
-    e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    """Signed area of each triangle; positive for CCW orientation. It reads
+    ``pts.T`` elementwise, so any layout of ``pts`` gives the same bits."""
+    X = np.asarray(pts, dtype=float).T
+    e1, e2 = X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]
+    return 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
 
 
 signed_measure = signed_area
@@ -60,11 +63,15 @@ def geometry(pts):
     any signed area is non-positive or falls under the scaled threshold.
     """
     pts = np.asarray(pts, dtype=float)
-    area = signed_area(pts)
-    simplex.check_degenerate(area, pts, "area")
     X = np.ascontiguousarray(pts.T)
-    edges = X[:, [2, 0, 1]] - X[:, [1, 2, 0]]
-    lengths = np.sqrt(edges[0] * edges[0] + edges[1] * edges[1])
+    area = signed_area(X.T)
+    edges = np.empty((2, 3, X.shape[-1]))
+    # Edges 2 and 0 are x1 - x0 and x2 - x1, edge 1 is x0 - x2.
+    np.subtract(X[:, 1:], X[:, :2], out=edges[:, 2::-2])
+    np.subtract(X[:, 0], X[:, 2], out=edges[:, 1])
+    sq = edges[0] * edges[0] + edges[1] * edges[1]
+    simplex.check_degenerate(area, pts, "area", sq.sum(axis=0))
+    lengths = np.sqrt(sq)
     p = lengths.sum(axis=0)
     q = lengths.prod(axis=0)
     return Geometry(area, edges, lengths, p, p * q / (16.0 * area**2))
@@ -88,13 +95,22 @@ def measure_polynomial(g, du):
     return np.stack([c1, c2], axis=1) / (2.0 * g.area)[:, None]
 
 
-def gradient(g):
-    """Per-vertex gradient of mu ``(n, 3, 2)`` in closed form, from ``geometry(pts)``."""
-    w = precond_weights(g) * g.edges
-    G = w[:, [1, 2, 0]] - w[:, [2, 0, 1]]
-    G[0] += g.edges[1] / g.area
-    G[1] -= g.edges[0] / g.area
-    return (g.mu * G).T
+def gradient(g, scale=1.0):
+    """Per-vertex gradient of ``scale * mu`` ``(n, 3, 2)`` in closed form, from
+    ``geometry(pts)``: the transpose of a ``(2, 3, n)`` array, per coordinate."""
+    m = scale * g.mu
+    n = len(m)
+    # Vertex k takes w_{k+1} - w_{k+2} of the weighted edges w_k = c_k e_k, rolled,
+    # and -2 grad A / A, the opposite edge turned by 90 degrees over A.
+    w = np.empty((2, 5, n))
+    np.multiply(g.edges, precond_weights(g) * m, out=w[:, :3])
+    w[:, 3:] = w[:, :2]
+    t = g.edges[::-1] * (m / g.area)
+    G = np.empty((2, 3, n))
+    np.add(w[0, 1:4], t[0], out=G[0])
+    np.subtract(w[1, 1:4], t[1], out=G[1])
+    G -= w[:, 2:5]
+    return G.T
 
 
 def block_weights(g):

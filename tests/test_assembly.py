@@ -10,6 +10,7 @@ from rrsmooth.assembly import (
     energy_gradient,
     field_to_vec,
     preconditioner_topology,
+    scatter_index,
     spd_audit,
     vec_to_field,
     write_matrix_market,
@@ -154,13 +155,17 @@ class TestGradientScatter:
         ids=["square", "slivered-cube"],
     )
     def test_bincount_gives_the_bits_of_add_at(self, mesh):
-        # Both sum each vertex's entries in cell order, starting from zero.
+        # Both sum each field entry from zero, in (coordinate, slot, cell) order.
         kernel = m.kernel(mesh.dim)
-        grads = kernel.gradient(kernel.geometry(mesh.cell_points()))
+        grads = kernel.gradient(kernel.geometry(mesh.cell_points()), 1.0 / mesh.n_cells)
         expected = np.zeros_like(mesh.vertices)
-        np.add.at(expected, mesh.cells, grads / mesh.n_cells)
+        for c in range(mesh.dim):
+            for slot in range(mesh.dim + 1):
+                np.add.at(expected[:, c], mesh.cells[:, slot], grads[:, slot, c])
         _, got, _ = energy_gradient(mesh)
         assert got.tobytes() == expected.tobytes()
+        _, given, _ = energy_gradient(mesh, scatter_index(mesh))
+        assert given.tobytes() == expected.tobytes()
 
 
 class TestOneGeometryPass:

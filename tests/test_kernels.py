@@ -1,10 +1,11 @@
 """The one element-kernel interface: both kernels, one layout, one mu convention."""
 
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 
 from rrsmooth import mesh as m, simplex, tetrahedra, triangles
@@ -16,6 +17,7 @@ from rrsmooth.generate import (
 
 from conftest import (
     block_gradient, central_diff, dense_blocks, dense_laplacians, random_tets, random_triangles,
+    reference_geometry, reference_gradient,
 )
 
 KERNELS = pytest.mark.parametrize(
@@ -55,6 +57,7 @@ def test_same_interface_and_mu_convention(kernel, random_cells):
     if kernel is tetrahedra:
         expected.add("abs_local_matrix")
     assert defined == expected
+    assert str(inspect.signature(kernel.gradient)) == "(g, scale=1.0)"
     cells = random_cells(100, seed=16)
     dim = cells.shape[2]
     assert m.kernel(dim) is kernel
@@ -342,3 +345,139 @@ class TestLaplacian:
         # The 3D weights sum terms of either sign: rounding is relative to
         # their magnitudes, which the abs-clamped matrix adds up.
         assert max_entry_error(A, expected, abs_clamped) <= 1e-15
+
+
+def lean_cells(dim, family, rng, n=32):
+    """``n`` positive cells of a family: random; sliver, vertices within 1e-8
+    to 1e-2 of a random plane; anisotropic, each axis scaled by up to 10**1.5
+    either way, then turned."""
+    pts = rng.uniform(-1.0, 1.0, (n, dim + 1, dim))
+    if family == "sliver":
+        normal = rng.normal(size=(n, dim))
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        pts -= np.einsum("nkd,nd->nk", pts, normal)[:, :, None] * normal[:, None]
+        height = 10.0 ** rng.uniform(-8.0, -2.0, (n, 1, 1))
+        pts += height * rng.uniform(-1.0, 1.0, (n, dim + 1, 1)) * normal[:, None]
+    elif family == "anisotropic":
+        Q = np.linalg.qr(rng.normal(size=(n, dim, dim)))[0]
+        pts = np.einsum("nkd,nEd->nkE", pts * 10.0 ** rng.uniform(-1.5, 1.5, (n, 1, dim)), Q)
+    negative = m.kernel(dim).signed_measure(pts) < 0
+    pts[negative, -2:] = pts[negative, -1:-3:-1]
+    return pts
+
+
+def degenerate_meshes(dim):
+    """Jittered meshes with degenerate cells: flat (a vertex moved to the
+    centroid of the opposite facet), inverted, tiny (the flat one scaled by
+    1e-80), and offset (the flat vertices under the inverted cells, moved
+    1e8 from the origin)."""
+    base = perturb_mesh(
+        gen_mesh(GeneratorSpec(SQUARE if dim == 2 else CUBE, 4 if dim == 2 else 2)),
+        RandomJitter(amplitude=0.2, seed=9),
+    )
+    flat = base.copy()
+    for c in (3, 7):
+        a, *rest = flat.cells[c]
+        flat.vertices[a] = flat.vertices[rest].mean(axis=0)
+    inverted = base.copy()
+    inverted.cells[[2, 5], -2:] = inverted.cells[[2, 5], -1:-3:-1]
+    tiny = flat.with_vertices(1e-80 * flat.vertices)
+    offset = inverted.with_vertices(flat.vertices + 1e8)
+    return {"flat": flat, "inverted": inverted, "tiny": tiny, "offset": offset}
+
+
+class TestLeanPass:
+    """The gather-free geometry pass and the per-cell scaled gradient against
+    the gathering pass and gradient as first written (``conftest``)."""
+
+    @settings(max_examples=24, deadline=None, database=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        family=st.sampled_from(["random", "sliver", "anisotropic"]),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    def test_geometry_bits_and_gradient(self, dim, family, seed, offset):
+        kernel = m.kernel(dim)
+        rng = np.random.default_rng(seed)
+        pts = lean_cells(dim, family, rng) + offset * rng.uniform(-1.0, 1.0, dim)
+        pts = pts[~simplex.degenerate(kernel.signed_measure(pts), pts)]
+        assume(len(pts))
+        g = kernel.geometry(pts)
+        for name, field in reference_geometry(kernel, pts).items():
+            assert np.asarray(getattr(g, name)).tobytes() == field.tobytes(), name
+        expected = reference_gradient(kernel, pts)
+        # The closed form sums terms of size mu over the cell's smallest height,
+        # mu times its largest facet over its measure; on a near-regular cell
+        # they cancel to a gradient far below them. Past an aspect of 1e3 the
+        # terms cancel more, and the two orders of operations differ by more.
+        if kernel is triangles:
+            facet = g.lengths.max(axis=0)
+        else:
+            facet = 0.5 * np.sqrt((g.normals * g.normals).sum(axis=0)).max(axis=0)
+        scale = np.maximum(np.abs(expected).max(axis=(1, 2)), g.mu * facet / g[0])
+        for s in (1.0, 0.25):
+            error = np.abs(kernel.gradient(g, s) - s * expected).max(axis=(1, 2))
+            assert np.all(error <= 1e-13 * s * scale)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("case", ["flat", "inverted", "tiny", "offset"])
+    def test_the_same_cell_raises_with_the_same_message(self, dim, case):
+        pts = degenerate_meshes(dim)[case].cell_coords().T
+        kernel = m.kernel(dim)
+        with pytest.raises(DegenerateElement) as expected:
+            reference_geometry(kernel, pts)
+        with pytest.raises(DegenerateElement) as got:
+            kernel.geometry(pts)
+        assert (got.value.cell, str(got.value)) == (expected.value.cell, str(expected.value))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("case", ["flat", "inverted", "tiny", "offset"])
+    def test_validate_keeps_its_violations(self, dim, case):
+        mesh = degenerate_meshes(dim)[case]
+        pts = mesh.cell_points()
+        meas = m.kernel(dim).signed_measure(pts)
+        bad = meas <= simplex.DEGENERACY_RTOL * simplex.diameters(pts) ** dim
+        expected = [
+            m.Violation("non-positive-orientation", int(c), f"signed measure {meas[c]:.3e}")
+            for c in np.flatnonzero(bad)
+        ]
+        assert expected and m.validate(mesh) == expected
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_the_prefilter_margin_in_rationals(self, dim):
+        # Each cell is given the smallest measure that clears the prefilter,
+        # the float just above 2 DEGENERACY_RTOL S**(dim/2). In rationals, on
+        # the exact sum of squared edges S of the float vertices, that measure
+        # exceeds DEGENERACY_RTOL S**(dim/2), which is at least the rule's
+        # DEGENERACY_RTOL diameter**dim, on every cell. Without the factor 2
+        # the float bound, rounded from S's differences, squares, sums and
+        # square root, falls below that exact bound on some cells, and clears
+        # measures the rule's reasoning does not cover.
+        rng = np.random.default_rng(11)
+        pts = lean_cells(dim, "random", rng, n=200)
+        pts = pts * 10.0 ** rng.uniform(-3.0, 3.0, (len(pts), 1, 1))
+        pts = pts + 10.0 ** rng.uniform(0.0, 8.0, (len(pts), 1, 1)) * rng.uniform(-1.0, 1.0, dim)
+        S = simplex._edge_sq_sum(pts)
+        rtol = Fraction(simplex.DEGENERACY_RTOL)
+        below = {}
+        for factor in (1.0, 2.0):
+            bound = (factor * simplex.DEGENERACY_RTOL) * S
+            if dim == 3:
+                bound *= np.sqrt(S)
+            measure = np.nextafter(bound, np.inf)
+            below[factor] = 0
+            for P, mu in zip(pts.tolist(), measure.tolist()):
+                X = [[Fraction(x) for x in v] for v in P]
+                exact_S = sum(
+                    sum((a - b) ** 2 for a, b in zip(X[i], X[j]))
+                    for i in range(dim + 1) for j in range(i)
+                )
+                diameter = max(max(v[c] for v in X) - min(v[c] for v in X) for c in range(dim))
+                certified = Fraction(mu) ** 2 > rtol**2 * exact_S**dim
+                below[factor] += not certified
+                if factor == 2.0:
+                    assert certified and Fraction(mu) > rtol * diameter**dim
+            if factor == 2.0:
+                assert not simplex.degenerate(measure, pts, S).any()
+        assert below[1.0] > 0

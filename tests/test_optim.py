@@ -901,6 +901,54 @@ def recording(monkeypatch, module, name):
     return calls
 
 
+def same_stats(a, b):
+    """QualityStats equal field by field, bit for bit."""
+    return all(
+        np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+        for name in ("n_cells", "min_q", "max_q", "mean_q", "histogram", "below_threshold_count")
+    )
+
+
+class TestQualityFromTheRun:
+    """optimize reads its quality statistics from the evaluations' geometry."""
+
+    @pytest.mark.parametrize(
+        "method, make",
+        [("lbfgs", lambda: slivered_cube(n=3, count=1)),
+         ("fixedpoint", lambda: jittered_square(6, 0.3, m.FIX_ALL))],
+        ids=["cube", "square"],
+    )
+    def test_bits_of_quality_stats(self, method, make):
+        mesh = make()
+        out, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
+        assert same_stats(report.quality_before, m.quality_stats(mesh))
+        assert same_stats(report.quality_after, m.quality_stats(out))
+
+    def test_a_failed_search_leaves_a_fresh_pass_at_the_result(self, monkeypatch):
+        # The third search evaluates a trial and fails twice, so the run
+        # returns the point before it, which is not the one evaluated last.
+        search, searches = optim.strong_wolfe_search, []
+
+        def failing(phi, f0, df0, **kwargs):
+            searches.append(1)
+            if len(searches) > 2:
+                phi(1e-3)
+                raise LineSearchFailed("forced")
+            return search(phi, f0, df0, **kwargs)
+
+        monkeypatch.setattr(optim, "strong_wolfe_search", failing)
+        passes = recording(monkeypatch, tetrahedra, "geometry")
+        mesh = slivered_cube(n=3, count=1)
+        out, report = optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=6))
+        assert report.termination == "line_search_failed"
+        # One pass per evaluation, then two at the returned point, where the
+        # kept geometry is the failed trial's: the retry's step cap, and the
+        # quality after the run.
+        assert len(passes) == report.fun_evals + 2
+        assert np.array_equal(passes[-1][0][0], out.cell_coords().T)
+        assert same_stats(report.quality_after, m.quality_stats(out))
+
+
 class TestPreconditionerReuse:
     @pytest.mark.parametrize("method", ["fixedpoint", "plbfgs", "pnlcg"])
     def test_connectivity_is_checked_once_per_run(self, monkeypatch, method):
@@ -959,8 +1007,9 @@ class TestPreconditionerReuse:
             _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
             assert per_cell == []
             assert len(builds) == report.iterations == 6
-            # Plus the quality statistics before and after the run.
-            assert len(passes[kernel]) == report.fun_evals + 2
+            # The quality statistics before and after the run read the first
+            # evaluation's geometry and the kept one at the returned point.
+            assert len(passes[kernel]) == report.fun_evals
             # One bound per step (no search failed here), each on the kept
             # geometry, and an exact cap on the steps that record its cell.
             assert caps == [True] * report.iterations
