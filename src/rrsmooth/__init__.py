@@ -10,6 +10,7 @@ from .assembly import (
     spd_audit,
     write_matrix_market,
 )
+from .cap import max_step_before_inversion
 from .errors import (
     DegenerateElement,
     DisconnectedMesh,
@@ -39,7 +40,6 @@ from .mesh import (
     QualityStats,
     SimplexMesh,
     classify_boundary,
-    max_step_before_inversion,
     quality_stats,
     repair_orientation,
     validate,

@@ -7,7 +7,8 @@ import numpy as np
 
 from . import tetrahedra
 from .errors import InvalidSpec, WouldInvert
-from .mesh import SimplexMesh, boundary_facets, max_step_before_inversion
+from .cap import max_step_before_inversion
+from .mesh import SimplexMesh, boundary_facets
 
 EQUILATERAL = "equilateral"
 SQUARE = "square"
@@ -164,7 +165,7 @@ def _displace(mesh, mode):
     field = np.zeros_like(mesh.vertices)
     for index, offset in mode.moves:
         field[index] = np.asarray(offset, dtype=float)
-    lam = max_step_before_inversion(mesh, field)
+    lam, _ = max_step_before_inversion(mesh, field)
     if lam <= 1.0:
         raise WouldInvert(
             f"requested displacement inverts a cell at {lam:.3g} of the move"
@@ -191,7 +192,7 @@ def _jitter(mesh, mode):
     for v in np.flatnonzero(interior):
         for d in range(mesh.dim):
             field[v, d] = scale * rng.next_symmetric()
-    lam = max_step_before_inversion(mesh, field)
+    lam, _ = max_step_before_inversion(mesh, field)
     if lam <= 1.0:
         field *= 0.9 * lam
     return mesh.with_vertices(mesh.vertices + field)

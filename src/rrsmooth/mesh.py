@@ -3,7 +3,7 @@
 A SimplexMesh is a flat container: vertex coordinates, cell connectivity and
 one constraint tag per vertex (free, fixed, or sliding in a plane). All cells
 must be positively oriented; loaders repair orientation, `validate` only
-reports it.
+reports it. The inversion cap lives in :mod:`rrsmooth.cap`.
 """
 
 from dataclasses import dataclass, field
@@ -34,62 +34,6 @@ CREASE_ANGLE_DEG = 60.0
 # Quality threshold used for the "poor element" count in reports.
 POOR_QUALITY_THRESHOLD = 0.3
 HISTOGRAM_BINS = 20
-
-# A root of a cell's measure polynomial counts as real when its imaginary
-# part is at most this fraction of its modulus. Rounding turns a third or
-# more of the tangential double roots (a cell touching zero measure and
-# coming back) into complex pairs, of relative size ~sqrt(eps) and up to
-# 4e-6 from LAPACK's eigenvalues, which 1e-8 misses. A triple root (a tet
-# contracting to a point) splits by ~cbrt(eps): up to 1.4e-5 on random tets,
-# which 1e-5 misses. Counting a near-real pair as real only lowers the bound.
-REAL_ROOT_RTOL = 1e-4
-
-# The tet cap first solves the _CAP_FIRST_ROWS cubics p with the largest
-# _root_estimate, which only orders them, and takes the largest root s found.
-# It then clears a cubic when q(u) = p(S + u), S = s (1 - CAP_MARGIN), has
-# only positive coefficients, and solves every other one. Such a q has no
-# root with |arg u| < pi/3, so every root of p right of S has
-# |Im| >= sqrt(3) (Re - S). A root there is at least
-# (sqrt(3) CAP_MARGIN - REAL_ROOT_RTOL) s / 2 = 8.2e-4 s away from every
-# point that counts as real at or above s: 58 times the widest rounding
-# split of a triple root (1.4e-5 s, see REAL_ROOT_RTOL), the largest error
-# seen in a cell's roots. So no cleared cubic has a root counted real above s.
-CAP_MARGIN = 1e-3
-# A shifted coefficient clears only when it exceeds this fraction of the sum
-# of its terms' moduli, far above the few ulps of rounding in its sum.
-CAP_SHIFT_RTOL = 1e-13
-# A cubic clears only when |c_k| <= (CAP_ROOT_SCALE S)**k, which puts its
-# roots within 2 CAP_ROOT_SCALE S of 0 (Fujiwara's bound). LAPACK's error on
-# a root grows with the largest root B of its cubic: about eps B for a simple
-# root, and up to sqrt(eps B S), 2.1e-4 S here, for a double root near S. A
-# cubic with only positive coefficients, such as a1 = 1e9, a2 = 1e-20,
-# a3 = 1e-31, can return a positive real root near 1e-20.
-CAP_ROOT_SCALE = 1e8
-# Rows solved first. Any count gives the same result; on cube n=6 and 10
-# directions the cell that sets the cap is among the first 4 on 95% of calls.
-_CAP_FIRST_ROWS = 4
-# step_lower_bounds lowers each cell's bound by this fraction (see
-# TestLowerBound): its inputs, the kept measure, the squared edges and the
-# direction's differences, are rounded, and on a flat cell pushed through its
-# own plane the exact bound is within h**2 of the cap (h the cell's relative
-# height), far below rounding.
-LOWER_BOUND_RTOL = 1e-9
-# A cell's ||D||_F**2 is raised to at least this: below 1e-154 in every
-# entry a direction would underflow it to 0 and give the cell an infinite
-# bound, though its cubic has a root.
-_DIRECTION_SQ_FLOOR = 1e-300
-# The pruned cap first solves the _CAP_FIRST_CELLS cells with the smallest
-# step_lower_bounds; their largest step bounds the cap from above. On the
-# exact caps of cube n=6 and 10 sliver solves the cell that sets the cap
-# ranked 25th to 213th by its bound; the first 16 cells bounded the cap to
-# within 1.1 to 70 times, the first 64 to within 1.0 to 1.9 times.
-_CAP_FIRST_CELLS = 64
-# Meshes of at most this many cells are not pruned: the second coefficient
-# build and root solve cost more than the cells they skip. On the exact caps
-# of cube n=6 sliver solves (1296 cells) pruning cost 4.9-7.1 ms per solve
-# against 3.3-5.0 ms; it saved a third at cube n=10 (6000 cells) and
-# square n=40 (3200 cells).
-_CAP_PRUNE_MIN_CELLS = 2048
 
 
 def kernel(dim):
@@ -399,236 +343,6 @@ def quality_stats(mesh, mu=None):
         histogram=hist,
         below_threshold_count=int((q < POOR_QUALITY_THRESHOLD).sum()),
     )
-
-
-def step_lower_bounds(mesh, direction, geometry):
-    """Per cell, a step length before which the cell cannot reach zero
-    measure along ``direction``, from ``geometry`` (the kernel's pass at the
-    start point); a lower bound on the cell's cap.
-
-    E holds the cell's edges from vertex 0 and D the same differences of the
-    direction. Then det(E + t D) = det E det(I + t E^-1 D), and every root t
-    of it, real or complex, has |t| >= 1 / ||E^-1 D||_2 (I + F is nonsingular
-    while ||F||_2 < 1; Golub and Van Loan, *Matrix Computations*, 2.3), with
-    ||E^-1 D||_2 <= ||D||_F / sigma_min(E). The other singular values of E
-    have a product of at most ||E||_F**2 / 2 in 3D and ||E||_F in 2D, so
-    sigma_min(E) >= 2 |det E| / ||E||_F**2 (tets) or |det E| / ||E||_F
-    (triangles). The cap takes 1 / Re(s) of roots s = 1/t, which is at least
-    |t|, so no cell's cap is below its bound. ``|det E|`` is dim! times the
-    kept measure and ``||E||_F**2`` the sum of the squared edges from vertex
-    0; each bound is lowered by LOWER_BOUND_RTOL for rounding.
-    """
-    du = mesh.cell_coords(direction)
-    f = du[:, 1:] - du[:, :1]
-    # A norm past the float range gives the bound 0, which holds.
-    with np.errstate(over="ignore"):
-        f *= f
-        dsq = f.reshape(-1, f.shape[-1]).sum(axis=0)
-        np.maximum(dsq, _DIRECTION_SQ_FLOOR, out=dsq)
-        if mesh.dim == 3:
-            esq = geometry.edge_sq.sum(axis=0)
-            return (12.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.volume / (esq * np.sqrt(dsq))
-        e = geometry.edges[:, 1:]
-        esq = (e * e).reshape(-1, e.shape[-1]).sum(axis=0)
-        return (2.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.area / np.sqrt(esq * dsq)
-
-
-def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
-    """Largest lam such that vertices + t*direction keeps every cell positive
-    for all t in [0, lam).
-
-    The bound is 1 / (largest positive real root s of the cells' monic
-    measure polynomials in s = 1/t, :func:`_measure_polynomials`), or inf
-    when there is none. Roots count as real up to REAL_ROOT_RTOL. Triangles
-    solve in closed form; tets solve only the cells whose roots can reach
-    the largest root (:func:`_largest_real_root`), with the bits of solving
-    them all. ``geometry`` is ``mesh.geometry()``, if the caller has it.
-
-    With ``lower``, the cells' :func:`step_lower_bounds` on the same
-    geometry, the result is ``(lam, cell)``, ``cell`` the index of the cell
-    that sets lam (-1 when lam is inf), and a mesh of more than
-    _CAP_PRUNE_MIN_CELLS cells is pruned: the _CAP_FIRST_CELLS cells with the
-    smallest bounds are solved first, and their largest step U bounds lam
-    from above. No cell's cap is below its bound, so the cell that sets lam
-    is among those with a bound of at most U, and only those get their
-    coefficients built and solved. LAPACK solves each row on its own, so lam
-    keeps the bits of solving every cell.
-    """
-    if lower is not None:
-        return _pruned_step(mesh, direction, geometry, lower)
-    return _step(_largest_real_root(_measure_polynomials(mesh, direction, geometry)))
-
-
-def _step(s):
-    # A Python float: 1 / s past the float range is inf, no bound, unwarned.
-    return 1.0 / float(s) if s > 0 else np.inf
-
-
-def _pruned_step(mesh, direction, geometry, lower):
-    """``max_step_before_inversion`` with ``lower``: ``(lam, cell)``."""
-    first = None
-    if len(lower) > max(_CAP_PRUNE_MIN_CELLS, _CAP_FIRST_CELLS):
-        first = lower.argpartition(_CAP_FIRST_CELLS)[:_CAP_FIRST_CELLS]
-    s, row = _binding_root(_measure_polynomials(mesh, direction, geometry, first))
-    if first is None:
-        return _step(s), int(row)
-    cell = first[row] if row >= 0 else -1
-    # The first cells' largest step bounds lam from above. A NaN bound
-    # bounds nothing, so its cell stays.
-    rest = ~(lower > _step(s))
-    rest[first] = False
-    cells = np.flatnonzero(rest)
-    if cells.size:
-        s, row = _binding_root(_measure_polynomials(mesh, direction, geometry, cells), s)
-        if row >= 0:
-            cell = cells[row]
-    return _step(s), int(cell)
-
-
-def _measure_polynomials(mesh, direction, geometry=None, cells=None):
-    """The kernel's ``measure_polynomial`` of every cell (or of ``cells``),
-    from ``geometry`` (by default ``mesh.geometry()``, which raises
-    DegenerateElement under validate's rule). A misshapen or non-finite
-    direction raises ValueError. Each row has the bits of the full batch's."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != mesh.vertices.shape:
-        raise ValueError("direction must match the vertex array shape")
-    if not np.isfinite(direction).all():
-        bad = np.flatnonzero(~np.isfinite(direction).all(axis=1))
-        raise ValueError(f"direction is not finite at vertex {bad[0]}")
-    if geometry is None:
-        geometry = mesh.geometry()
-    if cells is None:
-        du = mesh.cell_coords(direction)
-    else:
-        geometry = cap_geometry(geometry, cells)
-        du = np.take(np.ascontiguousarray(direction.T), mesh.cells[cells].T, axis=1)
-    return kernel(mesh.dim).measure_polynomial(geometry, du.T)
-
-
-def cap_geometry(geometry, cells=None):
-    """The fields of a kernel geometry that the inversion cap reads, the
-    measure (field 0) and the edges, of every cell or of ``cells``; the
-    other fields are None. A caller that holds a geometry for a later cap
-    holds only these."""
-    read = (geometry._fields[0], "edges")
-    return geometry._make(
-        (field if cells is None else field[..., cells]) if name in read else None
-        for name, field in zip(geometry._fields, geometry)
-    )
-
-
-def _largest_roots(a):
-    """Largest positive real root of each row's monic polynomial (0 when
-    none): triangles' quadratics in closed form, tets' cubics by LAPACK."""
-    if a.shape[1] == 3:
-        return _row_roots(a)
-    b, c = a[:, 0], a[:, 1]
-    disc = b * b - 4.0 * c
-    # A complex pair has |imag|**2 = -disc / 4 and |root|**2 = c.
-    real = disc >= -4.0 * REAL_ROOT_RTOL**2 * c
-    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
-    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: masked below
-        roots = np.stack([q, c / q])
-    return np.where(real & (roots > 0), roots, 0.0).max(axis=0, initial=0.0)
-
-
-def _root_estimate(a):
-    """Each row's largest root with its constant term dropped: the larger root
-    of s**2 + a1 s + a2, ``(-a1 + sqrt(a1**2 - 4 a2)) / 2`` (``-a1 / 2`` for a
-    complex pair). ``a`` is (n, 3).
-
-    In t = 1/s it is where the cell's measure, to second order in t, first
-    reaches zero; the tet cap orders its cubics by it.
-    """
-    c = a.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = c[0] * c[0] - 4.0 * c[1]
-        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-        d -= c[0]
-    d *= 0.5
-    return d
-
-
-def _row_roots(a):
-    """Largest positive real root of each row's monic cubic (0 when none)."""
-    companion = np.zeros((len(a), 3, 3))
-    companion[:, 0] = -a
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    real = np.abs(roots.imag) <= REAL_ROOT_RTOL * np.abs(roots)
-    return np.where(real & (roots.real > 0), roots.real, 0.0).max(axis=1, initial=0.0)
-
-
-def _largest_real_root(a):
-    """Largest positive real root (0 when none) over the monic polynomials
-    in the rows of ``a``, with the bits of solving every row
-    (:func:`_binding_root`)."""
-    return _binding_root(a)[0]
-
-
-def _binding_root(a, s=0.0):
-    """The largest of ``s`` (a root found elsewhere, or 0) and the positive
-    real roots of the rows of ``a``, and the row that has it (-1 for ``s``).
-
-    Quadratics (triangles) are all solved in closed form. Cubics are solved
-    few at a time: the _CAP_FIRST_ROWS rows with the largest
-    :func:`_root_estimate`, then every row that the Taylor shift at
-    ``S = s (1 - CAP_MARGIN)``, s the largest root so far, does not clear
-    (see CAP_MARGIN). Every row is solved when S is 0 or so far from 1 that
-    S**-3 is not a normal number, and a row with an inf or NaN is never
-    cleared. LAPACK solves each companion matrix on its own, so a row's
-    roots have the same bits in any batch, and the result those of solving
-    every row.
-    """
-    if a.shape[1] == 2 or len(a) <= _CAP_FIRST_ROWS:
-        return _larger(_largest_roots(a), np.arange(len(a)), s)
-    first = _root_estimate(a).argpartition(-_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
-    s, row = _larger(_row_roots(a[first]), first, s)
-    S = s * (1.0 - CAP_MARGIN)
-    if 1e-100 < S < 1e100:
-        rest = ~_shift_clears(a.T, S)
-    else:
-        rest = np.ones(len(a), dtype=bool)
-    rest[first] = False
-    rows = np.flatnonzero(rest)
-    if rows.size:
-        s_rest, row_rest = _larger(_row_roots(a[rows]), rows, s)
-        if row_rest >= 0:
-            return s_rest, row_rest
-    return s, row
-
-
-def _larger(roots, rows, s):
-    """``(root, row)`` for the largest of ``roots``, at ``rows``, if it
-    exceeds ``s``; else ``(s, -1)``."""
-    if not roots.size:
-        return s, -1
-    i = roots.argmax()
-    return (roots[i], rows[i]) if roots[i] > s else (s, -1)
-
-
-def _shift_clears(c, S):
-    """Whether each monic cubic, coefficients ``c`` (3, n), shifted to s = S + u
-    has only positive coefficients, each above CAP_SHIFT_RTOL times the sum of
-    its terms' moduli.
-
-    With b_k = c_k / S**k, the shifted coefficients of u**2, u and 1 are, up
-    to the factors S, S**2 and S**3, 3 + b1, 3 + 2 b1 + b2 and
-    1 + b1 + b2 + b3: W c + k with W >= 0. The sums of their terms' moduli
-    are W |c| + k, so the test is
-    ``W (c - CAP_SHIFT_RTOL |c|) + (1 - CAP_SHIFT_RTOL) k > 0``. A cubic with
-    a coefficient past CAP_ROOT_SCALE's limit does not clear.
-    """
-    r, t = 1.0 / S, CAP_ROOT_SCALE * S
-    W = np.array([[r, 0.0, 0.0], [2.0 * r, r * r, 0.0], [r, r * r, r * r * r]])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not cleared
-        mod = np.abs(c)
-        q = W @ (c - CAP_SHIFT_RTOL * mod)
-        q += (1.0 - CAP_SHIFT_RTOL) * np.array([[3.0], [3.0], [1.0]])
-        clear = q > 0.0
-        clear &= mod <= np.array([[t], [t * t], [t * t * t]])
-        return np.logical_and.reduce(clear, axis=0)
 
 
 def components(n, i, j):

@@ -8,7 +8,8 @@ two-loop seed, the identity or the inexact P^-1, is scaled by
 s.y / y.H0 y of the newest curvature pair. Everything else is shared by
 :func:`_descend`: every direction is projected onto the
 constraint set (fixed vertices never move, sliding vertices stay in their
-planes), each step is capped so no cell can invert and accepted by an
+planes), each step is capped so no cell can invert (the cap and its lazy
+:class:`StepCap` are :mod:`rrsmooth.cap`'s) and accepted by an
 Armijo (2D fixed point) or strong-Wolfe line search, a non-descent direction
 or a failed search falls back once to the strategy's steepest direction,
 and the run stops on a gradient norm, an energy stall, the iteration
@@ -34,15 +35,9 @@ from .assembly import (
     preconditioner_topology,
     scatter_index,
 )
+from .cap import StepCap, cap_geometry, max_step_before_inversion, step_lower_bounds
 from .errors import DegenerateElement, IndefiniteMatrix, LineSearchFailed, MeshError
-from .mesh import (
-    cap_geometry,
-    constraint_projector,
-    max_step_before_inversion,
-    quality_stats,
-    step_lower_bounds,
-    validate,
-)
+from .mesh import constraint_projector, quality_stats, validate
 
 FIXED_POINT = "fixedpoint"
 LBFGS = "lbfgs"
@@ -157,42 +152,6 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
     return x, CgInfo(max_iters, res / norm_b, False)
 
 
-class StepCap:
-    """A line search's step cap, read through a lower bound on it.
-
-    ``bound`` is at most the cap. ``exact``, if given, returns
-    ``(cap, cell)`` and is called at most once, the first time a trial
-    passes ``bound``; from then on ``bound`` is the cap and ``cell`` the cell
-    that set it (-1 while ``bound`` is only the lower bound, or when no cell
-    bounds the step). Without ``exact``, ``bound`` is the cap itself, as for
-    a float ``lam_cap``.
-    """
-
-    def __init__(self, bound, exact=None):
-        self.bound = bound
-        self.cell = -1
-        self._exact = exact
-
-    def value(self):
-        """The cap, computed on first use."""
-        if self._exact is not None:
-            exact, self._exact = self._exact, None
-            self.bound, self.cell = exact()
-        return self.bound
-
-    def clip(self, lam):
-        """``min(lam, cap)``; the cap is read only when lam passes the bound."""
-        return lam if lam <= self.bound else min(lam, self.value())
-
-    def reached(self, lam):
-        """``lam >= cap``; the cap is read only when lam reaches the bound."""
-        return not lam < self.bound and lam >= self.value()
-
-
-def _step_cap(lam_cap):
-    return lam_cap if isinstance(lam_cap, StepCap) else StepCap(lam_cap)
-
-
 @dataclass
 class LineSearchResult:
     lam: float
@@ -225,7 +184,7 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
     def done(lam, f, df):
         return LineSearchResult(lam, f, df, evals)
 
-    cap = _step_cap(lam_cap)
+    cap = StepCap.of(lam_cap)
     lam_prev, f_prev, df_prev = 0.0, f0, df0
     lam = cap.clip(1.0)
     for i in range(_WOLFE_MAX_EVALS):
@@ -294,7 +253,7 @@ def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     evals = 0
-    lam = _step_cap(lam_cap).clip(1.0)
+    lam = StepCap.of(lam_cap).clip(1.0)
     while lam >= LAM_MIN:
         f, df = phi(lam)
         evals += 1

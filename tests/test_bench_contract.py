@@ -53,3 +53,12 @@ def test_a_traced_run_counts_one_cap_per_line_search(monkeypatch):
     assert len(searches) >= 2
     assert 1 <= [s[0] for s in tracer.spans].count("mesh.cap") == exact <= len(searches)
     assert tracer.counts["mesh.cap.moving_cells"] > 0
+
+
+def test_optim_calls_the_caps_own_functions():
+    # The tracer's mesh.cap span wraps the name optim calls; a wrapper in
+    # optim would be timed in place of the cap.
+    from rrsmooth import cap, optim
+
+    assert optim.max_step_before_inversion is cap.max_step_before_inversion
+    assert optim.step_lower_bounds is cap.step_lower_bounds

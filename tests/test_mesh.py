@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from rrsmooth import mesh as m, optim, simplex, tetrahedra, triangles
+from rrsmooth import cap, mesh as m, optim, simplex, tetrahedra, triangles
 from rrsmooth.assembly import energy_gradient
 from rrsmooth.errors import DegenerateElement, InvalidSpec, MeshError, NonPlanarPatch
 from rrsmooth.optim import STEP_CAP_FACTOR, OptimizeConfig, optimize
@@ -82,11 +82,11 @@ class TestValidate:
             with pytest.raises(DegenerateElement):
                 kernel.geometry(P[None])
             with pytest.raises(DegenerateElement):
-                m.max_step_before_inversion(one_cell(P), down)
+                cap.max_step_before_inversion(one_cell(P), down)
         else:
             assert flagged == []
             assert np.isfinite(kernel.geometry(P[None]).mu).all()
-            lam = m.max_step_before_inversion(one_cell(P), down)
+            lam, _ = cap.max_step_before_inversion(one_cell(P), down)
             assert lam == pytest.approx(P[-1, -1], rel=1e-12)
 
     @pytest.mark.parametrize("kernel", [triangles, tetrahedra], ids=["triangle", "tet"])
@@ -361,14 +361,14 @@ class TestStepBound:
             rotation = np.zeros_like(dilation)
             rotation[:, 0], rotation[:, 1] = -dilation[:, 1], dilation[:, 0]
             for d in (np.zeros_like(far.vertices), translation, dilation, rotation):
-                assert m.max_step_before_inversion(far, d) == np.inf
+                assert cap.max_step_before_inversion(far, d) == (np.inf, -1)
 
     def test_a_bound_past_the_float_range_is_unbounded(self, rng):
         # A direction of size 1e-310 puts the largest root s near 1e-310,
         # whose reciprocal overflows; every finite step is then safe.
         for mesh in (unit_square_two_tris(), gen_mesh(GeneratorSpec(CUBE, 2))):
             d = 1e-310 * rng.normal(size=mesh.vertices.shape)
-            assert m.max_step_before_inversion(mesh, d) == np.inf
+            assert cap.max_step_before_inversion(mesh, d)[0] == np.inf
 
     def test_single_triangle_height_bound(self):
         tri = m.SimplexMesh(
@@ -376,15 +376,16 @@ class TestStepBound:
         )
         d = np.zeros((3, 2))
         d[2, 1] = -1.0  # apex straight down at unit speed, inverts at its height
-        lam = m.max_step_before_inversion(tri, d)
+        lam, cell = cap.max_step_before_inversion(tri, d)
         assert lam == pytest.approx(0.8, rel=1e-12)
+        assert cell == 0
 
     @CAP_CASES
     def test_random_directions_keep_measures_positive(self, rng, kind, still):
         mesh = jittered(kind)
         for trial in range(10):
             d = random_direction(mesh, still, rng)
-            lam = m.max_step_before_inversion(mesh, d)
+            lam, _ = cap.max_step_before_inversion(mesh, d)
             assert np.isfinite(lam)
             moved = mesh.with_vertices(mesh.vertices + 0.999 * lam * d)
             assert np.all(moved.signed_measures() > 0)
@@ -394,7 +395,7 @@ class TestStepBound:
         mesh = jittered(kind)
         for trial in range(10):
             d = random_direction(mesh, still, rng)
-            lam = m.max_step_before_inversion(mesh, d)
+            lam, _ = cap.max_step_before_inversion(mesh, d)
             moved = mesh.with_vertices(mesh.vertices + 1.01 * lam * d)
             assert np.any(moved.signed_measures() <= 0)
 
@@ -405,7 +406,7 @@ class TestStepBound:
         rng = np.random.default_rng(5)
         for P in random_triangles(1000, seed=3):
             a = rng.uniform(0.1, 10.0)
-            lam = m.max_step_before_inversion(one_cell(P), a * (rng.uniform(-1, 1, 2) - P))
+            lam, _ = cap.max_step_before_inversion(one_cell(P), a * (rng.uniform(-1, 1, 2) - P))
             assert 1 - 1e-6 <= lam * a <= 1 + 1e-6
 
     def test_double_roots_in_3d(self):
@@ -419,7 +420,7 @@ class TestStepBound:
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             D = Q @ np.diag([a, a, b]) @ Q.T
             d = -(P - rng.uniform(-1, 1, 3)) @ D.T
-            lam = m.max_step_before_inversion(one_cell(P), d)
+            lam, _ = cap.max_step_before_inversion(one_cell(P), d)
             assert 1 - 1e-6 <= lam * a <= 1 + 1e-6
 
     def test_tet_contracting_to_its_centroid(self):
@@ -427,7 +428,7 @@ class TestStepBound:
         # rounding splits by up to ~1e-5. This fails with a real-root
         # tolerance of 1e-5.
         for P in random_tets(1000, seed=0):
-            lam = m.max_step_before_inversion(one_cell(P), P.mean(axis=0) - P)
+            lam, _ = cap.max_step_before_inversion(one_cell(P), P.mean(axis=0) - P)
             assert 1 - 1e-4 <= lam <= 1 + 1e-6
 
     def test_inverted_cell_raises_with_its_index(self, rng):
@@ -437,7 +438,7 @@ class TestStepBound:
         cube.cells[5] = cube.cells[5][[0, 1, 3, 2]]
         for mesh, cell in ((square, 1), (cube, 5)):
             with pytest.raises(DegenerateElement) as exc:
-                m.max_step_before_inversion(mesh, rng.normal(size=mesh.vertices.shape))
+                cap.max_step_before_inversion(mesh, rng.normal(size=mesh.vertices.shape))
             assert exc.value.cell == cell
 
 
@@ -450,7 +451,8 @@ class TestStepBound:
     # degeneracy threshold DEGENERACY_RTOL (45 eps) leaves a margin of 16.
     # Scaled by the diameter at lam, it reached 53 and 14 DEGENERACY_RTOL on
     # the two pinned draws (see test_cap_where_two_sliding_vertices_collide).
-    # A size above the kind's largest n runs the largest n.
+    # A size above the kind's largest n runs the largest n. The direction is
+    # scaled by 10**scale.
     @pytest.mark.parametrize("kind, largest", [(SQUARE, 6), (CUBE, 3)], ids=["square", "cube"])
     @settings(max_examples=30, deadline=None, database=None)
     @given(
@@ -458,17 +460,22 @@ class TestStepBound:
         amplitude=st.floats(0.0, 0.3),
         seed=st.integers(0, 2**32 - 1),
         policy=st.sampled_from([m.FIX_ALL, m.SLIDE_PLANAR]),
+        scale=st.floats(-300.0, 300.0),
     )
-    @example(size=2, amplitude=0.227, seed=1570120090, policy=m.SLIDE_PLANAR)
-    @example(size=2, amplitude=0.264, seed=4293267156, policy=m.SLIDE_PLANAR)
-    def test_cap_is_sound_and_tight(self, kind, largest, size, amplitude, seed, policy):
-        mesh, d = cap_case(kind, min(size, largest), amplitude, seed, policy)
+    @example(size=2, amplitude=0.227, seed=1570120090, policy=m.SLIDE_PLANAR, scale=0.0)
+    @example(size=2, amplitude=0.264, seed=4293267156, policy=m.SLIDE_PLANAR, scale=0.0)
+    def test_cap_is_sound_and_tight(self, kind, largest, size, amplitude, seed, policy, scale):
+        mesh, unit = cap_case(kind, min(size, largest), amplitude, seed, policy)
+        d = 10.0**scale * unit
         kept = energy_gradient(mesh)[2]
-        lam = m.max_step_before_inversion(mesh, d, geometry=kept)
-        assert bits(lam) == bits(m.max_step_before_inversion(mesh, d))
+        lam, cell = cap.max_step_before_inversion(mesh, d, geometry=kept)
+        fresh, fresh_cell = cap.max_step_before_inversion(mesh, d)
+        assert (bits(lam), cell) == (bits(fresh), fresh_cell)
         if lam == np.inf:
-            # No measure polynomial has a positive root: positive at any step.
-            assert np.all(mesh.with_vertices(mesh.vertices + 1e6 * d).signed_measures() > 0)
+            # No measure polynomial has a positive root, or the cap is past the
+            # float range, which at 10**scale >= 1e-300 puts the cap along
+            # unit above 1e8: positive at 1e6 unit.
+            assert np.all(mesh.with_vertices(mesh.vertices + 1e6 * unit).signed_measures() > 0)
             return
         before = mesh.with_vertices(mesh.vertices + (1.0 - 1e-9) * lam * d)
         assert np.all(before.signed_measures() > 0)
@@ -486,7 +493,7 @@ class TestStepBound:
         # every cell is positive just before lam, and the binding one is
         # negative just after.
         mesh, d = cap_case(SQUARE, 2, amplitude, seed, m.SLIDE_PLANAR)
-        lam = m.max_step_before_inversion(mesh, d)
+        lam, _ = cap.max_step_before_inversion(mesh, d)
         binding = np.argmin(np.abs(mesh.with_vertices(mesh.vertices + lam * d).signed_measures()))
         margin = Fraction(1, 10**13)
         before = exact_areas(mesh, d, Fraction(lam) * (1 - margin))
@@ -502,7 +509,7 @@ class TestStepBound:
             d = np.ones_like(mesh.vertices)
             d[2, 1] = bad
             with pytest.raises(ValueError, match="at vertex 2$"):
-                m.max_step_before_inversion(mesh, d)
+                cap.max_step_before_inversion(mesh, d)
 
     @pytest.mark.parametrize("still", [0.0, 0.9], ids=["dense", "sparse"])
     def test_pruned_cap_matches_the_full_batch(self, monkeypatch, rng, still):
@@ -510,8 +517,8 @@ class TestStepBound:
         solved = count_solved_rows(monkeypatch)
         for trial in range(10):
             d = random_direction(mesh, still, rng)
-            lam = m.max_step_before_inversion(mesh, d)
-            assert bits(lam) == bits(1.0 / full_batch_root(m._measure_polynomials(mesh, d)))
+            lam, _ = cap.max_step_before_inversion(mesh, d)
+            assert bits(lam) == bits(batch_step(mesh, d, mesh.geometry()))
         assert sum(solved) < 10 * mesh.n_cells
 
     def test_nothing_pruned_when_every_cell_can_bind(self, monkeypatch):
@@ -520,9 +527,9 @@ class TestStepBound:
         mesh = jittered(CUBE)
         d = mesh.vertices.mean(axis=0) - mesh.vertices
         solved = count_solved_rows(monkeypatch)
-        lam = m.max_step_before_inversion(mesh, d)
-        assert sum(solved) == mesh.n_cells > m._CAP_FIRST_ROWS
-        assert bits(lam) == bits(1.0 / full_batch_root(m._measure_polynomials(mesh, d)))
+        lam, _ = cap.max_step_before_inversion(mesh, d)
+        assert sum(solved) == mesh.n_cells > cap._CAP_FIRST_ROWS
+        assert bits(lam) == bits(batch_step(mesh, d, mesh.geometry()))
         assert 1 - 1e-4 <= lam <= 1 + 1e-6
 
 
@@ -537,7 +544,7 @@ class TestLowerBound:
         seed=st.integers(0, 2**32 - 1),
         flatness=st.floats(-12.0, 0.0),
         offset=st.floats(0.0, 8.0),
-        scale=st.floats(-120.0, 80.0),
+        scale=st.floats(-300.0, 300.0),
     )
     def test_no_cap_is_below_its_bound(self, dim, family, seed, flatness, offset, scale):
         # 64 cells of one family, far from the origin and with the direction
@@ -550,12 +557,13 @@ class TestLowerBound:
         assume(keep.any())
         mesh = stacked_cells(pts[keep])
         d = 10.0**scale * d[keep].reshape(-1, dim)
-        lower = m.step_lower_bounds(mesh, d, mesh.geometry())
-        roots = m._largest_roots(m._measure_polynomials(mesh, d))
-        with np.errstate(divide="ignore"):
-            caps = 1.0 / roots
+        lower = cap.step_lower_bounds(mesh, d, mesh.geometry())
+        scaled, k = cap._scaled(mesh, d)
+        roots = cap._largest_roots(cap._measure_polynomials(mesh, scaled, mesh.geometry()))
+        with np.errstate(divide="ignore", over="ignore"):
+            caps = np.ldexp(1.0 / roots, k)
         assert np.all(lower <= caps)
-        lam = m.max_step_before_inversion(mesh, d)
+        lam, _ = cap.max_step_before_inversion(mesh, d)
         assert STEP_CAP_FACTOR * lower.min() <= STEP_CAP_FACTOR * lam
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -575,30 +583,36 @@ class TestLowerBound:
             pts += 10.0 ** rng.uniform(0, 4) * rng.uniform(-1.0, 1.0, dim)
             mesh, d = stacked_cells(pts), d.reshape(-1, dim)
             step = exact_linear_step(mesh.vertices, d)
-            lowered = m.step_lower_bounds(mesh, d, mesh.geometry())[0]
+            lowered = cap.step_lower_bounds(mesh, d, mesh.geometry())[0]
             with monkeypatch.context() as patch:
-                patch.setattr(m, "LOWER_BOUND_RTOL", 0.0)
-                unlowered = m.step_lower_bounds(mesh, d, mesh.geometry())[0]
+                patch.setattr(cap, "LOWER_BOUND_RTOL", 0.0)
+                unlowered = cap.step_lower_bounds(mesh, d, mesh.geometry())[0]
             over += Fraction(unlowered) > step
             assert Fraction(lowered) <= step
-            assert lowered <= m.max_step_before_inversion(mesh, d)
+            assert lowered <= cap.max_step_before_inversion(mesh, d)[0]
         assert over > 0
 
     def test_a_tiny_direction_keeps_a_finite_bound(self, monkeypatch):
-        # Below 1e-154 in every entry a cell's ||D||_F**2 leaves the normal
-        # range, and below 1e-162 it underflows to 0, which would make its
-        # bound infinite though its cubic has a root.
-        # Here vertex 3 moves toward the opposite face's centroid.
-        P = random_tets(1, seed=2)[0]
-        d = np.zeros_like(P)
-        d[3] = 1e-170 * (P[:3].mean(axis=0) - P[3])
-        mesh = one_cell(P)
-        lam = m.max_step_before_inversion(mesh, d)
-        assert lam == pytest.approx(1e170, rel=1e-12)
-        assert m.step_lower_bounds(mesh, d, mesh.geometry())[0] <= lam
-        monkeypatch.setattr(m, "_DIRECTION_SQ_FLOOR", 0.0)
+        # A direction of 1e-170 on every vertex is rescaled to the mesh's
+        # extent, so its cap is 1e170 times the one along the unit direction.
+        # A cell whose differences are below 1e-154 of the direction's largest
+        # entry still has ||D||_F**2 out of the normal range, and below 1e-162
+        # it underflows to 0, which would make the cell's bound infinite
+        # though its cubic has a root. Here the second of two cells moves
+        # 1e-170 as fast as the first.
+        P = random_tets(2, seed=2)
+        unit = np.random.default_rng(0).normal(size=P.shape)
+        caps = [cap.max_step_before_inversion(one_cell(p), u)[0] for p, u in zip(P, unit)]
+        assert np.isfinite(caps).all()
+        mesh, d = one_cell(P[0]), 1e-170 * unit[0]
+        lam, _ = cap.max_step_before_inversion(mesh, d)
+        assert lam == pytest.approx(1e170 * caps[0], rel=1e-12)
+        assert cap.step_lower_bounds(mesh, d, mesh.geometry())[0] <= lam
+        both, d = stacked_cells(P), np.concatenate([unit[0], 1e-170 * unit[1]])
+        assert cap.step_lower_bounds(both, d, both.geometry())[1] <= 1e170 * caps[1]
+        monkeypatch.setattr(cap, "_DIRECTION_SQ_FLOOR", 0.0)
         with np.errstate(divide="ignore"):
-            assert m.step_lower_bounds(mesh, d, mesh.geometry())[0] == np.inf
+            assert cap.step_lower_bounds(both, d, both.geometry())[1] == np.inf
 
     @pytest.mark.parametrize("kind, largest", [(SQUARE, 6), (CUBE, 3)], ids=["square", "cube"])
     @settings(max_examples=25, deadline=None, database=None)
@@ -609,22 +623,25 @@ class TestLowerBound:
         policy=st.sampled_from([m.FIX_ALL, m.SLIDE_PLANAR]),
         still=st.sampled_from([0.0, 0.9]),
         first=st.integers(1, 16),
+        scale=st.floats(-300.0, 300.0),
     )
     def test_pruned_cap_has_the_full_caps_bits(
-        self, kind, largest, size, amplitude, seed, policy, still, first
+        self, kind, largest, size, amplitude, seed, policy, still, first, scale
     ):
         # Pruned at any mesh size and from any number of first cells, the cap
-        # keeps the bits of solving every cell, and names a cell that sets it.
+        # along the direction scaled by 10**scale keeps the bits of solving
+        # every cell, and names a cell that sets it.
         mesh, d = cap_case(kind, min(size, largest), amplitude, seed, policy)
         d[np.random.default_rng(seed).random(mesh.n_vertices) < still] = 0.0
+        d *= 10.0**scale
         g = mesh.geometry()
-        lower = m.step_lower_bounds(mesh, d, g)
+        lower = cap.step_lower_bounds(mesh, d, g)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(m, "_CAP_PRUNE_MIN_CELLS", 0)
-            patch.setattr(m, "_CAP_FIRST_CELLS", first)
-            lam, cell = m.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
-        assert bits(lam) == bits(m.max_step_before_inversion(mesh, d, geometry=g))
-        roots = m._largest_roots(m._measure_polynomials(mesh, d, g))
+            patch.setattr(cap, "_CAP_PRUNE_MIN_CELLS", 0)
+            patch.setattr(cap, "_CAP_FIRST_CELLS", first)
+            lam, cell = cap.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
+        assert bits(lam) == bits(full_batch_step(mesh, d, g))
+        roots = cap._largest_roots(cap._measure_polynomials(mesh, cap._scaled(mesh, d)[0], g))
         if lam == np.inf:
             assert cell == -1
         else:
@@ -638,7 +655,7 @@ class TestLowerBound:
                          PlantSliver(5, 0.01)),
             m.FIX_ALL,
         )
-        assert mesh.n_cells > m._CAP_PRUNE_MIN_CELLS
+        assert mesh.n_cells > cap._CAP_PRUNE_MIN_CELLS
         built, polynomial = [], tetrahedra.measure_polynomial
 
         def counted(g, du):
@@ -649,11 +666,11 @@ class TestLowerBound:
         g = mesh.geometry()
         for trial in range(5):
             d = m.constraint_projector(mesh)(rng.normal(size=mesh.vertices.shape))
-            lower = m.step_lower_bounds(mesh, d, g)
+            lower = cap.step_lower_bounds(mesh, d, g)
             built.clear()
-            lam, cell = m.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
+            lam, cell = cap.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
             assert sum(built) < mesh.n_cells / 2
-            assert bits(lam) == bits(m.max_step_before_inversion(mesh, d, geometry=g))
+            assert bits(lam) == bits(full_batch_step(mesh, d, g))
 
 
 def bound_cells(dim, family, rng, h, n=64):
@@ -767,19 +784,38 @@ def cubic_roots(a):
 def full_batch_root(a):
     """Largest positive real root over every row, all solved in one batch."""
     roots = cubic_roots(a)
-    real = np.abs(roots.imag) <= m.REAL_ROOT_RTOL * np.abs(roots)
+    real = np.abs(roots.imag) <= cap.REAL_ROOT_RTOL * np.abs(roots)
     return np.where(real & (roots.real > 0), roots.real, 0.0).max(initial=0.0)
+
+
+def batch_step(mesh, d, g):
+    """The cap along ``d`` as given, with every cell solved in one batch
+    (triangles in closed form), from the geometry ``g``."""
+    a = cap._measure_polynomials(mesh, d, g)
+    s = full_batch_root(a) if mesh.dim == 3 else cap._largest_roots(a).max(initial=0.0)
+    return 1.0 / s if s > 0 else np.inf
+
+
+def full_batch_step(mesh, d, g):
+    """:func:`batch_step` along ``d`` as the cap rescales it, scaled back."""
+    d, k = cap._scaled(mesh, d)
+    with np.errstate(over="ignore"):
+        return np.ldexp(batch_step(mesh, d, g), k)
+
+
+def largest_real_root(a):
+    return cap._binding_root(a)[0]
 
 
 def count_solved_rows(monkeypatch):
     solved = []
-    solve = m._row_roots
+    solve = cap._row_roots
 
     def counted(a):
         solved.append(len(a))
         return solve(a)
 
-    monkeypatch.setattr(m, "_row_roots", counted)
+    monkeypatch.setattr(cap, "_row_roots", counted)
     return solved
 
 
@@ -800,10 +836,12 @@ def double_and_triple_rows():
     Q = np.linalg.qr(rng.normal(size=(300, 3, 3)))[0]
     D = Q @ (np.stack([a, a, b], axis=1)[:, :, None] * np.swapaxes(Q, 1, 2))
     d = -np.einsum("nij,nkj->nki", D, P - rng.uniform(-1, 1, (300, 1, 3)))
-    double = m._measure_polynomials(stacked_cells(P), d.reshape(-1, 3))
+    cells = stacked_cells(P)
+    double = cap._measure_polynomials(cells, d.reshape(-1, 3), cells.geometry())
     P = random_tets(300, seed=0)
-    triple = m._measure_polynomials(
-        stacked_cells(P), (P.mean(axis=1, keepdims=True) - P).reshape(-1, 3)
+    cells = stacked_cells(P)
+    triple = cap._measure_polynomials(
+        cells, (P.mean(axis=1, keepdims=True) - P).reshape(-1, 3), cells.geometry()
     )
     return np.ascontiguousarray(double), np.ascontiguousarray(triple)
 
@@ -817,14 +855,14 @@ def recorded_caps():
                      PlantSliver(5, 0.01)),
         m.FIX_ALL,
     )
-    recorded, search = [], m._binding_root
+    recorded, search = [], cap._binding_root
 
     def record(a, *args):
         recorded.append(np.array(a))
         return search(a, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(m, "_binding_root", record)
+        patch.setattr(cap, "_binding_root", record)
         optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=15))
     assert recorded
     return recorded
@@ -879,20 +917,20 @@ class TestRootBound:
         # cannot change the cap.
         roots = np.abs(cubic_roots(a))
         assert np.all(roots <= fujiwara_bound(a)[:, None] * (1.0 + self.RTOL))
-        top = m._row_roots(a)
+        top = cap._row_roots(a)
         cleared = 0
         for S in shifts:
-            clear = m._shift_clears(a.T, S)
+            clear = cap._shift_clears(a.T, S)
             cleared += clear.sum()
-            assert np.all(roots[clear] <= 2.0 * m.CAP_ROOT_SCALE * S * (1.0 + self.RTOL))
-            assert np.all(top[clear] < S / (1.0 - m.CAP_MARGIN))
+            assert np.all(roots[clear] <= 2.0 * cap.CAP_ROOT_SCALE * S * (1.0 + self.RTOL))
+            assert np.all(top[clear] < S / (1.0 - cap.CAP_MARGIN))
         assert cleared > 0
 
     def own_shifts(self, a, k, rng):
         # S = s (1 - CAP_MARGIN) for the largest roots s of k rows of a.
-        top = m._row_roots(a)
+        top = cap._row_roots(a)
         top = top[(top > 1e-99) & (top < 1e99)]
-        return rng.choice(top, k, replace=False) * (1.0 - m.CAP_MARGIN)
+        return rng.choice(top, k, replace=False) * (1.0 - cap.CAP_MARGIN)
 
     def test_random_cubics(self):
         rng = np.random.default_rng(11)
@@ -919,8 +957,8 @@ class TestRootBound:
         assert excess.max() <= 1e-3 * self.RTOL
         for i in range(0, len(r), 10):
             row = a[i : i + 1].T
-            assert m._shift_clears(row, 2.0 * r[i] * (1.0 + m.CAP_MARGIN))[0]
-            assert not m._shift_clears(row, 2.0 * r[i] * (1.0 - m.CAP_MARGIN))[0]
+            assert cap._shift_clears(row, 2.0 * r[i] * (1.0 + cap.CAP_MARGIN))[0]
+            assert not cap._shift_clears(row, 2.0 * r[i] * (1.0 - cap.CAP_MARGIN))[0]
 
 
 def outcome(search, a):
@@ -952,9 +990,9 @@ class TestLargestRealRoot:
             parts.append(np.full((1, 3), np.nan))
         a = np.concatenate(parts)
         a = a[rng.permutation(len(a))]
-        assert outcome(m._largest_real_root, a) == outcome(full_batch_root, a)
+        assert outcome(largest_real_root, a) == outcome(full_batch_root, a)
         # The layout measure_polynomial returns: a view of (3, n) columns.
-        assert outcome(m._largest_real_root, np.ascontiguousarray(a.T).T) == outcome(
+        assert outcome(largest_real_root, np.ascontiguousarray(a.T).T) == outcome(
             full_batch_root, a
         )
 
@@ -966,13 +1004,13 @@ class TestLargestRealRoot:
         # cleared and the cap is wrong.
         decoy = np.real(np.poly([1.0, 5.0 + 10.0j, 5.0 - 10.0j]))[1:]
         near = np.real(np.poly([0.5, 1.0 + 5e-9 + 9e-5j, 1.0 + 5e-9 - 9e-5j]))[1:]
-        batch = np.concatenate([np.repeat(decoy[None], m._CAP_FIRST_ROWS, axis=0), [near]])
-        assert np.all(m._root_estimate(batch[:-1]) > m._root_estimate(batch[-1:]))
-        s_decoy, s_near = m._row_roots(batch[[0, -1]])
+        batch = np.concatenate([np.repeat(decoy[None], cap._CAP_FIRST_ROWS, axis=0), [near]])
+        assert np.all(cap._root_estimate(batch[:-1]) > cap._root_estimate(batch[-1:]))
+        s_decoy, s_near = cap._row_roots(batch[[0, -1]])
         assert s_decoy < s_near
-        assert m._largest_real_root(batch) == s_near == full_batch_root(batch)
-        monkeypatch.setattr(m, "CAP_MARGIN", 0.0)
-        assert m._largest_real_root(batch) == s_decoy
+        assert largest_real_root(batch) == s_near == full_batch_root(batch)
+        monkeypatch.setattr(cap, "CAP_MARGIN", 0.0)
+        assert largest_real_root(batch) == s_decoy
 
     def test_a_shift_within_rounding_of_zero_is_solved(self, monkeypatch):
         # The last cubic has a root 1e-14 left of the shift S: its shifted
@@ -980,12 +1018,12 @@ class TestLargestRealRoot:
         # CAP_SHIFT_RTOL, so it is solved rather than cleared on a sign that
         # rounding could have set.
         decoy = np.real(np.poly([1.0, 5.0 + 10.0j, 5.0 - 10.0j]))[1:]
-        s = m._row_roots(decoy[None])[0]
-        near = np.real(np.poly([s * (1.0 - m.CAP_MARGIN) * (1.0 - 1e-14), -1.0, -2.0]))[1:]
-        batch = np.concatenate([np.repeat(decoy[None], m._CAP_FIRST_ROWS, axis=0), [near]])
+        s = cap._row_roots(decoy[None])[0]
+        near = np.real(np.poly([s * (1.0 - cap.CAP_MARGIN) * (1.0 - 1e-14), -1.0, -2.0]))[1:]
+        batch = np.concatenate([np.repeat(decoy[None], cap._CAP_FIRST_ROWS, axis=0), [near]])
         solved = count_solved_rows(monkeypatch)
-        assert m._largest_real_root(batch) == s
-        assert solved == [m._CAP_FIRST_ROWS, 1]
+        assert largest_real_root(batch) == s
+        assert solved == [cap._CAP_FIRST_ROWS, 1]
 
     def test_a_cubic_without_sign_change_can_set_the_cap(self, rng):
         # LAPACK returns a positive root s near 1e-20 for a few cubics with
@@ -994,14 +1032,14 @@ class TestLargestRealRoot:
         # cap: no cubic is dropped on its signs alone, and one whose roots
         # reach far past S is solved.
         rows = spurious_rows(2000, rng)
-        spurious = rows[np.argmax(m._row_roots(rows))]
-        s = m._row_roots(spurious[None])[0]
+        spurious = rows[np.argmax(cap._row_roots(rows))]
+        s = cap._row_roots(spurious[None])[0]
         assert s > 0
         for roots in ([-0.5 * s, s + 1e-19j, s - 1e-19j], [0.5 * s, 1e-19j, -1e-19j]):
             decoy = np.real(np.poly(roots))[1:]
-            batch = np.concatenate([np.repeat(decoy[None], m._CAP_FIRST_ROWS, axis=0), [spurious]])
-            assert np.all(m._root_estimate(batch[:-1]) > m._root_estimate(batch[-1:]))
-            assert m._largest_real_root(batch) == s == full_batch_root(batch)
+            batch = np.concatenate([np.repeat(decoy[None], cap._CAP_FIRST_ROWS, axis=0), [spurious]])
+            assert np.all(cap._root_estimate(batch[:-1]) > cap._root_estimate(batch[-1:]))
+            assert largest_real_root(batch) == s == full_batch_root(batch)
 
     def test_a_sliver_solve_solves_few_rows(self, monkeypatch):
         # Every cubic of cube n=6 is 1296 rows; along the first lbfgs direction
@@ -1021,20 +1059,20 @@ class TestLargestRealRoot:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optim.MeshProblem, "lam_cap", recorded)
             optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=10))
-        calls, search, solve = [], m._largest_real_root, m._row_roots
+        calls, search, solve = [], cap._binding_root, cap._row_roots
 
-        def per_call(a):
+        def per_call(a, *args):
             calls.append([])
-            return search(a)
+            return search(a, *args)
 
         def counted(a):
             calls[-1].append(len(a))
             return solve(a)
 
-        monkeypatch.setattr(m, "_largest_real_root", per_call)
-        monkeypatch.setattr(m, "_row_roots", counted)
+        monkeypatch.setattr(cap, "_binding_root", per_call)
+        monkeypatch.setattr(cap, "_row_roots", counted)
         for at, d in directions:
-            m.max_step_before_inversion(at, d)
+            cap.max_step_before_inversion(at, d)
         rows = [sum(c) for c in calls]
         assert len(rows) >= 10
         assert rows[0] < 64

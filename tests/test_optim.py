@@ -9,6 +9,7 @@ from scipy import sparse
 from rrsmooth import assembly, simplex, tetrahedra, triangles
 from rrsmooth import mesh as m
 from rrsmooth import optim
+from rrsmooth.cap import max_step_before_inversion
 from rrsmooth.errors import IndefiniteMatrix, LineSearchFailed
 from rrsmooth.generate import (
     CUBE,
@@ -1033,7 +1034,7 @@ class TestPreconditionerReuse:
             problem.precond_factory(point)
             fresh = assembly.assemble_preconditioner(at)
             assert built[-1][1].P.data.tobytes() == fresh.P.data.tobytes()
-            bound = m.max_step_before_inversion(at, d.reshape(at.vertices.shape))
+            bound, _ = max_step_before_inversion(at, d.reshape(at.vertices.shape))
             cap = problem.lam_cap(point, d)
             assert cap.bound <= optim.STEP_CAP_FACTOR * bound
             assert bits(cap.value()) == bits(optim.STEP_CAP_FACTOR * bound)
@@ -1298,7 +1299,7 @@ class TestStepCapFactor:
     @pytest.mark.parametrize("factor", [1.0, 0.9])
     def test_first_trial_at_the_cap(self, monkeypatch, factor):
         mesh, d = contracting_direction()
-        bound = m.max_step_before_inversion(mesh, d.reshape(-1, 2))
+        bound, _ = max_step_before_inversion(mesh, d.reshape(-1, 2))
         assert bound == pytest.approx(0.5, rel=1e-12)
         monkeypatch.setattr(optim, "STEP_CAP_FACTOR", factor)
         problem = optim.MeshProblem(mesh)
