@@ -160,13 +160,16 @@ def _lower_bounds(mesh, direction, geometry):
             return (12.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.volume / (esq * np.sqrt(dsq))
         e = geometry.edges[:, 1:]
         esq = (e * e).reshape(-1, e.shape[-1]).sum(axis=0)
-        return (2.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.area / np.sqrt(esq * dsq)
+        # Square roots taken apart: for a still cell (dsq at the floor) the
+        # product esq * dsq underflows to 0 once its edges are below 1e-12.
+        return (2.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.area / (np.sqrt(esq) * np.sqrt(dsq))
 
 
 def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
     """``(lam, cell)``: the largest lam such that vertices + t*direction keeps
     every cell positive for all t in [0, lam), and the cell that sets it (-1
-    when no cell's measure polynomial has a positive root).
+    when lam is inf: no cell's measure polynomial has a positive root, or
+    the bound is past the float range).
 
     lam is 1 / (largest positive real root s of the cells' monic measure
     polynomials in s = 1/t, :func:`_measure_polynomials`), or inf when there
@@ -195,7 +198,7 @@ def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
         first = lower.argpartition(_CAP_FIRST_CELLS)[:_CAP_FIRST_CELLS]
     s, row = _binding_root(_measure_polynomials(mesh, direction, geometry, first))
     if first is None:
-        return _step(s, k), int(row)
+        return _result(s, k, row)
     cell = first[row] if row >= 0 else -1
     # The first cells' largest step bounds lam from above. A NaN bound
     # bounds nothing, so its cell stays.
@@ -206,7 +209,7 @@ def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
         s, row = _binding_root(_measure_polynomials(mesh, direction, geometry, cells), s)
         if row >= 0:
             cell = cells[row]
-    return _step(s, k), int(cell)
+    return _result(s, k, cell)
 
 
 def _scaled(mesh, direction):
@@ -239,6 +242,12 @@ def _unscaled(x, k):
 def _step(s, k):
     # A Python float: 1 / s past the float range is inf, no bound, unwarned.
     return float(_unscaled(1.0 / float(s) if s > 0 else np.inf, k))
+
+
+def _result(s, k, cell):
+    """``(lam, cell)`` for the largest root s; no cell bounds an infinite lam."""
+    lam = _step(s, k)
+    return lam, int(cell) if lam < np.inf else -1
 
 
 def _measure_polynomials(mesh, direction, geometry, cells=None):

@@ -163,17 +163,20 @@ def validate(mesh):
         out.append(Violation("repeated-vertex", int(c), "cell lists a vertex twice"))
     if out:
         return out
-    # One per-coordinate gather; the measures have the bits of signed_measures.
-    pts = mesh.cell_coords().T
-    meas = kernel(mesh.dim).signed_measure(pts)
-    for c in np.flatnonzero(simplex.degenerate(meas, pts)):
-        out.append(
-            Violation(
-                "non-positive-orientation",
-                int(c),
-                f"signed measure {meas[c]:.3e}",
-            )
-        )
+    # One per-coordinate gather; the measures have the bits of signed_measures,
+    # and S those of the geometry passes (see rrsmooth.simplex).
+    X = mesh.cell_coords()
+    k = kernel(mesh.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        meas = k.signed_measure(X.T)
+        S = simplex.edge_sq_sum(X, k.EDGES)
+        far = simplex.out_of_range(S, mesh.dim)
+        bad = np.flatnonzero(far | simplex.degenerate(meas, S, mesh.dim))
+    for c in bad:
+        if far[c]:
+            out.append(Violation("scale-out-of-range", int(c), f"sum of squared edges {S[c]:.3e}"))
+        else:
+            out.append(Violation("non-positive-orientation", int(c), f"signed measure {meas[c]:.3e}"))
     return out
 
 
@@ -182,13 +185,15 @@ def repair_orientation(vertices, cells):
 
     Returns (cells, repaired_indices); zero-measure cells and cells with a
     vertex index out of range or a non-finite vertex are left alone for
-    validate to report.
+    validate to report. Measures past the float range are computed
+    unwarned; validate reports such cells out of range.
     """
     cells = np.array(cells, dtype=np.int64, copy=True)
     vertices = np.asarray(vertices, dtype=float)
     ok = np.flatnonzero(((cells >= 0) & (cells < len(vertices))).all(axis=1))
     ok = ok[np.isfinite(vertices).all(axis=1)[cells[ok]].all(axis=1)]
-    flipped = ok[kernel(cells.shape[1] - 1).signed_measure(vertices[cells[ok]]) < 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        flipped = ok[kernel(cells.shape[1] - 1).signed_measure(vertices[cells[ok]]) < 0]
     cells[flipped, -2:] = cells[flipped, -1:-3:-1]
     return cells, flipped
 

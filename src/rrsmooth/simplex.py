@@ -1,6 +1,12 @@
 """What the two element kernels share: the degeneracy rule, G_F's layout
 and the dense local Laplacian.
 
+A cell is rejected when its sum of squared edges S is :func:`out_of_range`
+or its measure :func:`degenerate`. The geometry passes hand
+:func:`check_degenerate` the S they hold; ``mesh.validate`` computes its
+bits with :func:`edge_sq_sum`. Both compute S and the measure unwarned: past
+the range they may overflow, and the cell is rejected as out of range.
+
 ``triangles`` and ``tetrahedra`` export one interface, looked up by
 dimension through :func:`rrsmooth.mesh.kernel`: ``geometry(pts)`` (the one
 checked geometry pass, a namedtuple with ``mu``), ``gradient(g, scale)``
@@ -26,62 +32,65 @@ from .errors import DegenerateElement
 # Relative measure threshold below which an element counts as degenerate.
 DEGENERACY_RTOL = 1e-14
 
+# The sums of squared edges S over which each kernel computes exactly: every
+# quantity it forms stays a normal float, between tiny = 2.2e-308 and huge =
+# 1.8e308. The extreme ones have degree +-k in S times a factor of the
+# cell's shape, which the relative rule bounds:
+#   2D, k = 2: RTOL**2 S**2 < area**2, and p * q <= S**2 / 3, so
+#       S in [sqrt(tiny) / RTOL, sqrt(3 huge)] = [1.5e-140, 2.3e154];
+#   3D, k = 4: 6 RTOL**2 S**4 <= d0_sq <= S**4 / 4, and, as mu >= 1 and
+#       mu / d0_sq = s / (1296 vol**3 R), 4 S**-4 <= mu / d0_sq <= 2.2e39 S**-4, so
+#       S in [(2.2e39 / huge)**(1/4), (4 / tiny)**(1/4)] = [5.9e-68, 1.2e77].
+# Quantities of lower degree have room to spare. Rounded inward.
+EDGE_SQ_RANGE = {2: (1e-139, 1e154), 3: (1e-67, 1e76)}
 
-def diameters(pts):
-    """Coordinate spread per element, used to scale degeneracy thresholds.
 
-    A running min/max over the vertices gives the same bits as
-    ``np.ptp(pts, axis=1).max(axis=1)``, about three times faster.
-    """
-    lo = hi = pts[:, 0]
-    for k in range(1, pts.shape[1]):
-        lo = np.minimum(lo, pts[:, k])
-        hi = np.maximum(hi, pts[:, k])
-    return (hi - lo).max(axis=1)
-
-
-def _edge_sq_sum(pts):
-    """Each cell's sum of squared edge lengths, over every vertex pair."""
-    X = np.asarray(pts).T
+def edge_sq_sum(X, edges):
+    """Each cell's sum of squared edges S from per-coordinate vertices ``X``
+    ``(dim, dim + 1, n)`` in the geometry passes' arithmetic: each edge
+    ``x_head - x_tail`` of ``EDGES`` squared and summed over the coordinates,
+    then the edges summed in order, one at a time to keep temporaries small."""
     S = 0.0
-    for i in range(X.shape[1] - 1):
-        d = X[:, i + 1 :] - X[:, i : i + 1]
-        S = S + (d * d).reshape(-1, X.shape[-1]).sum(axis=0)
+    for tail, head in zip(*edges):
+        e = X[:, head] - X[:, tail]
+        S = S + (e * e).sum(axis=0)
     return S
 
 
-def degenerate(measure, pts, edge_sq=None):
-    """Cells whose signed measure is at most DEGENERACY_RTOL * diameter**dim.
+def out_of_range(edge_sq, dim):
+    """Cells whose sum of squared edges lies outside EDGE_SQ_RANGE (or is NaN)."""
+    lo, hi = EDGE_SQ_RANGE[dim]
+    return ~((edge_sq >= lo) & (edge_sq <= hi))
 
-    A cell's diameter is at most its longest edge, so at most ``sqrt(S)``,
-    ``S`` the sum of its squared edge lengths (``edge_sq``, computed from
-    ``pts`` when not given). A cell whose measure exceeds
-    ``2 DEGENERACY_RTOL S**(dim/2)`` clears the rule with a factor 2 to
-    spare for rounding, so only the others are gathered from ``pts`` for
-    :func:`diameters`. It flags the same cells as the rule on every cell.
+
+def degenerate(measure, edge_sq, dim):
+    """Cells whose signed measure is at most DEGENERACY_RTOL * S**(dim/2),
+    S the sum of squared edges (``S * sqrt(S)`` in 3D).
+
+    S depends only on the cell's shape and size, so the verdict does not
+    change when the mesh is turned or moved. A bound that overflows to inf
+    clears no cell.
     """
-    dim = pts.shape[2]
-    # An overflow to inf clears no cell.
-    with np.errstate(over="ignore"):
-        if edge_sq is None:
-            edge_sq = _edge_sq_sum(pts)
-        bound = (2.0 * DEGENERACY_RTOL) * edge_sq
-        if dim == 3:
-            bound *= np.sqrt(edge_sq)
-    bad = ~(measure > bound)
-    suspects = np.flatnonzero(bad)
-    if suspects.size:
-        bad[suspects] = measure[suspects] <= DEGENERACY_RTOL * diameters(pts[suspects]) ** dim
-    return bad
+    bound = DEGENERACY_RTOL * edge_sq
+    if dim == 3:
+        bound *= np.sqrt(edge_sq)
+    return ~(measure > bound)
 
 
-def check_degenerate(measure, pts, name, edge_sq):
-    """Raise DegenerateElement naming the first degenerate cell, if any
-    (:func:`degenerate`, given each cell's sum of squared edges)."""
-    bad = np.flatnonzero(degenerate(measure, pts, edge_sq))
+def check_degenerate(measure, edge_sq, dim):
+    """Raise DegenerateElement naming the first cell that is
+    :func:`out_of_range` or :func:`degenerate`, if any, and its cause."""
+    far = out_of_range(edge_sq, dim)
+    bad = np.flatnonzero(far | degenerate(measure, edge_sq, dim))
     if bad.size:
-        message = f"signed {name} {measure[bad[0]]:.3e} is non-positive or below threshold"
-        raise DegenerateElement(message, cell=int(bad[0]))
+        c = int(bad[0])
+        if far[c]:
+            lo, hi = EDGE_SQ_RANGE[dim]
+            message = f"sum of squared edges {edge_sq[c]:.3e} is outside [{lo:g}, {hi:g}]"
+        else:
+            name = "area" if dim == 2 else "volume"
+            message = f"signed {name} {measure[c]:.3e} is non-positive or below threshold"
+        raise DegenerateElement(message, cell=c)
 
 
 class Layout:

@@ -6,8 +6,8 @@ with positive signed volume; a single cell is the batch ``pts[None]``.
 Face ``i`` is the face opposite vertex ``i``. The geometry pass reads
 contiguous ``(n,)`` arrays per coordinate and vertex, ``pts.T`` (no copy for
 ``mesh.cell_coords().T``), takes its edges from slices of them and its
-cotangents per edge, and checks degeneracy through ``simplex``'s prefilter
-on the squared edges it already has.
+cotangents per edge, and checks degeneracy through ``simplex``'s rule on
+the squared edges it already has.
 
 Conventions:
 
@@ -118,23 +118,24 @@ def geometry(pts):
     ``(3, 4, n)`` the doubled area vectors of faces 0-3, ``surface`` the
     total face area, ``cot`` ``(6, n)`` the cotangent weight of each edge
     summed over the two faces through it, and ``d0_normals`` ``(3, n)`` is
-    ``d0 . N_k``. Raises DegenerateElement for an inverted or collapsed cell.
+    ``d0 . N_k``. Raises DegenerateElement for an inverted or collapsed cell,
+    or one too large or small to compute (``simplex.check_degenerate``).
     """
-    pts = np.asarray(pts, dtype=float)
-    X = np.ascontiguousarray(pts.T)
+    X = np.ascontiguousarray(np.asarray(pts, dtype=float).T)
     n = X.shape[-1]
     edges = np.empty((3, 6, n))
-    np.subtract(X[:, 1:], X[:, :1], out=edges[:, :3])
-    np.subtract(X[:, 2:], X[:, 1:2], out=edges[:, 3:5])
-    np.subtract(X[:, 3], X[:, 2], out=edges[:, 5])
-    # N_3 = e1 x e2 and face 0's (x2 - x1) x (x3 - x1), then N_1 = e2 x e3 and
-    # N_2 = e3 x e1.
     normals = np.empty((3, 4, n))
-    _cross(edges[:, 0::3], edges[:, 1::3], out=normals[:, 3::-3])
-    _cross(edges[:, 1:3], edges[:, 2::-2], out=normals[:, 1:3])
-    vol = _dot(edges[:, 0], normals[:, 1]) / 6.0
-    sq = (edges * edges).reshape(3, -1).sum(axis=0).reshape(6, n)
-    simplex.check_degenerate(vol, pts, "volume", sq.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(X[:, 1:], X[:, :1], out=edges[:, :3])
+        np.subtract(X[:, 2:], X[:, 1:2], out=edges[:, 3:5])
+        np.subtract(X[:, 3], X[:, 2], out=edges[:, 5])
+        # N_3 = e1 x e2 and face 0's (x2 - x1) x (x3 - x1), then N_1 = e2 x e3
+        # and N_2 = e3 x e1.
+        _cross(edges[:, 0::3], edges[:, 1::3], out=normals[:, 3::-3])
+        _cross(edges[:, 1:3], edges[:, 2::-2], out=normals[:, 1:3])
+        vol = _dot(edges[:, 0], normals[:, 1]) / 6.0
+        sq = (edges * edges).reshape(3, -1).sum(axis=0).reshape(6, n)
+        simplex.check_degenerate(vol, sq.sum(axis=0), 3)
     edge_sq = sq[:3]
     d0 = edge_sq[2] * normals[:, 3] + edge_sq[0] * normals[:, 1] + edge_sq[1] * normals[:, 2]
     d0_sq = (d0 * d0).sum(axis=0)

@@ -22,9 +22,9 @@ A is the Laplacian of the weights ``c_k``, and B is antisymmetric with
 assembles A itself from them (``precond_weights``).
 Every kernel reads one geometry pass (``geometry``) on per-coordinate
 arrays ``pts.T``, which takes the edges from slices of them and checks the
-area once. ``gradient(g, scale)`` folds ``scale * mu`` into per-cell factors
-and writes one ``(2, 3, n)`` array. The module exports the
-kernel interface of :mod:`rrsmooth.simplex`.
+area once, against the sum of the squared edges. ``gradient(g, scale)``
+folds ``scale * mu`` into per-cell factors and writes one ``(2, 3, n)``
+array. The module exports the kernel interface of :mod:`rrsmooth.simplex`.
 """
 
 from collections import namedtuple
@@ -59,18 +59,18 @@ def geometry(pts):
 
     Fields are per coordinate over a trailing cell axis: ``edges``
     ``(2, 3, n)`` holds edge k's vector ``x_{k+2} - x_{k+1}`` (indices mod
-    3) and ``lengths`` ``(3, n)`` its length. Raises DegenerateElement when
-    any signed area is non-positive or falls under the scaled threshold.
+    3) and ``lengths`` ``(3, n)`` its length. Raises DegenerateElement for a
+    cell that ``simplex.check_degenerate`` rejects, on its squared edges.
     """
-    pts = np.asarray(pts, dtype=float)
-    X = np.ascontiguousarray(pts.T)
-    area = signed_area(X.T)
+    X = np.ascontiguousarray(np.asarray(pts, dtype=float).T)
     edges = np.empty((2, 3, X.shape[-1]))
-    # Edges 2 and 0 are x1 - x0 and x2 - x1, edge 1 is x0 - x2.
-    np.subtract(X[:, 1:], X[:, :2], out=edges[:, 2::-2])
-    np.subtract(X[:, 0], X[:, 2], out=edges[:, 1])
-    sq = edges[0] * edges[0] + edges[1] * edges[1]
-    simplex.check_degenerate(area, pts, "area", sq.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = signed_area(X.T)
+        # Edges 2 and 0 are x1 - x0 and x2 - x1, edge 1 is x0 - x2.
+        np.subtract(X[:, 1:], X[:, :2], out=edges[:, 2::-2])
+        np.subtract(X[:, 0], X[:, 2], out=edges[:, 1])
+        sq = edges[0] * edges[0] + edges[1] * edges[1]
+        simplex.check_degenerate(area, sq.sum(axis=0), 2)
     lengths = np.sqrt(sq)
     p = lengths.sum(axis=0)
     q = lengths.prod(axis=0)

@@ -5,6 +5,7 @@ import pytest
 
 from rrsmooth import simplex, triangles, tetrahedra
 from rrsmooth.errors import DegenerateElement
+from rrsmooth.mesh import SimplexMesh
 
 
 def random_triangles(n, seed=0, mu_cap=50.0, min_area=1e-3):
@@ -117,7 +118,7 @@ def dense_laplacians(kernel, g):
 
 
 # The kernels' geometry pass and closed-form gradient as first written, with
-# fancy-index gathers and the exact degeneracy rule on every cell: the
+# fancy-index gathers and simplex's two degeneracy rules written out: the
 # reference that the per-coordinate pass keeps every geometry field of, bit for
 # bit, and the gradient of, to rounding.
 _REF_EDGE_PERMS = (
@@ -144,12 +145,33 @@ def _ref_cross(a, b):
     return out
 
 
-def _ref_check(measure, pts, name):
-    scale = simplex.diameters(pts) ** pts.shape[2]
-    bad = np.flatnonzero(measure <= simplex.DEGENERACY_RTOL * scale)
+def _ref_check(measure, edge_sq, name, dim):
+    lo, hi = simplex.EDGE_SQ_RANGE[dim]
+    far = ~((edge_sq >= lo) & (edge_sq <= hi))
+    with np.errstate(over="ignore"):
+        flat = measure <= simplex.DEGENERACY_RTOL * edge_sq ** (dim / 2)
+    bad = np.flatnonzero(far | flat)
     if bad.size:
-        message = f"signed {name} {measure[bad[0]]:.3e} is non-positive or below threshold"
-        raise DegenerateElement(message, cell=int(bad[0]))
+        c = bad[0]
+        if far[c]:
+            message = f"sum of squared edges {edge_sq[c]:.3e} is outside [{lo:g}, {hi:g}]"
+        else:
+            message = f"signed {name} {measure[c]:.3e} is non-positive or below threshold"
+        raise DegenerateElement(message, cell=int(c))
+
+
+def stacked_cells(points):
+    """One mesh holding each (dim + 1, dim) point set as its own cell."""
+    n, k, dim = points.shape
+    return SimplexMesh(points.reshape(-1, dim), np.arange(n * k).reshape(n, k))
+
+
+def rejected(kernel, pts):
+    """The cells ``kernel.geometry(pts)`` rejects, by simplex's rules."""
+    pts = np.asarray(pts, dtype=float)
+    S = simplex.edge_sq_sum(pts.T, kernel.EDGES)
+    dim = pts.shape[2]
+    return simplex.out_of_range(S, dim) | simplex.degenerate(kernel.signed_measure(pts), S, dim)
 
 
 def reference_geometry(kernel, pts):
@@ -159,9 +181,10 @@ def reference_geometry(kernel, pts):
     if kernel is triangles:
         e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
         area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        _ref_check(area, pts, "area")
         edges = X[:, [2, 0, 1]] - X[:, [1, 2, 0]]
-        lengths = np.sqrt(edges[0] * edges[0] + edges[1] * edges[1])
+        sq = edges[0] * edges[0] + edges[1] * edges[1]
+        _ref_check(area, sq.sum(axis=0), "area", 2)
+        lengths = np.sqrt(sq)
         p, q = lengths.sum(axis=0), lengths.prod(axis=0)
         return dict(area=area, edges=edges, lengths=lengths, p=p, mu=p * q / (16.0 * area**2))
     E = X[:, _REF_HEAD] - X[:, _REF_TAIL]
@@ -171,8 +194,8 @@ def reference_geometry(kernel, pts):
     rows = np.ascontiguousarray(pts)
     e1, e2, e3 = (rows[:, k] - rows[:, 0] for k in (1, 2, 3))
     vol = np.einsum("ij,ij->i", e1, np.cross(e2, e3)) / 6.0
-    _ref_check(vol, pts, "volume")
     sq = (E * E).sum(axis=0)
+    _ref_check(vol, sq.sum(axis=0), "volume", 3)
     edge_sq = sq[:3]
     d0 = edge_sq[2] * normals[:, 3] + edge_sq[0] * normals[:, 1] + edge_sq[1] * normals[:, 2]
     d0_sq = (d0 * d0).sum(axis=0)
@@ -241,6 +264,9 @@ CORNER_TET = np.array(
 EQUILATERAL_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 
 RIGHT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+# A regular cell per dimension: edge 1 in 2D, 2 sqrt(2) in 3D.
+REGULAR = {2: np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.75**0.5]]), 3: REGULAR_TET}
 
 
 def spy_wolfe(mp):

@@ -7,25 +7,15 @@ TestStepBound, TestLowerBound, TestRootBound and TestLargestRealRoot.
 import numpy as np
 import pytest
 
-from rrsmooth import cap
+from rrsmooth import cap, mesh as m
 from rrsmooth.errors import DegenerateElement
 from rrsmooth.generate import CUBE, SQUARE, GeneratorSpec, gen_mesh
+from rrsmooth.optim import OptimizeConfig, optimize
 
-from test_mesh import (
-    batch_step,
-    bits,
-    jittered,
-    one_cell,
-    random_direction,
-    stacked_cells,
-    unit_square_two_tris,
-)
+from conftest import REGULAR, stacked_cells
+from test_mesh import batch_step, bits, jittered, one_cell, random_direction, unit_square_two_tris
 
 W = cap._SCALE_WINDOW
-REGULAR = {
-    2: np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.75**0.5]]),
-    3: np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]]),
-}
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
@@ -117,14 +107,39 @@ def test_both_entry_points_check_the_direction(bad):
 
 
 def test_roots_past_the_solvable_range_raise_with_the_cell():
-    # A triangle 1e-70 across moved by the mesh's extent, 1e84 (a far
-    # triangle sets it): its roots reach 1e154, where the quadratic formula
-    # overflowed and the cap came back inf although the cell inverts.
+    # A triangle 1e-60 across moved by the mesh's extent, 1e60 (a far
+    # triangle sets it): its roots reach 1e120, past _ROOT_LIMIT. Past 1.3e154
+    # the quadratic formula overflowed and the cap came back inf although the
+    # cell inverts. Both cells are inside the kernels' range of scales.
     T = REGULAR[2]
-    mesh = stacked_cells(np.stack([1e-70 * T, 1e84 + 1e70 * T]))
+    mesh = stacked_cells(np.stack([1e-60 * T, 1e60 + 1e50 * T]))
     d = np.zeros_like(mesh.vertices)
-    d[:3] = 1e84 * np.random.default_rng(0).normal(size=(3, 2))
-    assert cap.step_lower_bounds(mesh, d, mesh.geometry())[0] < 1e-150
+    d[:3] = 1e60 * np.random.default_rng(0).normal(size=(3, 2))
+    assert cap.step_lower_bounds(mesh, d, mesh.geometry())[0] < 1e-110
     with pytest.raises(DegenerateElement) as exc:
         cap.max_step_before_inversion(mesh, d)
     assert exc.value.cell == 0
+
+
+def test_no_cell_bounds_an_infinite_cap():
+    # Along 1e-310 times a random direction the largest root s is near
+    # 1e-310, and 1 / s overflows: the cap is inf, and it named cell 1 as
+    # the one that set it.
+    for mesh in (unit_square_two_tris(), gen_mesh(GeneratorSpec(CUBE, 2))):
+        d = 1e-310 * np.random.default_rng(0).normal(size=mesh.vertices.shape)
+        assert cap.max_step_before_inversion(mesh, d) == (np.inf, -1)
+
+
+def test_a_small_triangle_mesh_has_unwarned_bounds():
+    # Fixed boundary cells have ||D||_F**2 raised to _DIRECTION_SQ_FLOOR; in
+    # a square 1e-13 across, their squared edges times it underflowed to 0,
+    # and the 2D bound divided by zero: optimize stopped on the RuntimeWarning.
+    base = jittered(SQUARE)
+    mesh = m.classify_boundary(base.with_vertices(1e-13 * base.vertices), m.FIX_ALL)
+    d = m.constraint_projector(mesh)(np.random.default_rng(0).normal(size=mesh.vertices.shape))
+    lower = cap.step_lower_bounds(mesh, d, mesh.geometry())
+    still = (d[mesh.cells] == 0.0).all(axis=(1, 2))
+    assert still.any() and np.isfinite(lower).all()
+    assert lower[still].min() > 1e100 * lower[~still].max()
+    report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=5))[1]
+    assert report.termination == "max_iters"

@@ -1,11 +1,11 @@
 """The one element-kernel interface: both kernels, one layout, one mu convention."""
 
 import inspect
-from fractions import Fraction
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 
 from rrsmooth import mesh as m, simplex, tetrahedra, triangles
@@ -17,7 +17,7 @@ from rrsmooth.generate import (
 
 from conftest import (
     block_gradient, central_diff, dense_blocks, dense_laplacians, random_tets, random_triangles,
-    reference_geometry, reference_gradient,
+    REGULAR, reference_geometry, reference_gradient, rejected, stacked_cells,
 )
 
 KERNELS = pytest.mark.parametrize(
@@ -300,7 +300,7 @@ class TestClosedFormGradient:
         c = mesh.n_cells // 2
         cells[c, -2:] = cells[c, -1:-3:-1]
         inverted = m.SimplexMesh(mesh.vertices, cells)
-        first = np.flatnonzero(simplex.degenerate(inverted.signed_measures(), inverted.cell_points()))
+        first = np.flatnonzero(rejected(m.kernel(mesh.dim), inverted.cell_points()))
         assert first[0] == c
         with pytest.raises(DegenerateElement) as exc:
             energy_gradient(inverted)
@@ -368,9 +368,10 @@ def lean_cells(dim, family, rng, n=32):
 
 def degenerate_meshes(dim):
     """Jittered meshes with degenerate cells: flat (a vertex moved to the
-    centroid of the opposite facet), inverted, tiny (the flat one scaled by
-    1e-80), and offset (the flat vertices under the inverted cells, moved
-    1e8 from the origin)."""
+    centroid of the opposite facet), inverted, small (the flat one scaled by
+    1e-20, inside the kernels' range), tiny and huge (scaled by 1e-80 and
+    1e80, every cell out of range), and offset (the flat vertices under the
+    inverted cells, moved 1e8 from the origin)."""
     base = perturb_mesh(
         gen_mesh(GeneratorSpec(SQUARE if dim == 2 else CUBE, 4 if dim == 2 else 2)),
         RandomJitter(amplitude=0.2, seed=9),
@@ -381,9 +382,14 @@ def degenerate_meshes(dim):
         flat.vertices[a] = flat.vertices[rest].mean(axis=0)
     inverted = base.copy()
     inverted.cells[[2, 5], -2:] = inverted.cells[[2, 5], -1:-3:-1]
-    tiny = flat.with_vertices(1e-80 * flat.vertices)
     offset = inverted.with_vertices(flat.vertices + 1e8)
-    return {"flat": flat, "inverted": inverted, "tiny": tiny, "offset": offset}
+    cases = {"flat": flat, "inverted": inverted, "offset": offset}
+    for name, scale in (("small", 1e-20), ("tiny", 1e-80), ("huge", 1e80)):
+        cases[name] = flat.with_vertices(scale * flat.vertices)
+    return cases
+
+
+DEGENERATE_CASES = ["flat", "inverted", "small", "tiny", "huge", "offset"]
 
 
 class TestLeanPass:
@@ -401,7 +407,7 @@ class TestLeanPass:
         kernel = m.kernel(dim)
         rng = np.random.default_rng(seed)
         pts = lean_cells(dim, family, rng) + offset * rng.uniform(-1.0, 1.0, dim)
-        pts = pts[~simplex.degenerate(kernel.signed_measure(pts), pts)]
+        pts = pts[~rejected(kernel, pts)]
         assume(len(pts))
         g = kernel.geometry(pts)
         for name, field in reference_geometry(kernel, pts).items():
@@ -421,7 +427,7 @@ class TestLeanPass:
             assert np.all(error <= 1e-13 * s * scale)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("case", ["flat", "inverted", "tiny", "offset"])
+    @pytest.mark.parametrize("case", DEGENERATE_CASES)
     def test_the_same_cell_raises_with_the_same_message(self, dim, case):
         pts = degenerate_meshes(dim)[case].cell_coords().T
         kernel = m.kernel(dim)
@@ -432,52 +438,186 @@ class TestLeanPass:
         assert (got.value.cell, str(got.value)) == (expected.value.cell, str(expected.value))
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("case", ["flat", "inverted", "tiny", "offset"])
+    @pytest.mark.parametrize("case", DEGENERATE_CASES)
     def test_validate_keeps_its_violations(self, dim, case):
-        mesh = degenerate_meshes(dim)[case]
-        pts = mesh.cell_points()
+        # The rules written out, with S summed over every vertex pair: every
+        # cell of tiny and huge is out of range, and small, inside the range,
+        # flags the cells that flat does.
+        meshes = degenerate_meshes(dim)
+        pts = meshes[case].cell_points()
         meas = m.kernel(dim).signed_measure(pts)
-        bad = meas <= simplex.DEGENERACY_RTOL * simplex.diameters(pts) ** dim
+        S = sum(((a - b) ** 2).sum(axis=1) for a, b in itertools.combinations(pts.swapaxes(0, 1), 2))
+        lo, hi = simplex.EDGE_SQ_RANGE[dim]
+        far = ~((S >= lo) & (S <= hi))
+        with np.errstate(over="ignore"):
+            flat = meas <= simplex.DEGENERACY_RTOL * S ** (dim / 2)
         expected = [
+            m.Violation("scale-out-of-range", int(c), f"sum of squared edges {S[c]:.3e}")
+            if far[c] else
             m.Violation("non-positive-orientation", int(c), f"signed measure {meas[c]:.3e}")
-            for c in np.flatnonzero(bad)
+            for c in np.flatnonzero(far | flat)
         ]
-        assert expected and m.validate(mesh) == expected
+        assert expected and m.validate(meshes[case]) == expected
+        assert far.all() == (case in ("tiny", "huge"))
+        if case == "small":
+            assert [v.index for v in expected] == [v.index for v in m.validate(meshes["flat"])]
+
+
+def threshold_cells(dim, rng, ratios, feet=None):
+    """One cell per ratio, measure about ``ratio * DEGENERACY_RTOL * S**(dim/2)``:
+    a facet in the plane ``x_dim = 0``, and the last vertex at the height over
+    its foot that gives that measure. The facet and the foot are ``feet``
+    ``(n, dim + 1, dim - 1)``, by default random within 1 of the origin."""
+    n, k = len(ratios), dim + 1
+    pts = np.zeros((n, k, dim))
+    pts[:, :, :-1] = rng.uniform(-1.0, 1.0, (n, k, dim - 1)) if feet is None else feet
+    S = simplex.edge_sq_sum(pts.T, m.kernel(dim).EDGES)
+    pts[:, -1, -1] = 1.0
+    per_height = m.kernel(dim).signed_measure(pts)
+    pts[:, -1, -1] = np.asarray(ratios) * simplex.DEGENERACY_RTOL * S ** (dim / 2) / per_height
+    return pts
+
+
+def kernel_outputs(kernel, pts):
+    """mu, the gradient and both edge weights, cells last, with their degree
+    in length."""
+    g = kernel.geometry(pts)
+    return [(g.mu, 0), (kernel.gradient(g).T, -1), (kernel.precond_weights(g), -2),
+            (kernel.block_weights(g), -2)]
+
+
+class TestDegeneracyRule:
+    """One rule on S, each cell's sum of squared edges: out of the kernel's
+    range, or a measure at most DEGENERACY_RTOL * S**(dim/2)."""
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_the_prefilter_margin_in_rationals(self, dim):
-        # Each cell is given the smallest measure that clears the prefilter,
-        # the float just above 2 DEGENERACY_RTOL S**(dim/2). In rationals, on
-        # the exact sum of squared edges S of the float vertices, that measure
-        # exceeds DEGENERACY_RTOL S**(dim/2), which is at least the rule's
-        # DEGENERACY_RTOL diameter**dim, on every cell. Without the factor 2
-        # the float bound, rounded from S's differences, squares, sums and
-        # square root, falls below that exact bound on some cells, and clears
-        # measures the rule's reasoning does not cover.
-        rng = np.random.default_rng(11)
-        pts = lean_cells(dim, "random", rng, n=200)
-        pts = pts * 10.0 ** rng.uniform(-3.0, 3.0, (len(pts), 1, 1))
-        pts = pts + 10.0 ** rng.uniform(0.0, 8.0, (len(pts), 1, 1)) * rng.uniform(-1.0, 1.0, dim)
-        S = simplex._edge_sq_sum(pts)
-        rtol = Fraction(simplex.DEGENERACY_RTOL)
-        below = {}
-        for factor in (1.0, 2.0):
-            bound = (factor * simplex.DEGENERACY_RTOL) * S
-            if dim == 3:
-                bound *= np.sqrt(S)
-            measure = np.nextafter(bound, np.inf)
-            below[factor] = 0
-            for P, mu in zip(pts.tolist(), measure.tolist()):
-                X = [[Fraction(x) for x in v] for v in P]
-                exact_S = sum(
-                    sum((a - b) ** 2 for a, b in zip(X[i], X[j]))
-                    for i in range(dim + 1) for j in range(i)
-                )
-                diameter = max(max(v[c] for v in X) - min(v[c] for v in X) for c in range(dim))
-                certified = Fraction(mu) ** 2 > rtol**2 * exact_S**dim
-                below[factor] += not certified
-                if factor == 2.0:
-                    assert certified and Fraction(mu) > rtol * diameter**dim
-            if factor == 2.0:
-                assert not simplex.degenerate(measure, pts, S).any()
-        assert below[1.0] > 0
+    def test_validate_sums_the_passes_squared_edges(self, monkeypatch, dim):
+        # validate's S has the bits of the S the pass hands the check, so the
+        # two flag the same cells.
+        kernel, held, check = m.kernel(dim), [], simplex.check_degenerate
+
+        def holding(measure, edge_sq, d):
+            held.append(edge_sq)
+            return check(measure, edge_sq, d)
+
+        monkeypatch.setattr(simplex, "check_degenerate", holding)
+        rng = np.random.default_rng(3)
+        for scale, offset in itertools.product((1e-3, 1.0, 1e3), (0.0, 1e6)):
+            pts = scale * rng.normal(size=(2000, dim + 1, dim)) + offset * rng.uniform(-1, 1, dim)
+            for batch in (pts, pts[:1]):
+                held.clear()
+                try:
+                    kernel.geometry(batch)
+                except DegenerateElement:
+                    pass
+                expected = simplex.edge_sq_sum(batch.T, kernel.EDGES)
+                assert held[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "dim, size",
+        [(3, 1e-40), (3, 1e39), (3, 1e150), (2, 1e-80), (2, 1e-100), (2, 1e80), (2, 1e300)],
+    )
+    def test_a_cell_out_of_range_is_rejected(self, dim, size):
+        # Before the range a tet of edge 1e-40 or 1e39 raised RuntimeWarning in
+        # the pass, a triangle of edge 1e-80 got mu 0.9987 (mu >= 1), and
+        # validate passed them all; signed_volume itself overflowed at 1e150,
+        # in validate and in the loaders' orientation repair.
+        mesh = m.SimplexMesh(size * REGULAR[dim], np.arange(dim + 1)[None])
+        assert m.repair_orientation(mesh.vertices, mesh.cells)[1].size == 0
+        assert [(v.rule, v.index) for v in m.validate(mesh)] == [("scale-out-of-range", 0)]
+        with pytest.raises(DegenerateElement, match="sum of squared edges") as exc:
+            mesh.geometry()
+        assert exc.value.cell == 0
+        # A regular cell just inside the range has mu = 1, as at unit size.
+        lo, hi = simplex.EDGE_SQ_RANGE[dim]
+        edge = np.sqrt(hi) / 10.0 if size > 1.0 else np.sqrt(lo) * 10.0
+        assert mesh.with_vertices(edge * REGULAR[dim]).geometry().mu == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_the_range_keeps_the_kernels_exact(self, dim):
+        # Cells just above the threshold, each scaled by a power of two to put
+        # its S within 4x of either end of the range, keep every output's bits
+        # scaled back, unwarned. Turned, a measure that small keeps few bits
+        # after cancelling; as built, a facet in a coordinate plane keeps all
+        # of them. In 3D the flat squares, four vertices on a circle, have
+        # mu / d0_sq near its bound 2.2e39 S**-4. Where S**k only just stays
+        # normal, below the range, some of them lose their bits.
+        kernel, k = m.kernel(dim), 2 * (dim - 1)
+        rng = np.random.default_rng(12)
+        pts = threshold_cells(dim, rng, rng.uniform(1.05, 3.0, 400))
+        if dim == 3:
+            angle = rng.uniform(0.0, 2.0 * np.pi, (40, 1)) + np.arange(4) * np.pi / 2
+            square = np.stack([np.cos(angle), np.sin(angle)], axis=2)
+            pts = np.concatenate([pts, threshold_cells(3, rng, rng.uniform(1.05, 1.2, 40), square)])
+        pts = np.concatenate([pts, pts @ rotation(rng.uniform(-1.0, 1.0, 9), dim).T])
+        pts = pts[~rejected(kernel, pts)]
+        S = simplex.edge_sq_sum(pts.T, kernel.EDGES)
+        lo, hi = simplex.EDGE_SQ_RANGE[dim]
+        unit = kernel_outputs(kernel, pts)
+
+        def outputs_at(j):
+            scaled = kernel_outputs(kernel, np.ldexp(pts, j[:, None, None]))
+            return [np.ldexp(got, -degree * j) for got, degree in scaled]
+
+        for j in (np.ceil(np.log2(lo / S) / 2), np.floor(np.log2(hi / S) / 2)):
+            j = j.astype(int)
+            assert m.validate(stacked_cells(np.ldexp(pts, j[:, None, None]))) == []
+            for got, (ref, _) in zip(outputs_at(j), unit):
+                assert got.tobytes() == ref.tobytes()
+        j = np.floor(np.log2(np.finfo(float).tiny ** (1.0 / k) / S) / 2).astype(int)
+        with pytest.raises(DegenerateElement, match="sum of squared edges"):
+            kernel.geometry(np.ldexp(pts, j[:, None, None]))
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+            patch.setitem(simplex.EDGE_SQ_RANGE, dim, (0.0, np.inf))
+            assert any((got != ref).any() for got, (ref, _) in zip(outputs_at(j), unit))
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        mirror=st.booleans(),
+        log_scale=st.floats(-6.0, 6.0),
+        shift=st.floats(0.0, 1.0),
+    )
+    @example(dim=2, seed=0, entries=[1.0, 1.0, -1.0, 1.0] + [0.0] * 5, mirror=False,
+             log_scale=0.0, shift=0.0)
+    def test_the_verdict_is_the_same_in_any_frame(
+        self, dim, seed, entries, mirror, log_scale, shift
+    ):
+        # Cells 2x or more from the threshold: flagged (ratio 0.05-0.5),
+        # passing (2-20), healthy and inverted; in 2D also the triangle of
+        # base 1 and height 1.5e-14, which the coordinate spread flagged with
+        # its base along x and passed turned by 45 degrees. Turned (or
+        # mirrored, with the last two vertices swapped back), scaled by
+        # 10**log_scale and moved by up to twice that, validate flags the
+        # same cells and the pass raises for the same one. A translation T
+        # rounds each coordinate to ulp(T), which moves a measure 2x from
+        # the threshold across it once T passes some 30 cell diameters.
+        rng = np.random.default_rng(seed)
+        ratios = np.concatenate([
+            rng.uniform(0.05, 0.5, 4), rng.uniform(2.0, 20.0, 4),
+            10.0 ** rng.uniform(10.0, 13.0, 2), -(10.0 ** rng.uniform(-3.0, 13.0, 2)),
+        ])
+        pts = threshold_cells(dim, rng, ratios)
+        if dim == 2:
+            pts = np.concatenate([[[[0.0, 0.0], [1.0, 0.0], [0.5, 1.5e-14]]], pts])
+        Q = rotation(entries, dim)
+        if mirror:
+            Q[:, 0] = -Q[:, 0]
+        scale = 10.0**log_scale
+        moved = scale * pts @ Q.T + 2.0 * shift * scale * rng.uniform(-1.0, 1.0, dim)
+        if mirror:
+            moved[:, -2:] = moved[:, -1:-3:-1].copy()
+        verdicts = []
+        for cells in (pts, moved):
+            mesh = stacked_cells(cells)
+            try:
+                mesh.geometry()
+                raised = None
+            except DegenerateElement as e:
+                raised = e.cell
+            verdicts.append(([(v.rule, v.index) for v in m.validate(mesh)], raised))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][1] == 0
