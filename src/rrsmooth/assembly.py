@@ -78,9 +78,6 @@ class GlobalGradientSystem:
         blocks, parts = (self.A, *self.B_blocks), np.split(self.V, self.dim)
         return np.concatenate(kernel(self.dim).LAYOUT.product(blocks, parts, matmul))
 
-    def gradient_field(self):
-        return vec_to_field(self.gradient, self.n_vertices, self.dim)
-
     def gradient_matrix(self):
         """The full (dim n_v)^2 sparse G_F, mainly for debugging dumps."""
         from scipy import sparse

@@ -85,10 +85,6 @@ class SimplexMesh:
     def fixed_mask(self):
         return self.constraint_kind == FIXED
 
-    def free_mask(self):
-        """Vertices with at least one movable direction (free or sliding)."""
-        return self.constraint_kind != FIXED
-
     def slide_mask(self):
         return self.constraint_kind == SLIDE
 

@@ -3,8 +3,9 @@
 The five methods differ only in their search direction: the fixed point's
 preconditioned gradient step -P^-1 g (in 2D the paper's frozen-off-diagonal
 update), the LBFGS two-loop recursion or the Polak-Ribiere nonlinear-CG
-update, the latter two with or without the SPD preconditioner P; the
-two-loop seed, the identity or the inexact P^-1, is scaled by
+update. Each reads one seed H0, the inexact P^-1 of the SPD preconditioner
+P or the identity, chosen in one table (`_METHOD_TABLE`): lbfgs and nlcg
+are plbfgs and pnlcg with H0 = I. The two-loop seed is scaled by
 s.y / y.H0 y of the newest curvature pair. Everything else is shared by
 :func:`_descend`: every direction is projected onto the
 constraint set (fixed vertices never move, sliding vertices stay in their
@@ -23,7 +24,7 @@ import numbers
 import time
 from collections import Counter, deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,7 +45,6 @@ LBFGS = "lbfgs"
 PLBFGS = "plbfgs"
 NLCG = "nlcg"
 PNLCG = "pnlcg"
-METHODS = (FIXED_POINT, LBFGS, PLBFGS, NLCG, PNLCG)
 
 _CURVATURE_PAIR_TOL = 1e-14
 # Stop on an energy stall: a drop over _ENERGY_PATIENCE steps of at most
@@ -317,6 +317,12 @@ class IterationRecord:
     cap_s: float = 0.0
 
 
+# The CSV report's column names where they are not the field's, and its
+# formats where they are not str: floats exact in .17g, fallback as 0/1.
+_CSV_NAMES = {"index": "iter", "lam": "lambda"}
+_CSV_FORMATS = {float: "{:.17g}".format, bool: lambda b: str(int(b))}
+
+
 @dataclass
 class OptimizeReport:
     method: str
@@ -355,21 +361,15 @@ class OptimizeReport:
         return out
 
     def write_csv(self, path_or_file):
-        """One row per record with every field, to a path or an open file."""
+        """One row per record, a column per IterationRecord field, to a path
+        or an open file (`_CSV_NAMES`, `_CSV_FORMATS`)."""
+        columns = fields(IterationRecord)
         owned = not hasattr(path_or_file, "write")
         with open(path_or_file, "w") if owned else nullcontext(path_or_file) as fh:
-            fh.write(
-                "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,"
-                "slide_residual,cap,cap_cell,cg_iters,cg_residual,fallback,"
-                "eval_s,p_build_s,cg_s,cap_s\n"
-            )
+            fh.write(",".join(_CSV_NAMES.get(c.name, c.name) for c in columns) + "\n")
             for r in self.records:
-                fh.write(
-                    f"{r.index},{r.F:.17g},{r.grad_norm:.17g},{r.lam:.17g},{r.ls_evals},"
-                    f"{r.ls_kind},{r.min_measure:.17g},{r.slide_residual:.17g},{r.cap:.17g},"
-                    f"{r.cap_cell},{r.cg_iters},{r.cg_residual:.17g},{int(r.fallback)},"
-                    f"{r.eval_s:.17g},{r.p_build_s:.17g},{r.cg_s:.17g},{r.cap_s:.17g}\n"
-                )
+                cells = (_CSV_FORMATS.get(c.type, str)(getattr(r, c.name)) for c in columns)
+                fh.write(",".join(cells) + "\n")
 
 
 def _inf_norm(v):
@@ -506,10 +506,9 @@ class MeshProblem:
         P is built from the kernel geometry at x (`geometry_at`). Each CG solve
         stops at the relative residual CG_RTOL, so the map is an inexact P^-1.
         For a projected g it still gives ``g @ solve(g) > 0`` (see cg_solve;
-        the projector is symmetric and idempotent), so the fixed point's and
-        PNLCG's steepest direction ``-solve(g)`` descend. PLBFGS applies the
-        map to the two-loop vector, where it is a non-linear seed H0; a
-        direction that does not descend is caught by `_descend`'s fallback.
+        the projector is symmetric and idempotent), so the steepest direction
+        ``-solve(g)`` descends. As the two-loop seed H0 the map is not linear;
+        a direction that does not descend is caught by `_descend`'s fallback.
         """
         with self._timed("p_build_s"):
             if self.topology is None:
@@ -600,18 +599,16 @@ def _take_step(problem, x, f, g, d, k, kind):
     return x_new, f_new, g_new, record
 
 
-def _two_loop(g, pairs, precond_solve):
-    """LBFGS two-loop recursion; returns H @ g for the implicit inverse Hessian.
-
-    ``precond_solve`` is the seed H0 as a vector map, the identity if None.
-    """
+def _two_loop(g, pairs, seed):
+    """LBFGS two-loop recursion; returns H @ g for the implicit inverse Hessian
+    seeded by H0, the vector map ``seed`` (which may return its argument)."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
         q -= a * y
         alphas.append(a)
-    r = precond_solve(q) if precond_solve is not None else q.copy()
+    r = seed(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ r)
         r += (a - b) * s
@@ -635,12 +632,14 @@ def _seed_scale(s, y, h0y):
 
 
 class _Strategy:
-    """Defaults shared by the direction strategies that :func:`_descend` drives."""
+    """Defaults shared by the direction strategies that :func:`_descend` drives;
+    ``seed(problem, x)`` is H0 at x as a vector map (`_METHOD_TABLE`)."""
 
     kind = "wolfe"
 
-    def __init__(self, problem):
+    def __init__(self, problem, seed):
         self.problem = problem
+        self.seed = seed
         self.extras = {}
 
     def accept(self, x, x_new, g, g_new):
@@ -648,41 +647,33 @@ class _Strategy:
 
 
 class _Lbfgs(_Strategy):
-    """(P)LBFGS directions; the fallback is the preconditioned steepest one.
+    """(P)LBFGS directions over LBFGS_MEMORY pairs. The seed is scaled by
+    `_seed_scale` of the newest pair, at one more seed solve per step (of y).
+    Before the first pair it is unscaled, and so is the fallback, the seed's
+    steepest direction."""
 
-    The two-loop seed H0 is the identity (LBFGS) or the inexact P^-1 solve
-    (PLBFGS), times `_seed_scale` of the newest pair. For PLBFGS that scale
-    costs one more P solve per step, of y. Before the first pair the seed
-    is unscaled, and so is the fallback.
-    """
-
-    def __init__(self, problem, memory, precondition):
-        super().__init__(problem)
-        self.precondition = precondition
-        self.pairs = deque(maxlen=memory)
+    def __init__(self, problem, seed):
+        super().__init__(problem, seed)
+        self.pairs = deque(maxlen=LBFGS_MEMORY)
         self.solve = None
 
     def direction(self, x, g):
-        if self.precondition:
-            self.solve = self.problem.precond_factory(x)
-        d = self.problem.project(-_two_loop(g, self.pairs, self._seed()))
+        self.solve = self.seed(self.problem, x)
+        d = self.problem.project(-_two_loop(g, self.pairs, self._scaled_seed()))
         # Without curvature pairs the two-loop result is the fallback itself.
         return d, not self.pairs
 
-    def _seed(self):
+    def _scaled_seed(self):
         solve = self.solve
         if not self.pairs:
             return solve
         s, y, _ = self.pairs[-1]
-        if solve is None:
-            gamma = _seed_scale(s, y, y)
-            return lambda q: gamma * q
         gamma = _seed_scale(s, y, solve(y))
         return lambda q: gamma * solve(q)
 
     def fallback(self, g):
         self.pairs.clear()
-        return self.problem.project(-(self.solve(g) if self.solve is not None else g))
+        return self.problem.project(-self.solve(g))
 
     def accept(self, x, x_new, g, g_new):
         s = x_new - x
@@ -695,17 +686,15 @@ class _Lbfgs(_Strategy):
 class _Nlcg(_Strategy):
     """(P)NLCG directions with the Polak-Ribiere+ beta."""
 
-    def __init__(self, problem, precondition):
-        super().__init__(problem)
-        self.precondition = precondition
+    def __init__(self, problem, seed):
+        super().__init__(problem, seed)
         self.p = None
         self.beta = 0.0
         self.steepest = None
         self.extras["betas"] = []
 
     def direction(self, x, g):
-        solve = self.problem.precond_factory(x) if self.precondition else None
-        self.steepest = self.problem.project(-(solve(g) if solve is not None else g))
+        self.steepest = self.problem.project(-self.seed(self.problem, x)(g))
         if self.p is None:
             self.p = self.steepest
             return self.p, True
@@ -737,16 +726,35 @@ class _FixedPoint(_Strategy):
     3D, settles where ``g = (A_ff - P) V_free``, not g = 0.
     """
 
-    def __init__(self, problem):
-        super().__init__(problem)
+    def __init__(self, problem, seed):
+        super().__init__(problem, seed)
         self.kind = "armijo" if problem.dim == 2 else "wolfe"
 
     def direction(self, x, g):
-        solve = self.problem.precond_factory(x)
-        return self.problem.project(-solve(g)), False
+        return self.problem.project(-self.seed(self.problem, x)(g)), False
 
     def fallback(self, g):
         return self.problem.project(-g)
+
+
+def _identity_seed(problem, x):
+    return lambda v: v
+
+
+def _p_inverse_seed(problem, x):
+    return problem.precond_factory(x)
+
+
+# Every method's direction strategy and its seed H0 at x: the identity (no P
+# is built) or the inexact P^-1 built at x. Nothing else chooses between them.
+_METHOD_TABLE = {
+    FIXED_POINT: (_FixedPoint, _p_inverse_seed),
+    LBFGS: (_Lbfgs, _identity_seed),
+    PLBFGS: (_Lbfgs, _p_inverse_seed),
+    NLCG: (_Nlcg, _identity_seed),
+    PNLCG: (_Nlcg, _p_inverse_seed),
+}
+METHODS = tuple(_METHOD_TABLE)
 
 
 def _descend(problem, config, strategy):
@@ -795,21 +803,12 @@ def _descend(problem, config, strategy):
 
 def _run(problem, config, method):
     """Descend with the method's direction strategy; returns (x, OptimizeReport)."""
-    if method == FIXED_POINT:
-        strategy = _FixedPoint(problem)
-    elif method in (LBFGS, PLBFGS):
-        strategy = _Lbfgs(problem, LBFGS_MEMORY, method == PLBFGS)
-    else:
-        strategy = _Nlcg(problem, method == PNLCG)
+    make_strategy, seed = _METHOD_TABLE[method]
+    strategy = make_strategy(problem, seed)
     x, records, termination = _descend(problem, config, strategy)
-    report = OptimizeReport(
-        method=method,
-        records=records,
-        termination=termination,
-        fun_evals=problem.fun_evals,
-        extras=strategy.extras,
+    return x, OptimizeReport(
+        method, records, termination, problem.fun_evals, extras=strategy.extras
     )
-    return x, report
 
 
 def minimize_lbfgs(fun_grad, x0, config=None, precond_solve=None):

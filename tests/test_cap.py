@@ -12,7 +12,7 @@ from rrsmooth.errors import DegenerateElement
 from rrsmooth.generate import CUBE, SQUARE, GeneratorSpec, gen_mesh
 from rrsmooth.optim import OptimizeConfig, optimize
 
-from conftest import REGULAR, stacked_cells
+from conftest import REGULAR, random_tets, stacked_cells
 from test_mesh import batch_step, bits, jittered, one_cell, random_direction, unit_square_two_tris
 
 W = cap._SCALE_WINDOW
@@ -32,6 +32,19 @@ def test_a_cell_contracting_at_any_scale(dim, c):
     lower = cap.step_lower_bounds(mesh, d, mesh.geometry())[0]
     assert lower <= lam
     assert lower * c == pytest.approx(cap.step_lower_bounds(mesh, d / c, mesh.geometry())[0])
+
+
+def test_a_tet_contracting_to_a_point_is_capped_before_it_gets_there():
+    # Each tet's vertices move straight to one random point, all arriving at
+    # t = 1: its measure is (1 - t)**3 times its volume, a triple root at
+    # s = 1. Rounding splits the root, the complex pair by up to 8.5e-5 of
+    # its modulus on random tets. Where the lone real root is the smaller
+    # one, only counting the pair as real keeps the cap at or below 1. With
+    # REAL_ROOT_RTOL = 1e-5, 4 of these 500 tets got a cap past 1.
+    rng = np.random.default_rng(1)
+    for P in random_tets(500, seed=1):
+        lam, _ = cap.max_step_before_inversion(one_cell(P), rng.normal(size=3) - P)
+        assert lam <= 1.0
 
 
 def binade_case(kind):

@@ -122,7 +122,7 @@ class TestValidate:
     @pytest.mark.parametrize("kind", [3, -1])
     def test_unknown_constraint_kind_is_reported(self, kind):
         mesh = self.sliding_corner((0.0, 1.0))
-        unknown = np.flatnonzero(mesh.free_mask())
+        unknown = np.flatnonzero(~mesh.fixed_mask())
         mesh.constraint_kind[unknown] = kind
         v = m.validate(mesh)
         assert [(x.rule, x.index) for x in v] == [

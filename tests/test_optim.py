@@ -1,3 +1,4 @@
+import io
 import math
 import time
 
@@ -248,7 +249,7 @@ class TestTwoLoop:
             if np.linalg.norm(g) < 1e-12:
                 break
             d_dense = -H @ g
-            d_two_loop = -_two_loop(g, pairs, None)
+            d_two_loop = -_two_loop(g, pairs, lambda v: v)
             rel = np.linalg.norm(d_dense - d_two_loop) / np.linalg.norm(d_dense)
             assert rel <= 1e-8
             lam = -(g @ d_dense) / (d_dense @ (Q @ d_dense))  # exact line search
@@ -276,7 +277,7 @@ def next_directions_after_flat_pairs(count=200):
         y += (1e-17 - (y @ s) / (s @ s)) * s
         g -= (g @ s) / (s @ s) * s
         problem = FunctionProblem(lambda x: (0.0, g), np.zeros(2))
-        strategy = optim._Lbfgs(problem, memory=5, precondition=False)
+        strategy = optim._Lbfgs(problem, optim._identity_seed)
         strategy.accept(np.zeros(2), s, g - y, g)
         out.append((g, strategy.direction(s, g)[0]))
     return out
@@ -296,6 +297,14 @@ class TestCurvaturePairTolerance:
         cases = next_directions_after_flat_pairs()
         failed = [not (np.isfinite(d).all() and g @ d < 0) for g, d in cases]
         assert any(failed)
+
+    def test_rounding_level_pairs_leave_a_measurable_slope(self):
+        # A pair that passes the tolerance swamps g with rho = 1 / y.s, and
+        # the direction is all but orthogonal to g: its slope g.d is rounding
+        # noise, which no line search can follow. At 1e-15, 4 of these 200
+        # pairs pass and give slopes of 1.4e-15 to 2.2e-15 |g||d|.
+        for g, d in next_directions_after_flat_pairs():
+            assert -(g @ d) >= 1e-8 * np.linalg.norm(g) * np.linalg.norm(d)
 
 
 @pytest.mark.usefixtures("exact_line_search")
@@ -368,11 +377,38 @@ class TestSeedScale:
         assert optim._seed_scale(s, y, y) == 1.0
         assert optim._seed_scale(s, s, -s) == 1.0
         g = np.array([0.0, -2.0])
-        strategy = optim._Lbfgs(FunctionProblem(lambda x: (0.0, g), np.zeros(2)), 5, False)
+        problem = FunctionProblem(lambda x: (0.0, g), np.zeros(2))
+        strategy = optim._Lbfgs(problem, optim._identity_seed)
         strategy.accept(np.zeros(2), s, g - y, g)
         d, _ = strategy.direction(s, g)
         assert len(strategy.pairs) == 1
-        assert np.array_equal(d, -_two_loop(g, strategy.pairs, None))
+        assert np.array_equal(d, -_two_loop(g, strategy.pairs, lambda v: v))
+
+
+def extended_rosenbrock(x):
+    a, b = x[:-1], x[1:]
+    f = float(np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2))
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
+    g[1:] += 200.0 * (b - a * a)
+    return f, g
+
+
+class TestSeedMap:
+    """lbfgs and nlcg are plbfgs and pnlcg with the seed H0 = I."""
+
+    @pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_nlcg])
+    def test_an_identity_solve_keeps_every_bit(self, minimize):
+        x0 = np.zeros(6)
+        config = OptimizeConfig(max_iters=100)
+        x, plain = minimize(extended_rosenbrock, x0, config)
+        x_seeded, seeded = minimize(extended_rosenbrock, x0, config, precond_solve=lambda v: v)
+        assert (plain.method, seeded.method) in (("lbfgs", "plbfgs"), ("nlcg", "pnlcg"))
+        assert plain.iterations > 10
+        assert x_seeded.tobytes() == x.tobytes()
+        assert (seeded.iterations, seeded.fun_evals, seeded.termination) == (
+            plain.iterations, plain.fun_evals, plain.termination
+        )
 
 
 @pytest.mark.usefixtures("exact_line_search")
@@ -455,7 +491,7 @@ def first_fixed_point_direction(mesh):
     problem = optim.MeshProblem(mesh)
     x = problem.x0
     _, g = problem.eval(x)
-    d, _ = optim._FixedPoint(problem).direction(x, g)
+    d, _ = optim._FixedPoint(problem, optim._p_inverse_seed).direction(x, g)
     return d.reshape(problem.nv, problem.dim)
 
 
@@ -481,15 +517,15 @@ class TestFixedPoint:
 
     def test_perturbed_lattice_gradient_convergence(self, monkeypatch):
         # Reaches an absolute free-gradient norm of 1e-8 within 30 iterations.
-        from rrsmooth.assembly import assemble
+        from rrsmooth.assembly import assemble, vec_to_field
 
         monkeypatch.setattr(optim, "ENERGY_TOL", 1e-16)
         mesh = perturbed_lattice()
         cfg = OptimizeConfig(method="fixedpoint", max_iters=30, grad_tol_abs=1e-8)
         out, report = optimize(mesh, cfg)
         assert report.termination == "grad_tol"
-        g = assemble(out).gradient_field()
-        assert np.abs(g[out.free_mask()]).max() <= 1e-8
+        g = vec_to_field(assemble(out).gradient, out.n_vertices, out.dim)
+        assert np.abs(g[~out.fixed_mask()]).max() <= 1e-8
 
     def test_first_step_decreases_energy_on_sliver_mesh(self):
         mesh = slivered_cube(n=3, count=1)
@@ -594,9 +630,9 @@ class TestInexactSolves:
         problem = optim.MeshProblem(make())
         x = problem.x0
         _, g = problem.eval(x)
-        d, _ = optim._FixedPoint(problem).direction(x, g)
+        d, _ = optim._FixedPoint(problem, optim._p_inverse_seed).direction(x, g)
         assert g @ d < 0.0
-        nlcg = optim._Nlcg(problem, precondition=True)
+        nlcg = optim._Nlcg(problem, optim._p_inverse_seed)
         nlcg.direction(x, g)
         assert g @ nlcg.steepest < 0.0
 
@@ -730,6 +766,30 @@ class TestMeshOptimizers:
         mesh.cells[0] = mesh.cells[0][[0, 1, 3, 2]]  # invert one cell
         with pytest.raises(MeshError):
             optimize(mesh, OptimizeConfig(method="plbfgs"))
+
+    def test_report_csv_bytes(self):
+        # A header and rows as the hand-written CSV writer wrote them, with
+        # nan, inf, -0.0, a subnormal, an int 0 in a float field and both
+        # fallback values.
+        records = [
+            optim.IterationRecord(0, 1.2345678901234567, 0.1, 0.0, 0, eval_s=0.001),
+            optim.IterationRecord(
+                1, 0.1 + 0.2, 3e-300, 1 / 3, 2, "wolfe", 1e-5, 2.5e-17, math.inf, -1, 12,
+                0.0093, True, 0.5, 0.25, 1e-3, 7e-4,
+            ),
+            optim.IterationRecord(2, math.nan, 5.0, 0.9, 1, "armijo", -0.0, 0.0, 0.45, 17, 0, 0),
+        ]
+        buf = io.StringIO()
+        optim.OptimizeReport("plbfgs", records, "grad_tol", 4).write_csv(buf)
+        assert buf.getvalue() == (
+            "iter,F,grad_norm,lambda,ls_evals,ls_kind,min_measure,slide_residual,cap,"
+            "cap_cell,cg_iters,cg_residual,fallback,eval_s,p_build_s,cg_s,cap_s\n"
+            "0,1.2345678901234567,0.10000000000000001,0,0,,nan,0,nan,-1,0,0,0,0.001,0,0,0\n"
+            "1,0.30000000000000004,3.0000000000000002e-300,0.33333333333333331,2,wolfe,"
+            "1.0000000000000001e-05,2.4999999999999999e-17,inf,-1,12,0.0092999999999999992,"
+            "1,0.5,0.25,0.001,0.00069999999999999999\n"
+            "2,nan,5,0.90000000000000002,1,armijo,-0,0,0.45000000000000001,17,0,0,0,0,0,0,0\n"
+        )
 
     def test_report_csv_shape(self, tmp_path):
         mesh = perturbed_lattice(6)
@@ -871,6 +931,14 @@ class TestWorkPerIteration:
         _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
         assert report.iterations == 6
         assert len(calls) == report.iterations
+
+    @pytest.mark.parametrize("method", ["lbfgs", "nlcg"])
+    def test_the_identity_seed_builds_no_preconditioner(self, monkeypatch, method):
+        mesh = slivered_cube(n=3, count=1)
+        builds = counting(monkeypatch, "assemble_preconditioner")
+        _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
+        assert report.iterations > 0
+        assert builds == []
 
     def test_fixed_point_needs_no_full_block_assembly(self, monkeypatch):
         # The direction comes from the shared P solve, so the blocks B are
