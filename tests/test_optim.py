@@ -186,6 +186,27 @@ class TestStrongWolfe:
         assert res.lam <= 0.7
         assert abs(res.lam - 0.5) < 1e-6
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(k=st.integers(-100, 100))
+    def test_steps_scaled_by_a_power_of_two_give_the_same_search(self, k):
+        # phi = 10 u**4 - u in units u = lam / L of the cap L = 2**(k - 101),
+        # below 1 at every k, so the first trial is the cap. It overshoots,
+        # and the first zoom trial (the quadratic's minimizer, u = 0.05)
+        # misses the curvature condition.
+        def search(k):
+            L = 2.0 ** (k - 101)
+
+            def phi(lam):
+                u = lam / L
+                return 10.0 * u**4 - u, (40.0 * u**3 - 1.0) / L
+
+            return strong_wolfe_search(phi, 0.0, -1.0 / L, lam_cap=L)
+
+        base, scaled = search(0), search(k)
+        assert base.evals > 2
+        assert scaled.lam == math.ldexp(base.lam, k)
+        assert (scaled.f, scaled.evals) == (base.f, base.evals)
+
 
 class TestBacktracking:
     def test_quadratic_accepts_unit_step(self):
@@ -397,14 +418,28 @@ def extended_rosenbrock(x):
 class TestSeedMap:
     """lbfgs and nlcg are plbfgs and pnlcg with the seed H0 = I."""
 
-    @pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_nlcg])
-    def test_an_identity_solve_keeps_every_bit(self, minimize):
-        x0 = np.zeros(6)
-        config = OptimizeConfig(max_iters=100)
+    # From the linspace and the 0.5 starts the first trial along -g
+    # overshoots the minimizer by orders of magnitude. nlcg needs 574-685
+    # iterations to converge from these starts.
+    @pytest.mark.parametrize(
+        "minimize, x0",
+        [
+            pytest.param(minimize, x0, id=minimize.__name__ + start)
+            for start, x0 in [
+                ("", np.zeros(6)),
+                ("-linspace", np.linspace(-0.5, 0.5, 6)),
+                ("-half", np.full(6, 0.5)),
+            ]
+            for minimize in (minimize_lbfgs, minimize_nlcg)
+        ],
+    )
+    def test_an_identity_solve_keeps_every_bit(self, minimize, x0):
+        config = OptimizeConfig(max_iters=1000)
         x, plain = minimize(extended_rosenbrock, x0, config)
         x_seeded, seeded = minimize(extended_rosenbrock, x0, config, precond_solve=lambda v: v)
         assert (plain.method, seeded.method) in (("lbfgs", "plbfgs"), ("nlcg", "pnlcg"))
         assert plain.iterations > 10
+        assert plain.termination in ("grad_tol", "energy_tol")
         assert x_seeded.tobytes() == x.tobytes()
         assert (seeded.iterations, seeded.fun_evals, seeded.termination) == (
             plain.iterations, plain.fun_evals, plain.termination
@@ -883,6 +918,23 @@ class TestAbnormalStops:
         _, report = optimize(mesh, OptimizeConfig(method=method))
         assert report.termination == "line_search_failed"
         assert report.fun_evals == 2
+
+
+def test_a_small_mesh_smooths_as_at_unit_scale():
+    # A random Delaunay mesh at 2**-30: steps are some 1e-18 times those at
+    # unit scale, and nlcg needs the zoom on them.
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(25)
+    points = np.vstack([rng.random((30, 2)), [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]])
+    cells, _ = m.repair_orientation(points, Delaunay(points).simplices)
+    config = OptimizeConfig(method="nlcg", max_iters=60)
+    unit, small = (
+        optimize(m.classify_boundary(m.SimplexMesh(points * scale, cells), m.FIX_ALL), config)[1]
+        for scale in (1.0, 2.0**-30)
+    )
+    assert unit.termination == "grad_tol"
+    assert (small.termination, small.iterations) == (unit.termination, unit.iterations)
 
 
 class TestEnergyPatience:
