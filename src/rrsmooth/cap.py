@@ -18,8 +18,8 @@ from .mesh import kernel
 # Counting a near-real pair as real only lowers the bound.
 REAL_ROOT_RTOL = 1e-4
 
-# The tet cap first solves the _CAP_FIRST_ROWS cubics p with the largest
-# _root_estimate, which only orders them, and takes the largest root s found.
+# The tet cap takes the largest root s found: by the pruned cap's first cells,
+# or in the _CAP_FIRST_ROWS cubics p with the largest _root_estimate (an order).
 # It then clears a cubic when q(u) = p(S + u), S = s (1 - CAP_MARGIN), has
 # only positive coefficients, and solves every other one. Such a q has no
 # root with |arg u| < pi/3, so every root of p right of S has
@@ -27,7 +27,7 @@ REAL_ROOT_RTOL = 1e-4
 # (sqrt(3) CAP_MARGIN - REAL_ROOT_RTOL) s / 2 = 8.2e-4 s away from every
 # point that counts as real at or above s: 7.5 times the widest rounding
 # split of a triple root (1.09e-4 s, see REAL_ROOT_RTOL), the largest error
-# seen in a cell's roots. So no cleared cubic has a root counted real above s.
+# seen in a cell's roots. So no cleared cubic has a root counted real at or above s.
 CAP_MARGIN = 1e-3
 # A shifted coefficient clears only when it exceeds this fraction of the sum
 # of its terms' moduli, far above the few ulps of rounding in its sum.
@@ -39,8 +39,8 @@ CAP_SHIFT_RTOL = 1e-13
 # cubic with only positive coefficients, such as a1 = 1e9, a2 = 1e-20,
 # a3 = 1e-31, can return a positive real root near 1e-20.
 CAP_ROOT_SCALE = 1e8
-# Rows solved first. Any count gives the same result; on cube n=6 and 10
-# directions the cell that sets the cap is among the first 4 on 95% of calls.
+# Rows solved first while no root is known. Any count gives the same result; on
+# cube n=6 and 10 directions the cell that sets the cap is among them on 95% of calls.
 _CAP_FIRST_ROWS = 4
 # step_lower_bounds lowers each cell's bound by this fraction (see
 # TestLowerBound): its inputs, the kept measure, the squared edges and the
@@ -168,15 +168,15 @@ def _lower_bounds(mesh, direction, geometry):
 
 def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
     """``(lam, cell)``: the largest lam such that vertices + t*direction keeps
-    every cell positive for all t in [0, lam), and the cell that sets it (-1
-    when lam is inf: no cell's measure polynomial has a positive root, or
-    the bound is past the float range).
+    every cell positive for all t in [0, lam), and the cell that sets it, the
+    lowest such cell on ties (-1 when lam is inf: no cell's measure
+    polynomial has a positive root, or the bound is past the float range).
 
     lam is 1 / (largest positive real root s of the cells' monic measure
     polynomials in s = 1/t, :func:`_measure_polynomials`), or inf when there
     is none. Roots count as real up to REAL_ROOT_RTOL. Triangles solve in
     closed form; tets solve only the cells whose roots can reach the largest
-    root (:func:`_binding_root`). ``geometry`` is ``mesh.geometry()`` (or,
+    root (:func:`_binding_roots`). ``geometry`` is ``mesh.geometry()`` (or,
     with ``lower``, its :func:`cap_geometry`), and ``lower`` the cells'
     :func:`step_lower_bounds` on it; each is computed when needed and not
     given. A misshapen or non-finite direction raises ValueError, and a cell
@@ -185,9 +185,10 @@ def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
     A mesh of more than _CAP_PRUNE_MIN_CELLS cells is pruned: the
     _CAP_FIRST_CELLS cells with the smallest bounds are solved first, and
     their largest step U bounds lam from above. No cell's cap is below its
-    bound, so the cell that sets lam is among those with a bound of at most
+    bound, so the cells that set lam are among those with a bound of at most
     U, and only those get their coefficients built and solved. LAPACK solves
-    each row on its own, so lam keeps the bits of solving every cell.
+    each row on its own, so every solved cell's root, and with them lam and
+    cell, have the bits of solving every cell.
     """
     direction, k = _scaled(mesh, direction)
     if geometry is None:
@@ -197,20 +198,22 @@ def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
         if lower is None:
             lower = _unscaled(_lower_bounds(mesh, direction, geometry), k)
         first = lower.argpartition(_CAP_FIRST_CELLS)[:_CAP_FIRST_CELLS]
-    s, row = _binding_root(_measure_polynomials(mesh, direction, geometry, first))
-    if first is None:
-        return _result(s, k, row)
-    cell = first[row] if row >= 0 else -1
-    # The first cells' largest step bounds lam from above. A NaN bound
-    # bounds nothing, so its cell stays.
-    rest = ~(lower > _step(s, k))
-    rest[first] = False
-    cells = np.flatnonzero(rest)
-    if cells.size:
-        s, row = _binding_root(_measure_polynomials(mesh, direction, geometry, cells), s)
-        if row >= 0:
-            cell = cells[row]
-    return _result(s, k, cell)
+    roots, cells = _binding_roots(_measure_polynomials(mesh, direction, geometry, first))
+    s = roots.max(initial=0.0)
+    if first is not None:
+        cells = first[cells]
+        # The first cells' largest step bounds lam from above. A NaN bound
+        # bounds nothing, so its cell stays.
+        rest = ~(lower > _step(s, k))
+        rest[first] = False
+        more = np.flatnonzero(rest)
+        if more.size:
+            a = _measure_polynomials(mesh, direction, geometry, more)
+            more_roots, rows = _binding_roots(a, s)
+            roots, cells = np.concatenate([roots, more_roots]), np.concatenate([cells, more[rows]])
+            s = roots.max()
+    lam = _step(s, k)
+    return lam, int(cells[roots == s].min()) if lam < np.inf else -1
 
 
 def _scaled(mesh, direction):
@@ -245,12 +248,6 @@ def _step(s, k):
     return float(_unscaled(1.0 / float(s) if s > 0 else np.inf, k))
 
 
-def _result(s, k, cell):
-    """``(lam, cell)`` for the largest root s; no cell bounds an infinite lam."""
-    lam = _step(s, k)
-    return lam, int(cell) if lam < np.inf else -1
-
-
 def _measure_polynomials(mesh, direction, geometry, cells=None):
     """The kernel's ``measure_polynomial`` of every cell (or of ``cells``),
     each row with the bits of the full batch's. A cell whose coefficients
@@ -258,7 +255,8 @@ def _measure_polynomials(mesh, direction, geometry, cells=None):
     rows = mesh.cells if cells is None else mesh.cells[cells]
     du = np.take(np.ascontiguousarray(direction.T), rows.T, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = kernel(mesh.dim).measure_polynomial(cap_geometry(geometry, cells), du.T)
+        g = geometry if cells is None else cap_geometry(geometry, cells)
+        a = kernel(mesh.dim).measure_polynomial(g, du.T)
     solvable = np.abs(a) <= _ROOT_LIMIT ** np.arange(1.0, mesh.dim + 1.0)
     if not solvable.all():
         row = np.flatnonzero(~solvable.all(axis=1))[0]
@@ -292,8 +290,9 @@ def _largest_roots(a):
     real = disc >= -4.0 * REAL_ROOT_RTOL**2 * c
     q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
     with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: masked below
-        roots = np.stack([q, c / q])
-    return np.where(real & (roots > 0), roots, 0.0).max(axis=0, initial=0.0)
+        roots = np.array([q, c / q])
+    roots = np.where(real & (roots > 0), roots, 0.0)
+    return np.maximum(roots[0], roots[1])
 
 
 def _root_estimate(a):
@@ -323,45 +322,38 @@ def _row_roots(a):
     return np.where(real & (roots.real > 0), roots.real, 0.0).max(axis=1, initial=0.0)
 
 
-def _binding_root(a, s=0.0):
-    """The largest of ``s`` (a root found elsewhere, or 0) and the positive
-    real roots of the rows of ``a``, and the row that has it (-1 for ``s``).
+def _binding_roots(a, s=0.0):
+    """``(roots, rows)``: the largest positive real root (0 when none) of
+    each row of ``a`` that it solves, and those rows. A row it does not solve
+    has no root counted real at or above the largest of ``s`` (a root found
+    elsewhere, or 0) and the roots it returns, so every row that holds the
+    largest root is among ``rows``.
 
     Quadratics (triangles) are all solved in closed form. Cubics are solved
-    few at a time: the _CAP_FIRST_ROWS rows with the largest
-    :func:`_root_estimate`, then every row that the Taylor shift at
-    ``S = s (1 - CAP_MARGIN)``, s the largest root so far, does not clear
-    (see CAP_MARGIN). Every row is solved when S is 0 or so far from 1 that
-    S**-3 is not a normal number, and a row with an inf or NaN is never
+    few at a time: while no root is known (s is 0), the _CAP_FIRST_ROWS rows
+    with the largest :func:`_root_estimate`, then every row that the Taylor
+    shift at ``S = s (1 - CAP_MARGIN)``, s the largest root so far, does not
+    clear (see CAP_MARGIN). Every row is solved when S is 0 or so far from 1
+    that S**-3 is not a normal number, and a row with an inf or NaN is never
     cleared. LAPACK solves each companion matrix on its own, so a row's
-    roots have the same bits in any batch, and the result those of solving
-    every row.
+    roots have the same bits in any batch.
     """
     if a.shape[1] == 2 or len(a) <= _CAP_FIRST_ROWS:
-        return _larger(_largest_roots(a), np.arange(len(a)), s)
-    first = _root_estimate(a).argpartition(-_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
-    s, row = _larger(_row_roots(a[first]), first, s)
-    S = s * (1.0 - CAP_MARGIN)
+        return _largest_roots(a), np.arange(len(a))
+    first, roots = np.empty(0, dtype=np.intp), np.empty(0)
+    if not s > 0.0:
+        first = _root_estimate(a).argpartition(-_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
+        roots = _row_roots(a[first])
+    S = roots.max(initial=s) * (1.0 - CAP_MARGIN)
     if 1e-100 < S < 1e100:
         rest = ~_shift_clears(a.T, S)
     else:
         rest = np.ones(len(a), dtype=bool)
     rest[first] = False
     rows = np.flatnonzero(rest)
-    if rows.size:
-        s_rest, row_rest = _larger(_row_roots(a[rows]), rows, s)
-        if row_rest >= 0:
-            return s_rest, row_rest
-    return s, row
-
-
-def _larger(roots, rows, s):
-    """``(root, row)`` for the largest of ``roots``, at ``rows``, if it
-    exceeds ``s``; else ``(s, -1)``."""
-    if not roots.size:
-        return s, -1
-    i = roots.argmax()
-    return (roots[i], rows[i]) if roots[i] > s else (s, -1)
+    if not rows.size:
+        return roots, first
+    return np.concatenate([roots, _row_roots(a[rows])]), np.concatenate([first, rows])
 
 
 def _shift_clears(c, S):

@@ -66,6 +66,9 @@ _WOLFE_MAX_EVALS = 60  # trials one strong Wolfe search may spend
 # a search whose first trial overshot by orders of magnitude crept up from
 # the low end until its trials ran out; ROADMAP.md lists the sweep behind 1e-4.
 _ZOOM_SAFEGUARD = 1e-4
+# Two zoom trials that leave the bracket wider than this fraction of its width
+# make the next its geometric midpoint (More and Thuente, ACM TOMS 20, 1994).
+_ZOOM_STALL = 2.0 / 3.0
 # Relative residual at which the optimize path's P solves stop. A step needs
 # a descent direction, not an exact P^-1 g (see cg_solve); tighter costs CG
 # iterations for the same steps, much looser costs energy per step.
@@ -174,18 +177,19 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
     uphill, which brackets an acceptable step with lo. Inside the bracket a
     trial is the minimizer of the quadratic through lo's value and slope and
     hi's value, at least _ZOOM_SAFEGUARD of the width from either end, or else
-    the midpoint. The search fails once a trial misses in a bracket narrower
-    than 1e-16 times its upper end, so steps scaled by a power of two give
-    the same trials. ``lam_cap`` is a float or a :class:`StepCap`, read in
-    the first trial ``min(1, cap)``, the doubling ``min(2 lam, cap)`` and the
-    stop ``lam >= cap``; a StepCap computes it only where a trial passes its
-    lower bound, so the trials are those of the float cap.
+    the midpoint; after two trials that shrank it too little (_ZOOM_STALL), its
+    geometric midpoint (the midpoint from 0). The search fails once a trial
+    misses in a bracket narrower than 1e-16 times its upper end, so steps scaled
+    by a power of two give the same trials. ``lam_cap`` is a float or a
+    :class:`StepCap`, read in the first trial ``min(1, cap)``, the doubling
+    ``min(2 lam, cap)`` and the stop ``lam >= cap``; a StepCap computes it only
+    where a trial passes its lower bound, so the trials are the float cap's.
     """
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     cap = StepCap.of(lam_cap)
     lo, f_lo, df_lo = 0.0, f0, df0
-    hi, f_hi, narrow = None, None, False
+    hi, f_hi, narrow, widths = None, None, False, (math.inf, math.inf)
     for evals in range(1, _WOLFE_MAX_EVALS + 1):
         if hi is None:
             lam = cap.clip(2.0 * lo if evals > 1 else 1.0)
@@ -195,7 +199,10 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
             narrow = width <= 1e-16 * b
             lam = 0.5 * (a + b)
             denom = f_hi - f_lo - df_lo * h
-            if denom > 0.0:  # else the quadratic's extremum lies outside
+            stalled, widths = width > _ZOOM_STALL * widths[0], (widths[1], width)
+            if stalled:  # b / a, and so lam, scales exactly by powers of two
+                lam = a * math.sqrt(b / a) if a > 0.0 else lam
+            elif denom > 0.0:  # else the quadratic's extremum lies outside
                 q = lo - 0.5 * df_lo * h * h / denom
                 if a < q < b:
                     guard = _ZOOM_SAFEGUARD * width
@@ -275,11 +282,11 @@ class IterationRecord:
     slide_residual: float = 0.0
     # The step's inversion cap (an upper bound on lam: the exact cap, or its
     # lower bound where no trial passed that) and the cell that set the exact
-    # cap (-1 for the lower bound, or where no cell bounds the step), the CG
-    # iterations of its P solves and their worst relative residual, whether
-    # _descend replaced the strategy's direction by its fallback, and seconds
-    # in its evaluations (record 0: the initial evaluation), its P builds,
-    # its P solves and its caps (the lower bound and the exact cap).
+    # cap, the lowest such cell on ties (-1 for the lower bound, or where no
+    # cell bounds the step), the CG iterations of its P solves and their worst
+    # relative residual, whether _descend replaced the strategy's direction by
+    # its fallback, and seconds in its evaluations (record 0: the initial one),
+    # its P builds, its P solves and its caps (the lower bound and the exact cap).
     cap: float = math.nan
     cap_cell: int = -1
     cg_iters: int = 0

@@ -7,9 +7,11 @@ TestStepBound, TestLowerBound, TestRootBound and TestLargestRealRoot.
 import numpy as np
 import pytest
 
-from rrsmooth import cap, mesh as m
+from rrsmooth import cap, mesh as m, optim
 from rrsmooth.errors import DegenerateElement
-from rrsmooth.generate import CUBE, SQUARE, GeneratorSpec, gen_mesh
+from rrsmooth.generate import (
+    CUBE, SQUARE, GeneratorSpec, PlantSliver, RandomJitter, gen_mesh, perturb_mesh,
+)
 from rrsmooth.optim import OptimizeConfig, optimize
 
 from conftest import REGULAR, random_tets, stacked_cells
@@ -156,3 +158,29 @@ def test_a_small_triangle_mesh_has_unwarned_bounds():
     assert lower[still].min() > 1e100 * lower[~still].max()
     report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=5))[1]
     assert report.termination == "max_iters"
+
+
+def test_every_exact_cap_names_the_lowest_binding_cell(monkeypatch):
+    # Along the 4th exact cap of this lbfgs solve, cells 190 and 192 have the
+    # same largest root. The row pruning solves 192 first, and a cap that
+    # kept the first binding cell it solved named 192.
+    mesh = m.classify_boundary(
+        perturb_mesh(perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 6)), RandomJitter(0.1, 16)),
+                     PlantSliver(5, 0.01)),
+        m.FIX_ALL,
+    )
+    caps, exact = [], optim.max_step_before_inversion
+
+    def recorded(at, direction, **kwargs):
+        caps.append((at, direction, kwargs["geometry"], exact(at, direction, **kwargs)))
+        return caps[-1][-1]
+
+    monkeypatch.setattr(optim, "max_step_before_inversion", recorded)
+    optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=50, grad_tol=1e-300,
+                                  grad_tol_abs=1e-5))
+    ties = 0
+    for at, d, g, (lam, cell) in caps:
+        roots = cap._largest_roots(cap._measure_polynomials(at, cap._scaled(at, d)[0], g))
+        assert (lam, cell) == (1.0 / roots.max(), roots.argmax())
+        ties += np.count_nonzero(roots == roots.max()) > 1
+    assert ties >= 2

@@ -798,7 +798,7 @@ def full_batch_step(mesh, d, g):
 
 
 def largest_real_root(a):
-    return cap._binding_root(a)[0]
+    return cap._binding_roots(a)[0].max(initial=0.0)
 
 
 def count_solved_rows(monkeypatch):
@@ -843,14 +843,14 @@ def recorded_caps():
                      PlantSliver(5, 0.01)),
         m.FIX_ALL,
     )
-    recorded, search = [], cap._binding_root
+    recorded, search = [], cap._binding_roots
 
     def record(a, *args):
         recorded.append(np.array(a))
         return search(a, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cap, "_binding_root", record)
+        patch.setattr(cap, "_binding_roots", record)
         optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=15))
     assert recorded
     return recorded
@@ -1047,7 +1047,7 @@ class TestLargestRealRoot:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optim.MeshProblem, "lam_cap", recorded)
             optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=10))
-        calls, search, solve = [], cap._binding_root, cap._row_roots
+        calls, search, solve = [], cap._binding_roots, cap._row_roots
 
         def per_call(a, *args):
             calls.append([])
@@ -1057,7 +1057,7 @@ class TestLargestRealRoot:
             calls[-1].append(len(a))
             return solve(a)
 
-        monkeypatch.setattr(cap, "_binding_root", per_call)
+        monkeypatch.setattr(cap, "_binding_roots", per_call)
         monkeypatch.setattr(cap, "_row_roots", counted)
         for at, d in directions:
             cap.max_step_before_inversion(at, d)

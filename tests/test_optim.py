@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 
 from rrsmooth import assembly, simplex, tetrahedra, triangles
@@ -133,6 +133,26 @@ def reduced_laplacian(rng, n):
     return L[free][:, free]
 
 
+def creeping_zoom(kind, s):
+    """``(phi, f0, df0)`` of a search whose first trial overshoots and whose
+    clamped quadratic trials then keep their sufficient decrease, in units
+    u = lam / s: exp(u) - 3 u, or 10 u**4 - u."""
+    if kind == "exp":
+        def phi(lam):
+            u = lam / s
+            if u > 700.0:
+                return math.inf, math.inf
+            return math.exp(u) - 3.0 * u, (math.exp(u) - 3.0) / s
+
+        return phi, 1.0, -2.0 / s
+
+    def phi(lam):
+        u = lam / s
+        return 10.0 * u**4 - u, (40.0 * u**3 - 1.0) / s
+
+    return phi, 0.0, -1.0 / s
+
+
 class TestStrongWolfe:
     def test_quadratic_accepts_unit_step(self):
         def phi(lam):
@@ -206,6 +226,31 @@ class TestStrongWolfe:
         assert base.evals > 2
         assert scaled.lam == math.ldexp(base.lam, k)
         assert (scaled.f, scaled.evals) == (base.f, base.evals)
+
+    @pytest.mark.parametrize("kind, evals", [("exp", 20), ("quartic", 8)])
+    def test_a_stalled_zoom_takes_the_geometric_midpoint(self, kind, evals):
+        # At s = 1e-6 the first trial overshoots by 1e6 and bisection brings
+        # the bracket near s. Then each clamped quadratic trial moved lo up by
+        # only _ZOOM_SAFEGUARD of the width: exp's trials crept from u = 0.171
+        # by 0.003 until no strong Wolfe step in 60 trials, the quartic's from
+        # u = 0.01 by 0.01 to 0.14, 16 trials in all.
+        phi, f0, df0 = creeping_zoom(kind, 1e-6)
+        res = strong_wolfe_search(phi, f0, df0)
+        assert res.evals == evals
+        assert abs(res.df) <= -WOLFE_C2 * df0
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(kind=st.sampled_from(["exp", "quartic"]), k=st.integers(-60, 60))
+    def test_a_zoom_finds_a_step_at_every_scale(self, kind, k):
+        # exp(u) - 3 u is accepted near u = 1. Above s = 2**56 the doubling from
+        # the unit first trial alone spends the trial budget before the
+        # bracket forms (the first trial is not scale-free), so exp stops there.
+        assume(kind == "quartic" or k <= 56)
+        phi, f0, df0 = creeping_zoom(kind, 2.0**k)
+        res = strong_wolfe_search(phi, f0, df0)
+        assert res.evals <= optim._WOLFE_MAX_EVALS
+        assert res.f <= f0 + optim.WOLFE_C1 * res.lam * df0
+        assert abs(res.df) <= -WOLFE_C2 * df0
 
 
 class TestBacktracking:
