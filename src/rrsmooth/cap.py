@@ -18,8 +18,8 @@ from .mesh import kernel
 # Counting a near-real pair as real only lowers the bound.
 REAL_ROOT_RTOL = 1e-4
 
-# The tet cap takes the largest root s found: by the pruned cap's first cells,
-# or in the _CAP_FIRST_ROWS cubics p with the largest _root_estimate (an order).
+# The tet cap takes the largest root s found in the _CAP_FIRST_ROWS cubics p
+# with the largest _root_estimate (an order).
 # It then clears a cubic when q(u) = p(S + u), S = s (1 - CAP_MARGIN), has
 # only positive coefficients, and solves every other one. Such a q has no
 # root with |arg u| < pi/3, so every root of p right of S has
@@ -52,18 +52,6 @@ LOWER_BOUND_RTOL = 1e-9
 # entry a direction would underflow it to 0 and give the cell an infinite
 # bound, though its cubic has a root.
 _DIRECTION_SQ_FLOOR = 1e-300
-# The pruned cap first solves the _CAP_FIRST_CELLS cells with the smallest
-# step_lower_bounds; their largest step bounds the cap from above. On the
-# exact caps of cube n=6 and 10 sliver solves the cell that sets the cap
-# ranked 25th to 213th by its bound; the first 16 cells bounded the cap to
-# within 1.1 to 70 times, the first 64 to within 1.0 to 1.9 times.
-_CAP_FIRST_CELLS = 64
-# Meshes of at most this many cells are not pruned: the second coefficient
-# build and root solve cost more than the cells they skip. On the exact caps
-# of cube n=6 sliver solves (1296 cells) pruning cost 4.9-7.1 ms per solve
-# against 3.3-5.0 ms; it saved a third at cube n=10 (6000 cells) and
-# square n=40 (3200 cells).
-_CAP_PRUNE_MIN_CELLS = 2048
 # The cap is homogeneous: along c d it is the cap along d over c. A direction
 # whose largest entry is more than 2**_SCALE_WINDOW times larger or smaller
 # than the mesh's largest vertex coordinate is scaled by a power of two into
@@ -145,10 +133,6 @@ def step_lower_bounds(mesh, direction, geometry):
     non-finite direction raises ValueError.
     """
     direction, k = _scaled(mesh, direction)
-    return _unscaled(_lower_bounds(mesh, direction, geometry), k)
-
-
-def _lower_bounds(mesh, direction, geometry):
     du = mesh.cell_coords(direction)
     f = du[:, 1:] - du[:, :1]
     # A norm past the float range gives the bound 0, which holds.
@@ -158,15 +142,17 @@ def _lower_bounds(mesh, direction, geometry):
         np.maximum(dsq, _DIRECTION_SQ_FLOOR, out=dsq)
         if mesh.dim == 3:
             esq = geometry.edge_sq.sum(axis=0)
-            return (12.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.volume / (esq * np.sqrt(dsq))
-        e = geometry.edges[:, 1:]
-        esq = (e * e).reshape(-1, e.shape[-1]).sum(axis=0)
-        # Square roots taken apart: for a still cell (dsq at the floor) the
-        # product esq * dsq underflows to 0 once its edges are below 1e-12.
-        return (2.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.area / (np.sqrt(esq) * np.sqrt(dsq))
+            lower = (12.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.volume / (esq * np.sqrt(dsq))
+        else:
+            e = geometry.edges[:, 1:]
+            esq = (e * e).reshape(-1, e.shape[-1]).sum(axis=0)
+            # Square roots taken apart: for a still cell (dsq at the floor) the
+            # product esq * dsq underflows to 0 once its edges are below 1e-12.
+            lower = (2.0 * (1.0 - LOWER_BOUND_RTOL)) * geometry.area / (np.sqrt(esq) * np.sqrt(dsq))
+    return _unscaled(lower, k)
 
 
-def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
+def max_step_before_inversion(mesh, direction, geometry=None):
     """``(lam, cell)``: the largest lam such that vertices + t*direction keeps
     every cell positive for all t in [0, lam), and the cell that sets it, the
     lowest such cell on ties (-1 when lam is inf: no cell's measure
@@ -174,45 +160,21 @@ def max_step_before_inversion(mesh, direction, geometry=None, lower=None):
 
     lam is 1 / (largest positive real root s of the cells' monic measure
     polynomials in s = 1/t, :func:`_measure_polynomials`), or inf when there
-    is none. Roots count as real up to REAL_ROOT_RTOL. Triangles solve in
-    closed form; tets solve only the cells whose roots can reach the largest
-    root (:func:`_binding_roots`). ``geometry`` is ``mesh.geometry()`` (or,
-    with ``lower``, its :func:`cap_geometry`), and ``lower`` the cells'
-    :func:`step_lower_bounds` on it; each is computed when needed and not
-    given. A misshapen or non-finite direction raises ValueError, and a cell
-    whose roots pass _ROOT_LIMIT DegenerateElement.
-
-    A mesh of more than _CAP_PRUNE_MIN_CELLS cells is pruned: the
-    _CAP_FIRST_CELLS cells with the smallest bounds are solved first, and
-    their largest step U bounds lam from above. No cell's cap is below its
-    bound, so the cells that set lam are among those with a bound of at most
-    U, and only those get their coefficients built and solved. LAPACK solves
-    each row on its own, so every solved cell's root, and with them lam and
-    cell, have the bits of solving every cell.
+    is none. Roots count as real up to REAL_ROOT_RTOL. Every cell's
+    coefficients are built; triangles solve in closed form, tets solve only
+    the cells whose roots can reach the largest root
+    (:func:`_binding_roots`). ``geometry`` is ``mesh.geometry()`` or its
+    :func:`cap_geometry`, computed when not given. A misshapen or non-finite
+    direction raises ValueError, and a cell whose roots pass _ROOT_LIMIT
+    DegenerateElement.
     """
     direction, k = _scaled(mesh, direction)
     if geometry is None:
         geometry = mesh.geometry()
-    first = None
-    if mesh.n_cells > max(_CAP_PRUNE_MIN_CELLS, _CAP_FIRST_CELLS):
-        if lower is None:
-            lower = _unscaled(_lower_bounds(mesh, direction, geometry), k)
-        first = lower.argpartition(_CAP_FIRST_CELLS)[:_CAP_FIRST_CELLS]
-    roots, cells = _binding_roots(_measure_polynomials(mesh, direction, geometry, first))
+    roots, cells = _binding_roots(_measure_polynomials(mesh, direction, geometry))
     s = roots.max(initial=0.0)
-    if first is not None:
-        cells = first[cells]
-        # The first cells' largest step bounds lam from above. A NaN bound
-        # bounds nothing, so its cell stays.
-        rest = ~(lower > _step(s, k))
-        rest[first] = False
-        more = np.flatnonzero(rest)
-        if more.size:
-            a = _measure_polynomials(mesh, direction, geometry, more)
-            more_roots, rows = _binding_roots(a, s)
-            roots, cells = np.concatenate([roots, more_roots]), np.concatenate([cells, more[rows]])
-            s = roots.max()
-    lam = _step(s, k)
+    # A Python float: 1 / s past the float range is inf, no bound, unwarned.
+    lam = float(_unscaled(1.0 / float(s) if s > 0 else np.inf, k))
     return lam, int(cells[roots == s].min()) if lam < np.inf else -1
 
 
@@ -243,39 +205,28 @@ def _unscaled(x, k):
         return np.ldexp(x, k)
 
 
-def _step(s, k):
-    # A Python float: 1 / s past the float range is inf, no bound, unwarned.
-    return float(_unscaled(1.0 / float(s) if s > 0 else np.inf, k))
-
-
-def _measure_polynomials(mesh, direction, geometry, cells=None):
-    """The kernel's ``measure_polynomial`` of every cell (or of ``cells``),
-    each row with the bits of the full batch's. A cell whose coefficients
-    pass _ROOT_LIMIT raises DegenerateElement."""
-    rows = mesh.cells if cells is None else mesh.cells[cells]
-    du = np.take(np.ascontiguousarray(direction.T), rows.T, axis=1)
+def _measure_polynomials(mesh, direction, geometry):
+    """The kernel's ``measure_polynomial`` of every cell. A cell whose
+    coefficients pass _ROOT_LIMIT raises DegenerateElement."""
+    du = np.take(np.ascontiguousarray(direction.T), mesh.cells.T, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = geometry if cells is None else cap_geometry(geometry, cells)
-        a = kernel(mesh.dim).measure_polynomial(g, du.T)
+        a = kernel(mesh.dim).measure_polynomial(geometry, du.T)
     solvable = np.abs(a) <= _ROOT_LIMIT ** np.arange(1.0, mesh.dim + 1.0)
     if not solvable.all():
         row = np.flatnonzero(~solvable.all(axis=1))[0]
         raise DegenerateElement(
-            f"its roots reach past {_ROOT_LIMIT:.0e} along the direction",
-            int(row if cells is None else cells[row]),
+            f"its roots reach past {_ROOT_LIMIT:.0e} along the direction", int(row)
         )
     return a
 
 
-def cap_geometry(geometry, cells=None):
+def cap_geometry(geometry):
     """The fields of a kernel geometry that the inversion cap reads, the
-    measure (field 0) and the edges, of every cell or of ``cells``; the
-    other fields are None. A caller that holds a geometry for a later cap
-    holds only these."""
+    measure (field 0) and the edges; the other fields are None. A caller
+    that holds a geometry for a later cap holds only these."""
     read = (geometry._fields[0], "edges")
     return geometry._make(
-        (field if cells is None else field[..., cells]) if name in read else None
-        for name, field in zip(geometry._fields, geometry)
+        field if name in read else None for name, field in zip(geometry._fields, geometry)
     )
 
 
@@ -322,29 +273,26 @@ def _row_roots(a):
     return np.where(real & (roots.real > 0), roots.real, 0.0).max(axis=1, initial=0.0)
 
 
-def _binding_roots(a, s=0.0):
+def _binding_roots(a):
     """``(roots, rows)``: the largest positive real root (0 when none) of
     each row of ``a`` that it solves, and those rows. A row it does not solve
-    has no root counted real at or above the largest of ``s`` (a root found
-    elsewhere, or 0) and the roots it returns, so every row that holds the
-    largest root is among ``rows``.
+    has no root counted real at or above the largest root it returns, so
+    every row that holds the largest root is among ``rows``.
 
     Quadratics (triangles) are all solved in closed form. Cubics are solved
-    few at a time: while no root is known (s is 0), the _CAP_FIRST_ROWS rows
-    with the largest :func:`_root_estimate`, then every row that the Taylor
-    shift at ``S = s (1 - CAP_MARGIN)``, s the largest root so far, does not
-    clear (see CAP_MARGIN). Every row is solved when S is 0 or so far from 1
-    that S**-3 is not a normal number, and a row with an inf or NaN is never
+    few at a time: first the _CAP_FIRST_ROWS rows with the largest
+    :func:`_root_estimate`, then every row that the Taylor shift at
+    ``S = s (1 - CAP_MARGIN)``, s the largest of their roots, does not clear
+    (see CAP_MARGIN). Every row is solved when S is 0 or so far from 1 that
+    S**-3 is not a normal number, and a row with an inf or NaN is never
     cleared. LAPACK solves each companion matrix on its own, so a row's
     roots have the same bits in any batch.
     """
     if a.shape[1] == 2 or len(a) <= _CAP_FIRST_ROWS:
         return _largest_roots(a), np.arange(len(a))
-    first, roots = np.empty(0, dtype=np.intp), np.empty(0)
-    if not s > 0.0:
-        first = _root_estimate(a).argpartition(-_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
-        roots = _row_roots(a[first])
-    S = roots.max(initial=s) * (1.0 - CAP_MARGIN)
+    first = _root_estimate(a).argpartition(-_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
+    roots = _row_roots(a[first])
+    S = roots.max() * (1.0 - CAP_MARGIN)
     if 1e-100 < S < 1e100:
         rest = ~_shift_clears(a.T, S)
     else:

@@ -184,7 +184,10 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
     :class:`StepCap`, read in the first trial ``min(1, cap)``, the doubling
     ``min(2 lam, cap)`` and the stop ``lam >= cap``; a StepCap computes it only
     where a trial passes its lower bound, so the trials are the float cap's.
+    Constants outside 0 < c1 < c2 < 1 raise ValueError.
     """
+    if not 0.0 < c1 < c2 < 1.0:
+        raise ValueError(f"strong Wolfe needs 0 < c1 < c2 < 1, got c1={c1!r}, c2={c2!r}")
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     cap = StepCap.of(lam_cap)
@@ -229,8 +232,11 @@ def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
     the accepted step is always the last trial.
 
     ``lam_cap`` is a float or a :class:`StepCap`, read only in the first
-    trial, and there only when 1 passes a StepCap's lower bound.
+    trial, and there only when 1 passes a StepCap's lower bound. A ``c1``
+    outside 0 < c1 < 1 raises ValueError.
     """
+    if not 0.0 < c1 < 1.0:
+        raise ValueError(f"Armijo needs 0 < c1 < 1, got c1={c1!r}")
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     evals = 0
@@ -264,8 +270,9 @@ class OptimizeConfig:
         for name in ("grad_tol", "grad_tol_abs"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
-            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        iters = self.max_iters
+        if not isinstance(iters, numbers.Integral) or isinstance(iters, bool) or iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, not a bool, got {iters!r}")
 
 
 @dataclass
@@ -458,11 +465,11 @@ class MeshProblem:
     def lam_cap(self, x, d):
         """The step cap along d from x, STEP_CAP_FACTOR times the inversion
         cap, as a :class:`StepCap` whose bound is STEP_CAP_FACTOR times the
-        cells' smallest ``step_lower_bounds``. The exact cap is pruned by
-        those bounds and computed only if a trial passes the bound. Both read
-        the geometry at x, taken now: the search's trials replace the kept
-        one. Until then the exact cap holds only the fields it reads, so the
-        trials' evaluations do not run beside a second full geometry.
+        cells' smallest ``step_lower_bounds``. The exact cap is computed only
+        if a trial passes the bound. Both read the geometry at x, taken now:
+        the search's trials replace the kept one. Until then the exact cap
+        holds only the fields it reads, so the trials' evaluations do not run
+        beside a second full geometry.
         """
         mesh, direction = self.mesh_at(x), d.reshape(self.nv, self.dim)
         with self._timed("cap_s"):
@@ -474,9 +481,7 @@ class MeshProblem:
         def exact():
             with self._timed("cap_s"):
                 # By keyword: perfbench/tracing.py unpacks (mesh, direction) = args.
-                lam, cell = max_step_before_inversion(
-                    mesh, direction, geometry=geometry, lower=lower
-                )
+                lam, cell = max_step_before_inversion(mesh, direction, geometry=geometry)
             return STEP_CAP_FACTOR * lam, cell
 
         return StepCap(bound, exact)

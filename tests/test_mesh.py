@@ -528,8 +528,8 @@ class TestStepBound:
 
 
 class TestLowerBound:
-    """``step_lower_bounds``: no cell's cap lies below its bound, and the cap
-    pruned by the bounds has the bits of the full one."""
+    """``step_lower_bounds``: no cell's cap lies below its bound, and the
+    row-pruned cap has the bits of the full one."""
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(
@@ -616,55 +616,24 @@ class TestLowerBound:
         seed=st.integers(0, 2**32 - 1),
         policy=st.sampled_from([m.FIX_ALL, m.SLIDE_PLANAR]),
         still=st.sampled_from([0.0, 0.9]),
-        first=st.integers(1, 16),
         scale=st.floats(-300.0, 300.0),
     )
     def test_pruned_cap_has_the_full_caps_bits(
-        self, kind, largest, size, amplitude, seed, policy, still, first, scale
+        self, kind, largest, size, amplitude, seed, policy, still, scale
     ):
-        # Pruned at any mesh size and from any number of first cells, the cap
-        # along the direction scaled by 10**scale keeps the bits of solving
-        # every cell, and names a cell that sets it.
+        # Pruned by rows, the cap along the direction scaled by 10**scale
+        # keeps the bits of solving every cell, and names a cell that sets it.
         mesh, d = cap_case(kind, min(size, largest), amplitude, seed, policy)
         d[np.random.default_rng(seed).random(mesh.n_vertices) < still] = 0.0
         d *= 10.0**scale
         g = mesh.geometry()
-        lower = cap.step_lower_bounds(mesh, d, g)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cap, "_CAP_PRUNE_MIN_CELLS", 0)
-            patch.setattr(cap, "_CAP_FIRST_CELLS", first)
-            lam, cell = cap.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
+        lam, cell = cap.max_step_before_inversion(mesh, d, geometry=g)
         assert bits(lam) == bits(full_batch_step(mesh, d, g))
         roots = cap._largest_roots(cap._measure_polynomials(mesh, cap._scaled(mesh, d)[0], g))
         if lam == np.inf:
             assert cell == -1
         else:
             assert roots[cell] == roots.max()
-
-    def test_a_large_mesh_builds_few_coefficients(self, monkeypatch, rng):
-        # Above _CAP_PRUNE_MIN_CELLS the pruned cap builds coefficients for a
-        # fraction of the cells, with the bits of the full cap.
-        mesh = m.classify_boundary(
-            perturb_mesh(perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 8)), RandomJitter(0.1, 1)),
-                         PlantSliver(5, 0.01)),
-            m.FIX_ALL,
-        )
-        assert mesh.n_cells > cap._CAP_PRUNE_MIN_CELLS
-        built, polynomial = [], tetrahedra.measure_polynomial
-
-        def counted(g, du):
-            built.append(len(du))
-            return polynomial(g, du)
-
-        monkeypatch.setattr(tetrahedra, "measure_polynomial", counted)
-        g = mesh.geometry()
-        for trial in range(5):
-            d = m.constraint_projector(mesh)(rng.normal(size=mesh.vertices.shape))
-            lower = cap.step_lower_bounds(mesh, d, g)
-            built.clear()
-            lam, cell = cap.max_step_before_inversion(mesh, d, geometry=g, lower=lower)
-            assert sum(built) < mesh.n_cells / 2
-            assert bits(lam) == bits(full_batch_step(mesh, d, g))
 
 
 def bound_cells(dim, family, rng, h, n=64):

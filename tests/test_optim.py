@@ -252,6 +252,16 @@ class TestStrongWolfe:
         assert res.f <= f0 + optim.WOLFE_C1 * res.lam * df0
         assert abs(res.df) <= -WOLFE_C2 * df0
 
+    @pytest.mark.parametrize("c1, c2", [(0.9, 0.1), (-1.0, 0.9)], ids=["c1-above-c2", "c1-negative"])
+    def test_rejects_constants_outside_the_wolfe_range(self, c1, c2):
+        # Unchecked, c1 > c2 ends in "the bracket shrank to rounding", and a
+        # negative c1 accepts steps that raise f.
+        def phi(lam):
+            return (lam - 1.0) ** 2, 2.0 * (lam - 1.0)
+
+        with pytest.raises(ValueError, match="0 < c1 < c2 < 1"):
+            strong_wolfe_search(phi, f0=1.0, df0=-2.0, c1=c1, c2=c2)
+
 
 class TestBacktracking:
     def test_quadratic_accepts_unit_step(self):
@@ -287,6 +297,14 @@ class TestBacktracking:
         with pytest.raises(LineSearchFailed):
             backtracking_search(phi, f0=0.0, df0=-1.0)
         assert min(trials) == 2.0**-13 >= optim.LAM_MIN
+
+    def test_rejects_c1_outside_the_armijo_range(self):
+        # Unchecked, c1 = 1.5 halves down to LAM_MIN and reports an underflow.
+        def phi(lam):
+            return (lam - 1.0) ** 2, 2.0 * (lam - 1.0)
+
+        with pytest.raises(ValueError, match="0 < c1 < 1"):
+            backtracking_search(phi, f0=1.0, df0=-2.0, c1=1.5)
 
 
 def quadratic_problem(Q, b=None):
@@ -1499,3 +1517,8 @@ class TestConfigValidation:
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizeConfig(**{field: value})
+
+    def test_rejects_a_bool_max_iters(self):
+        # True is an Integral; unchecked, it runs one iteration.
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizeConfig(max_iters=True)
