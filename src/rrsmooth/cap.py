@@ -18,7 +18,7 @@ from .mesh import kernel
 # Counting a near-real pair as real only lowers the bound.
 REAL_ROOT_RTOL = 1e-4
 
-# The tet cap takes the largest root s found in the _CAP_FIRST_ROWS cubics p
+# The cap takes the largest root s found in the _CAP_FIRST_ROWS cubics p
 # with the largest _root_estimate (an order).
 # It then clears a cubic when q(u) = p(S + u), S = s (1 - CAP_MARGIN), has
 # only positive coefficients, and solves every other one. Such a q has no
@@ -61,19 +61,19 @@ _DIRECTION_SQ_FLOOR = 1e-300
 # c = 1e150. Inside, the direction is used as given, because the rescale is
 # exact for the direction but not for LAPACK: scaling the coefficients of
 # 20,000 random monic cubics by 2**-k, 2**-2k and 2**-3k moved the roots of
-# 11-21% of them, by up to 1.2e-14 relative, for k = 1 to 60 (the quadratic
-# formula keeps its bits). The window keeps every direction that the
-# benchmark's solves and jitter read (2**-21 to 2**19 of the mesh on seeds
-# 1-5). The largest coordinate costs one pass, a bounding box ten times more;
-# it is at least half the box's largest side, and on a representable mesh at
-# most 2**52 times it, so inside the window a cell's roots stay within
-# 2**(64 + 52) times its shape's, far inside the float range.
+# 11-21% of them, by up to 1.2e-14 relative, for k = 1 to 60. The window
+# keeps every direction that the benchmark's solves and jitter read (2**-21
+# to 2**19 of the mesh on seeds 1-5). The largest coordinate costs one pass,
+# a bounding box ten times more; it is at least half the box's largest side,
+# and on a representable mesh at most 2**52 times it, so inside the window a
+# cell's roots stay within 2**(64 + 52) times its shape's, far inside the
+# float range.
 _SCALE_WINDOW = 64
 # A cell whose k-th coefficient exceeds _ROOT_LIMIT**k (or is not finite) has
-# roots past about _ROOT_LIMIT, where the solves break down (the quadratic
-# formula's b**2 overflows from 1.3e154), and raises DegenerateElement. After
-# the rescale only a cell some 1e50 times smaller than its mesh gets there;
-# the exact caps of the benchmark's solves (seeds 1-5) met at most 2.6e9**k.
+# roots past about _ROOT_LIMIT, where the solve breaks down (LinAlgError near
+# 1e150, see _SCALE_WINDOW), and raises DegenerateElement. After the rescale
+# only a cell some 1e50 times smaller than its mesh gets there; the exact
+# caps of the benchmark's solves (seeds 1-5) met at most 2.6e9**k.
 _ROOT_LIMIT = 1e100
 
 
@@ -161,12 +161,11 @@ def max_step_before_inversion(mesh, direction, geometry=None):
     lam is 1 / (largest positive real root s of the cells' monic measure
     polynomials in s = 1/t, :func:`_measure_polynomials`), or inf when there
     is none. Roots count as real up to REAL_ROOT_RTOL. Every cell's
-    coefficients are built; triangles solve in closed form, tets solve only
-    the cells whose roots can reach the largest root
-    (:func:`_binding_roots`). ``geometry`` is ``mesh.geometry()`` or its
-    :func:`cap_geometry`, computed when not given. A misshapen or non-finite
-    direction raises ValueError, and a cell whose roots pass _ROOT_LIMIT
-    DegenerateElement.
+    coefficients are built, and only the cells whose roots can reach the
+    largest root are solved (:func:`_binding_roots`). ``geometry`` is
+    ``mesh.geometry()`` or its :func:`cap_geometry`, computed when not given.
+    A misshapen or non-finite direction raises ValueError, and a cell whose
+    roots pass _ROOT_LIMIT DegenerateElement.
     """
     direction, k = _scaled(mesh, direction)
     if geometry is None:
@@ -211,7 +210,7 @@ def _measure_polynomials(mesh, direction, geometry):
     du = np.take(np.ascontiguousarray(direction.T), mesh.cells.T, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         a = kernel(mesh.dim).measure_polynomial(geometry, du.T)
-    solvable = np.abs(a) <= _ROOT_LIMIT ** np.arange(1.0, mesh.dim + 1.0)
+    solvable = np.abs(a) <= _ROOT_LIMIT ** np.arange(1.0, a.shape[1] + 1.0)
     if not solvable.all():
         row = np.flatnonzero(~solvable.all(axis=1))[0]
         raise DegenerateElement(
@@ -230,29 +229,14 @@ def cap_geometry(geometry):
     )
 
 
-def _largest_roots(a):
-    """Largest positive real root of each row's monic polynomial (0 when
-    none): triangles' quadratics in closed form, tets' cubics by LAPACK."""
-    if a.shape[1] == 3:
-        return _row_roots(a)
-    b, c = a[:, 0], a[:, 1]
-    disc = b * b - 4.0 * c
-    # A complex pair has |imag|**2 = -disc / 4 and |root|**2 = c.
-    real = disc >= -4.0 * REAL_ROOT_RTOL**2 * c
-    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
-    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: masked below
-        roots = np.array([q, c / q])
-    roots = np.where(real & (roots > 0), roots, 0.0)
-    return np.maximum(roots[0], roots[1])
-
-
 def _root_estimate(a):
     """Each row's largest root with its constant term dropped: the larger root
     of s**2 + a1 s + a2, ``(-a1 + sqrt(a1**2 - 4 a2)) / 2`` (``-a1 / 2`` for a
     complex pair). ``a`` is (n, 3).
 
     In t = 1/s it is where the cell's measure, to second order in t, first
-    reaches zero; the tet cap orders its cubics by it.
+    reaches zero; the cap orders its cubics by it. A triangle's constant term
+    is 0, so its estimate is exact.
     """
     c = a.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,7 +263,7 @@ def _binding_roots(a):
     has no root counted real at or above the largest root it returns, so
     every row that holds the largest root is among ``rows``.
 
-    Quadratics (triangles) are all solved in closed form. Cubics are solved
+    The rows are monic cubics, a triangle's with a zero constant term, solved
     few at a time: first the _CAP_FIRST_ROWS rows with the largest
     :func:`_root_estimate`, then every row that the Taylor shift at
     ``S = s (1 - CAP_MARGIN)``, s the largest of their roots, does not clear
@@ -288,8 +272,8 @@ def _binding_roots(a):
     cleared. LAPACK solves each companion matrix on its own, so a row's
     roots have the same bits in any batch.
     """
-    if a.shape[1] == 2 or len(a) <= _CAP_FIRST_ROWS:
-        return _largest_roots(a), np.arange(len(a))
+    if len(a) <= _CAP_FIRST_ROWS:
+        return _row_roots(a), np.arange(len(a))
     first = _root_estimate(a).argpartition(-_CAP_FIRST_ROWS)[-_CAP_FIRST_ROWS:]
     roots = _row_roots(a[first])
     S = roots.max() * (1.0 - CAP_MARGIN)

@@ -254,7 +254,8 @@ def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
 class OptimizeConfig:
     """A run's method, iteration budget and gradient stop.
 
-    The gradient stop is ``|g|_inf <= max(grad_tol * |g0|_inf, grad_tol_abs)``.
+    The gradient stop is ``|g|_inf <= max(grad_tol * |g0|_inf, grad_tol_abs)``;
+    ``grad_tol_abs`` is an absolute floor in units of 1/length, not scale-free.
     All methods share the module constants ENERGY_TOL, LBFGS_MEMORY,
     WOLFE_C1, WOLFE_C2, LAM_MIN and STEP_CAP_FACTOR.
     """
@@ -542,7 +543,7 @@ class MeshProblem:
 
 
 def _grad_converged(gnorm, g0norm, config):
-    return gnorm <= max(config.grad_tol * g0norm, config.grad_tol_abs)
+    return gnorm < math.inf and gnorm <= max(config.grad_tol * g0norm, config.grad_tol_abs)
 
 
 def _energy_stalled(history):
@@ -750,7 +751,8 @@ def _descend(problem, config, strategy):
     ``strategy.direction(x, g)`` returns ``(d, d_is_the_fallback)``,
     ``fallback(g)`` the direction to retry with once, and ``accept`` sees
     every accepted step. A record's ``fallback`` says whether its step was
-    taken along ``fallback(g)`` in place of the strategy's direction.
+    taken along ``fallback(g)`` in place of the strategy's direction; a
+    fallback descends unless g has a NaN or inf (``no_descent_direction``).
     """
     x = problem.x0.copy()
     f, g = problem.eval(x)
@@ -767,10 +769,10 @@ def _descend(problem, config, strategy):
         except MeshError as e:
             return x, records, f"preconditioner_error: {e}"
         own_direction = not is_fallback
-        if not is_fallback and not float(g @ d) < 0.0:
+        if not is_fallback and not -math.inf < float(g @ d) < 0.0:
             d, is_fallback = strategy.fallback(g), True
-        if not float(g @ d) < 0.0:
-            return x, records, "grad_tol"
+        if not -math.inf < float(g @ d) < 0.0:
+            return x, records, "no_descent_direction"
         while True:
             try:
                 x_new, f_new, g_new, rec = _take_step(problem, x, f, g, d, k, strategy.kind)

@@ -20,9 +20,10 @@ with no block carrying mu, given as weights ``(n_blocks, n_edges, n)`` on
 B antisymmetric with its weight at (tail, head). The preconditioner is the
 Laplacian of ``precond_weights``, A's in non-negative form. Only
 ``tetrahedra.abs_local_matrix`` and the tests build a dense :func:`laplacian`.
-For the inversion cap, row i of ``measure_polynomial`` holds the dim lower
+For the inversion cap, row i of ``measure_polynomial`` holds the three lower
 coefficients, in ``s = 1/t`` (monic), of cell i's measure at ``x + t du``
-over that at ``x``; ``du`` is the direction gathered like ``pts``.
+over that at ``x`` (times s for a triangle, so both solve a cubic); ``du``
+is the direction gathered like ``pts``.
 """
 
 import numpy as np

@@ -86,13 +86,14 @@ def precond_weights(g):
 
 
 def measure_polynomial(g, du):
-    """The cap's monic area coefficients ``(n, 2)`` (see :mod:`rrsmooth.simplex`)."""
+    """The cap's monic area coefficients ``(n, 3)``, times s: the constant term
+    is 0 (see :mod:`rrsmooth.simplex`)."""
     # 2 area(t) = (e1 + t f1) x (e2 + t f2) with e1 = x1 - x0, e2 = x2 - x0.
     e1, e2 = g.edges[:, 2], -g.edges[:, 1]
     f1, f2 = du.T[:, 1] - du.T[:, 0], du.T[:, 2] - du.T[:, 0]
     c1 = f1[0] * e2[1] - f1[1] * e2[0] + (e1[0] * f2[1] - e1[1] * f2[0])
     c2 = f1[0] * f2[1] - f1[1] * f2[0]
-    return np.stack([c1, c2], axis=1) / (2.0 * g.area)[:, None]
+    return np.stack([c1, c2, np.zeros_like(c1)], axis=1) / (2.0 * g.area)[:, None]
 
 
 def gradient(g, scale=1.0):

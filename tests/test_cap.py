@@ -180,7 +180,7 @@ def test_every_exact_cap_names_the_lowest_binding_cell(monkeypatch):
                                   grad_tol_abs=1e-5))
     ties = 0
     for at, d, g, (lam, cell) in caps:
-        roots = cap._largest_roots(cap._measure_polynomials(at, cap._scaled(at, d)[0], g))
+        roots = cap._row_roots(cap._measure_polynomials(at, cap._scaled(at, d)[0], g))
         assert (lam, cell) == (1.0 / roots.max(), roots.argmax())
         ties += np.count_nonzero(roots == roots.max()) > 1
     assert ties >= 2

@@ -403,6 +403,41 @@ class TestStepBound:
             lam, _ = cap.max_step_before_inversion(one_cell(P), a * (rng.uniform(-1, 1, 2) - P))
             assert 1 - 1e-6 <= lam * a <= 1 + 1e-6
 
+    @pytest.mark.parametrize("family", ["random", "double"])
+    def test_triangles_solve_as_the_closed_form(self, family):
+        # A triangle's area polynomial is solved as a cubic with a zero root.
+        # Every row the pruned solve solves agrees with the closed-form
+        # quadratic to 8 ulps of its largest root modulus (1e-7 of it for the
+        # tangential double roots of test_double_roots_in_2d, which rounding
+        # splits by ~sqrt(eps)), every row it skips has a smaller reference
+        # root, and no cell's exact area reaches zero before the cap, its root
+        # raised by that tolerance.
+        rng = np.random.default_rng(5)
+        P = random_triangles(960, seed=3)
+        if family == "random":
+            d = rng.normal(size=P.shape)
+            rtol = 8.0 * np.finfo(float).eps
+        else:
+            d = rng.uniform(0.1, 10.0, (len(P), 1, 1)) * (rng.uniform(-1, 1, (len(P), 1, 2)) - P)
+            rtol = 1e-7
+        for group in np.split(np.arange(len(P)), 60):
+            mesh, dg = stacked_cells(P[group]), d[group].reshape(-1, 2)
+            a = cap._measure_polynomials(mesh, dg, mesh.geometry())
+            assert np.all(a[:, 2] == 0.0)
+            ref, modulus = quadratic_roots(a)
+            roots, rows = cap._binding_roots(a)
+            assert np.all(np.abs(roots - ref[rows]) <= rtol * modulus[rows])
+            assert np.all(np.delete(ref, rows) < roots.max())
+            lam, cell = cap.max_step_before_inversion(mesh, dg)
+            assert ref[cell] >= ref.max() - 2.0 * rtol * modulus.max()
+            T = Fraction(1.0 / (1.0 / lam + rtol * modulus[cell]))
+            c0, up, down = (exact_areas(mesh, dg, t) for t in (0, 1, -1))
+            for A0, A1, A_1 in zip(c0, up, down):
+                B, C = (A1 - A_1) / 2, (A1 + A_1) / 2 - A0
+                assert A0 + B * T + C * T * T > 0
+                if C > 0 and 0 < -B / (2 * C) < T:
+                    assert A0 - B * B / (4 * C) > 0
+
     def test_double_roots_in_3d(self):
         # Scaling by I - t D, D = Q diag(a, a, b) Q^T, gives the volume
         # factor (1 - a t)**2 (1 - b t) with b < a: the first zero is the
@@ -553,7 +588,7 @@ class TestLowerBound:
         d = 10.0**scale * d[keep].reshape(-1, dim)
         lower = cap.step_lower_bounds(mesh, d, mesh.geometry())
         scaled, k = cap._scaled(mesh, d)
-        roots = cap._largest_roots(cap._measure_polynomials(mesh, scaled, mesh.geometry()))
+        roots = cap._row_roots(cap._measure_polynomials(mesh, scaled, mesh.geometry()))
         with np.errstate(divide="ignore", over="ignore"):
             caps = np.ldexp(1.0 / roots, k)
         assert np.all(lower <= caps)
@@ -629,7 +664,7 @@ class TestLowerBound:
         g = mesh.geometry()
         lam, cell = cap.max_step_before_inversion(mesh, d, geometry=g)
         assert bits(lam) == bits(full_batch_step(mesh, d, g))
-        roots = cap._largest_roots(cap._measure_polynomials(mesh, cap._scaled(mesh, d)[0], g))
+        roots = cap._row_roots(cap._measure_polynomials(mesh, cap._scaled(mesh, d)[0], g))
         if lam == np.inf:
             assert cell == -1
         else:
@@ -737,6 +772,23 @@ def exact_areas(mesh, d, t):
     return areas
 
 
+def quadratic_roots(a):
+    """The closed-form reference for triangles' rows ``(a1, a2, 0)``: the
+    largest positive real root of s**2 + a1 s + a2 (0 when none) by the
+    cancellation-safe quadratic formula, a complex pair counted real when its
+    imaginary part is at most REAL_ROOT_RTOL of its modulus; and the largest
+    root modulus."""
+    b, c = a[:, 0], a[:, 1]
+    disc = b * b - 4.0 * c
+    # A complex pair has |imag|**2 = -disc / 4 and |root|**2 = c.
+    real = disc >= -4.0 * cap.REAL_ROOT_RTOL**2 * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: masked below
+        roots = np.array([q, c / q])
+    largest = np.where(real & (roots > 0), roots, 0.0).max(axis=0)
+    return largest, np.where(disc >= 0.0, np.abs(q), np.sqrt(np.abs(c)))
+
+
 def cubic_roots(a):
     companion = np.zeros((len(a), 3, 3))
     companion[:, 0] = -a
@@ -752,10 +804,9 @@ def full_batch_root(a):
 
 
 def batch_step(mesh, d, g):
-    """The cap along ``d`` as given, with every cell solved in one batch
-    (triangles in closed form), from the geometry ``g``."""
-    a = cap._measure_polynomials(mesh, d, g)
-    s = full_batch_root(a) if mesh.dim == 3 else cap._largest_roots(a).max(initial=0.0)
+    """The cap along ``d`` as given, with every cell solved in one batch,
+    from the geometry ``g``."""
+    s = full_batch_root(cap._measure_polynomials(mesh, d, g))
     return 1.0 / s if s > 0 else np.inf
 
 

@@ -242,9 +242,11 @@ class TestStrongWolfe:
     @settings(max_examples=30, deadline=None, database=None)
     @given(kind=st.sampled_from(["exp", "quartic"]), k=st.integers(-60, 60))
     def test_a_zoom_finds_a_step_at_every_scale(self, kind, k):
-        # exp(u) - 3 u is accepted near u = 1. Above s = 2**56 the doubling from
-        # the unit first trial alone spends the trial budget before the
-        # bracket forms (the first trial is not scale-free), so exp stops there.
+        # exp(u) - 3 u is accepted near u = 1. Past s = 2**56, f(1) and f(2)
+        # round to f0 (the first trial is not scale-free): the unit trial keeps
+        # its sufficient decrease, the second has f >= f_lo, and the bracket
+        # [1, 2] holds no acceptable step, so exp stops there. The trials do
+        # not run out.
         assume(kind == "quartic" or k <= 56)
         phi, f0, df0 = creeping_zoom(kind, 2.0**k)
         res = strong_wolfe_search(phi, f0, df0)
@@ -981,6 +983,17 @@ class TestAbnormalStops:
         _, report = optimize(mesh, OptimizeConfig(method=method))
         assert report.termination == "line_search_failed"
         assert report.fun_evals == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_nlcg])
+    def test_a_non_finite_gradient_is_no_descent_direction(self, minimize, bad):
+        # Neither the strategy's direction nor -g has a finite negative
+        # slope, which for a finite gradient cannot happen: the run stops by
+        # name, not as converged.
+        x, report = minimize(lambda x: (x @ x, np.array([bad, 1.0])), [1.0, 2.0])
+        assert report.termination == "no_descent_direction"
+        assert report.iterations == 0
+        np.testing.assert_array_equal(x, [1.0, 2.0])
 
 
 def test_a_small_mesh_smooths_as_at_unit_scale():

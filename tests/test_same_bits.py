@@ -32,6 +32,15 @@ def test_differences_names_missing_and_changed_keys_only():
     assert same_bits.differences(before, dict(before), "w") == []
 
 
+def test_a_differing_final_energy_prints_its_relative_difference():
+    before = {"final_energy": ['"0x1.8000000000000p+0"']}
+    after = {"final_energy": ['"0x1.8000000001800p+0"']}
+    assert same_bits.differences(before, after, "w") == [
+        f"w final_energy: {before['final_energy']} -> {after['final_energy']}",
+        "w final_energy: 1.5 -> 1.5000000000013642, relative 9.1e-13",
+    ]
+
+
 def write_record(checkout, correct=True):
     solve = {"mesh": 0, "solve_s": 0.1, "write_s": 0.01, "iterations": 21,
              "termination": "grad_tol", "final_energy": "0x1.64d325b91d75cp+0"}

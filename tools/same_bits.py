@@ -13,8 +13,9 @@ in ``.perfbench_runs/out/``. Per smoothed mesh it compares ``iterations``,
 ``fun_evals``, ``termination``, ``final_energy`` (hex) and
 ``output_sha256``, plus the traced per-mesh counts; per traced run it
 compares every per-layer metric counted in a unit of ``count`` or ``B``.
-Times are not compared. Prints each difference and exits 1 on any, or if
-a run fails; exits 0 when every run has the same bits.
+A differing ``final_energy`` is also printed in decimal with its relative
+difference. Times are not compared. Prints each difference and exits 1 on
+any, or if a run fails; exits 0 when every run has the same bits.
 """
 
 import itertools
@@ -65,10 +66,24 @@ def run(checkout, workload, seed, trace):
 
 
 def differences(before, after, where):
-    """Lines naming every key whose value differs between two flat dicts."""
-    return [f"{where} {key}: {before.get(key)} -> {after.get(key)}"
-            for key in sorted(set(before) | set(after))
-            if before.get(key) != after.get(key)]
+    """Lines naming every key whose value differs between two flat dicts; a
+    differing ``final_energy`` gets one more line with its magnitude."""
+    lines = []
+    for key in sorted(set(before) | set(after)):
+        a, b = before.get(key), after.get(key)
+        if a != b:
+            lines.append(f"{where} {key}: {a} -> {b}")
+            if key == "final_energy" and a and b:
+                lines.append(f"{where} {key}: {magnitude(a, b)}")
+    return lines
+
+
+def magnitude(before, after):
+    """Final energies, lists of JSON hex strings, as decimals, and the largest
+    relative difference between one of ``before`` and one of ``after``."""
+    a, b = ([float.fromhex(json.loads(v)) for v in values] for values in (before, after))
+    rel = max((abs(y - x) / max(abs(x), abs(y)) for x in a for y in b if x != y), default=0.0)
+    return f"{' '.join(map(repr, a))} -> {' '.join(map(repr, b))}, relative {rel:.1e}"
 
 
 def main(argv):
