@@ -49,10 +49,28 @@ class XorShift64Star:
         return 2.0 * self.next_float() - 1.0
 
 
-def _vertex_grid(n, dim, basis):
-    ranges = [np.arange(n + 1)] * dim
-    ij = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, dim)
-    return ij.astype(float) @ basis
+def _kuhn_tets():
+    """Kuhn subdivision of the unit voxel: per permutation of the axes, the
+    monotone path of 0/1 corners from the origin to the opposite corner, with
+    the last two vertices swapped where the permutation is odd, so every tet
+    is positively oriented."""
+    tets = []
+    for perm in itertools.permutations(range(3)):
+        steps = np.eye(3, dtype=np.int64)[list(perm)]
+        path = np.cumsum([np.zeros(3, dtype=np.int64), *steps], axis=0)
+        if np.linalg.det(steps) < 0:
+            path[[2, 3]] = path[[3, 2]]
+        tets.append(path)
+    return np.array(tets)
+
+
+# Per kind, the 0/1 corners of each simplex of one square or voxel. A square
+# (i, j) has corners a = (0, 0), b = (1, 0), c = (1, 1), d = (0, 1).
+_CORNERS = {
+    EQUILATERAL: np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]]),  # abd, bcd
+    SQUARE: np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]]),  # abc, acd
+    CUBE: _kuhn_tets(),
+}
 
 
 def gen_mesh(spec):
@@ -61,66 +79,40 @@ def gen_mesh(spec):
     equilateral: rhombic patch of 2 n^2 unit equilateral triangles.
     square:      unit square split into 2 n^2 right isoceles triangles.
     cube:        unit cube split into 6 n^3 tets (Kuhn subdivision).
+
+    Vertices are the lattice points in C order of (i, j[, k]); cells come
+    per square or voxel in C order of its origin, and within one in the
+    order of ``_CORNERS``.
     """
-    if spec.n < 1:
-        raise InvalidSpec(f"mesh subdivision must be >= 1, got {spec.n}")
+    n = _integer(spec.n, "GeneratorSpec n", 1)
     if spec.kind == EQUILATERAL:
-        return _gen_triangle_grid(spec.n, np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]))
-    if spec.kind == SQUARE:
-        return _gen_triangle_grid(spec.n, np.eye(2) / spec.n, diagonal_split=True)
-    if spec.kind == CUBE:
-        return _gen_cube(spec.n)
-    raise InvalidSpec(f"unknown generator kind {spec.kind!r}")
+        basis = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+    elif spec.kind in (SQUARE, CUBE):
+        basis = np.eye(_CORNERS[spec.kind].shape[2]) / n
+    else:
+        raise InvalidSpec(f"unknown generator kind {spec.kind!r}")
+    return _grid(n, basis, _CORNERS[spec.kind])
 
 
-def _gen_triangle_grid(n, basis, diagonal_split=False):
-    verts = _vertex_grid(n, 2, basis)
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if diagonal_split:
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-            else:
-                cells.append((a, b, d))
-                cells.append((b, c, d))
-    return SimplexMesh(verts, np.array(cells, dtype=np.int64))
+def _grid(n, basis, corners):
+    """The (n + 1)^dim lattice mapped by ``basis``, with ``corners`` placed
+    at every square's or voxel's origin."""
+    dim = basis.shape[0]
+    ij = np.stack(np.meshgrid(*[np.arange(n + 1)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    strides = (n + 1) ** np.arange(dim - 1, -1, -1)
+    origins = ij[(ij < n).all(axis=1)] @ strides
+    cells = origins[:, None, None] + corners @ strides
+    return SimplexMesh(ij.astype(float) @ basis, cells.reshape(-1, dim + 1))
 
 
-# Kuhn subdivision: one tet per permutation of the axes, each a monotone
-# vertex path from the voxel origin to the opposite corner.
-_KUHN_PERMS = list(itertools.permutations(range(3)))
-_EVEN_PERMS = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-
-
-def _gen_cube(n):
-    verts = _vertex_grid(n, 3, np.eye(3) / n)
-
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [base.copy()]
-                    for axis in perm:
-                        nxt = path[-1].copy()
-                        nxt[axis] += 1
-                        path.append(nxt)
-                    ids = [vid(*p) for p in path]
-                    if perm not in _EVEN_PERMS:
-                        ids[2], ids[3] = ids[3], ids[2]
-                    cells.append(ids)
-    return SimplexMesh(verts, np.array(cells, dtype=np.int64))
+def _integer(value, field, low=-np.inf, stop=np.inf):
+    """``value`` as an int in [low, stop), else InvalidSpec naming ``field``;
+    a bool or a float is refused, a numpy integer accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpec(f"{field} must be an integer, got {value!r}")
+    if not low <= value < stop:
+        raise InvalidSpec(f"{field} must be in [{low}, {stop}), got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,10 @@ def perturb_mesh(mesh, mode):
 def _displace(mesh, mode):
     field = np.zeros_like(mesh.vertices)
     for index, offset in mode.moves:
-        field[index] = np.asarray(offset, dtype=float)
+        index = _integer(index, "VertexDisplace index", 0, mesh.n_vertices)
+        field[index] = offset
+        if not np.isfinite(field[index]).all():
+            raise InvalidSpec(f"VertexDisplace offset must be finite, got {offset!r}")
     lam, _ = max_step_before_inversion(mesh, field)
     if lam <= 1.0:
         raise WouldInvert(
@@ -183,15 +178,14 @@ def _interior_vertex_mask(mesh):
 def _jitter(mesh, mode):
     if not np.isfinite(mode.amplitude):
         raise InvalidSpec(f"jitter amplitude must be finite, got {mode.amplitude}")
+    rng = XorShift64Star(_integer(mode.seed, "RandomJitter seed"))
     if mode.amplitude == 0.0:
         return mesh.copy()
-    rng = XorShift64Star(mode.seed)
     interior = _interior_vertex_mask(mesh)
     scale = mode.amplitude * mesh.mean_edge_length()
     field = np.zeros_like(mesh.vertices)
-    for v in np.flatnonzero(interior):
-        for d in range(mesh.dim):
-            field[v, d] = scale * rng.next_symmetric()
+    draws = [rng.next_symmetric() for _ in range(np.count_nonzero(interior) * mesh.dim)]
+    field[interior] = scale * np.reshape(draws, (-1, mesh.dim))
     lam, _ = max_step_before_inversion(mesh, field)
     if lam <= 1.0:
         field *= 0.9 * lam
@@ -201,43 +195,34 @@ def _jitter(mesh, mode):
 def _plant_slivers(mesh, mode):
     if mesh.dim != 3:
         raise InvalidSpec("slivers can only be planted in tetrahedral meshes")
-    if mode.count < 1 or not 0.0 < mode.eps < 1.0:
-        raise InvalidSpec("sliver count must be >= 1 and 0 < eps < 1")
+    count = _integer(mode.count, "PlantSliver count", 1)
+    if not 0.0 < mode.eps < 1.0:
+        raise InvalidSpec(f"PlantSliver eps must be in (0, 1), got {mode.eps}")
     interior = _interior_vertex_mask(mesh)
     candidates = np.flatnonzero(interior[mesh.cells].all(axis=1))
     if candidates.size == 0:
         raise InvalidSpec("mesh has no fully interior tets to flatten")
-
-    incident = [[] for _ in range(mesh.n_vertices)]
-    for c, cell in enumerate(mesh.cells):
-        for v in cell:
-            incident[v].append(c)
-
     verts = mesh.vertices.copy()
     used = np.zeros(mesh.n_vertices, dtype=bool)
-    stride = max(1, candidates.size // mode.count)
+    stride = max(1, candidates.size // count)
     planted = 0
     # Strided first so the slivers spread over the mesh, then the rest.
-    strided = list(candidates[::stride])
-    strided_set = set(strided)
-    order = strided + [c for c in candidates if c not in strided_set]
+    order = np.concatenate([candidates[::stride], np.delete(candidates, np.s_[::stride])])
     for c in order:
-        if planted == mode.count:
+        if planted == count:
             break
         cell = mesh.cells[c]
         if used[cell].any():
             continue
-        if _flatten_tet(verts, mesh.cells, incident, cell, mode.eps):
+        if _flatten_tet(verts, mesh.cells, cell, mode.eps):
             used[cell] = True
             planted += 1
-    if planted < mode.count:
-        raise InvalidSpec(
-            f"could only plant {planted} of {mode.count} requested slivers"
-        )
+    if planted < count:
+        raise InvalidSpec(f"could only plant {planted} of {count} requested slivers")
     return mesh.with_vertices(verts)
 
 
-def _flatten_tet(verts, cells, incident, cell, eps):
+def _flatten_tet(verts, cells, cell, eps):
     edges = verts[cell] - verts[np.roll(cell, 1)]
     target = eps * np.linalg.norm(edges, axis=1).mean()
     for local in (3, 2, 1, 0):
@@ -253,7 +238,7 @@ def _flatten_tet(verts, cells, incident, cell, eps):
             continue
         old = verts[v].copy()
         verts[v] = verts[v] - (height - target) * n
-        vols = tetrahedra.signed_volume(verts[cells[incident[v]]])
+        vols = tetrahedra.signed_volume(verts[cells[(cells == v).any(axis=1)]])
         if np.all(vols > 0.0):
             return True
         verts[v] = old

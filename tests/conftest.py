@@ -1,9 +1,12 @@
 """Shared helpers: seeded random element and mesh factories."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from rrsmooth import simplex, triangles, tetrahedra
+from rrsmooth import generate, simplex, triangles, tetrahedra
+from rrsmooth.cap import max_step_before_inversion
 from rrsmooth.errors import DegenerateElement
 from rrsmooth.mesh import SimplexMesh
 
@@ -267,6 +270,141 @@ RIGHT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 # A regular cell per dimension: edge 1 in 2D, 2 sqrt(2) in 3D.
 REGULAR = {2: np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.75**0.5]]), 3: REGULAR_TET}
+
+
+# The structured meshes and perturbations as first written, with Python loops
+# over every square, voxel, Kuhn permutation, incident cell and coordinate:
+# the reference that rrsmooth.generate's array forms keep, bit for bit.
+def _reference_vertex_grid(n, dim, basis):
+    ranges = [np.arange(n + 1)] * dim
+    ij = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, dim)
+    return ij.astype(float) @ basis
+
+
+def _reference_triangle_grid(n, basis, diagonal_split=False):
+    verts = _reference_vertex_grid(n, 2, basis)
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            if diagonal_split:
+                cells.append((a, b, c))
+                cells.append((a, c, d))
+            else:
+                cells.append((a, b, d))
+                cells.append((b, c, d))
+    return SimplexMesh(verts, np.array(cells, dtype=np.int64))
+
+
+# Kuhn subdivision: one tet per permutation of the axes, each a monotone
+# vertex path from the voxel origin to the opposite corner.
+_REF_KUHN_PERMS = list(itertools.permutations(range(3)))
+_REF_EVEN_PERMS = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+
+
+def _reference_cube(n):
+    verts = _reference_vertex_grid(n, 3, np.eye(3) / n)
+
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                base = np.array([i, j, k])
+                for perm in _REF_KUHN_PERMS:
+                    path = [base.copy()]
+                    for axis in perm:
+                        nxt = path[-1].copy()
+                        nxt[axis] += 1
+                        path.append(nxt)
+                    ids = [vid(*p) for p in path]
+                    if perm not in _REF_EVEN_PERMS:
+                        ids[2], ids[3] = ids[3], ids[2]
+                    cells.append(ids)
+    return SimplexMesh(verts, np.array(cells, dtype=np.int64))
+
+
+def reference_gen_mesh(kind, n):
+    """``gen_mesh(GeneratorSpec(kind, n))`` by the loop builders."""
+    if kind == generate.EQUILATERAL:
+        return _reference_triangle_grid(n, np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]))
+    if kind == generate.SQUARE:
+        return _reference_triangle_grid(n, np.eye(2) / n, diagonal_split=True)
+    return _reference_cube(n)
+
+
+def reference_jitter(mesh, amplitude, seed):
+    """``perturb_mesh(mesh, RandomJitter(amplitude, seed))``, one draw at a time."""
+    rng = generate.XorShift64Star(seed)
+    interior = generate._interior_vertex_mask(mesh)
+    scale = amplitude * mesh.mean_edge_length()
+    field = np.zeros_like(mesh.vertices)
+    for v in np.flatnonzero(interior):
+        for d in range(mesh.dim):
+            field[v, d] = scale * rng.next_symmetric()
+    lam, _ = max_step_before_inversion(mesh, field)
+    if lam <= 1.0:
+        field *= 0.9 * lam
+    return mesh.with_vertices(mesh.vertices + field)
+
+
+def reference_plant_slivers(mesh, count, eps):
+    """``perturb_mesh(mesh, PlantSliver(count, eps))`` with per-vertex lists
+    of incident cells and a set-based candidate order."""
+    interior = generate._interior_vertex_mask(mesh)
+    candidates = np.flatnonzero(interior[mesh.cells].all(axis=1))
+    incident = [[] for _ in range(mesh.n_vertices)]
+    for c, cell in enumerate(mesh.cells):
+        for v in cell:
+            incident[v].append(c)
+    verts = mesh.vertices.copy()
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    stride = max(1, candidates.size // count)
+    planted = 0
+    strided = list(candidates[::stride])
+    strided_set = set(strided)
+    order = strided + [c for c in candidates if c not in strided_set]
+    for c in order:
+        if planted == count:
+            break
+        cell = mesh.cells[c]
+        if used[cell].any():
+            continue
+        if _reference_flatten_tet(verts, mesh.cells, incident, cell, eps):
+            used[cell] = True
+            planted += 1
+    assert planted == count
+    return mesh.with_vertices(verts)
+
+
+def _reference_flatten_tet(verts, cells, incident, cell, eps):
+    edges = verts[cell] - verts[np.roll(cell, 1)]
+    target = eps * np.linalg.norm(edges, axis=1).mean()
+    for local in (3, 2, 1, 0):
+        v = cell[local]
+        face = np.delete(cell, local)
+        a, b, c = verts[face]
+        n = np.cross(b - a, c - a)
+        n /= np.linalg.norm(n)
+        height = float(np.dot(verts[v] - a, n))
+        if height < 0:
+            n, height = -n, -height
+        if height <= target:
+            continue
+        old = verts[v].copy()
+        verts[v] = verts[v] - (height - target) * n
+        vols = tetrahedra.signed_volume(verts[cells[incident[v]]])
+        if np.all(vols > 0.0):
+            return True
+        verts[v] = old
+    return False
 
 
 def spy_wolfe(mp):

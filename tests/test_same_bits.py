@@ -1,6 +1,7 @@
 """``tools/same_bits.py``: its comparison, and its reading of a run's record,
 on hand-written records; no benchmark runs."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -91,3 +92,53 @@ def test_run_refuses_a_record_that_is_not_correct(tmp_path, runs):
     write_record(tmp_path, correct=False)
     with pytest.raises(RuntimeError, match="is not correct"):
         same_bits.run(str(tmp_path), "w", 3, 1)
+
+
+# A checkout's perfbench/run.py as far as input_hashes reads it: the workload
+# "w" has two meshes, whose bytes name the program, the seed and the mesh.
+FAKE_RUN = '''
+import os
+WORKLOADS = {"w": 2}
+
+
+def import_program():
+    return "program"
+
+
+def make_inputs(rr, wl, seed, workdir):
+    inputs = []
+    for i in range(wl):
+        path = os.path.join(workdir, f"in{i}.msh")
+        with open(path, "w") as fh:
+            fh.write(f"{rr} {seed} {i}")
+        inputs.append((seed + i, path))
+    return inputs
+'''
+
+
+def test_input_hashes_hash_the_meshes_the_checkouts_make_inputs_writes(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    assert same_bits.input_hashes(str(tmp_path), "w", 3) == [
+        hashlib.sha256(f"program 3 {i}".encode()).hexdigest() for i in range(2)
+    ]
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_differing_inputs_are_named_before_the_runs(tmp_path, monkeypatch, capsys, moved):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}]}))
+    monkeypatch.setattr(same_bits, "SEEDS", (1,))
+
+    def hashes(checkout, workload, seed):
+        return ["a", "c" if moved and checkout == str(change) else "b"]
+
+    monkeypatch.setattr(same_bits, "input_hashes", hashes)
+    monkeypatch.setattr(same_bits, "run", lambda *args: ({}, {}))
+    assert same_bits.main([str(parent), str(change)]) == int(moved)
+    first, *rest = capsys.readouterr().out.splitlines()
+    assert first == ("w seed=1: inputs differ, mesh 1: b -> c" if moved
+                     else "w seed=1: same inputs")
+    assert rest == ["w seed=1 trace=0: same bits", "w seed=1 trace=1: same bits"]

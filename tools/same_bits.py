@@ -2,9 +2,12 @@
 
     python3 tools/same_bits.py PARENT CHANGE
 
-PARENT and CHANGE are checkouts of the repository. In each, for every
-workload that CHANGE's BENCHMARK.json declares and every seed S in SEEDS,
-this runs
+PARENT and CHANGE are checkouts of the repository. For every workload that
+CHANGE's BENCHMARK.json declares and every seed S in SEEDS, it first builds
+the run's input meshes in each checkout, by that checkout's
+``perfbench/run.py`` ``make_inputs`` in a fresh interpreter, and compares
+the sha256 of each ``.msh`` file it writes; differing inputs are printed as
+"inputs differ". In each checkout it then runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 1 --trace T
 
@@ -15,7 +18,8 @@ in ``.perfbench_runs/out/``. Per smoothed mesh it compares ``iterations``,
 compares every per-layer metric counted in a unit of ``count`` or ``B``.
 A differing ``final_energy`` is also printed in decimal with its relative
 difference. Times are not compared. Prints each difference and exits 1 on
-any, or if a run fails; exits 0 when every run has the same bits.
+any, or if an input build or a run fails; exits 0 when every input and
+every run has the same bits.
 """
 
 import itertools
@@ -27,9 +31,40 @@ import sys
 # Seed 1 alone enters the strong Wolfe zoom 3 times; seeds 1-3 enter it 18.
 SEEDS = (1, 2, 3)
 SECONDS = 1
+# Run in a checkout's root by ``input_hashes``: that checkout's make_inputs
+# for workload argv[1] and seed argv[2]; prints the inputs' sha256 as JSON.
+INPUTS = """
+import hashlib, json, pathlib, sys, tempfile
+sys.path.insert(0, "perfbench")
+import run
+rr = run.import_program()
+with tempfile.TemporaryDirectory() as workdir:
+    inputs = run.make_inputs(rr, run.WORKLOADS[sys.argv[1]], int(sys.argv[2]), workdir)
+    data = [pathlib.Path(path).read_bytes() for _, path in inputs]
+print(json.dumps([hashlib.sha256(d).hexdigest() for d in data]))
+"""
 # Per-mesh fields the benchmark records that are no fingerprint: times.
 TIMES = ("solve_s", "write_s")
 COUNT_UNITS = ("count", "B")
+
+
+def input_hashes(checkout, workload, seed):
+    """The sha256 of each input mesh ``checkout`` builds for one run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", INPUTS, workload, str(seed)],
+        cwd=checkout, capture_output=True, text=True, timeout=900,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: inputs of {workload} seed={seed} exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def compare_inputs(parent, change, workload, seed):
+    """Lines naming each input mesh whose bytes differ between the checkouts."""
+    before, after = (input_hashes(c, workload, seed) for c in (parent, change))
+    return [f"{workload} seed={seed}: inputs differ, mesh {i}: {a} -> {b}"
+            for i, (a, b) in enumerate(itertools.zip_longest(before, after)) if a != b]
 
 
 def run(checkout, workload, seed, trace):
@@ -94,21 +129,28 @@ def main(argv):
     with open(os.path.join(change, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
     found = []
-    for workload, seed, trace in itertools.product(workloads, SEEDS, (0, 1)):
-        where = f"{workload} seed={seed} trace={trace}"
+    for workload, seed in itertools.product(workloads, SEEDS):
         try:
-            (fp_a, counts_a), (fp_b, counts_b) = (
-                run(parent, workload, seed, trace), run(change, workload, seed, trace)
-            )
+            lines = compare_inputs(parent, change, workload, seed)
         except (OSError, RuntimeError, subprocess.TimeoutExpired, ValueError) as e:
-            found.append(f"{where}: {e}")
-            print(found[-1])
-            continue
-        lines = differences(counts_a, counts_b, where)
-        for mesh in sorted(set(fp_a) | set(fp_b)):
-            lines += differences(fp_a.get(mesh, {}), fp_b.get(mesh, {}), f"{where} {mesh}")
+            lines = [f"{workload} seed={seed}: {e}"]
         found += lines
-        print("\n".join(lines) if lines else f"{where}: same bits")
+        print("\n".join(lines) if lines else f"{workload} seed={seed}: same inputs")
+        for trace in (0, 1):
+            where = f"{workload} seed={seed} trace={trace}"
+            try:
+                (fp_a, counts_a), (fp_b, counts_b) = (
+                    run(parent, workload, seed, trace), run(change, workload, seed, trace)
+                )
+            except (OSError, RuntimeError, subprocess.TimeoutExpired, ValueError) as e:
+                found.append(f"{where}: {e}")
+                print(found[-1])
+                continue
+            lines = differences(counts_a, counts_b, where)
+            for mesh in sorted(set(fp_a) | set(fp_b)):
+                lines += differences(fp_a.get(mesh, {}), fp_b.get(mesh, {}), f"{where} {mesh}")
+            found += lines
+            print("\n".join(lines) if lines else f"{where}: same bits")
     return 1 if found else 0
 
 
