@@ -152,7 +152,7 @@ def step_lower_bounds(mesh, direction, geometry):
     return _unscaled(lower, k)
 
 
-def max_step_before_inversion(mesh, direction, geometry=None):
+def max_step_before_inversion(mesh, direction, edges=None):
     """``(lam, cell)``: the largest lam such that vertices + t*direction keeps
     every cell positive for all t in [0, lam), and the cell that sets it, the
     lowest such cell on ties (-1 when lam is inf: no cell's measure
@@ -162,15 +162,15 @@ def max_step_before_inversion(mesh, direction, geometry=None):
     polynomials in s = 1/t, :func:`_measure_polynomials`), or inf when there
     is none. Roots count as real up to REAL_ROOT_RTOL. Every cell's
     coefficients are built, and only the cells whose roots can reach the
-    largest root are solved (:func:`_binding_roots`). ``geometry`` is
-    ``mesh.geometry()`` or its :func:`cap_geometry`, computed when not given.
+    largest root are solved (:func:`_binding_roots`). ``edges`` are the kernel
+    geometry's at the start, from ``mesh.geometry()`` (checks every cell) if not given.
     A misshapen or non-finite direction raises ValueError, and a cell whose
     roots pass _ROOT_LIMIT DegenerateElement.
     """
     direction, k = _scaled(mesh, direction)
-    if geometry is None:
-        geometry = mesh.geometry()
-    roots, cells = _binding_roots(_measure_polynomials(mesh, direction, geometry))
+    if edges is None:
+        edges = mesh.geometry().edges
+    roots, cells = _binding_roots(_measure_polynomials(mesh, direction, edges))
     s = roots.max(initial=0.0)
     # A Python float: 1 / s past the float range is inf, no bound, unwarned.
     lam = float(_unscaled(1.0 / float(s) if s > 0 else np.inf, k))
@@ -204,12 +204,11 @@ def _unscaled(x, k):
         return np.ldexp(x, k)
 
 
-def _measure_polynomials(mesh, direction, geometry):
-    """The kernel's ``measure_polynomial`` of every cell. A cell whose
-    coefficients pass _ROOT_LIMIT raises DegenerateElement."""
-    du = np.take(np.ascontiguousarray(direction.T), mesh.cells.T, axis=1)
+def _measure_polynomials(mesh, direction, edges):
+    """The kernel's ``measure_polynomial`` of every cell, from the ``edges``. A
+    cell whose coefficients pass _ROOT_LIMIT raises DegenerateElement."""
     with np.errstate(over="ignore", invalid="ignore"):
-        a = kernel(mesh.dim).measure_polynomial(geometry, du.T)
+        a = kernel(mesh.dim).measure_polynomial(edges, mesh.cell_coords(direction).T)
     solvable = np.abs(a) <= _ROOT_LIMIT ** np.arange(1.0, a.shape[1] + 1.0)
     if not solvable.all():
         row = np.flatnonzero(~solvable.all(axis=1))[0]
@@ -217,16 +216,6 @@ def _measure_polynomials(mesh, direction, geometry):
             f"its roots reach past {_ROOT_LIMIT:.0e} along the direction", int(row)
         )
     return a
-
-
-def cap_geometry(geometry):
-    """The fields of a kernel geometry that the inversion cap reads, the
-    measure (field 0) and the edges; the other fields are None. A caller
-    that holds a geometry for a later cap holds only these."""
-    read = (geometry._fields[0], "edges")
-    return geometry._make(
-        field if name in read else None for name, field in zip(geometry._fields, geometry)
-    )
 
 
 def _root_estimate(a):

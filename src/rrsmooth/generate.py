@@ -1,6 +1,7 @@
 """Structured test-mesh generators and deterministic perturbations."""
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,17 @@ def _integer(value, field, low=-np.inf, stop=np.inf):
     return int(value)
 
 
+def _real(value, field):
+    """``value`` as a float, else InvalidSpec naming ``field``; a bool or a
+    non-number is refused, a numpy float accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpec(f"{field} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class VertexDisplace:
-    """Move listed vertices by given offsets: ((index, offset), ...)."""
+    """Move listed vertices by offsets of ``dim`` numbers: ((index, offset), ...)."""
 
     moves: tuple
 
@@ -157,7 +166,10 @@ def _displace(mesh, mode):
     field = np.zeros_like(mesh.vertices)
     for index, offset in mode.moves:
         index = _integer(index, "VertexDisplace index", 0, mesh.n_vertices)
-        field[index] = offset
+        offset = offset.tolist() if isinstance(offset, np.ndarray) else offset
+        if not isinstance(offset, (tuple, list)) or len(offset) != mesh.dim:
+            raise InvalidSpec(f"VertexDisplace offset must be {mesh.dim} numbers, got {offset!r}")
+        field[index] = [_real(x, "VertexDisplace offset") for x in offset]
         if not np.isfinite(field[index]).all():
             raise InvalidSpec(f"VertexDisplace offset must be finite, got {offset!r}")
     lam, _ = max_step_before_inversion(mesh, field)
@@ -176,13 +188,14 @@ def _interior_vertex_mask(mesh):
 
 
 def _jitter(mesh, mode):
-    if not np.isfinite(mode.amplitude):
-        raise InvalidSpec(f"jitter amplitude must be finite, got {mode.amplitude}")
+    amplitude = _real(mode.amplitude, "RandomJitter amplitude")
+    if not np.isfinite(amplitude):
+        raise InvalidSpec(f"RandomJitter amplitude must be finite, got {amplitude}")
     rng = XorShift64Star(_integer(mode.seed, "RandomJitter seed"))
-    if mode.amplitude == 0.0:
+    if amplitude == 0.0:
         return mesh.copy()
     interior = _interior_vertex_mask(mesh)
-    scale = mode.amplitude * mesh.mean_edge_length()
+    scale = amplitude * mesh.mean_edge_length()
     field = np.zeros_like(mesh.vertices)
     draws = [rng.next_symmetric() for _ in range(np.count_nonzero(interior) * mesh.dim)]
     field[interior] = scale * np.reshape(draws, (-1, mesh.dim))
@@ -196,8 +209,9 @@ def _plant_slivers(mesh, mode):
     if mesh.dim != 3:
         raise InvalidSpec("slivers can only be planted in tetrahedral meshes")
     count = _integer(mode.count, "PlantSliver count", 1)
-    if not 0.0 < mode.eps < 1.0:
-        raise InvalidSpec(f"PlantSliver eps must be in (0, 1), got {mode.eps}")
+    eps = _real(mode.eps, "PlantSliver eps")
+    if not 0.0 < eps < 1.0:
+        raise InvalidSpec(f"PlantSliver eps must be in (0, 1), got {eps}")
     interior = _interior_vertex_mask(mesh)
     candidates = np.flatnonzero(interior[mesh.cells].all(axis=1))
     if candidates.size == 0:
@@ -214,7 +228,7 @@ def _plant_slivers(mesh, mode):
         cell = mesh.cells[c]
         if used[cell].any():
             continue
-        if _flatten_tet(verts, mesh.cells, cell, mode.eps):
+        if _flatten_tet(verts, mesh.cells, cell, eps):
             used[cell] = True
             planted += 1
     if planted < count:

@@ -36,7 +36,7 @@ from .assembly import (
     preconditioner_topology,
     scatter_index,
 )
-from .cap import StepCap, cap_geometry, max_step_before_inversion, step_lower_bounds
+from .cap import StepCap, max_step_before_inversion, step_lower_bounds
 from .errors import DegenerateElement, IndefiniteMatrix, LineSearchFailed, MeshError
 from .mesh import constraint_projector, quality_stats, validate
 
@@ -269,8 +269,10 @@ class OptimizeConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("grad_tol", "grad_tol_abs"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            tol = getattr(self, name)
+            real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            if not (real and 0.0 < tol < math.inf):
+                raise ValueError(f"{name} must be a number in (0, inf), not a bool, got {tol!r}")
         iters = self.max_iters
         if not isinstance(iters, numbers.Integral) or isinstance(iters, bool) or iters < 0:
             raise ValueError(f"max_iters must be an integer >= 0, not a bool, got {iters!r}")
@@ -416,7 +418,8 @@ class MeshProblem:
         self.topology = None
         # (x, kernel geometry) of the last point evaluated.
         self.kept = None
-        # The cells' mu at x0, from its evaluation: the quality before the run.
+        # The cells' mu at the first evaluation, which the driver makes at x0:
+        # the quality before the run.
         self.start_mu = None
         # IterationRecord's work fields since the last take_work(): cg_iters,
         # eval_s, p_build_s, cg_s and cap_s summed, cg_residual the largest.
@@ -443,7 +446,7 @@ class MeshProblem:
             except DegenerateElement:
                 return math.inf, None
             self.kept = (x.copy(), geometry)
-            if self.start_mu is None and np.array_equal(x, self.x0):
+            if self.start_mu is None:
                 self.start_mu = geometry.mu
             return f, self.project_field(grad_field).ravel()
 
@@ -469,20 +472,20 @@ class MeshProblem:
         cells' smallest ``step_lower_bounds``. The exact cap is computed only
         if a trial passes the bound. Both read the geometry at x, taken now:
         the search's trials replace the kept one. Until then the exact cap
-        holds only the fields it reads, so the trials' evaluations do not run
-        beside a second full geometry.
+        holds only the edges, all it reads, so the trials' evaluations do not
+        run beside a second full geometry.
         """
         mesh, direction = self.mesh_at(x), d.reshape(self.nv, self.dim)
         with self._timed("cap_s"):
             geometry = self.geometry_at(x)
             lower = step_lower_bounds(mesh, direction, geometry)
             bound = STEP_CAP_FACTOR * float(lower.min())
-            geometry = cap_geometry(geometry)
+            edges = geometry.edges
 
         def exact():
             with self._timed("cap_s"):
                 # By keyword: perfbench/tracing.py unpacks (mesh, direction) = args.
-                lam, cell = max_step_before_inversion(mesh, direction, geometry=geometry)
+                lam, cell = max_step_before_inversion(mesh, direction, edges=edges)
             return STEP_CAP_FACTOR * lam, cell
 
         return StepCap(bound, exact)

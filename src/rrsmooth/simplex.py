@@ -12,7 +12,7 @@ dimension through :func:`rrsmooth.mesh.kernel`: ``geometry(pts)`` (the one
 checked geometry pass, a namedtuple with ``mu``), ``gradient(g, scale)``
 (the per-vertex gradient of ``scale * mu`` in closed form, the transpose of
 a per-coordinate ``(dim, dim+1, n)`` array), ``block_weights(g)``,
-``precond_weights(g)``, ``measure_polynomial(g, du)``, ``signed_measure``,
+``precond_weights(g)``, ``measure_polynomial(edges, du)``, ``signed_measure``,
 ``EDGES``, ``FACETS`` and ``LAYOUT``. The gradient is evaluated in closed
 form; G_F's blocks are the paper's split of it, ``grad = mu * (G_local V)``
 with no block carrying mu, given as weights ``(n_blocks, n_edges, n)`` on
@@ -22,8 +22,9 @@ Laplacian of ``precond_weights``, A's in non-negative form. Only
 ``tetrahedra.abs_local_matrix`` and the tests build a dense :func:`laplacian`.
 For the inversion cap, row i of ``measure_polynomial`` holds the three lower
 coefficients, in ``s = 1/t`` (monic), of cell i's measure at ``x + t du``
-over that at ``x`` (times s for a triangle, so both solve a cubic); ``du``
-is the direction gathered like ``pts``.
+over that at ``x`` (times s for a triangle, so both solve a cubic), read
+off the geometry's ``edges`` alone; ``du`` is the direction gathered like
+``pts``.
 """
 
 import numpy as np

@@ -159,30 +159,23 @@ def geometry(pts):
     return Geometry(vol, edges, edge_sq, normals, s, cot, d0, d0_sq, d0_normals, mu)
 
 
-def measure_polynomial(g, du):
-    """The cap's monic volume coefficients ``(n, 3)`` (see :mod:`rrsmooth.simplex`),
-    a view of a ``(3, n)`` array."""
-    # 6 vol(t) = det(e1 + t f1, e2 + t f2, e3 + t f3), f_k = du_k - du_0, expands
-    # into the eight D[i, j, k] = p1_i . (p2_j x p3_k) with p_k = (e_k, f_k): t**m's
-    # coefficient sums those with m f's, and D[0, 0, 0] = 6 vol.
-    n = g.edges.shape[-1]
-    P = np.empty((5, 2, 3, n))
-    P[:3, 0] = g.edges[:, :3]
-    np.subtract(du.T[:, 1:], du.T[:, :1], out=P[:3, 1])
-    # x and y again after z, so the cross product, in _cross's arithmetic,
-    # reads rolled views.
-    P[3:] = P[:2]
-    L, R = P[:, :, None, 1], P[:, None, :, 2]
-    C = L[1:4] * R[2:5]
-    C -= L[2:5] * R[1:4]
-    D = _dot(P[:3, :, None, None, 0], C[:, None])
-    a = np.empty((3, n))
-    np.add(D[1, 0, 0], D[0, 1, 0], out=a[0])
-    a[0] += D[0, 0, 1]
-    np.add(D[1, 1, 0], D[1, 0, 1], out=a[1])
-    a[1] += D[0, 1, 1]
-    a[2] = D[1, 1, 1]
-    a /= D[0, 0, 0]
+def measure_polynomial(edges, du):
+    """The cap's monic volume coefficients ``(n, 3)`` (see :mod:`rrsmooth.simplex`)
+    from :func:`geometry`'s ``edges``, a view of a ``(3, n)`` array."""
+    # 6 vol(t) = det(e1 + t f1, e2 + t f2, e3 + t f3), f_k = du_k - du_0, sums the
+    # triple products p1 . (p2 x p3), p_k in (e_k, f_k): t**m's coefficient those
+    # with m f's, and e1 . (e2 x e3) = 6 vol.
+    e1, e2, e3 = edges[:, 0], edges[:, 1], edges[:, 2]
+    f = du.T[:, 1:] - du.T[:, :1]
+    f1, f2, f3 = f[:, 0], f[:, 1], f[:, 2]
+    ee, fe, ef, ff = _cross(e2, e3), _cross(f2, e3), _cross(e2, f3), _cross(f2, f3)
+    a = np.empty((3, ee.shape[-1]))
+    np.add(_dot(f1, ee), _dot(e1, fe), out=a[0])
+    a[0] += _dot(e1, ef)
+    np.add(_dot(f1, fe), _dot(f1, ef), out=a[1])
+    a[1] += _dot(e1, ff)
+    a[2] = _dot(f1, ff)
+    a /= _dot(e1, ee)
     return a.T
 
 
@@ -218,33 +211,29 @@ def gradient(g, scale=1.0):
     return G.T
 
 
-def _weight_terms(g):
-    """A's edge weights as two ``(6, n)`` terms: ``2 d0.N_k / |d0|^2`` on the
-    vertex-0 edges 0-2, zero elsewhere (the |d0| term), and ``cot_e / s``."""
-    star = np.zeros_like(g.cot)
-    star[:3] = 2.0 * g.d0_normals / g.d0_sq
-    return star, g.cot / g.surface
-
-
 def precond_weights(g):
-    """The preconditioner's edge weights ``(6, n)``: the abs of A's two terms."""
-    star, cot = _weight_terms(g)
-    return np.abs(star) + np.abs(cot)
+    """The preconditioner's edge weights ``(6, n)``: the abs of A's two terms,
+    ``cot_e / s`` on every edge and the |d0| term ``2 d0.N_k / |d0|^2`` on 0-2."""
+    w = np.abs(g.cot / g.surface)
+    w[:3] += np.abs(2.0 * g.d0_normals / g.d0_sq)
+    return w
 
 
 def block_weights(g):
     """G_F's blocks ``(A, B0, B1, B2)`` as weights ``(4, 6, n)`` on ``EDGES``:
-    A's are the sum of ``_weight_terms``, and B_c's, at (tail, head), are
-    ``s_c (d0_c K / |d0|^2 - D_c / (6 vol))`` with ``s = (-1, 1, -1)``, K the
-    |d0| term's antisymmetric matrix and ``D_c[i, j] = x_k - x_l`` the volume
-    gradient's, over the even permutations (i, j, k, l) of ``_EDGE_PERMS``."""
+    A's are the signed sum of :func:`precond_weights`' two terms, and B_c's, at
+    (tail, head), ``s_c (d0_c K / |d0|^2 - D_c / (6 vol))`` with ``s = (-1, 1,
+    -1)``, K the |d0| term's antisymmetric matrix and ``D_c[i, j] = x_k - x_l``
+    the volume gradient's, over the even permutations (i, j, k, l) of ``_EDGE_PERMS``."""
     n10, n20, n30 = g.edge_sq
     K = np.stack([n20 - n30, n30 - n10, n10 - n20, -n30, n20, -n10])
     # x_k - x_l per edge is -E5, E4, -E3, -E2, E1, -E0 of the edges x_j - x_i.
     D = g.edges[:, ::-1] * np.array([-1.0, 1.0, -1.0, -1.0, 1.0, -1.0])[:, None]
     s = np.array([-1.0, 1.0, -1.0])[:, None]
     B = (s * g.d0)[:, None] * K * (1.0 / g.d0_sq) - s[:, None] * D * (1.0 / (6.0 * g.volume))
-    return np.concatenate([np.add(*_weight_terms(g))[None], B])
+    A = g.cot / g.surface
+    A[:3] += 2.0 * g.d0_normals / g.d0_sq
+    return np.concatenate([A[None], B])
 
 
 # Unused here; the tests read it and perfbench/tracing.py patches it.

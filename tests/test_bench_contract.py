@@ -29,7 +29,7 @@ def test_patched_name_resolves_to_a_callable(entry):
 
 def test_a_traced_run_counts_one_cap_per_line_search(monkeypatch):
     # The tracer's cap counter reads (mesh, direction) from the positional
-    # arguments, so a geometry passed positionally would fail the traced run.
+    # arguments, so edges passed positionally would fail the traced run.
     # A line search computes the exact cap at most once, only when a trial
     # passes the cells' lower bound; its record then names the binding cell.
     from rrsmooth import mesh as m, optim

@@ -74,7 +74,7 @@ def test_the_window_edges(monkeypatch, kind):
     monkeypatch.setattr(cap, "_measure_polynomials", recorded)
     for j, i in ((-W, -W), (W, W), (-W - 1, 0), (W + 1, 0)):
         solved.clear()
-        lam, _ = cap.max_step_before_inversion(mesh, np.ldexp(d, j), geometry=g)
+        lam, _ = cap.max_step_before_inversion(mesh, np.ldexp(d, j), edges=g.edges)
         assert solved == [np.ldexp(1.0, i)]
         assert bits(lam) == bits(np.ldexp(batch_step(mesh, np.ldexp(d, i), g), i - j))
         lower = cap.step_lower_bounds(mesh, np.ldexp(d, j), g)
@@ -88,9 +88,9 @@ def test_outside_the_window_the_cap_scales_exactly(j0):
     # roots may differ in their last bits, as LAPACK's are not scaled exactly.
     mesh, d = binade_case(CUBE)
     g = mesh.geometry()
-    ref, cell = cap.max_step_before_inversion(mesh, np.ldexp(d, j0), geometry=g)
+    ref, cell = cap.max_step_before_inversion(mesh, np.ldexp(d, j0), edges=g.edges)
     for j in np.sign(j0) * np.array([W + 2, 100, 300, 600, 900]):
-        lam, at = cap.max_step_before_inversion(mesh, np.ldexp(d, j), geometry=g)
+        lam, at = cap.max_step_before_inversion(mesh, np.ldexp(d, j), edges=g.edges)
         assert (bits(lam), at) == (bits(np.ldexp(ref, j0 - j)), cell)
 
 
@@ -99,9 +99,9 @@ def test_in_2d_the_cap_scales_exactly_at_every_scale():
     # triangle mesh's cap keeps its bits inside the window too.
     mesh, d = binade_case(SQUARE)
     g = mesh.geometry()
-    ref, cell = cap.max_step_before_inversion(mesh, d, geometry=g)
+    ref, cell = cap.max_step_before_inversion(mesh, d, edges=g.edges)
     for j in range(-900, 901):
-        lam, at = cap.max_step_before_inversion(mesh, np.ldexp(d, j), geometry=g)
+        lam, at = cap.max_step_before_inversion(mesh, np.ldexp(d, j), edges=g.edges)
         assert (bits(lam), at) == (bits(np.ldexp(ref, -j)), cell)
 
 
@@ -172,15 +172,15 @@ def test_every_exact_cap_names_the_lowest_binding_cell(monkeypatch):
     caps, exact = [], optim.max_step_before_inversion
 
     def recorded(at, direction, **kwargs):
-        caps.append((at, direction, kwargs["geometry"], exact(at, direction, **kwargs)))
+        caps.append((at, direction, kwargs["edges"], exact(at, direction, **kwargs)))
         return caps[-1][-1]
 
     monkeypatch.setattr(optim, "max_step_before_inversion", recorded)
     optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=50, grad_tol=1e-300,
                                   grad_tol_abs=1e-5))
     ties = 0
-    for at, d, g, (lam, cell) in caps:
-        roots = cap._row_roots(cap._measure_polynomials(at, cap._scaled(at, d)[0], g))
+    for at, d, edges, (lam, cell) in caps:
+        roots = cap._row_roots(cap._measure_polynomials(at, cap._scaled(at, d)[0], edges))
         assert (lam, cell) == (1.0 / roots.max(), roots.argmax())
         ties += np.count_nonzero(roots == roots.max()) > 1
     assert ties >= 2

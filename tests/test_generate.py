@@ -101,6 +101,47 @@ def test_vertex_displace_refuses_a_non_finite_offset(offset):
         perturb_mesh(mesh, VertexDisplace(((12, offset),)))
 
 
+@pytest.mark.parametrize(
+    "offset, message",
+    [
+        (0.01, "must be 2 numbers"),
+        ((0.01,), "must be 2 numbers"),
+        ((0.01, 0.0, 0.0), "must be 2 numbers"),
+        (("0.01", 0.0), "must be a real number"),
+    ],
+    ids=["scalar", "1-tuple", "3-tuple", "string"],
+)
+def test_vertex_displace_refuses_an_offset_that_is_not_dim_numbers(offset, message):
+    # A scalar or a 1-tuple used to move vertex 12 by (0.01, 0.01).
+    mesh = gen_mesh(GeneratorSpec(SQUARE, 4))
+    with pytest.raises(InvalidSpec, match=f"VertexDisplace offset {message}"):
+        perturb_mesh(mesh, VertexDisplace(((12, offset),)))
+
+
+@pytest.mark.parametrize("amplitude", [True, "0.1"], ids=repr)
+def test_random_jitter_refuses_an_amplitude_that_is_no_number(amplitude):
+    # True used to jitter at amplitude 1.
+    mesh = gen_mesh(GeneratorSpec(SQUARE, 4))
+    with pytest.raises(InvalidSpec, match="RandomJitter amplitude must be a real number"):
+        perturb_mesh(mesh, RandomJitter(amplitude, 3))
+
+
+@pytest.mark.parametrize("eps", [True, "0.01"], ids=repr)
+def test_plant_sliver_refuses_an_eps_that_is_no_number(eps):
+    with pytest.raises(InvalidSpec, match="PlantSliver eps must be a real number"):
+        perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 4)), PlantSliver(1, eps))
+
+
+def test_numpy_floats_are_amounts():
+    mesh = gen_mesh(GeneratorSpec(CUBE, 4))
+    jittered = perturb_mesh(mesh, RandomJitter(np.float64(0.1), 3))
+    assert_same_bits(jittered, perturb_mesh(mesh, RandomJitter(0.1, 3)))
+    slivered = perturb_mesh(jittered, PlantSliver(2, np.float64(0.01)))
+    assert_same_bits(slivered, perturb_mesh(jittered, PlantSliver(2, 0.01)))
+    moved = perturb_mesh(mesh, VertexDisplace(((62, np.array([0.01, 0.0, 0.0])),)))
+    assert_same_bits(moved, perturb_mesh(mesh, VertexDisplace(((62, (0.01, 0.0, 0.0)),))))
+
+
 def test_numpy_integers_are_counts():
     for integer in (np.int64, np.int32, np.uint8):
         mesh = gen_mesh(GeneratorSpec(CUBE, integer(4)))

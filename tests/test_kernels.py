@@ -175,8 +175,12 @@ def hand_written_blocks(kernel, pts):
     D = [pts[:, idx, c] - pts[:, idx.T, c] for c in range(3)]
     inv_d0sq = (1.0 / g.d0_sq)[:, None, None]
     inv_6vol = (1.0 / (6.0 * g.volume))[:, None, None]
+    # A's weights: the |d0| term on the vertex-0 edges 0-2, zero elsewhere,
+    # plus cot_e / s.
+    star = np.zeros_like(g.cot)
+    star[:3] = 2.0 * g.d0_normals / g.d0_sq
     return (
-        simplex.laplacian(np.add(*kernel._weight_terms(g)), kernel.EDGES),
+        simplex.laplacian(star + g.cot / g.surface, kernel.EDGES),
         -g.d0[0, :, None, None] * K * inv_d0sq + D[0] * inv_6vol,
         g.d0[1, :, None, None] * K * inv_d0sq - D[1] * inv_6vol,
         -g.d0[2, :, None, None] * K * inv_d0sq + D[2] * inv_6vol,

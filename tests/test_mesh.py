@@ -422,7 +422,7 @@ class TestStepBound:
             rtol = 1e-7
         for group in np.split(np.arange(len(P)), 60):
             mesh, dg = stacked_cells(P[group]), d[group].reshape(-1, 2)
-            a = cap._measure_polynomials(mesh, dg, mesh.geometry())
+            a = cap._measure_polynomials(mesh, dg, mesh.geometry().edges)
             assert np.all(a[:, 2] == 0.0)
             ref, modulus = quadratic_roots(a)
             roots, rows = cap._binding_roots(a)
@@ -497,7 +497,7 @@ class TestStepBound:
         mesh, unit = cap_case(kind, min(size, largest), amplitude, seed, policy)
         d = 10.0**scale * unit
         kept = energy_gradient(mesh)[2]
-        lam, cell = cap.max_step_before_inversion(mesh, d, geometry=kept)
+        lam, cell = cap.max_step_before_inversion(mesh, d, edges=kept.edges)
         fresh, fresh_cell = cap.max_step_before_inversion(mesh, d)
         assert (bits(lam), cell) == (bits(fresh), fresh_cell)
         if lam == np.inf:
@@ -588,7 +588,7 @@ class TestLowerBound:
         d = 10.0**scale * d[keep].reshape(-1, dim)
         lower = cap.step_lower_bounds(mesh, d, mesh.geometry())
         scaled, k = cap._scaled(mesh, d)
-        roots = cap._row_roots(cap._measure_polynomials(mesh, scaled, mesh.geometry()))
+        roots = cap._row_roots(cap._measure_polynomials(mesh, scaled, mesh.geometry().edges))
         with np.errstate(divide="ignore", over="ignore"):
             caps = np.ldexp(1.0 / roots, k)
         assert np.all(lower <= caps)
@@ -662,9 +662,9 @@ class TestLowerBound:
         d[np.random.default_rng(seed).random(mesh.n_vertices) < still] = 0.0
         d *= 10.0**scale
         g = mesh.geometry()
-        lam, cell = cap.max_step_before_inversion(mesh, d, geometry=g)
+        lam, cell = cap.max_step_before_inversion(mesh, d, edges=g.edges)
         assert bits(lam) == bits(full_batch_step(mesh, d, g))
-        roots = cap._row_roots(cap._measure_polynomials(mesh, cap._scaled(mesh, d)[0], g))
+        roots = cap._row_roots(cap._measure_polynomials(mesh, cap._scaled(mesh, d)[0], g.edges))
         if lam == np.inf:
             assert cell == -1
         else:
@@ -806,7 +806,7 @@ def full_batch_root(a):
 def batch_step(mesh, d, g):
     """The cap along ``d`` as given, with every cell solved in one batch,
     from the geometry ``g``."""
-    s = full_batch_root(cap._measure_polynomials(mesh, d, g))
+    s = full_batch_root(cap._measure_polynomials(mesh, d, g.edges))
     return 1.0 / s if s > 0 else np.inf
 
 
@@ -845,11 +845,11 @@ def double_and_triple_rows():
     D = Q @ (np.stack([a, a, b], axis=1)[:, :, None] * np.swapaxes(Q, 1, 2))
     d = -np.einsum("nij,nkj->nki", D, P - rng.uniform(-1, 1, (300, 1, 3)))
     cells = stacked_cells(P)
-    double = cap._measure_polynomials(cells, d.reshape(-1, 3), cells.geometry())
+    double = cap._measure_polynomials(cells, d.reshape(-1, 3), cells.geometry().edges)
     P = random_tets(300, seed=0)
     cells = stacked_cells(P)
     triple = cap._measure_polynomials(
-        cells, (P.mean(axis=1, keepdims=True) - P).reshape(-1, 3), cells.geometry()
+        cells, (P.mean(axis=1, keepdims=True) - P).reshape(-1, 3), cells.geometry().edges
     )
     return np.ascontiguousarray(double), np.ascontiguousarray(triple)
 

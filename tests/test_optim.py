@@ -1,6 +1,7 @@
 import io
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -1186,11 +1187,11 @@ class TestPreconditionerReuse:
             return bound(mesh, direction, geometry)
 
         # The exact cap runs after some of the search's trials, which replace
-        # the kept geometry: it reads the fields of the one its step's bound
+        # the kept geometry: it reads the edges of the one its step's bound
         # read.
-        def kept_cap(mesh, direction, geometry=None, **kwargs):
-            exact.append(geometry.edges is bounds[-1].edges and geometry[0] is bounds[-1][0])
-            return cap(mesh, direction, geometry=geometry, **kwargs)
+        def kept_cap(mesh, direction, edges=None, **kwargs):
+            exact.append(edges is bounds[-1].edges)
+            return cap(mesh, direction, edges=edges, **kwargs)
 
         monkeypatch.setattr(optim, "_run", tracked_run)
         monkeypatch.setattr(optim, "step_lower_bounds", kept_bound)
@@ -1240,6 +1241,31 @@ class TestPreconditionerReuse:
             min_measure = problem.step_metrics(x, point)["min_measure"]
             assert bits(min_measure) == bits(at.signed_measures().min())
 
+
+    @pytest.mark.parametrize("shape", ["square", "cube"])
+    def test_the_lazy_exact_cap_keeps_only_the_edges_alive(self, shape):
+        # Once a trial replaces the kept geometry, every field of the one the
+        # cap was taken on but its edges is freed (holding the whole geometry
+        # raised cube10's first-solve high-water by 2.0 MB), and the exact cap
+        # still reads the edges. The first evaluation, at another point, holds
+        # the run's start mu.
+        mesh = m.classify_boundary(jittered_meshes()[shape], m.FIX_ALL)
+        problem = optim.MeshProblem(mesh)
+        x = problem.x0
+        d = problem.project(np.random.default_rng(3).normal(size=x.shape))
+        problem.eval(problem.step(x, d, 1e-3))
+        problem.eval(x)
+        unread = {
+            name: weakref.ref(field)
+            for name, field in zip(problem.kept[1]._fields, problem.kept[1])
+            if name != "edges"
+        }
+        cap = problem.lam_cap(x, d)
+        problem.eval(problem.step(x, d, 0.5 * cap.bound))
+        assert [name for name, ref in unread.items() if ref() is not None] == []
+        lam, cell = max_step_before_inversion(mesh, d.reshape(mesh.vertices.shape))
+        assert bits(cap.value()) == bits(optim.STEP_CAP_FACTOR * lam)
+        assert cap.cell == cell
 
     @pytest.mark.parametrize(
         "method, shape",
@@ -1530,6 +1556,17 @@ class TestConfigValidation:
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizeConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["grad_tol", "grad_tol_abs"])
+    @pytest.mark.parametrize("value", [True, "1e-8"], ids=repr)
+    def test_rejects_a_tolerance_that_is_no_number(self, field, value):
+        # True is a Real; unchecked, it reads as a tolerance of 1.
+        with pytest.raises(ValueError, match=field):
+            OptimizeConfig(**{field: value})
+
+    def test_accepts_numpy_float_tolerances(self):
+        config = OptimizeConfig(grad_tol=np.float64(1e-6), grad_tol_abs=np.float32(1e-9))
+        assert config.grad_tol == 1e-6
 
     def test_rejects_a_bool_max_iters(self):
         # True is an Integral; unchecked, it runs one iteration.

@@ -174,6 +174,6 @@ class TestKernelBits:
             dot(f1, ff),
         ], axis=1) / dot(e1, ee)[:, None]
         g = tetrahedra.geometry(np.ascontiguousarray(pts.T).T)
-        got = tetrahedra.measure_polynomial(g, np.ascontiguousarray(du.T).T)
+        got = tetrahedra.measure_polynomial(g.edges, np.ascontiguousarray(du.T).T)
         assert got.shape == reference.shape
         np.testing.assert_array_equal(bits(got), bits(reference))
