@@ -42,7 +42,8 @@ def kernel(dim):
 
 
 class SimplexMesh:
-    """Triangle (dim=2) or tetrahedral (dim=3) mesh with vertex constraints."""
+    """Triangle (dim=2) or tetrahedral (dim=3) mesh with vertex constraints, whose
+    rules `project`, `keep_fixed` and `slide_drift` apply to (n_vertices, dim) fields."""
 
     def __init__(self, vertices, cells, constraint_kind=None, slide_normals=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
@@ -87,6 +88,31 @@ class SimplexMesh:
 
     def slide_mask(self):
         return self.constraint_kind == SLIDE
+
+    def project(self, field):
+        """A copy of ``field`` with fixed rows zeroed, sliding rows' normal part removed."""
+        out = np.array(field, dtype=float, copy=True)
+        out[self.fixed_mask()] = 0.0
+        slide = self.slide_mask()
+        if np.any(slide):
+            normals = self.slide_normals[slide]
+            out[slide] -= np.einsum("ij,ij->i", out[slide], normals)[:, None] * normals
+        return out
+
+    def keep_fixed(self, moved, start):
+        """Copy ``start``'s fixed rows into ``moved``, bit for bit: a fixed -0.0 stays."""
+        np.copyto(moved, start, where=self.fixed_mask()[:, None])
+
+    def slide_drift(self, start, moved):
+        """max |d . n| / |d| over the sliding vertices moved by d = moved - start, else 0."""
+        slide = self.slide_mask()
+        if not slide.any():
+            return 0.0
+        disp = (moved - start)[slide]
+        norms = np.linalg.norm(disp, axis=1)
+        dots = np.abs(np.einsum("ij,ij->i", disp, self.slide_normals[slide]))
+        moving = norms > 0
+        return float((dots[moving] / norms[moving]).max()) if moving.any() else 0.0
 
     def copy(self):
         return SimplexMesh(
@@ -381,22 +407,3 @@ def is_connected(mesh):
     count, _ = components(mesh.n_vertices, mesh.cells[:, i], mesh.cells[:, j])
     return count == 1
 
-
-def constraint_projector(mesh):
-    """Function projecting a (n_vertices, dim) field onto the constraints.
-
-    Fixed rows are zeroed exactly; sliding rows lose their normal component.
-    """
-    fixed = mesh.fixed_mask()
-    slide = mesh.slide_mask()
-    normals = mesh.slide_normals
-
-    def project(field):
-        out = np.array(field, dtype=float, copy=True)
-        out[fixed] = 0.0
-        if np.any(slide):
-            comp = np.einsum("ij,ij->i", out[slide], normals[slide])
-            out[slide] -= comp[:, None] * normals[slide]
-        return out
-
-    return project

@@ -38,7 +38,7 @@ from .assembly import (
 )
 from .cap import StepCap, max_step_before_inversion, step_lower_bounds
 from .errors import DegenerateElement, IndefiniteMatrix, LineSearchFailed, MeshError
-from .mesh import constraint_projector, quality_stats, validate
+from .mesh import quality_stats, validate
 
 FIXED_POINT = "fixedpoint"
 LBFGS = "lbfgs"
@@ -408,9 +408,6 @@ class MeshProblem:
         self.nv = mesh.n_vertices
         self.dim = mesh.dim
         self.x0 = mesh.vertices.ravel().copy()
-        self.fixed = mesh.fixed_mask()
-        self.slide = mesh.slide_mask()
-        self.project_field = constraint_projector(mesh)
         self.index = scatter_index(mesh)
         self.fun_evals = 0
         # Built at the first P build: methods without P never need it, and a
@@ -425,8 +422,12 @@ class MeshProblem:
         # eval_s, p_build_s, cg_s and cap_s summed, cg_residual the largest.
         self.work = Counter()
 
+    def rows(self, x):
+        """The flat vector x as an (n_vertices, dim) view, one row per vertex."""
+        return x.reshape(self.nv, self.dim)
+
     def mesh_at(self, x):
-        return self.mesh.with_vertices(x.reshape(self.nv, self.dim))
+        return self.mesh.with_vertices(self.rows(x))
 
     @contextmanager
     def _timed(self, name):
@@ -445,24 +446,24 @@ class MeshProblem:
                 f, grad_field, geometry = energy_gradient(self.mesh_at(x), self.index)
             except DegenerateElement:
                 return math.inf, None
-            self.kept = (x.copy(), geometry)
+            self.kept = (x, geometry)
             if self.start_mu is None:
                 self.start_mu = geometry.mu
-            return f, self.project_field(grad_field).ravel()
+            return f, self.mesh.project(grad_field).ravel()
 
     def project(self, v):
-        return self.project_field(v.reshape(self.nv, self.dim)).ravel()
+        return self.mesh.project(self.rows(v)).ravel()
 
     def step(self, x, d, lam):
         out = x + lam * d
-        fld = out.reshape(self.nv, self.dim)
-        fld[self.fixed] = x.reshape(self.nv, self.dim)[self.fixed]
+        self.mesh.keep_fixed(self.rows(out), self.rows(x))
         return out
 
     def geometry_at(self, x):
-        """The kernel geometry at x: the kept one if x was evaluated last (as
-        always, except on the retry after a failed search), else a fresh pass."""
-        if self.kept is not None and np.array_equal(self.kept[0], x):
+        """The kernel geometry at x: the kept one if x is the very array
+        evaluated last (as always, except on the retry after a failed search;
+        the driver never writes into an evaluated point), else a fresh pass."""
+        if self.kept is not None and x is self.kept[0]:
             return self.kept[1]
         return self.mesh_at(x).geometry()
 
@@ -475,7 +476,7 @@ class MeshProblem:
         holds only the edges, all it reads, so the trials' evaluations do not
         run beside a second full geometry.
         """
-        mesh, direction = self.mesh_at(x), d.reshape(self.nv, self.dim)
+        mesh, direction = self.mesh_at(x), self.rows(d)
         with self._timed("cap_s"):
             geometry = self.geometry_at(x)
             lower = step_lower_bounds(mesh, direction, geometry)
@@ -507,14 +508,14 @@ class MeshProblem:
 
         def solve(vec):
             with self._timed("cg_s"):
-                rhs = vec.reshape(self.nv, self.dim)
+                rhs = self.rows(vec)
                 out = np.zeros_like(rhs)
                 for c in range(self.dim):
                     b = rhs[pre.active, c]
                     out[pre.active, c], info = cg_solve(pre, b, tol=CG_RTOL)
                     self.work["cg_iters"] += info.iterations
                     self.work["cg_residual"] = max(self.work["cg_residual"], info.residual)
-            return self.project_field(out).ravel()
+            return self.mesh.project(out).ravel()
 
         return solve
 
@@ -530,18 +531,9 @@ class MeshProblem:
         its measures are the kept geometry's field 0 (the area or volume,
         with the bits of ``signed_measures``).
         """
-        measures = self.geometry_at(x_new)[0]
-        disp = (x_new - x_old).reshape(self.nv, self.dim)[self.slide]
-        residual = 0.0
-        if disp.size:
-            norms = np.linalg.norm(disp, axis=1)
-            dots = np.abs(np.einsum("ij,ij->i", disp, self.mesh.slide_normals[self.slide]))
-            moved = norms > 0
-            if moved.any():
-                residual = float((dots[moved] / norms[moved]).max())
         return {
-            "min_measure": float(measures.min()),
-            "slide_residual": residual,
+            "min_measure": float(self.geometry_at(x_new)[0].min()),
+            "slide_residual": self.mesh.slide_drift(self.rows(x_old), self.rows(x_new)),
         }
 
 

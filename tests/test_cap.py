@@ -151,7 +151,7 @@ def test_a_small_triangle_mesh_has_unwarned_bounds():
     # and the 2D bound divided by zero: optimize stopped on the RuntimeWarning.
     base = jittered(SQUARE)
     mesh = m.classify_boundary(base.with_vertices(1e-13 * base.vertices), m.FIX_ALL)
-    d = m.constraint_projector(mesh)(np.random.default_rng(0).normal(size=mesh.vertices.shape))
+    d = mesh.project(np.random.default_rng(0).normal(size=mesh.vertices.shape))
     lower = cap.step_lower_bounds(mesh, d, mesh.geometry())
     still = (d[mesh.cells] == 0.0).all(axis=(1, 2))
     assert still.any() and np.isfinite(lower).all()

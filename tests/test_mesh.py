@@ -756,7 +756,7 @@ def cap_case(kind, n, amplitude, seed, policy):
     base = gen_mesh(GeneratorSpec(kind, n))
     mesh = m.classify_boundary(perturb_mesh(base, RandomJitter(amplitude, seed)), policy)
     rng = np.random.default_rng(seed)
-    return mesh, m.constraint_projector(mesh)(rng.normal(size=mesh.vertices.shape))
+    return mesh, mesh.project(rng.normal(size=mesh.vertices.shape))
 
 
 def exact_areas(mesh, d, t):
@@ -1171,7 +1171,7 @@ class TestConstraintProjector:
     def test_projection_rules(self):
         mesh = gen_mesh(GeneratorSpec(CUBE, 2))
         tagged = m.classify_boundary(mesh, m.SLIDE_PLANAR)
-        project = m.constraint_projector(tagged)
+        project = tagged.project
         field = np.ones_like(tagged.vertices)
         out = project(field)
         assert np.all(out[tagged.fixed_mask()] == 0.0)
@@ -1180,3 +1180,40 @@ class TestConstraintProjector:
         np.testing.assert_allclose(dots, 0.0, atol=1e-14)
         free = tagged.constraint_kind == m.FREE
         np.testing.assert_array_equal(out[free], field[free])
+
+    def test_keep_fixed_restores_the_fixed_rows_alone(self):
+        tagged = m.classify_boundary(gen_mesh(GeneratorSpec(CUBE, 2)), m.SLIDE_PLANAR)
+        fixed = tagged.fixed_mask()
+        start = tagged.vertices.copy()
+        corner = np.flatnonzero(fixed)[0]
+        start[corner] = -0.0
+        moved = start + 0.25
+        want = moved.copy()
+        want[fixed] = start[fixed]
+        tagged.keep_fixed(moved, start)
+        assert moved.tobytes() == want.tobytes()
+        assert np.signbit(moved[corner]).all()
+
+    def test_slide_drift_is_zero_without_a_moved_sliding_vertex(self):
+        mesh = gen_mesh(GeneratorSpec(CUBE, 2))
+        moved = mesh.vertices + 0.1
+        assert m.classify_boundary(mesh, m.FIX_ALL).slide_drift(mesh.vertices, moved) == 0.0
+        tagged = m.classify_boundary(mesh, m.SLIDE_PLANAR)
+        slide = tagged.slide_mask()
+        moved[slide] = mesh.vertices[slide]
+        assert slide.any() and tagged.slide_drift(mesh.vertices, moved) == 0.0
+
+    def test_slide_drift_of_a_projected_move_is_rounding(self):
+        tagged = m.classify_boundary(gen_mesh(GeneratorSpec(CUBE, 2)), m.SLIDE_PLANAR)
+        d = tagged.project(np.random.default_rng(0).normal(size=tagged.vertices.shape))
+        assert tagged.slide_drift(tagged.vertices, tagged.vertices + d) < 1e-15
+
+    def test_slide_drift_of_one_off_plane_move(self):
+        tagged = m.classify_boundary(gen_mesh(GeneratorSpec(CUBE, 2)), m.SLIDE_PLANAR)
+        v = np.flatnonzero(tagged.slide_mask())[0]
+        d = np.array([0.3, -0.2, 0.5])
+        moved = tagged.vertices.copy()
+        moved[v] += d
+        want = abs(d @ tagged.slide_normals[v]) / np.linalg.norm(d)
+        assert want > 0.1
+        assert tagged.slide_drift(tagged.vertices, moved) == pytest.approx(want, rel=1e-12)

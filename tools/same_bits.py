@@ -20,6 +20,16 @@ A differing ``final_energy`` is also printed in decimal with its relative
 difference. Times are not compared. Prints each difference and exits 1 on
 any, or if an input build or a run fails; exits 0 when every input and
 every run has the same bits.
+
+It covers only the benchmark's workloads, and every one of them is
+fix-all: no sliding vertex moves. A change to the vertex constraints needs
+the slide-planar check as well. In each checkout, build a jittered square
+(``rrsmooth gen --kind square --n 8``, then ``rrsmooth perturb --jitter
+0.3 --seed 1``) and a slivered cube (``gen --kind cube --n 4``, then
+``perturb --sliver 3 0.01``), and run ``rrsmooth optimize --boundary
+slide-planar --max-iters 30 --report CSV`` on both with every method. The
+output meshes, and every CSV column but the four timing ones (``eval_s``,
+``p_build_s``, ``cg_s``, ``cap_s``), must be byte-identical.
 """
 
 import itertools
