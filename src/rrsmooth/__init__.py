@@ -1,12 +1,12 @@
 """rrsmooth: simplex mesh smoothing by radius-ratio energy minimization."""
 
 from .assembly import (
-    GlobalGradientSystem,
     Preconditioner,
     SpdAuditReport,
     assemble,
     assemble_preconditioner,
     energy_gradient,
+    gradient_matrix,
     spd_audit,
     write_matrix_market,
 )

@@ -15,75 +15,37 @@ weights: A is the graph Laplacian of the kernel's signed ``block_weights``,
 each B the antisymmetric matrix of its own, and P the graph Laplacian of
 A's weights in non-negative form (``precond_weights``: in 3D the sum of
 the abs of A's two weight terms), so the paper's "minor processing" from A
-to P is an ``abs`` of edge weights. G_F is materialized only by
-:func:`assemble` (for ``--dump-system`` and the tests that check the split
-against the gradient). Every function here reaches the element kernel
-through ``mesh.kernel(dim)`` and reads it the same way in both dimensions:
-nothing local carries mu, so cell c adds ``mu_c / n_cells`` times its edge
-weights to G_F's and to P's.
+to P is an ``abs`` of edge weights. G_F's blocks are built only by
+:func:`assemble`, and G_F itself by :func:`gradient_matrix`, for
+``--dump-system`` and the tests that check the split against the gradient;
+the optimize path never builds them. Every function here reaches the
+element kernel through ``mesh.kernel(dim)`` and reads it the same way in
+both dimensions: nothing local carries mu, so cell c adds ``mu_c / n_cells``
+times its edge weights to G_F's and to P's.
 
 Assembly sums deterministically, so identical meshes give bit-identical
 results. G_F's blocks and P sum their edge weights in one ``np.bincount``
 (:func:`_edge_sums`) by one pair index (:func:`_vertex_pairs`), each vertex
 pair once, so A and P are exactly symmetric. P's pattern, its gather from the
-sums and the positive-definiteness checks depend on connectivity only and are
-built once per run (:func:`preconditioner_topology`). The gradient field is
+sums and the positive-definiteness checks (a fixed vertex in every part of the
+mesh) depend on connectivity only and are built once per run
+(:func:`preconditioner_topology`). The gradient field is
 summed by one ``np.bincount`` too (:func:`energy_gradient`), by an index
 (:func:`scatter_index`) that the optimizer builds once per run.
 
 The optimize path runs on numpy alone: P is held in a column-major ELL layout
 and applied by :class:`Preconditioner`'s ``@``. scipy is imported only by the
 calls that build a scipy matrix (``Preconditioner.P``, :func:`assemble` and
-``gradient_matrix``) and by :func:`spd_audit` and :func:`write_matrix_market`.
+:func:`gradient_matrix`) and by :func:`spd_audit` and :func:`write_matrix_market`.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import matmul
 
 import numpy as np
 
 from .errors import DisconnectedMesh, NoFixedVertices
 from .mesh import components, is_connected, kernel
-
-
-def field_to_vec(field):
-    """(n_vertices, dim) array -> stacked [X; Y(; Z)] vector."""
-    return np.asarray(field).T.ravel()
-
-
-def vec_to_field(vec, n_vertices, dim):
-    """Stacked [X; Y(; Z)] vector -> (n_vertices, dim) array."""
-    return np.asarray(vec).reshape(dim, n_vertices).T
-
-
-@dataclass
-class GlobalGradientSystem:
-    """Energy, stacked coordinates, sparse blocks and the assembled gradient.
-
-    ``gradient`` comes from scatter-adding per-element gradient vectors;
-    :meth:`gradient_matvec` recomputes it from the sparse blocks as G_F @ V.
-    The two must agree to roundoff.
-    """
-
-    F: float
-    V: np.ndarray
-    A: "scipy.sparse.csr_matrix"
-    B_blocks: tuple
-    gradient: np.ndarray
-    n_vertices: int
-    dim: int
-
-    def gradient_matvec(self):
-        blocks, parts = (self.A, *self.B_blocks), np.split(self.V, self.dim)
-        return np.concatenate(kernel(self.dim).LAYOUT.product(blocks, parts, matmul))
-
-    def gradient_matrix(self):
-        """The full (dim n_v)^2 sparse G_F, mainly for debugging dumps."""
-        from scipy import sparse
-
-        bmat = partial(sparse.bmat, format="csr")
-        return kernel(self.dim).LAYOUT.matrix((self.A, *self.B_blocks), bmat)
 
 
 def _vertex_pairs(mesh):
@@ -134,23 +96,26 @@ def _cell_weights(mesh, mu):
 
 
 def assemble(mesh):
-    """Assemble energy, gradient and sparse blocks for the current geometry.
+    """G_F's sparse CSR blocks ``(A, *B)``, in the kernel's ``LAYOUT`` order,
+    for the current geometry.
 
     Raises DegenerateElement (with the offending cell index) if any element
     is inverted or collapsed.
     """
-    F, grad_field, geometry = energy_gradient(mesh)
+    geometry = mesh.geometry()
     a, *b = _cell_weights(mesh, geometry.mu) * kernel(mesh.dim).block_weights(geometry)
     pairs = _vertex_pairs(mesh)
-    return GlobalGradientSystem(
-        F=F,
-        V=field_to_vec(mesh.vertices),
-        A=_edge_matrix(mesh, pairs, a, laplacian=True),
-        B_blocks=tuple(_edge_matrix(mesh, pairs, w, laplacian=False) for w in b),
-        gradient=field_to_vec(grad_field),
-        n_vertices=mesh.n_vertices,
-        dim=mesh.dim,
-    )
+    return (_edge_matrix(mesh, pairs, a, laplacian=True),
+            *(_edge_matrix(mesh, pairs, w, laplacian=False) for w in b))
+
+
+def gradient_matrix(mesh):
+    """The full ``(dim n_vertices)^2`` sparse G_F, laid out from :func:`assemble`'s
+    blocks; the gradient field is ``(G_F @ V).reshape(dim, -1).T`` for the
+    stacked coordinates ``V = mesh.vertices.T.ravel()``."""
+    from scipy import sparse
+
+    return kernel(mesh.dim).LAYOUT.matrix(assemble(mesh), partial(sparse.bmat, format="csr"))
 
 
 def energy_gradient(mesh, index=None):
@@ -238,7 +203,9 @@ def preconditioner_topology(mesh):
     """Check that P can be positive definite, then fix its sparsity pattern.
 
     Positive definiteness needs at least one fixed vertex (NoFixedVertices)
-    and a connected mesh (DisconnectedMesh).
+    in every component of the vertex graph (DisconnectedMesh, naming a vertex
+    of the first component without one). The components are labelled only
+    when ``is_connected`` finds more than one.
     """
     fixed = mesh.fixed_mask()
     if not fixed.any():
@@ -247,7 +214,13 @@ def preconditioner_topology(mesh):
             "at least one fixed vertex"
         )
     if not is_connected(mesh):
-        raise DisconnectedMesh("mesh vertex graph has multiple components")
+        tail, head = kernel(mesh.dim).EDGES
+        _, label = components(mesh.n_vertices, mesh.cells[:, tail], mesh.cells[:, head])
+        loose = np.flatnonzero(~np.isin(label, label[fixed]))
+        if loose.size:
+            raise DisconnectedMesh(
+                f"vertex {loose[0]}'s component of the vertex graph has no fixed vertex"
+            )
 
     active = np.flatnonzero(~fixed)
     n = len(active)
@@ -277,7 +250,7 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
     precond_weights(geometry)``, all non-negative (in 2D A's own weights, in
     3D the abs of A's two weight terms), so every row is weakly diagonally
     dominant. Rows/columns of fixed vertices are removed; positive
-    definiteness then needs a connected mesh and at least one fixed vertex.
+    definiteness then needs a fixed vertex in every component of the mesh.
 
     ``topology`` (from :func:`preconditioner_topology`) and ``geometry``
     (the third output of :func:`energy_gradient` at this mesh) are computed

@@ -9,7 +9,7 @@ import argparse
 import logging
 import sys
 
-from .assembly import assemble, assemble_preconditioner, write_matrix_market
+from .assembly import assemble_preconditioner, gradient_matrix, write_matrix_market
 from .errors import MeshError
 from .generate import (
     CUBE,
@@ -137,8 +137,8 @@ def cmd_optimize(args):
     if args.boundary != "keep":
         mesh = classify_boundary(mesh, args.boundary)
     if args.dump_system:
-        # A mesh without a fixed vertex or of several components has no P.
-        write_matrix_market(assemble(mesh).gradient_matrix(), args.dump_system + "_gf.mtx")
+        # A mesh without a fixed vertex, or with a part that has none, has no P.
+        write_matrix_market(gradient_matrix(mesh), args.dump_system + "_gf.mtx")
         try:
             write_matrix_market(assemble_preconditioner(mesh).P, args.dump_system + "_p.mtx")
         except MeshError as e:

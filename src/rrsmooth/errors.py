@@ -26,7 +26,7 @@ class NoFixedVertices(MeshError):
 
 
 class DisconnectedMesh(MeshError):
-    """The mesh vertex graph has more than one connected component."""
+    """A component of the mesh vertex graph has no fixed vertex."""
 
 
 class IndefiniteMatrix(MeshError):

@@ -340,15 +340,14 @@ class OptimizeReport:
             f"termination  {self.termination}",
             f"energy       {self.records[0].F:.12g} -> {self.final_energy:.12g}",
         ]
-        if self.quality_before is not None and self.quality_after is not None:
-            out.append(
-                f"min quality  {self.quality_before.min_q:.6f} -> "
-                f"{self.quality_after.min_q:.6f}"
-            )
-            out.append(
-                f"q < 0.3      {self.quality_before.below_threshold_count} -> "
-                f"{self.quality_after.below_threshold_count}"
-            )
+        before, after = self.quality_before, self.quality_after
+        if before is not None and after is not None:
+            from .mesh import POOR_QUALITY_THRESHOLD  # read when printed, as quality_stats does
+
+            out.append(f"min quality  {before.min_q:.6f} -> {after.min_q:.6f}")
+            label = f"q < {POOR_QUALITY_THRESHOLD}"
+            out.append(f"{label:<12} {before.below_threshold_count} -> "
+                       f"{after.below_threshold_count}")
         return out
 
     def write_csv(self, path_or_file):

@@ -8,11 +8,10 @@ from rrsmooth.assembly import (
     assemble,
     assemble_preconditioner,
     energy_gradient,
-    field_to_vec,
+    gradient_matrix,
     preconditioner_topology,
     scatter_index,
     spd_audit,
-    vec_to_field,
     write_matrix_market,
 )
 from rrsmooth.errors import DegenerateElement, DisconnectedMesh, NoFixedVertices
@@ -40,20 +39,19 @@ class TestAssemble:
     def test_two_triangle_square_energy(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         cells = np.array([[0, 1, 2], [0, 2, 3]])
-        system = assemble(m.SimplexMesh(verts, cells))
-        assert system.F == pytest.approx(1.2071067811865475, rel=1e-12)
+        F, _, _ = energy_gradient(m.SimplexMesh(verts, cells))
+        assert F == pytest.approx(1.2071067811865475, rel=1e-12)
 
     def test_equilateral_patch_is_stationary(self):
         mesh = m.classify_boundary(gen_mesh(GeneratorSpec(EQUILATERAL, 6)), m.FIX_ALL)
-        system = assemble(mesh)
-        g = vec_to_field(system.gradient, mesh.n_vertices, mesh.dim)
+        _, g, _ = energy_gradient(mesh)
         assert np.abs(g[~mesh.fixed_mask()]).max() <= 1e-10
 
     def test_scatter_equals_matvec(self):
         for mesh in (jittered(SQUARE, 4, seed=1), jittered(CUBE, 3, seed=2)):
-            system = assemble(mesh)
-            gv = system.gradient_matvec()
-            rel = np.linalg.norm(system.gradient - gv) / np.linalg.norm(gv)
+            gradient = energy_gradient(mesh)[1].T.ravel()
+            gv = gradient_matrix(mesh) @ mesh.vertices.T.ravel()
+            rel = np.linalg.norm(gradient - gv) / np.linalg.norm(gv)
             assert rel <= 1e-12
 
     def test_gradient_equals_per_element_accumulation(self):
@@ -65,9 +63,8 @@ class TestAssemble:
         expected = np.zeros_like(mesh.vertices)
         for cell, g in zip(mesh.cells, grads):
             expected[cell] += g / mesh.n_cells
-        system = assemble(mesh)
         np.testing.assert_allclose(
-            vec_to_field(system.gradient, mesh.n_vertices, mesh.dim),
+            energy_gradient(mesh)[1],
             expected,
             rtol=1e-12,
             atol=1e-15,
@@ -78,8 +75,7 @@ class TestAssemble:
     )
     def test_gradient_matches_finite_differences_of_energy(self, kind, n, seed):
         mesh = jittered(kind, n, seed=seed)
-        system = assemble(mesh)
-        g = vec_to_field(system.gradient, mesh.n_vertices, mesh.dim)
+        _, g, _ = energy_gradient(mesh)
         h = 1e-6 * mesh.mean_edge_length()
         free = np.flatnonzero(~mesh.fixed_mask())
         gfd = np.zeros_like(g)
@@ -90,8 +86,8 @@ class TestAssemble:
                 dn = mesh.vertices.copy()
                 dn[v, d] -= h
                 gfd[v, d] = (
-                    assemble(mesh.with_vertices(up)).F
-                    - assemble(mesh.with_vertices(dn)).F
+                    energy_gradient(mesh.with_vertices(up))[0]
+                    - energy_gradient(mesh.with_vertices(dn))[0]
                 ) / (2 * h)
         rel = np.linalg.norm(g[free] - gfd[free]) / np.linalg.norm(gfd[free])
         assert rel <= 1e-6
@@ -99,9 +95,9 @@ class TestAssemble:
     def test_block_symmetry_structure(self):
         # Each vertex pair is summed once and mirrored: exact, not to roundoff.
         for mesh in (jittered(SQUARE, 3, seed=7), jittered(CUBE, 2, seed=8)):
-            system = assemble(mesh)
-            assert (system.A != system.A.T).nnz == 0
-            for B in system.B_blocks:
+            A, *B_blocks = assemble(mesh)
+            assert (A != A.T).nnz == 0
+            for B in B_blocks:
                 assert (B != -B.T).nnz == 0
                 stored = B.tocoo()
                 assert np.all(stored.row != stored.col)
@@ -117,16 +113,10 @@ class TestAssemble:
 
     def test_assembly_is_deterministic(self):
         mesh = jittered(CUBE, 2, seed=9)
-        s1, s2 = assemble(mesh), assemble(mesh)
-        assert s1.F == s2.F
-        np.testing.assert_array_equal(s1.gradient, s2.gradient)
-        np.testing.assert_array_equal(s1.A.data, s2.A.data)
-
-    def test_field_vec_roundtrip(self):
-        field = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(
-            vec_to_field(field_to_vec(field), 4, 3), field
-        )
+        (F1, g1, _), (F2, g2, _) = energy_gradient(mesh), energy_gradient(mesh)
+        assert F1 == F2
+        np.testing.assert_array_equal(g1, g2)
+        np.testing.assert_array_equal(assemble(mesh)[0].data, assemble(mesh)[0].data)
 
 
 @pytest.mark.parametrize("case", ["triangles", "tets", "jittered-cube"])
@@ -197,14 +187,33 @@ class TestPreconditioner:
         with pytest.raises(NoFixedVertices):
             assemble_preconditioner(gen_mesh(GeneratorSpec(CUBE, 2)))
 
+    @staticmethod
+    def two_parts(kind):
+        """A jittered mesh and two copies of it at the same coordinates, fixed
+        at their boundaries: two components, each with a fixed vertex."""
+        a = jittered(kind, 3, seed=4)
+        cells = np.vstack([a.cells, a.cells + a.n_vertices])
+        both = m.SimplexMesh(np.vstack([a.vertices] * 2), cells)
+        return a, m.classify_boundary(both, m.FIX_ALL)
+
+    @pytest.mark.parametrize("kind", [SQUARE, CUBE])
+    def test_every_part_with_a_fixed_vertex_gives_p(self, kind):
+        # Each part's rows are its own P: twice the cells halve every weight.
+        a, both = self.two_parts(kind)
+        one = assemble_preconditioner(m.classify_boundary(a, m.FIX_ALL)).P
+        two = assemble_preconditioner(both)
+        assert (two.P != 0.5 * sparse.block_diag([one, one], format="csr")).nnz == 0
+        assert spd_audit(two).n_components == 2
+
     def test_disconnected_mesh_rejected(self):
-        a = gen_mesh(GeneratorSpec(CUBE, 1))
-        b = gen_mesh(GeneratorSpec(CUBE, 1))
-        verts = np.vstack([a.vertices, b.vertices + np.array([3.0, 0.0, 0.0])])
-        cells = np.vstack([a.cells, b.cells + a.n_vertices])
-        both = m.classify_boundary(m.SimplexMesh(verts, cells), m.FIX_ALL)
-        with pytest.raises(DisconnectedMesh):
-            assemble_preconditioner(both)
+        # A part whose vertices are all free leaves P singular; one of its
+        # vertices is named.
+        a, both = self.two_parts(CUBE)
+        kind = both.constraint_kind.copy()
+        kind[a.n_vertices :] = m.FREE
+        loose = m.SimplexMesh(both.vertices, both.cells, kind)
+        with pytest.raises(DisconnectedMesh, match=f"^vertex {a.n_vertices}'s component"):
+            assemble_preconditioner(loose)
 
     def test_vertex_no_cell_uses_rejected(self):
         cube = gen_mesh(GeneratorSpec(CUBE, 2))
@@ -344,7 +353,7 @@ class TestFixedPattern:
         # by up to 3.6e-15 on the jittered square.
         mesh = m.classify_boundary(jittered(kind, 8, seed=1, amplitude=0.3), policy)
         active = np.flatnonzero(~mesh.fixed_mask())
-        A = assemble(mesh).A[active][:, active]
+        A = assemble(mesh)[0][active][:, active]
         P = assemble_preconditioner(mesh).P
         assert A.toarray().tobytes() == P.toarray().tobytes()
 
@@ -445,7 +454,7 @@ class TestMatrixMarket:
         cols = [0, 11, 3, 2, 1, 5, 9, 0, 10, 4]
         matrices = {
             "edge-cases": sparse.csr_matrix((values, (rows, cols)), shape=(12, 12)),
-            "g_f": assemble(jittered(CUBE, 2, seed=5)).gradient_matrix(),
+            "g_f": gradient_matrix(jittered(CUBE, 2, seed=5)),
             "empty": sparse.csr_matrix((3, 4)),
         }
         for name, mat in matrices.items():

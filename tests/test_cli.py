@@ -3,10 +3,10 @@ import pytest
 
 from scipy.io import mmread
 
-from rrsmooth.assembly import assemble, assemble_preconditioner, field_to_vec
+from rrsmooth.assembly import assemble_preconditioner, energy_gradient
 from rrsmooth.cli import main
 from rrsmooth.generate import SQUARE, GeneratorSpec, RandomJitter, gen_mesh, perturb_mesh
-from rrsmooth.mesh import FIX_ALL, SimplexMesh, classify_boundary
+from rrsmooth.mesh import FIX_ALL, FREE, SimplexMesh, classify_boundary
 from rrsmooth.meshio import load_mesh, save_mesh
 
 
@@ -95,6 +95,15 @@ class TestPerturbAndOptimize:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count, eps", [("two", "0.01"), ("2", "tiny")])
+    def test_sliver_with_a_non_number_exits_one(self, tmp_path, capsys, count, eps):
+        src, out = tmp_path / "c3.txt", tmp_path / "out.txt"
+        run(capsys, "gen", "--kind", "cube", "--n", "3", str(src))
+        code, _, err = run(capsys, "perturb", str(src), str(out), "--sliver", count, eps)
+        assert code == 1
+        assert err == "error: --sliver expects COUNT (int) and EPS (float)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("dump", [False, True], ids=["without-dump", "with-dump"])
     def test_optimize_without_fixed_vertices_fails_with_two(self, tmp_path, capsys, dump):
         src = tmp_path / "sq.msh"
@@ -126,30 +135,52 @@ class TestPerturbAndOptimize:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dump", [False, True], ids=["without-dump", "with-dump"])
-    @pytest.mark.parametrize("method, expected", [("plbfgs", 2), ("lbfgs", 0)])
-    def test_disconnected_mesh(self, tmp_path, capsys, method, expected, dump):
-        # Two disjoint jittered squares: P cannot be positive definite, so the
-        # preconditioned method stops abnormally; lbfgs needs no P.
+    @staticmethod
+    def two_squares():
+        """Two disjoint jittered squares, fixed at their boundaries."""
         square = perturb_mesh(
             gen_mesh(GeneratorSpec(SQUARE, 3)), RandomJitter(amplitude=0.2, seed=1)
         )
-        src, out, report = tmp_path / "two.msh", tmp_path / "o.msh", tmp_path / "r.csv"
-        save_mesh(SimplexMesh(
+        return classify_boundary(SimplexMesh(
             np.vstack([square.vertices, square.vertices + [2.0, 0.0]]),
             np.vstack([square.cells, square.cells + square.n_vertices]),
-        ), src)
+        ), FIX_ALL), square.n_vertices
+
+    @pytest.mark.parametrize("dump", [False, True], ids=["without-dump", "with-dump"])
+    @pytest.mark.parametrize("method, expected", [("plbfgs", 2), ("lbfgs", 0)])
+    def test_disconnected_mesh(self, tmp_path, capsys, method, expected, dump):
+        # The second square's vertices are all free: P cannot be positive
+        # definite, so the preconditioned method stops abnormally; lbfgs needs no P.
+        two, half = self.two_squares()
+        kind = two.constraint_kind.copy()
+        kind[half:] = FREE
+        src, out, report = tmp_path / "two.txt", tmp_path / "o.msh", tmp_path / "r.csv"
+        save_mesh(SimplexMesh(two.vertices, two.cells, kind), src)
         code, _, err = run(
             capsys, "optimize", str(src), str(out), "--method", method, "--max-iters", "5",
-            "--report", str(report), *(["--dump-system", str(tmp_path / "dump")] if dump else []),
+            "--boundary", "keep", "--report", str(report),
+            *(["--dump-system", str(tmp_path / "dump")] if dump else []),
         )
         assert code == expected, err
         assert out.exists() and report.exists()
-        skipped = "not writing P: mesh vertex graph has multiple components\n"
+        reason = f"vertex {half}'s component of the vertex graph has no fixed vertex"
+        skipped = f"not writing P: {reason}\n"
         assert (skipped in err) == dump
-        assert ("multiple components" in err.replace(skipped, "")) == (method == "plbfgs")
+        assert (reason in err.replace(skipped, "")) == (method == "plbfgs")
         assert (tmp_path / "dump_gf.mtx").exists() == dump
         assert not (tmp_path / "dump_p.mtx").exists()
+
+    def test_parts_each_with_a_fixed_vertex_run(self, tmp_path, capsys):
+        two, _ = self.two_squares()
+        src, prefix = tmp_path / "two.msh", str(tmp_path / "dump")
+        save_mesh(two, src)
+        code, _, err = run(
+            capsys, "optimize", str(src), str(tmp_path / "o.msh"), "--max-iters", "5",
+            "--dump-system", prefix,
+        )
+        assert code == 0, err
+        P = assemble_preconditioner(two).P
+        assert (mmread(prefix + "_p.mtx").tocsr() != P).nnz == 0
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -275,11 +306,11 @@ class TestPerturbAndOptimize:
         )
         assert code == 0, err
         mesh = classify_boundary(load_mesh(bad), FIX_ALL)
-        system = assemble(mesh)
+        gradient = energy_gradient(mesh)[1].T.ravel()
         gf = mmread(prefix + "_gf.mtx").tocsr()
         assert gf.shape == (mesh.dim * mesh.n_vertices,) * 2
-        gv = gf @ field_to_vec(mesh.vertices)
-        assert np.linalg.norm(gv - system.gradient) <= 1e-12 * np.linalg.norm(system.gradient)
+        gv = gf @ mesh.vertices.T.ravel()
+        assert np.linalg.norm(gv - gradient) <= 1e-12 * np.linalg.norm(gradient)
         # 17 significant digits round-trip every entry exactly.
         P = assemble_preconditioner(mesh).P
         assert (mmread(prefix + "_p.mtx").tocsr() != P).nnz == 0

@@ -132,6 +132,25 @@ def test_plant_sliver_refuses_an_eps_that_is_no_number(eps):
         perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 4)), PlantSliver(1, eps))
 
 
+@pytest.mark.parametrize(
+    "kind, n, mode, message",
+    [
+        (CUBE, 2, "jitter", "unknown perturbation mode 'jitter'"),
+        (SQUARE, 4, PlantSliver(1, 0.01), "slivers can only be planted in tetrahedral meshes"),
+        (CUBE, 4, PlantSliver(1, 0.0), r"PlantSliver eps must be in \(0, 1\), got 0.0"),
+        (CUBE, 4, PlantSliver(1, 1.0), r"PlantSliver eps must be in \(0, 1\), got 1.0"),
+        (CUBE, 2, PlantSliver(1, 0.01), "mesh has no fully interior tets to flatten"),
+        # Every vertex already lies within 0.99 mean edge lengths of its opposite face.
+        (CUBE, 3, PlantSliver(1, 0.99), "could only plant 0 of 1 requested slivers"),
+        (CUBE, 3, PlantSliver(1000, 0.01), "could only plant [0-9]+ of 1000 requested slivers"),
+    ],
+    ids=["unknown-mode", "2d", "eps-0", "eps-1", "no-interior-tet", "too-flat", "too-many"],
+)
+def test_perturb_mesh_refuses(kind, n, mode, message):
+    with pytest.raises(InvalidSpec, match=f"^{message}$"):
+        perturb_mesh(gen_mesh(GeneratorSpec(kind, n)), mode)
+
+
 def test_numpy_floats_are_amounts():
     mesh = gen_mesh(GeneratorSpec(CUBE, 4))
     jittered = perturb_mesh(mesh, RandomJitter(np.float64(0.1), 3))

@@ -86,6 +86,19 @@ class TestMsh:
         with pytest.raises(EmptyMesh):
             load_mesh(path)
 
+    def test_surface_triangles_beside_tets_are_ignored(self, tmp_path, caplog):
+        path = tmp_path / "hull.msh"
+        path.write_text(
+            "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+            "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
+            "$Elements\n2\n1 2 2 0 0 1 3 2\n2 4 2 0 0 1 2 3 4\n$EndElements\n"
+        )
+        with caplog.at_level(logging.WARNING):
+            mesh = load_mesh(path)
+        assert mesh.dim == 3 and mesh.cells.tolist() == [[0, 1, 2, 3]]
+        assert any("1 surface triangles ignored in favor of 1 tets" in r.message
+                   for r in caplog.records)
+
     def test_roundtrip_coordinates_exact(self, tmp_path):
         mesh = jittered_cube()
         p1 = tmp_path / "a.msh"
@@ -204,6 +217,24 @@ class TestMalformedNumbers:
             pytest.param(MINIMAL_MSH, "1\n1 2 2 0 0", "2\n1 2 2 0 0", 13, id="msh-element-count"),
             pytest.param(MINIMAL_MSH, "2 1 0 0\n", "2 1_0 0 0\n", 7, id="digit-separator"),
             pytest.param(TRIANGLE_TXT, "0 1 2\n", "0 1 99999999999999999999\n", 5, id="int64-overflow"),
+            pytest.param(TRIANGLE_TXT, "2 3 1\n", "4 3 1\n", 1, id="txt-dim"),
+            pytest.param(TRIANGLE_TXT, "2 3 1\n", "2 -3 1\n", 1, id="txt-count"),
+            pytest.param(MINIMAL_MSH, "$Nodes\n3\n", "$Nodes\nthree\n", 5, id="msh-node-count"),
+            pytest.param(MINIMAL_MSH, "$EndMeshFormat\n", "$EndFormat\n", 3, id="msh-end-format"),
+            pytest.param(MINIMAL_MSH, "$EndNodes\n", "$EndNode\n", 9, id="msh-end-nodes"),
+            pytest.param(MINIMAL_MSH, "$EndElements\n", "$End\n", 13, id="msh-end-elements"),
+            pytest.param(
+                MINIMAL_MSH, "$EndElements\n", "$EndElements\n$Comments\nnote\n", 16,
+                id="msh-unterminated-section",
+            ),
+            pytest.param(
+                MINIMAL_MSH, "$Elements\n1\n1 2 2 0 0 1 2 3\n$EndElements\n", "", None,
+                id="msh-no-elements",
+            ),
+            pytest.param(MINIMAL_MSH, "3 0 1 0\n", "2 0 1 0\n", None, id="msh-duplicate-node-id"),
+            pytest.param(MINIMAL_MSH, "0 1 2 3\n", "0 1 2 4\n", None, id="msh-unknown-node-id"),
+            pytest.param(TRIANGLE_VTK, "0 1 0\n", "0 1 0 5\n", 8, id="vtk-value-count"),
+            pytest.param(TRIANGLE_VTK, "CELL_TYPES 1\n5\n", "", None, id="vtk-no-cell-types"),
         ],
     )
     def test_parse_error_at_the_line(self, tmp_path, text, old, new, line):
@@ -215,6 +246,57 @@ class TestMalformedNumbers:
             load_mesh(path)
         assert exc.value.path == str(path)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, old, new",
+        [
+            pytest.param(MINIMAL_MSH, "2.2 0 8", "2.2 1 8", id="msh-binary"),
+            pytest.param(MINIMAL_MSH, "3 0 1 0\n", "3 0 1 1\n", id="msh-triangles-in-3d"),
+            pytest.param(TRIANGLE_VTK, "# vtk DataFile", "# DataFile", id="vtk-header"),
+            pytest.param(TRIANGLE_VTK, "ASCII", "BINARY", id="vtk-encoding"),
+            pytest.param(TRIANGLE_VTK, "UNSTRUCTURED_GRID", "POLYDATA", id="vtk-dataset"),
+            pytest.param(TRIANGLE_VTK, "0 1 0\n", "0 1 1\n", id="vtk-triangles-in-3d"),
+            pytest.param(
+                TRIANGLE_VTK, "POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\nCELLS 1 4\n3 0 1 2\n"
+                "CELL_TYPES 1\n5\n", "POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                "CELLS 2 9\n3 0 1 2\n4 0 1 2 3\nCELL_TYPES 2\n5\n10\n", id="vtk-mixed-cell-sizes",
+            ),
+        ],
+    )
+    def test_unsupported_dialect(self, tmp_path, text, old, new):
+        path = tmp_path / f"odd.{'vtk' if text is TRIANGLE_VTK else 'msh'}"
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(UnsupportedFormat, match=str(path)):
+            load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "text, old, new",
+        [
+            pytest.param(
+                MINIMAL_MSH, "$Nodes\n",
+                '\n$PhysicalNames\n1\n2 1 "x"\n$EndPhysicalNames\n\n$Nodes\n',
+                id="msh-blank-lines-and-unknown-section",
+            ),
+            pytest.param(TRIANGLE_VTK, "CELLS", "\nCELLS", id="vtk-blank-line"),
+        ],
+    )
+    def test_blank_lines_and_unknown_sections_are_skipped(self, tmp_path, text, old, new):
+        plain, padded = tmp_path / "plain.msh", tmp_path / "padded.msh"
+        if text is TRIANGLE_VTK:
+            plain, padded = plain.with_suffix(".vtk"), padded.with_suffix(".vtk")
+        plain.write_text(text)
+        padded.write_text(text.replace(old, new, 1))
+        a, b = load_mesh(plain), load_mesh(padded)
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert a.cells.tobytes() == b.cells.tobytes()
+
+    def test_vtk_without_triangles_or_tets_is_empty(self, tmp_path):
+        path = tmp_path / "lines.vtk"
+        line = "CELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n5\n"
+        path.write_text(TRIANGLE_VTK.replace(line, "CELLS 1 3\n2 0 1\nCELL_TYPES 1\n3\n"))
+        with pytest.raises(EmptyMesh):
+            load_mesh(path)
 
     @pytest.mark.parametrize("text", [TRIANGLE_VTK, TRIANGLE_TXT], ids=["vtk", "txt"])
     def test_the_unchanged_files_load(self, tmp_path, text):
@@ -284,6 +366,16 @@ class TestVtk:
         assert "cell sizes do not match" in str(exc.value)
         assert exc.value.line == 5 + -(-len(xyz) // 9) + 1
 
+    def test_a_quality_overlay_reads_back_as_its_mesh(self, tmp_path):
+        # The reader stops at CELL_DATA: the quality scalars are no mesh data.
+        mesh = jittered_cube()
+        path = tmp_path / "q.vtk"
+        save_quality_overlay(mesh, path)
+        assert "CELL_DATA" in path.read_text()
+        loaded = load_mesh(path)
+        assert loaded.vertices.tobytes() == mesh.vertices.tobytes()
+        assert loaded.cells.tobytes() == mesh.cells.tobytes()
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         mesh = gen_mesh(GeneratorSpec(SQUARE, 2))
         with pytest.raises(OSError):
@@ -294,6 +386,14 @@ class TestFormatDetection:
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(UnsupportedFormat):
             load_mesh(tmp_path / "mesh.obj")
+
+    def test_unknown_explicit_format(self, tmp_path):
+        mesh = gen_mesh(GeneratorSpec(SQUARE, 2))
+        with pytest.raises(UnsupportedFormat, match="unknown format 'obj'"):
+            save_mesh(mesh, tmp_path / "mesh.txt", fmt="obj")
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        with pytest.raises(UnsupportedFormat, match="unknown format 'obj'"):
+            load_mesh(tmp_path / "mesh.txt", fmt="obj")
 
     def test_explicit_format_overrides(self, tmp_path):
         mesh = gen_mesh(GeneratorSpec(SQUARE, 2))

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 
 from rrsmooth import mesh as m, simplex, tetrahedra, triangles
-from rrsmooth.assembly import assemble, energy_gradient
+from rrsmooth.assembly import assemble, energy_gradient, gradient_matrix
 from rrsmooth.errors import DegenerateElement
 from rrsmooth.generate import (
     CUBE, SQUARE, GeneratorSpec, PlantSliver, RandomJitter, gen_mesh, perturb_mesh,
@@ -200,16 +201,16 @@ def test_block_weights_give_the_hand_written_blocks(kernel, pts):
         assert np.array_equal(got, expected)
 
 
-def spelled_out(system):
+def spelled_out(mesh, blocks, V):
     """G_F @ V and G_F written out per dimension, from the sparse blocks."""
-    nv, A = system.n_vertices, system.A
-    X, Y, Z = system.V[:nv], system.V[nv : 2 * nv], system.V[2 * nv :]
-    if system.dim == 2:
-        (B,) = system.B_blocks
+    nv, (A, *B_blocks) = mesh.n_vertices, blocks
+    X, Y, Z = V[:nv], V[nv : 2 * nv], V[2 * nv :]
+    if mesh.dim == 2:
+        (B,) = B_blocks
         product = np.concatenate([A @ X + B @ Y, -(B @ X) + A @ Y])
         matrix = sparse.bmat([[A, B], [-B, A]], format="csr")
     else:
-        B0, B1, B2 = system.B_blocks
+        B0, B1, B2 = B_blocks
         product = np.concatenate(
             [A @ X + B2 @ Y + B1 @ Z, -(B2 @ X) + A @ Y + B0 @ Z, -(B1 @ X) - (B0 @ Y) + A @ Z]
         )
@@ -219,10 +220,12 @@ def spelled_out(system):
 
 @pytest.mark.parametrize("make", [jittered_square, slivered_cube], ids=["square", "slivered-cube"])
 def test_sparse_layout_gives_the_bits_of_the_spelled_out_product(make):
-    system = assemble(make())
-    product, matrix = spelled_out(system)
-    assert system.gradient_matvec().tobytes() == product.tobytes()
-    got = system.gradient_matrix()
+    mesh = make()
+    blocks, V = assemble(mesh), mesh.vertices.T.ravel()
+    product, matrix = spelled_out(mesh, blocks, V)
+    rows = m.kernel(mesh.dim).LAYOUT.product(blocks, np.split(V, mesh.dim), operator.matmul)
+    assert np.concatenate(rows).tobytes() == product.tobytes()
+    got = gradient_matrix(mesh)
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).tobytes() == getattr(matrix, name).tobytes()
 

@@ -57,6 +57,21 @@ class TestValidate:
         with pytest.raises(MeshError, match="no-cells"):
             optimize(empty)
 
+    @pytest.mark.parametrize(
+        "vertices, cells, kind, message",
+        [
+            (np.zeros((3, 4)), [[0, 1, 2]], None, r"vertices must be \(n, 2\) or \(n, 3\)"),
+            (np.zeros(3), [[0, 1, 2]], None, r"vertices must be \(n, 2\) or \(n, 3\)"),
+            (np.zeros((3, 2)), [[0, 1, 2, 0]], None, r"cells must be \(m, dim \+ 1\)"),
+            (np.zeros((3, 2)), [0, 1, 2], None, r"cells must be \(m, dim \+ 1\)"),
+            (np.zeros((3, 2)), [[0, 1, 2]], [0, 0], "constraint arrays do not match"),
+        ],
+        ids=["4-columns", "flat-vertices", "cell-width", "flat-cells", "constraint-count"],
+    )
+    def test_shape_errors(self, vertices, cells, kind, message):
+        with pytest.raises(ValueError, match=message):
+            m.SimplexMesh(vertices, cells, kind)
+
     def test_repeated_vertex(self):
         bad = unit_square_two_tris()
         bad.cells[1, 2] = bad.cells[1, 0]
@@ -209,6 +224,10 @@ class TestQualityStats:
 
 
 class TestClassifyBoundary:
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown boundary policy 'slide'"):
+            m.classify_boundary(gen_mesh(GeneratorSpec(SQUARE, 2)), "slide")
+
     def test_fix_all_square(self):
         mesh = gen_mesh(GeneratorSpec(SQUARE, 4))
         tagged = m.classify_boundary(mesh, m.FIX_ALL)

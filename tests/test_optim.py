@@ -255,6 +255,24 @@ class TestStrongWolfe:
         assert res.f <= f0 + optim.WOLFE_C1 * res.lam * df0
         assert abs(res.df) <= -WOLFE_C2 * df0
 
+    def test_a_bracket_shrunk_to_rounding_fails(self):
+        # Past s = 2**56, f(1) and f(2) round to f0 and [1, 2] holds no acceptable step.
+        phi, f0, df0 = creeping_zoom("exp", 2.0**57)
+        with pytest.raises(LineSearchFailed, match="the bracket shrank to rounding"):
+            strong_wolfe_search(phi, f0, df0)
+
+    def test_trials_run_out_on_an_unbounded_ray(self):
+        trials = []
+
+        def phi(lam):
+            trials.append(lam)
+            return -lam, -1.0  # sufficient decrease, never the curvature condition
+
+        message = f"no strong Wolfe step in {optim._WOLFE_MAX_EVALS} trials"
+        with pytest.raises(LineSearchFailed, match=message):
+            strong_wolfe_search(phi, 0.0, -1.0)
+        assert trials == [2.0**k for k in range(optim._WOLFE_MAX_EVALS)]
+
     @pytest.mark.parametrize("c1, c2", [(0.9, 0.1), (-1.0, 0.9)], ids=["c1-above-c2", "c1-negative"])
     def test_rejects_constants_outside_the_wolfe_range(self, c1, c2):
         # Unchecked, c1 > c2 ends in "the bracket shrank to rounding", and a
@@ -618,25 +636,39 @@ class TestFixedPoint:
 
     def test_perturbed_lattice_gradient_convergence(self, monkeypatch):
         # Reaches an absolute free-gradient norm of 1e-8 within 30 iterations.
-        from rrsmooth.assembly import assemble, vec_to_field
+        from rrsmooth.assembly import energy_gradient
 
         monkeypatch.setattr(optim, "ENERGY_TOL", 1e-16)
         mesh = perturbed_lattice()
         cfg = OptimizeConfig(method="fixedpoint", max_iters=30, grad_tol_abs=1e-8)
         out, report = optimize(mesh, cfg)
         assert report.termination == "grad_tol"
-        g = vec_to_field(assemble(out).gradient, out.n_vertices, out.dim)
+        _, g, _ = energy_gradient(out)
         assert np.abs(g[~out.fixed_mask()]).max() <= 1e-8
 
     def test_first_step_decreases_energy_on_sliver_mesh(self):
         mesh = slivered_cube(n=3, count=1)
-        from rrsmooth.assembly import assemble
+        from rrsmooth.assembly import energy_gradient
 
-        f0 = assemble(mesh).F
+        f0, _, _ = energy_gradient(mesh)
         out, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=1))
         assert report.iterations == 1
-        f1 = assemble(out).F
+        f1, _, _ = energy_gradient(out)
         assert f1 < f0
+
+    def test_report_prints_the_poor_quality_threshold(self, monkeypatch):
+        # The count and its label read one constant.
+        mesh = slivered_cube(n=3, count=1)
+        for threshold in (m.POOR_QUALITY_THRESHOLD, 0.75):
+            monkeypatch.setattr(m, "POOR_QUALITY_THRESHOLD", threshold)
+            _, report = optimize(mesh, OptimizeConfig(method="lbfgs", max_iters=2))
+            before, after = report.quality_before, report.quality_after
+            q = 1.0 / mesh.geometry().mu
+            assert before.below_threshold_count == np.count_nonzero(q < threshold) > 0
+            assert report.lines()[-1] == (f"{f'q < {threshold}':<12} "
+                                          f"{before.below_threshold_count} -> "
+                                          f"{after.below_threshold_count}")
+        assert report.lines()[-1].startswith("q < 0.75     ")
 
     def test_monotone_energy(self):
         mesh = perturbed_lattice(6)
@@ -653,9 +685,7 @@ class TestFixedPoint:
         from rrsmooth.assembly import assemble
 
         mesh = jittered_square(n, 0.3, m.FIX_ALL)
-        system = assemble(mesh)
-        (B,) = system.B_blocks
-        A = system.A
+        A, B = assemble(mesh)
         X, Y = mesh.vertices.T
         fixed = mesh.fixed_mask()
         free = np.flatnonzero(~fixed)
@@ -1295,6 +1325,23 @@ class TestPreconditionerReuse:
         assert dense == []
         assembly.assemble(mesh)
         assert dense == []
+
+
+class TestMeshInParts:
+    # nlcg, which reads no P, is left out: its unit first trial is not
+    # scale-free, and the pair's gradient is half of one part's.
+    @pytest.mark.parametrize("method", ["fixedpoint", "lbfgs", "plbfgs", "pnlcg"])
+    def test_two_parts_smooth_as_one(self, method):
+        one = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 3)), RandomJitter(0.1, seed=1))
+        one = perturb_mesh(one, PlantSliver(count=1, eps=0.01))
+        two = m.SimplexMesh(np.vstack([one.vertices, one.vertices + [2.0, 0.0, 0.0]]),
+                            np.vstack([one.cells, one.cells + one.n_vertices]))
+        runs = [optimize(m.classify_boundary(mesh, m.FIX_ALL), OptimizeConfig(method=method))
+                for mesh in (one, two)]
+        (_, alone), (_, paired) = runs
+        assert paired.termination == alone.termination == "grad_tol"
+        assert paired.iterations == alone.iterations
+        assert paired.quality_after.min_q == pytest.approx(alone.quality_after.min_q, abs=1e-4)
 
 
 class TestRecordedWork:

@@ -20,6 +20,7 @@ def load_same_bits():
 
 
 same_bits = load_same_bits()
+COMMAND = ["python3", "perfbench/run.py"]
 
 
 def test_differences_names_missing_and_changed_keys_only():
@@ -75,7 +76,7 @@ def runs(monkeypatch):
 
 def test_run_reads_fingerprints_and_counts_from_the_record(tmp_path, runs):
     write_record(tmp_path)
-    fingerprints, counts = same_bits.run(str(tmp_path), "w", 3, 1)
+    fingerprints, counts = same_bits.run(str(tmp_path), COMMAND, "w", 3, 1)
     assert runs[0][1:] == ["perfbench/run.py", "--workload", "w", "--seed", "3",
                            "--seconds", str(same_bits.SECONDS), "--trace", "1"]
     assert fingerprints["mesh 0"] == {
@@ -91,7 +92,7 @@ def test_run_reads_fingerprints_and_counts_from_the_record(tmp_path, runs):
 def test_run_refuses_a_record_that_is_not_correct(tmp_path, runs):
     write_record(tmp_path, correct=False)
     with pytest.raises(RuntimeError, match="is not correct"):
-        same_bits.run(str(tmp_path), "w", 3, 1)
+        same_bits.run(str(tmp_path), COMMAND, "w", 3, 1)
 
 
 # A checkout's perfbench/run.py as far as input_hashes reads it: the workload
@@ -129,7 +130,8 @@ def test_differing_inputs_are_named_before_the_runs(tmp_path, monkeypatch, capsy
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         checkout.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}]}))
+    (change / "BENCHMARK.json").write_text(
+        json.dumps({"command": COMMAND, "workloads": [{"name": "w"}]}))
     monkeypatch.setattr(same_bits, "SEEDS", (1,))
 
     def hashes(checkout, workload, seed):

@@ -7,7 +7,8 @@ CHANGE's BENCHMARK.json declares and every seed S in SEEDS, it first builds
 the run's input meshes in each checkout, by that checkout's
 ``perfbench/run.py`` ``make_inputs`` in a fresh interpreter, and compares
 the sha256 of each ``.msh`` file it writes; differing inputs are printed as
-"inputs differ". In each checkout it then runs
+"inputs differ". In each checkout it then runs BENCHMARK.json's
+"command", here
 
     python3 perfbench/run.py --workload W --seed S --seconds 1 --trace T
 
@@ -77,16 +78,23 @@ def compare_inputs(parent, change, workload, seed):
             for i, (a, b) in enumerate(itertools.zip_longest(before, after)) if a != b]
 
 
-def run(checkout, workload, seed, trace):
-    """Run one workload in ``checkout``; returns (fingerprints, counts)."""
+def bench(checkout, command, workload, *options):
+    """Run the benchmark's ``command`` (BENCHMARK.json's "command") on one
+    workload in ``checkout``, with ``options``; returns its standard output."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", str(trace)],
+        [*command, "--workload", workload, *options],
         cwd=checkout, capture_output=True, text=True, timeout=900,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {workload} seed={seed} trace={trace} exited "
+        raise RuntimeError(f"{checkout}: {workload} {' '.join(options)} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def run(checkout, command, workload, seed, trace):
+    """Run one workload in ``checkout``; returns (fingerprints, counts)."""
+    bench(checkout, command, workload, "--seed", str(seed), "--seconds", str(SECONDS),
+          "--trace", str(trace))
     path = os.path.join(checkout, ".perfbench_runs", "out",
                         f"{workload}-seed{seed}-trace{trace}.json")
     with open(path) as fh:
@@ -137,7 +145,8 @@ def main(argv):
         return 2
     parent, change = (os.path.abspath(path) for path in argv)
     with open(os.path.join(change, "BENCHMARK.json")) as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
     found = []
     for workload, seed in itertools.product(workloads, SEEDS):
         try:
@@ -150,7 +159,7 @@ def main(argv):
             where = f"{workload} seed={seed} trace={trace}"
             try:
                 (fp_a, counts_a), (fp_b, counts_b) = (
-                    run(parent, workload, seed, trace), run(change, workload, seed, trace)
+                    run(c, spec["command"], workload, seed, trace) for c in (parent, change)
                 )
             except (OSError, RuntimeError, subprocess.TimeoutExpired, ValueError) as e:
                 found.append(f"{where}: {e}")
