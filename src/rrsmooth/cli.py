@@ -61,17 +61,18 @@ def build_parser():
     perturb.add_argument("--seed", type=int, default=0)
 
     opt = sub.add_parser("optimize", help="minimize the radius-ratio energy")
+    defaults = OptimizeConfig()
     opt.add_argument("input")
     opt.add_argument("output")
-    opt.add_argument("--method", choices=METHODS, default="plbfgs")
+    opt.add_argument("--method", choices=METHODS, default=defaults.method)
     opt.add_argument(
         "--boundary",
         choices=(FIX_ALL, SLIDE_PLANAR, "keep"),
         default=FIX_ALL,
         help="constraint policy; 'keep' preserves tags from a native file",
     )
-    opt.add_argument("--max-iters", type=int, default=200)
-    opt.add_argument("--grad-tol", type=float, default=1e-8)
+    opt.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    opt.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
     opt.add_argument("--report", metavar="CSV", help="per-iteration CSV report")
     opt.add_argument(
         "--overlay", metavar="VTK", help="write a quality overlay of the result"

@@ -1,6 +1,7 @@
 """Mesh file readers and writers.
 
-Three dialects:
+Three dialects, each read and written by the file extension alone
+(:func:`detect_format`; an unknown extension raises UnsupportedFormat):
 
 * Gmsh MSH 2.2 ASCII (``.msh``): element types 2 (triangle) and 4 (tet) are
   imported, everything else is skipped with a warning.
@@ -51,13 +52,11 @@ def detect_format(path):
     )
 
 
-def load_mesh(path, fmt=None):
-    """Read a mesh file; orientation is repaired and repairs are logged."""
-    fmt = fmt or detect_format(path)
+def load_mesh(path):
+    """Read a mesh file in the format its extension names (`detect_format`);
+    orientation is repaired and repairs are logged."""
     readers = {GMSH: _read_msh, VTK: _read_vtk, NATIVE: _read_native}
-    if fmt not in readers:
-        raise UnsupportedFormat(f"unknown format {fmt!r}")
-    verts, cells, *constraints = readers[fmt](path)
+    verts, cells, *constraints = readers[detect_format(path)](path)
     if cells.shape[0] == 0:
         raise EmptyMesh(f"{path}: no triangle/tetrahedron cells found")
     cells, repaired = repair_orientation(verts, cells)
@@ -66,13 +65,10 @@ def load_mesh(path, fmt=None):
     return SimplexMesh(verts, cells, *constraints)
 
 
-def save_mesh(mesh, path, fmt=None):
-    """Write a mesh file in the requested or extension-implied format."""
-    fmt = fmt or detect_format(path)
+def save_mesh(mesh, path):
+    """Write a mesh file in the format its extension names (`detect_format`)."""
     writers = {GMSH: _write_msh, VTK: _write_vtk, NATIVE: _write_native}
-    if fmt not in writers:
-        raise UnsupportedFormat(f"unknown format {fmt!r}")
-    writers[fmt](mesh, path)
+    writers[detect_format(path)](mesh, path)
 
 
 def save_quality_overlay(mesh, path):

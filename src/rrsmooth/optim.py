@@ -52,8 +52,8 @@ _CURVATURE_PAIR_TOL = 1e-14
 _ENERGY_PATIENCE = 3
 ENERGY_TOL = 1e-12
 LBFGS_MEMORY = 10  # curvature pairs the two-loop recursion keeps (at least 1)
-# Both searches' sufficient-decrease and curvature constants; strong Wolfe
-# needs 0 < c1 < c2 < 1.
+# Both searches' sufficient-decrease and curvature constants, read at each
+# call (Nocedal and Wright's quasi-Newton values); 0 < c1 < c2 < 1.
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 LAM_MIN = 1e-16  # backtracking fails below this step length (finite, positive)
@@ -122,7 +122,8 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
     Every truncation descends: each iterate ``x_k`` with k >= 1 satisfies
     ``b @ x_k = x_k @ A @ x_k > 0`` (Steihaug 1983), so ``-x_k`` is a descent
     direction for a gradient b whenever b != 0. Raises IndefiniteMatrix if a search direction has
-    non-positive curvature, which means A is not SPD.
+    non-positive curvature, which means A is not SPD. A b with a NaN or inf
+    returns at once: an all-NaN x and ``CgInfo(0, nan, False)``.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -131,6 +132,8 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n), CgInfo(0, 0.0, True)
+    if not math.isfinite(norm_b):
+        return np.full(n, math.nan), CgInfo(0, math.nan, False)
     res = norm_b
     x = np.zeros(n)
     r = b.copy()
@@ -167,7 +170,7 @@ class LineSearchResult:
     evals: int
 
 
-def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf):
+def strong_wolfe_search(phi, f0, df0, lam_cap=math.inf):
     """Strong Wolfe line search (Nocedal and Wright, *Numerical Optimization*,
     3.5) in one loop; the accepted step is always the last trial.
 
@@ -184,10 +187,8 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
     :class:`StepCap`, read in the first trial ``min(1, cap)``, the doubling
     ``min(2 lam, cap)`` and the stop ``lam >= cap``; a StepCap computes it only
     where a trial passes its lower bound, so the trials are the float cap's.
-    Constants outside 0 < c1 < c2 < 1 raise ValueError.
+    The constants are WOLFE_C1 and WOLFE_C2, read at each call.
     """
-    if not 0.0 < c1 < c2 < 1.0:
-        raise ValueError(f"strong Wolfe needs 0 < c1 < c2 < 1, got c1={c1!r}, c2={c2!r}")
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     cap = StepCap.of(lam_cap)
@@ -212,9 +213,9 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
                     lam = min(max(q, a + guard), b - guard)
         f, df = phi(lam)
         # The first trial is exempt from f >= f_lo: at a rounding-level step f = f0.
-        if not math.isfinite(f) or f > f0 + c1 * lam * df0 or (evals > 1 and f >= f_lo):
+        if not math.isfinite(f) or f > f0 + WOLFE_C1 * lam * df0 or (evals > 1 and f >= f_lo):
             hi, f_hi = lam, f
-        elif abs(df) <= -c2 * df0:
+        elif abs(df) <= -WOLFE_C2 * df0:
             return LineSearchResult(lam, f, df, evals)
         else:
             if (df >= 0.0) if hi is None else (df * (hi - lo) >= 0.0):
@@ -227,16 +228,13 @@ def strong_wolfe_search(phi, f0, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=math.inf
     raise LineSearchFailed(f"no strong Wolfe step in {_WOLFE_MAX_EVALS} trials")
 
 
-def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
-    """Armijo backtracking, halving from ``min(1, lam_cap)`` down to LAM_MIN;
-    the accepted step is always the last trial.
+def backtracking_search(phi, f0, df0, lam_cap=math.inf):
+    """Armijo backtracking with WOLFE_C1, halving from ``min(1, lam_cap)``
+    down to LAM_MIN; the accepted step is always the last trial.
 
     ``lam_cap`` is a float or a :class:`StepCap`, read only in the first
-    trial, and there only when 1 passes a StepCap's lower bound. A ``c1``
-    outside 0 < c1 < 1 raises ValueError.
+    trial, and there only when 1 passes a StepCap's lower bound.
     """
-    if not 0.0 < c1 < 1.0:
-        raise ValueError(f"Armijo needs 0 < c1 < 1, got c1={c1!r}")
     if not df0 < 0.0:
         raise LineSearchFailed(f"not a descent direction (slope {df0:.3e})")
     evals = 0
@@ -244,7 +242,7 @@ def backtracking_search(phi, f0, df0, c1=WOLFE_C1, lam_cap=math.inf):
     while lam >= LAM_MIN:
         f, df = phi(lam)
         evals += 1
-        if math.isfinite(f) and f <= f0 + c1 * lam * df0:
+        if math.isfinite(f) and f <= f0 + WOLFE_C1 * lam * df0:
             return LineSearchResult(lam, f, df, evals)
         lam *= 0.5
     raise LineSearchFailed(f"step length underflowed {LAM_MIN:.1e}")
@@ -256,8 +254,9 @@ class OptimizeConfig:
 
     The gradient stop is ``|g|_inf <= max(grad_tol * |g0|_inf, grad_tol_abs)``;
     ``grad_tol_abs`` is an absolute floor in units of 1/length, not scale-free.
-    All methods share the module constants ENERGY_TOL, LBFGS_MEMORY,
-    WOLFE_C1, WOLFE_C2, LAM_MIN and STEP_CAP_FACTOR.
+    The CLI reads its defaults from here. All methods share the module
+    constants ENERGY_TOL, LBFGS_MEMORY, LAM_MIN and STEP_CAP_FACTOR, and
+    both line searches read WOLFE_C1 and WOLFE_C2 at each call.
     """
 
     method: str = PLBFGS
@@ -562,9 +561,9 @@ def _take_step(problem, x, f, g, d, k, kind):
     df0 = float(g @ d)
     cap = problem.lam_cap(x, d)
     if kind == "armijo":
-        ls = backtracking_search(phi, f, df0, c1=WOLFE_C1, lam_cap=cap)
+        ls = backtracking_search(phi, f, df0, lam_cap=cap)
     else:
-        ls = strong_wolfe_search(phi, f, df0, c1=WOLFE_C1, c2=WOLFE_C2, lam_cap=cap)
+        ls = strong_wolfe_search(phi, f, df0, lam_cap=cap)
     x_new, f_new, g_new = last
     record = IterationRecord(
         index=k + 1,

@@ -4,10 +4,11 @@ import pytest
 from scipy.io import mmread
 
 from rrsmooth.assembly import assemble_preconditioner, energy_gradient
-from rrsmooth.cli import main
+from rrsmooth.cli import build_parser, main
 from rrsmooth.generate import SQUARE, GeneratorSpec, RandomJitter, gen_mesh, perturb_mesh
 from rrsmooth.mesh import FIX_ALL, FREE, SimplexMesh, classify_boundary
 from rrsmooth.meshio import load_mesh, save_mesh
+from rrsmooth.optim import OptimizeConfig
 
 
 def run(capsys, *argv):
@@ -342,3 +343,11 @@ class TestPerturbAndOptimize:
         entries = {tuple(line.split()) for line in lines}
         assert len(entries) == len(lines) > 0
         assert {(j, i, v) for i, j, v in entries} == entries
+
+
+def test_optimize_defaults_are_optimize_configs():
+    args = build_parser().parse_args(["optimize", "a.msh", "b.msh"])
+    defaults = OptimizeConfig()
+    assert (args.method, args.max_iters, args.grad_tol) == (
+        defaults.method, defaults.max_iters, defaults.grad_tol
+    )

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rrsmooth import mesh as m
 from rrsmooth.errors import EmptyMesh, MeshError, ParseError, UnsupportedFormat
 from rrsmooth.generate import CUBE, SQUARE, GeneratorSpec, RandomJitter, gen_mesh, perturb_mesh
-from rrsmooth.meshio import NATIVE, load_mesh, save_mesh, save_quality_overlay
+from rrsmooth.meshio import load_mesh, save_mesh, save_quality_overlay
 
 MINIMAL_MSH = """$MeshFormat
 2.2 0 8
@@ -386,21 +386,6 @@ class TestFormatDetection:
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(UnsupportedFormat):
             load_mesh(tmp_path / "mesh.obj")
-
-    def test_unknown_explicit_format(self, tmp_path):
-        mesh = gen_mesh(GeneratorSpec(SQUARE, 2))
-        with pytest.raises(UnsupportedFormat, match="unknown format 'obj'"):
-            save_mesh(mesh, tmp_path / "mesh.txt", fmt="obj")
-        save_mesh(mesh, tmp_path / "mesh.txt")
-        with pytest.raises(UnsupportedFormat, match="unknown format 'obj'"):
-            load_mesh(tmp_path / "mesh.txt", fmt="obj")
-
-    def test_explicit_format_overrides(self, tmp_path):
-        mesh = gen_mesh(GeneratorSpec(SQUARE, 2))
-        path = tmp_path / "weird.dat"
-        save_mesh(mesh, path, fmt=NATIVE)
-        loaded = load_mesh(path, fmt=NATIVE)
-        np.testing.assert_array_equal(loaded.cells, mesh.cells)
 
 
 # Reference writers: one formatted line at a time, as the writers were before
