@@ -343,8 +343,8 @@ class QualityStats:
             f"min quality          {self.min_q:.6f}",
             f"mean quality         {self.mean_q:.6f}",
             f"max quality          {self.max_q:.6f}",
-            f"count q < {POOR_QUALITY_THRESHOLD}        {self.below_threshold_count}",
-            "histogram (20 uniform bins on [0, 1]):",
+            f"count q < {POOR_QUALITY_THRESHOLD}".ljust(21) + str(self.below_threshold_count),
+            f"histogram ({HISTOGRAM_BINS} uniform bins on [0, 1]):",
         ]
         width = max(int(c) for c in self.histogram) or 1
         for b, count in enumerate(self.histogram):

@@ -3,19 +3,21 @@
 Three dialects, each read and written by the file extension alone
 (:func:`detect_format`; an unknown extension raises UnsupportedFormat):
 
-* Gmsh MSH 2.2 ASCII (``.msh``): element types 2 (triangle) and 4 (tet) are
-  imported, everything else is skipped with a warning.
+* Gmsh MSH 2.2 ASCII (``.msh``): element types 2 (triangle) and 4 (tet).
 * VTK legacy ASCII unstructured grid (``.vtk``): cell types 5 and 10; the
   quality overlay writes per-cell scalar ``quality`` = 1/mu in CELL_DATA.
 * Native text (``.txt``): one-line header ``dim nv nc``, then coordinates,
   0-based cells and per-vertex constraint tags. Floats are printed with 17
   significant digits so round trips are byte-exact.
 
+The mesher formats only parse: one policy (:func:`_mesh_cells`) keeps a
+file's tets, dropping triangles beside them with a warning, or else its
+triangles, which must lie in z = 0; other types warn once per file. Every
+format's negatively oriented cells are repaired on load, and the count logged.
+
 Each numeric section is parsed by one ``np.loadtxt`` call, so its numbers
 follow loadtxt's syntax: no ``_`` digit separators, and integers are plain
 decimals that fit in 64 bits. Each written block is one ``%``-format string.
-
-Negatively oriented cells are repaired on load and the repair count logged.
 """
 
 import logging
@@ -158,8 +160,7 @@ class _LineReader:
                     _loadtxt([" ".join(numbers)], dtype)
             except ValueError:
                 self.fail(f"{context}: malformed number in {line.strip()!r}")
-        self.next(context)
-        self.fail(f"{context}: unreadable section")
+        self.next(context)  # every line parsed: the section ran past the end of the file
 
 
 def _read_msh(path):
@@ -185,7 +186,8 @@ def _read_msh(path):
                 rd.fail("expected $EndNodes")
         elif line == "$Elements":
             (count,) = rd.values([rd.next("element count")], int, "element count")
-            elements.append(rd.section(count, np.int64, "$Elements", range(3, 1 << 62)))
+            line_no = rd.pos + 1 + np.arange(count)
+            elements.append((line_no, *rd.section(count, np.int64, "$Elements", range(3, 1 << 62))))
             if rd.next("$EndElements") != "$EndElements":
                 rd.fail("expected $EndElements")
         elif line.startswith("$") and not line.startswith("$End"):
@@ -196,19 +198,17 @@ def _read_msh(path):
     if not nodes or not elements:
         raise ParseError("missing $Nodes or $Elements section", str(path))
     nodes = np.concatenate(nodes)
-    flat, widths = (np.concatenate(arrays) for arrays in zip(*elements))
-    # A row is "id type ntags <tags> <node ids>": its ids are row[3:][ntags:].
+    line_no, flat, widths = (np.concatenate(arrays) for arrays in zip(*elements))
+    # A row is "id type ntags <tags> <node ids>": its ids are row[3 + ntags:].
     first = np.cumsum(widths) - widths
     etype, ntags, rest = flat[first + 1], flat[first + 2], widths - 3
-    skip = np.clip(np.where(ntags < 0, rest + ntags, ntags), 0, rest)
-    n_ids, begin = rest - skip, first + 3 + skip
+    if (bad := (ntags < 0) | (ntags > rest)).any():
+        at = np.argmax(bad)
+        raise ParseError(f"$Elements: tag count {ntags[at]} with {rest[at]} fields after it",
+                         str(path), int(line_no[at]))
+    n_ids, begin = rest - ntags, first + 3 + ntags
     tri = (etype == _MSH_TRIANGLE) & (n_ids == 3)
     tet = (etype == _MSH_TET) & (n_ids == 4)
-    skipped = Counter(etype[~(tri | tet)].tolist())
-    if skipped:
-        logger.warning(
-            "%s: ignored unsupported element types %s", path, dict(sorted(skipped.items()))
-        )
     coords = np.ascontiguousarray(nodes["xyz"])
     order = np.argsort(nodes["id"], kind="stable")
     ids = nodes["id"][order]
@@ -224,15 +224,23 @@ def _read_msh(path):
             raise ParseError(f"element references unknown node id {cells[~known][0]}", str(path))
         return order[at]
 
-    if tet.any():
-        if tri.any():
+    return _mesh_cells(path, coords, remap(tri, 3), remap(tet, 4), etype[~(tri | tet)])
+
+
+def _mesh_cells(path, points, triangles, tets, other_types):
+    """A file's vertices and cells from its ``(n, 3)`` points and cells, by the
+    policy in the module docstring; ``other_types`` are the skipped cells' types."""
+    if len(other_types):
+        skipped = dict(sorted(Counter(other_types.tolist()).items()))
+        logger.warning("%s: ignored unsupported element types %s", path, skipped)
+    if len(tets):
+        if len(triangles):
             logger.warning("%s: %d surface triangles ignored in favor of %d tets",
-                           path, tri.sum(), tet.sum())
-        return coords, remap(tet, 4)
-    cells = remap(tri, 3)
-    if cells.shape[0] and np.abs(coords[:, 2]).max() > 1e-12 * max(np.abs(coords).max(), 1.0):
+                           path, len(triangles), len(tets))
+        return points, tets
+    if len(triangles) and np.abs(points[:, 2]).max() > 1e-12 * max(np.abs(points).max(), 1.0):
         raise UnsupportedFormat(f"{path}: triangle mesh with nonzero z (surface meshes unsupported)")
-    return coords[:, :2], cells
+    return points[:, :2], triangles
 
 
 def _xyz(mesh):
@@ -336,22 +344,13 @@ def _read_vtk(path):
     if not fits[starts].all():
         raise ParseError("CELLS: cell sizes do not match the values listed", str(path), cells_line)
     size = vals[starts]
-    kept = ((types == _VTK_TRIANGLE) & (size == 3)) | ((types == _VTK_TET) & (size == 4))
-    for t in types[~kept].tolist():
-        logger.warning("%s: ignored VTK cell type %d", path, t)
-    if not kept.any():
-        return points, np.zeros((0, 4), dtype=np.int64)
-    width = size[kept][0]
-    if np.any(size[kept] != width):
-        raise UnsupportedFormat(f"{path}: mixed cell dimensions")
-    if not len(points):
+    tri = (types == _VTK_TRIANGLE) & (size == 3)
+    tet = (types == _VTK_TET) & (size == 4)
+    if (tri | tet).any() and not len(points):
         raise ParseError("CELLS lists cells, but POINTS lists no points", str(path), cells_line)
-    cells = vals[starts[kept, None] + 1 + np.arange(width)]
-    if width == 3:
-        if np.abs(points[:, 2]).max() > 1e-12 * max(np.abs(points).max(), 1.0):
-            raise UnsupportedFormat(f"{path}: triangle mesh with nonzero z")
-        return points[:, :2], cells
-    return points, cells
+    first = starts + 1
+    return _mesh_cells(path, points, vals[first[tri, None] + np.arange(3)],
+                       vals[first[tet, None] + np.arange(4)], types[~(tri | tet)])
 
 
 def _write_vtk(mesh, path, quality=None):

@@ -123,17 +123,24 @@ def cg_solve(A, b, tol=1e-8, max_iters=None):
     ``b @ x_k = x_k @ A @ x_k > 0`` (Steihaug 1983), so ``-x_k`` is a descent
     direction for a gradient b whenever b != 0. Raises IndefiniteMatrix if a search direction has
     non-positive curvature, which means A is not SPD. A b with a NaN or inf
-    returns at once: an all-NaN x and ``CgInfo(0, nan, False)``.
+    returns at once: an all-NaN x and ``CgInfo(0, nan, False)``. A finite b
+    whose norm overflows is solved scaled by a power of two, which scales
+    every iterate exactly, and x is scaled back.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if max_iters is None:
         max_iters = n
-    norm_b = np.linalg.norm(b)
+    with np.errstate(over="ignore"):
+        norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n), CgInfo(0, 0.0, True)
     if not math.isfinite(norm_b):
-        return np.full(n, math.nan), CgInfo(0, math.nan, False)
+        if not np.isfinite(b).all():
+            return np.full(n, math.nan), CgInfo(0, math.nan, False)
+        e = math.frexp(np.abs(b).max())[1]
+        x, info = cg_solve(A, np.ldexp(b, -e), tol, max_iters)
+        return np.ldexp(x, e), info
     res = norm_b
     x = np.zeros(n)
     r = b.copy()
@@ -753,7 +760,7 @@ def _descend(problem, config, strategy):
     records = [IterationRecord(0, f, g0n, 0.0, 0, **problem.take_work())]
     history = deque([f], maxlen=_ENERGY_PATIENCE + 1)
     for k in range(config.max_iters):
-        if _grad_converged(_inf_norm(g), g0n, config):
+        if _grad_converged(records[-1].grad_norm, g0n, config):
             return x, records, "grad_tol"
         if _energy_stalled(history):
             return x, records, "energy_tol"
@@ -779,7 +786,7 @@ def _descend(problem, config, strategy):
         x, f, g = x_new, f_new, g_new
         records.append(rec)
         history.append(f)
-    termination = "grad_tol" if _grad_converged(_inf_norm(g), g0n, config) else "max_iters"
+    termination = "grad_tol" if _grad_converged(records[-1].grad_norm, g0n, config) else "max_iters"
     return x, records, termination
 
 

@@ -25,6 +25,19 @@ $EndElements
 """
 
 
+# One tet and one of its faces as a boundary triangle, in each mesher format.
+HULL_MSH = (
+    "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+    "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
+    "$Elements\n2\n1 2 2 0 0 1 3 2\n2 4 2 0 0 1 2 3 4\n$EndElements\n"
+)
+HULL_VTK = (
+    "# vtk DataFile Version 2.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+    "POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+    "CELLS 2 9\n3 0 2 1\n4 0 1 2 3\nCELL_TYPES 2\n5\n10\n"
+)
+
+
 def jittered_cube(n=2, seed=5):
     return perturb_mesh(gen_mesh(GeneratorSpec(CUBE, n)), RandomJitter(0.2, seed))
 
@@ -86,18 +99,16 @@ class TestMsh:
         with pytest.raises(EmptyMesh):
             load_mesh(path)
 
-    def test_surface_triangles_beside_tets_are_ignored(self, tmp_path, caplog):
-        path = tmp_path / "hull.msh"
-        path.write_text(
-            "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
-            "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n$EndNodes\n"
-            "$Elements\n2\n1 2 2 0 0 1 3 2\n2 4 2 0 0 1 2 3 4\n$EndElements\n"
-        )
+    @pytest.mark.parametrize("ext", ["msh", "vtk"])
+    def test_surface_triangles_beside_tets_are_ignored(self, tmp_path, caplog, ext):
+        path = tmp_path / f"hull.{ext}"
+        path.write_text(HULL_MSH if ext == "msh" else HULL_VTK)
         with caplog.at_level(logging.WARNING):
             mesh = load_mesh(path)
         assert mesh.dim == 3 and mesh.cells.tolist() == [[0, 1, 2, 3]]
-        assert any("1 surface triangles ignored in favor of 1 tets" in r.message
-                   for r in caplog.records)
+        assert [r.message for r in caplog.records] == [
+            f"{path}: 1 surface triangles ignored in favor of 1 tets"
+        ]
 
     def test_roundtrip_coordinates_exact(self, tmp_path):
         mesh = jittered_cube()
@@ -215,6 +226,12 @@ class TestMalformedNumbers:
                 id="msh-first-error-wins",
             ),
             pytest.param(MINIMAL_MSH, "1\n1 2 2 0 0", "2\n1 2 2 0 0", 13, id="msh-element-count"),
+            pytest.param(
+                MINIMAL_MSH, "1 2 2 0 0 1 2 3\n", "1 2 -3 1 2 3\n", 12, id="msh-negative-tags",
+            ),
+            pytest.param(
+                MINIMAL_MSH, "1 2 2 0 0 1 2 3\n", "1 2 9 0 0 1 2 3\n", 12, id="msh-tags-past-the-end",
+            ),
             pytest.param(MINIMAL_MSH, "2 1 0 0\n", "2 1_0 0 0\n", 7, id="digit-separator"),
             pytest.param(TRIANGLE_TXT, "0 1 2\n", "0 1 99999999999999999999\n", 5, id="int64-overflow"),
             pytest.param(TRIANGLE_TXT, "2 3 1\n", "4 3 1\n", 1, id="txt-dim"),
@@ -256,11 +273,6 @@ class TestMalformedNumbers:
             pytest.param(TRIANGLE_VTK, "ASCII", "BINARY", id="vtk-encoding"),
             pytest.param(TRIANGLE_VTK, "UNSTRUCTURED_GRID", "POLYDATA", id="vtk-dataset"),
             pytest.param(TRIANGLE_VTK, "0 1 0\n", "0 1 1\n", id="vtk-triangles-in-3d"),
-            pytest.param(
-                TRIANGLE_VTK, "POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\nCELLS 1 4\n3 0 1 2\n"
-                "CELL_TYPES 1\n5\n", "POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-                "CELLS 2 9\n3 0 1 2\n4 0 1 2 3\nCELL_TYPES 2\n5\n10\n", id="vtk-mixed-cell-sizes",
-            ),
         ],
     )
     def test_unsupported_dialect(self, tmp_path, text, old, new):
@@ -358,13 +370,31 @@ class TestVtk:
             loaded = load_mesh(path)
         np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
         np.testing.assert_array_equal(loaded.cells, mesh.cells)
-        assert sum("ignored VTK cell type" in r.message for r in caplog.records) == 2
+        assert [r.message for r in caplog.records if "ignored" in r.message] == [
+            f"{path}: ignored unsupported element types {{1: 1, 3: 1}}"
+        ]
         text = path.read_text().replace("2 0 1 1 5", "2 0 1 9 5")
         path.write_text(text)
         with pytest.raises(ParseError) as exc:
             load_mesh(path)
         assert "cell sizes do not match" in str(exc.value)
         assert exc.value.line == 5 + -(-len(xyz) // 9) + 1
+
+    def test_every_cell_kind_in_one_file_loads_the_tets(self, tmp_path, caplog):
+        # A vertex, a line, a boundary triangle and the tet: one warning each
+        # for the skipped types and for the surface triangle.
+        path = tmp_path / "all.vtk"
+        path.write_text(HULL_VTK.replace(
+            "CELLS 2 9\n3 0 2 1\n4 0 1 2 3\nCELL_TYPES 2\n5\n10\n",
+            "CELLS 4 14\n1 3\n2 0 1\n3 0 2 1\n4 0 1 2 3\nCELL_TYPES 4\n1\n3\n5\n10\n",
+        ))
+        with caplog.at_level(logging.WARNING):
+            mesh = load_mesh(path)
+        assert mesh.dim == 3 and mesh.cells.tolist() == [[0, 1, 2, 3]]
+        assert [r.message for r in caplog.records] == [
+            f"{path}: ignored unsupported element types {{1: 1, 3: 1}}",
+            f"{path}: 1 surface triangles ignored in favor of 1 tets",
+        ]
 
     def test_a_quality_overlay_reads_back_as_its_mesh(self, tmp_path):
         # The reader stops at CELL_DATA: the quality scalars are no mesh data.

@@ -222,6 +222,16 @@ class TestQualityStats:
         assert stats.below_threshold_count >= 1
         assert stats.min_q < 0.05
 
+    def test_table_reads_the_bin_count_and_threshold(self, monkeypatch):
+        monkeypatch.setattr(m, "HISTOGRAM_BINS", 10)
+        monkeypatch.setattr(m, "POOR_QUALITY_THRESHOLD", 0.25)
+        lines = m.quality_stats(gen_mesh(GeneratorSpec(SQUARE, 4))).format_table().splitlines()
+        assert lines[5] == "histogram (10 uniform bins on [0, 1]):"
+        assert len(lines) == 6 + 10 and lines[-1].startswith("  [0.90,1.00)")
+        # Every statistic's value starts in column 21.
+        assert lines[4] == "count q < 0.25       0"
+        assert {len(line) - len(line.split()[-1]) for line in lines[:5]} == {21}
+
 
 class TestClassifyBoundary:
     def test_unknown_policy(self):

@@ -103,6 +103,12 @@ class TestCgSolve:
         assert (info.iterations, info.converged) == (0, False)
         assert math.isnan(info.residual)
 
+    def test_a_finite_rhs_whose_norm_overflows_is_solved(self):
+        # |b| = 1e200 * sqrt(10) overflows; a power-of-two scaling does not.
+        b = np.full(10, 1e200)
+        x, info = cg_solve(np.eye(10), b)
+        assert (x == b).all() and info.converged
+
     def test_in_place_updates_keep_the_plain_loop_bits(self, rng):
         for _ in range(10):
             P = reduced_laplacian(rng, 40)
