@@ -138,7 +138,7 @@ def energy_gradient(mesh, index=None):
 
 @dataclass
 class Preconditioner:
-    """Reduced SPD matrix over non-fixed vertices, applied per coordinate.
+    """Reduced SPD matrix over the used, non-fixed vertices, per coordinate.
 
     ``active`` lists the vertex indices kept, in the order of P's rows. P is
     held in a column-major ELL layout: row r's entries are ``data[:, r]`` in
@@ -187,7 +187,7 @@ class Preconditioner:
 class Topology:
     """The part of P that depends on connectivity only, built once per run.
 
-    ``active`` lists the non-fixed vertices in the order of P's rows, and
+    ``active`` lists the used, non-fixed vertices in P's row order, and
     ``cols`` is P's ``(W, n)`` ELL pattern (see :class:`Preconditioner`).
     ``index`` is the pair index (:func:`_vertex_pairs`); ``gather`` picks each
     ELL entry's sum: its pair's, its vertex's on the diagonal, 0 for padding.
@@ -202,12 +202,14 @@ class Topology:
 def preconditioner_topology(mesh):
     """Check that P can be positive definite, then fix its sparsity pattern.
 
-    Positive definiteness needs at least one fixed vertex (NoFixedVertices)
-    in every component of the vertex graph (DisconnectedMesh, naming a vertex
-    of the first component without one). The components are labelled only
-    when ``is_connected`` finds more than one.
+    P leaves out the fixed vertices and those no cell uses, whose gradient
+    rows are zero. Positive definiteness needs a fixed vertex
+    (NoFixedVertices) in every component of the used vertices' graph
+    (DisconnectedMesh, naming a used vertex of the first part without one).
+    The components are labelled only when ``is_connected`` finds more than one.
     """
-    fixed = mesh.fixed_mask()
+    used = np.bincount(mesh.cells.ravel(), minlength=mesh.n_vertices) > 0
+    fixed = mesh.fixed_mask() & used
     if not fixed.any():
         raise NoFixedVertices(
             "the reduced matrix is only positive semi-definite without "
@@ -216,13 +218,13 @@ def preconditioner_topology(mesh):
     if not is_connected(mesh):
         tail, head = kernel(mesh.dim).EDGES
         _, label = components(mesh.n_vertices, mesh.cells[:, tail], mesh.cells[:, head])
-        loose = np.flatnonzero(~np.isin(label, label[fixed]))
+        loose = np.flatnonzero(used & ~np.isin(label, label[fixed]))
         if loose.size:
             raise DisconnectedMesh(
                 f"vertex {loose[0]}'s component of the vertex graph has no fixed vertex"
             )
 
-    active = np.flatnonzero(~fixed)
+    active = np.flatnonzero(used & ~fixed)
     n = len(active)
     lo, hi, index = _vertex_pairs(mesh)
     row_of = np.full(mesh.n_vertices, -1)
@@ -249,8 +251,8 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
     P is the Laplacian of the edge weights ``w = (mu_c / n_cells) *
     precond_weights(geometry)``, all non-negative (in 2D A's own weights, in
     3D the abs of A's two weight terms), so every row is weakly diagonally
-    dominant. Rows/columns of fixed vertices are removed; positive
-    definiteness then needs a fixed vertex in every component of the mesh.
+    dominant. Rows/columns of fixed vertices and of those no cell uses are
+    removed; positive definiteness then needs a fixed vertex in every part.
 
     ``topology`` (from :func:`preconditioner_topology`) and ``geometry``
     (the third output of :func:`energy_gradient` at this mesh) are computed
@@ -271,10 +273,7 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
 class SpdAuditReport:
     """Structural evidence that P is SPD: symmetry, dominance, connectivity."""
 
-    n_rows: int
-    matrix_norm: float
     symmetry_residual: float
-    min_row_margin: float
     weakly_dominant: bool
     strictly_dominant_rows: int
     n_components: int
@@ -293,10 +292,7 @@ def spd_audit(precond):
     pattern = P.tocoo()
     n_comp, _ = components(P.shape[0], pattern.row, pattern.col)
     return SpdAuditReport(
-        n_rows=P.shape[0],
-        matrix_norm=norm,
         symmetry_residual=sym,
-        min_row_margin=float(margin.min()) if margin.size else 0.0,
         weakly_dominant=bool(np.all(margin >= -tol)),
         strictly_dominant_rows=int(np.sum(margin > tol)),
         n_components=int(n_comp),

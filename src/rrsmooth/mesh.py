@@ -74,10 +74,6 @@ class SimplexMesh:
     def n_cells(self):
         return self.cells.shape[0]
 
-    def cell_points(self):
-        """Vertex coordinates gathered per cell, shape (n_cells, dim+1, dim)."""
-        return self.vertices[self.cells]
-
     def cell_coords(self, field=None):
         """``field.T[:, cells.T]`` (field defaults to the vertices), (dim, dim+1, n_cells)."""
         field = self.vertices if field is None else field
@@ -136,7 +132,7 @@ class SimplexMesh:
         return kernel(self.dim).geometry(self.cell_coords().T)
 
     def signed_measures(self):
-        return kernel(self.dim).signed_measure(self.cell_points())
+        return kernel(self.dim).signed_measure(self.cell_coords().T)
 
     def mean_edge_length(self):
         i, j = kernel(self.dim).EDGES
@@ -289,15 +285,12 @@ def classify_boundary(mesh, policy):
     cosine = np.einsum("ij,ij->i", normals[pairs[:, 0]], normals[pairs[:, 1]])
     angle = np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
+    # 180 without a neighbour, at most ANGLE_TOL_DEG with a coplanar one.
     m = facets.shape[0]
-    has_neighbor = np.zeros(m, dtype=bool)
-    has_coplanar = np.zeros(m, dtype=bool)
     min_angle = np.full(m, 180.0)
     for col in (0, 1):
         np.minimum.at(min_angle, pairs[:, col], angle)
-        has_neighbor[pairs[:, col]] = True
-        np.logical_or.at(has_coplanar, pairs[:, col], angle <= ANGLE_TOL_DEG)
-    curved = has_neighbor & ~has_coplanar & (min_angle < CREASE_ANGLE_DEG)
+    curved = (min_angle > ANGLE_TOL_DEG) & (min_angle < CREASE_ANGLE_DEG)
     if np.any(curved):
         f = int(np.flatnonzero(curved)[0])
         raise NonPlanarPatch(

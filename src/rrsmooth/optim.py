@@ -12,7 +12,7 @@ constraint set (fixed vertices never move, sliding vertices stay in their
 planes), each step is capped so no cell can invert (the cap and its lazy
 :class:`StepCap` are :mod:`rrsmooth.cap`'s) and accepted by an
 Armijo (2D fixed point) or strong-Wolfe line search, a non-descent direction
-or a failed search falls back once to the strategy's steepest direction,
+or a failed search falls back once to -H0 g (the fixed point's own direction),
 and the run stops on a gradient norm, an energy stall, the iteration
 budget, or a named failure.
 """
@@ -416,7 +416,7 @@ class MeshProblem:
         self.index = scatter_index(mesh)
         self.fun_evals = 0
         # Built at the first P build: methods without P never need it, and a
-        # mesh without a fixed vertex, or disconnected, stops the run there.
+        # mesh with a part that has no fixed vertex stops the run there.
         self.topology = None
         # (x, kernel geometry) of the last point evaluated.
         self.kept = None
@@ -711,7 +711,8 @@ class _FixedPoint(_Strategy):
     for any CG truncation (see cg_solve). The residual form
     ``project(-P^-1 g)`` is used everywhere: it descends whenever g != 0,
     while the coordinate form, with sliding vertices or the abs-clamped P of
-    3D, settles where ``g = (A_ff - P) V_free``, not g = 0.
+    3D, settles where ``g = (A_ff - P) V_free``, not g = 0. As the seed's
+    steepest direction it is its own fallback: a failed search ends the run.
     """
 
     def __init__(self, problem, seed):
@@ -719,10 +720,7 @@ class _FixedPoint(_Strategy):
         self.kind = "armijo" if problem.dim == 2 else "wolfe"
 
     def direction(self, x, g):
-        return self.problem.project(-self.seed(self.problem, x)(g)), False
-
-    def fallback(self, g):
-        return self.problem.project(-g)
+        return self.problem.project(-self.seed(self.problem, x)(g)), True
 
 
 def _identity_seed(problem, x):
@@ -749,10 +747,11 @@ def _descend(problem, config, strategy):
     """The descent loop shared by every method; returns (x, records, termination).
 
     ``strategy.direction(x, g)`` returns ``(d, d_is_the_fallback)``,
-    ``fallback(g)`` the direction to retry with once, and ``accept`` sees
-    every accepted step. A record's ``fallback`` says whether its step was
-    taken along ``fallback(g)`` in place of the strategy's direction; a
-    fallback descends unless g has a NaN or inf (``no_descent_direction``).
+    ``fallback(g)`` the direction to retry with once (read only when d is
+    not the fallback itself), and ``accept`` sees every accepted step. A
+    record's ``fallback`` says whether its step was taken along
+    ``fallback(g)`` in place of the strategy's direction; a fallback
+    descends unless g has a NaN or inf (``no_descent_direction``).
     """
     x = problem.x0.copy()
     f, g = problem.eval(x)

@@ -59,7 +59,7 @@ class TestAssemble:
         from rrsmooth import tetrahedra
 
         mesh = jittered(CUBE, 2, seed=3)
-        grads = tetrahedra.gradient(tetrahedra.geometry(mesh.cell_points()))
+        grads = tetrahedra.gradient(tetrahedra.geometry(mesh.vertices[mesh.cells]))
         expected = np.zeros_like(mesh.vertices)
         for cell, g in zip(mesh.cells, grads):
             expected[cell] += g / mesh.n_cells
@@ -150,7 +150,7 @@ class TestGradientScatter:
     def test_bincount_gives_the_bits_of_add_at(self, mesh):
         # Both sum each field entry from zero, in (coordinate, slot, cell) order.
         kernel = m.kernel(mesh.dim)
-        grads = kernel.gradient(kernel.geometry(mesh.cell_points()), 1.0 / mesh.n_cells)
+        grads = kernel.gradient(kernel.geometry(mesh.vertices[mesh.cells]), 1.0 / mesh.n_cells)
         expected = np.zeros_like(mesh.vertices)
         for c in range(mesh.dim):
             for slot in range(mesh.dim + 1):
@@ -215,13 +215,32 @@ class TestPreconditioner:
         with pytest.raises(DisconnectedMesh, match=f"^vertex {a.n_vertices}'s component"):
             assemble_preconditioner(loose)
 
-    def test_vertex_no_cell_uses_rejected(self):
-        cube = gen_mesh(GeneratorSpec(CUBE, 2))
+    def test_vertex_no_cell_uses_left_out(self):
+        # Its gradient row is zero, so it never moves: P leaves it out, as it
+        # leaves out the fixed vertices, and is the P of the mesh without it.
+        cube = m.classify_boundary(jittered(CUBE, 3, seed=2), m.FIX_ALL)
         verts = np.vstack([cube.vertices, [[0.5, 0.5, 0.5 + 1e-3]]])
         lonely = m.classify_boundary(m.SimplexMesh(verts, cube.cells), m.FIX_ALL)
         assert not lonely.fixed_mask()[-1]
-        with pytest.raises(DisconnectedMesh):
+        pre, alone = assemble_preconditioner(lonely), assemble_preconditioner(cube)
+        assert pre.active.tolist() == alone.active.tolist()
+        assert (pre.P != alone.P).nnz == 0
+
+    def test_a_fixed_vertex_no_cell_uses_fixes_nothing(self):
+        cube = gen_mesh(GeneratorSpec(CUBE, 2))
+        kind = np.r_[np.full(cube.n_vertices, m.FREE), m.FIXED]
+        lonely = m.SimplexMesh(np.vstack([cube.vertices, [[5.0, 5.0, 5.0]]]), cube.cells, kind)
+        with pytest.raises(NoFixedVertices):
             assemble_preconditioner(lonely)
+
+    def test_disconnected_mesh_names_a_used_vertex(self):
+        # Vertex 0 is used by no cell; the first vertex of the unfixed part is.
+        a, both = self.two_parts(CUBE)
+        kind = np.r_[m.FREE, both.constraint_kind]
+        kind[1 + a.n_vertices :] = m.FREE
+        loose = m.SimplexMesh(np.vstack([[[5.0, 5.0, 5.0]], both.vertices]), both.cells + 1, kind)
+        with pytest.raises(DisconnectedMesh, match=f"^vertex {1 + a.n_vertices}'s component"):
+            assemble_preconditioner(loose)
 
     def test_audit_on_generated_meshes(self):
         for kind, n in ((SQUARE, 4), (EQUILATERAL, 4), (CUBE, 3)):
@@ -288,7 +307,7 @@ def coo_laplacian(mesh):
     """The unreduced P by a COO scatter of every entry of the dense local
     Laplacians."""
     kernel = m.kernel(mesh.dim)
-    g = kernel.geometry(mesh.cell_points())
+    g = kernel.geometry(mesh.vertices[mesh.cells])
     local = simplex.laplacian(kernel.precond_weights(g), kernel.EDGES)
     local = (g.mu / mesh.n_cells)[:, None, None] * local
     k = mesh.cells.shape[1]

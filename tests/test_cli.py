@@ -5,7 +5,15 @@ from scipy.io import mmread
 
 from rrsmooth.assembly import assemble_preconditioner, energy_gradient
 from rrsmooth.cli import build_parser, main
-from rrsmooth.generate import SQUARE, GeneratorSpec, RandomJitter, gen_mesh, perturb_mesh
+from rrsmooth.generate import (
+    CUBE,
+    SQUARE,
+    GeneratorSpec,
+    PlantSliver,
+    RandomJitter,
+    gen_mesh,
+    perturb_mesh,
+)
 from rrsmooth.mesh import FIX_ALL, FREE, SimplexMesh, classify_boundary
 from rrsmooth.meshio import load_mesh, save_mesh
 from rrsmooth.optim import OptimizeConfig
@@ -182,6 +190,24 @@ class TestPerturbAndOptimize:
         assert code == 0, err
         P = assemble_preconditioner(two).P
         assert (mmread(prefix + "_p.mtx").tocsr() != P).nnz == 0
+
+    def test_a_node_only_a_point_element_uses(self, tmp_path, capsys):
+        # Gmsh writes a point element (type 15) per geometry point. Its node
+        # is a vertex no cell uses: P leaves it out, and it stays put.
+        mesh = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 3)), PlantSliver(count=1, eps=0.01))
+        n, m = mesh.n_vertices, mesh.n_cells
+        nodes = [f"{i + 1} {x!r} {y!r} {z!r}" for i, (x, y, z) in enumerate(mesh.vertices.tolist())]
+        tets = [f"{k + 2} 4 2 0 0 {a} {b} {c} {d}" for k, (a, b, c, d) in enumerate(mesh.cells + 1)]
+        src, out = tmp_path / "points.msh", tmp_path / "o.msh"
+        src.write_text("\n".join([
+            "$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(n + 1), *nodes,
+            f"{n + 1} 5 5 5", "$EndNodes", "$Elements", str(m + 1), f"1 15 2 0 0 {n + 1}",
+            *tets, "$EndElements", "",
+        ]))
+        code, stdout, err = run(capsys, "optimize", str(src), str(out), "--max-iters", "30")
+        assert code == 0, err
+        assert "termination  grad_tol" in stdout
+        assert load_mesh(out).vertices[n].tolist() == [5.0, 5.0, 5.0]
 
     @pytest.mark.parametrize(
         "flag, value",

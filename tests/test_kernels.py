@@ -42,6 +42,11 @@ def jittered_square():
     return perturb_mesh(gen_mesh(GeneratorSpec(SQUARE, 5)), RandomJitter(amplitude=0.3, seed=3))
 
 
+def points(mesh):
+    """The mesh's vertex coordinates per cell, (n_cells, dim+1, dim)."""
+    return mesh.vertices[mesh.cells]
+
+
 @KERNELS
 def test_same_interface_and_mu_convention(kernel, random_cells):
     for name in INTERFACE:
@@ -143,7 +148,7 @@ def hand_written_tet_gradient(pts, mu, A, B0, B1, B2):
 
 
 @pytest.mark.parametrize(
-    "pts", [random_tets(200, seed=23), slivered_cube().cell_points()],
+    "pts", [random_tets(200, seed=23), points(slivered_cube())],
     ids=["random-tets", "slivered-cube"],
 )
 def test_layout_gives_the_bits_of_the_hand_written_tet_product(pts):
@@ -190,8 +195,8 @@ def hand_written_blocks(kernel, pts):
 
 @pytest.mark.parametrize(
     "kernel, pts",
-    [(triangles, random_triangles(500, seed=29)), (triangles, jittered_square().cell_points()),
-     (tetrahedra, random_tets(500, seed=29)), (tetrahedra, slivered_cube().cell_points())],
+    [(triangles, random_triangles(500, seed=29)), (triangles, points(jittered_square())),
+     (tetrahedra, random_tets(500, seed=29)), (tetrahedra, points(slivered_cube()))],
     ids=["random-triangles", "jittered-square", "random-tets", "slivered-cube"],
 )
 def test_block_weights_give_the_hand_written_blocks(kernel, pts):
@@ -245,7 +250,7 @@ def test_layout_subtracts_negative_terms():
 # references. Tolerances were fixed before the closed form was written.
 CELLS = {
     "random": lambda dim: (random_triangles if dim == 2 else random_tets)(200, seed=31),
-    "mesh": lambda dim: (jittered_square() if dim == 2 else slivered_cube()).cell_points(),
+    "mesh": lambda dim: points(jittered_square() if dim == 2 else slivered_cube()),
 }
 CLOSED_FORM_CASES = pytest.mark.parametrize(
     "kernel, cells",
@@ -307,7 +312,7 @@ class TestClosedFormGradient:
         c = mesh.n_cells // 2
         cells[c, -2:] = cells[c, -1:-3:-1]
         inverted = m.SimplexMesh(mesh.vertices, cells)
-        first = np.flatnonzero(rejected(m.kernel(mesh.dim), inverted.cell_points()))
+        first = np.flatnonzero(rejected(m.kernel(mesh.dim), points(inverted)))
         assert first[0] == c
         with pytest.raises(DegenerateElement) as exc:
             energy_gradient(inverted)
@@ -316,8 +321,8 @@ class TestClosedFormGradient:
 
 LAPLACIAN_CASES = pytest.mark.parametrize(
     "kernel, pts",
-    [(triangles, random_triangles(1000, seed=41)), (triangles, jittered_square().cell_points()),
-     (tetrahedra, random_tets(1000, seed=41)), (tetrahedra, slivered_cube().cell_points())],
+    [(triangles, random_triangles(1000, seed=41)), (triangles, points(jittered_square())),
+     (tetrahedra, random_tets(1000, seed=41)), (tetrahedra, points(slivered_cube()))],
     ids=["random-triangles", "jittered-square", "random-tets", "slivered-cube"],
 )
 
@@ -451,7 +456,7 @@ class TestLeanPass:
         # cell of tiny and huge is out of range, and small, inside the range,
         # flags the cells that flat does.
         meshes = degenerate_meshes(dim)
-        pts = meshes[case].cell_points()
+        pts = points(meshes[case])
         meas = m.kernel(dim).signed_measure(pts)
         S = sum(((a - b) ** 2).sum(axis=1) for a, b in itertools.combinations(pts.swapaxes(0, 1), 2))
         lo, hi = simplex.EDGE_SQ_RANGE[dim]

@@ -538,7 +538,7 @@ class TestStepBound:
         before = mesh.with_vertices(mesh.vertices + (1.0 - 1e-9) * lam * d)
         assert np.all(before.signed_measures() > 0)
         at = mesh.with_vertices(mesh.vertices + lam * d)
-        scale = np.ptp(mesh.cell_points(), axis=1).max(axis=1) ** mesh.dim
+        scale = np.ptp(mesh.vertices[mesh.cells], axis=1).max(axis=1) ** mesh.dim
         assert np.any(np.abs(at.signed_measures()) <= simplex.DEGENERACY_RTOL * scale)
 
     @pytest.mark.parametrize(

@@ -735,21 +735,29 @@ class TestFixedPoint:
     )
     def test_directions_never_fall_back(self, monkeypatch, make):
         # -P^-1 g descends whenever g != 0, also with the abs-clamped P of 3D
-        # and with sliding vertices, so -g is never needed.
+        # and with sliding vertices, and it is the fixed point's own
+        # fallback: every step takes one line search, and none is marked.
         mesh = make()
-        fallbacks = []
-        fallback = optim._FixedPoint.fallback
-
-        def counted(self, g):
-            fallbacks.append(1)
-            return fallback(self, g)
-
-        monkeypatch.setattr(optim._FixedPoint, "fallback", counted)
+        searches = [counting(monkeypatch, name)
+                    for name in ("backtracking_search", "strong_wolfe_search")]
         _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=30))
-        assert len(fallbacks) == 0
+        assert sum(map(len, searches)) == report.iterations > 0
         assert not any(r.fallback for r in report.records)
         if mesh.dim == 3:
             assert report.termination == "grad_tol"
+
+    def test_a_failed_search_ends_the_run(self, monkeypatch):
+        # The direction is its own fallback, so nothing is left to retry.
+        calls = []
+
+        def failing(phi, f0, df0, lam_cap=math.inf):
+            calls.append(1)
+            raise LineSearchFailed("refused")
+
+        monkeypatch.setattr(optim, "backtracking_search", failing)
+        mesh = jittered_square(6, 0.3, m.FIX_ALL)
+        _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=4))
+        assert (report.termination, report.iterations, len(calls)) == ("line_search_failed", 0, 1)
 
 
 class TestInexactSolves:
@@ -1238,11 +1246,11 @@ class TestPreconditionerReuse:
 
     def test_one_geometry_pass_per_evaluation(self, monkeypatch):
         # P, the cap and the step record read the geometry of the evaluation
-        # at the same point. Inside the descent nothing gathers the per-cell
-        # (n_cells, k, dim) points or makes a measure pass of its own.
+        # at the same point. Inside the descent nothing makes a measure pass
+        # of its own.
         passes = {k: recording(monkeypatch, k, "geometry") for k in (triangles, tetrahedra)}
         builds = counting(monkeypatch, "assemble_preconditioner")
-        problems, per_cell, caps, exact, bounds = [], [], [], [], []
+        problems, measures, caps, exact, bounds = [], [], [], [], []
         run = optim._run
 
         def tracked_run(problem, *args):
@@ -1252,13 +1260,12 @@ class TestPreconditionerReuse:
             finally:
                 problems.append(None)
 
-        for name in ("cell_points", "signed_measures"):
-            def spy(self, fn=getattr(m.SimplexMesh, name), name=name):
-                if problems and problems[-1] is not None:
-                    per_cell.append(name)
-                return fn(self)
+        def spy(self, fn=m.SimplexMesh.signed_measures):
+            if problems and problems[-1] is not None:
+                measures.append(self)
+            return fn(self)
 
-            monkeypatch.setattr(m.SimplexMesh, name, spy)
+        monkeypatch.setattr(m.SimplexMesh, "signed_measures", spy)
         cap, bound = optim.max_step_before_inversion, optim.step_lower_bounds
 
         def kept_bound(mesh, direction, geometry):
@@ -1283,7 +1290,7 @@ class TestPreconditionerReuse:
             for calls in (passes[kernel], builds, caps, exact):
                 calls.clear()
             _, report = optimize(mesh, OptimizeConfig(method=method, max_iters=6))
-            assert per_cell == []
+            assert measures == []
             assert len(builds) == report.iterations == 6
             # The quality statistics before and after the run read the first
             # evaluation's geometry and the kept one at the returned point.
@@ -1379,6 +1386,20 @@ class TestMeshInParts:
         assert paired.iterations == alone.iterations
         assert paired.quality_after.min_q == pytest.approx(alone.quality_after.min_q, abs=1e-4)
 
+    @pytest.mark.parametrize("method", optim.METHODS)
+    def test_a_vertex_no_cell_uses_stays_put(self, method):
+        # P leaves such a vertex out, as it leaves out the fixed ones: its
+        # gradient row is zero, so the run is the one without it.
+        mesh = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 3)), PlantSliver(count=1, eps=0.01))
+        extra = m.SimplexMesh(np.vstack([mesh.vertices, [5.0, 5.0, 5.0]]), mesh.cells)
+        config = OptimizeConfig(method=method, max_iters=30)
+        (_, alone), (out, report) = (optimize(m.classify_boundary(x, m.FIX_ALL), config)
+                                     for x in (mesh, extra))
+        assert report.termination == alone.termination == "grad_tol"
+        assert report.iterations == alone.iterations
+        assert report.quality_after.min_q == pytest.approx(alone.quality_after.min_q, abs=1e-4)
+        assert out.vertices[-1].tolist() == [5.0, 5.0, 5.0]
+
 
 class TestRecordedWork:
     @pytest.mark.parametrize("method", optim.METHODS)
@@ -1400,18 +1421,19 @@ class TestRecordedWork:
         assert all((0.0 < r <= optim.CG_RTOL) == (iterations > 0) for r in residuals[1:])
 
     def test_records_mark_the_steps_taken_along_the_fallback(self, monkeypatch):
-        # An ascent direction from the strategy is replaced by -g every step.
-        direction = optim._FixedPoint.direction
+        # An ascent direction from the two-loop is replaced by -P^-1 g. Step 1
+        # has no curvature pair, so its direction is the fallback itself.
+        direction = optim._Lbfgs.direction
 
         def ascent(self, x, g):
             d, is_fallback = direction(self, x, g)
-            return -d, is_fallback
+            return (d, True) if is_fallback else (-d, False)
 
-        monkeypatch.setattr(optim._FixedPoint, "direction", ascent)
+        monkeypatch.setattr(optim._Lbfgs, "direction", ascent)
         mesh = jittered_square(6, 0.3, m.FIX_ALL)
-        _, report = optimize(mesh, OptimizeConfig(method="fixedpoint", max_iters=4))
+        _, report = optimize(mesh, OptimizeConfig(method="plbfgs", max_iters=4))
         assert report.iterations == 4
-        assert [r.fallback for r in report.records] == [False, True, True, True, True]
+        assert [r.fallback for r in report.records] == [False, False, True, True, True]
 
     @pytest.mark.parametrize("method", ["lbfgs", "plbfgs"])
     def test_eval_seconds_fit_in_the_wall_time(self, method):
@@ -1573,6 +1595,40 @@ class TestSlidePlanarSafety:
                 pass
         assert exact
         assert_safe(mesh, problem.mesh_at(x))
+
+    @pytest.mark.parametrize("method", optim.METHODS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [SQUARE, CUBE])
+    def test_turned_inputs_keep_their_planes(self, kind, seed, method):
+        # Off the axes the projection is not exact. Each sliding vertex's
+        # distance from its start plane is measured directly, in units of the
+        # coordinate spread: slide_residual is relative to each vertex's own
+        # step and reads up to about 1e-7 on these runs.
+        if kind == SQUARE:
+            mesh = perturb_mesh(gen_mesh(GeneratorSpec(SQUARE, 8)), RandomJitter(0.3, seed=1))
+        else:
+            mesh = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 4)), PlantSliver(count=3, eps=0.01))
+        axis = m.classify_boundary(mesh, m.SLIDE_PLANAR)
+        mesh = m.classify_boundary(turned(mesh, seed), m.SLIDE_PLANAR)
+        assert mesh.constraint_kind.tolist() == axis.constraint_kind.tolist()
+        out, _ = optimize(mesh, OptimizeConfig(method=method, max_iters=30))
+        slide, fixed = mesh.slide_mask(), mesh.fixed_mask()
+        disp = out.vertices[slide] - mesh.vertices[slide]
+        off_plane = np.abs(np.einsum("ij,ij->i", disp, mesh.slide_normals[slide]))
+        assert np.abs(disp).max() > 0.0
+        assert off_plane.max() <= 1e-13 * np.ptp(mesh.vertices, axis=0).max()
+        assert out.vertices[fixed].tobytes() == mesh.vertices[fixed].tobytes()
+        assert np.all(out.signed_measures() > 0.0)
+
+
+def turned(mesh, seed):
+    """The mesh turned by a seeded rotation (det +1) and shifted off the origin."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(mesh.dim, mesh.dim)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    shift = np.array([0.3, -1.7, 2.2][: mesh.dim])
+    return m.SimplexMesh(mesh.vertices @ q.T + shift, mesh.cells)
 
 
 def assert_safe(mesh, out):

@@ -1,5 +1,5 @@
-"""``tools/same_bits.py``: its comparison, and its reading of a run's record,
-on hand-written records; no benchmark runs."""
+"""``tools/same_bits.py``: its comparison, and its reading of a run's record
+and of a slide-planar run's files, on hand-written ones; no benchmark runs."""
 
 import hashlib
 import importlib.util
@@ -8,6 +8,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from rrsmooth.optim import METHODS
 
 SAME_BITS = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
 
@@ -139,8 +141,75 @@ def test_differing_inputs_are_named_before_the_runs(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(same_bits, "input_hashes", hashes)
     monkeypatch.setattr(same_bits, "run", lambda *args: ({}, {}))
+    monkeypatch.setattr(same_bits, "compare_slide_planar", lambda *args: [])
     assert same_bits.main([str(parent), str(change)]) == int(moved)
     first, *rest = capsys.readouterr().out.splitlines()
     assert first == ("w seed=1: inputs differ, mesh 1: b -> c" if moved
                      else "w seed=1: same inputs")
     assert rest == ["w seed=1 trace=0: same bits", "w seed=1 trace=1: same bits"]
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def slide_run(directory, output=b"mesh", lam="0.5", cg_s="0.01"):
+    """A slide-planar run's output mesh and report, written by hand; returns
+    their fingerprint."""
+    directory.mkdir()
+    out, report = directory / "o.msh", directory / "r.csv"
+    out.write_bytes(output)
+    report.write_text(f"iter,lambda,cg_s,cap_s\n0,0,0,0\n1,{lam},{cg_s},0.02\n")
+    return same_bits.fingerprint(str(out), str(report))
+
+
+def test_slide_planar_runs_ignore_the_timing_columns(tmp_path):
+    before = slide_run(tmp_path / "a")
+    assert before == {"output": sha256(b"mesh"), "column iter": ["0", "1"],
+                      "column lambda": ["0", "0.5"]}
+    assert same_bits.differences(before, slide_run(tmp_path / "b", cg_s="0.03"), "w") == []
+
+
+def test_slide_planar_runs_name_a_changed_column_or_output(tmp_path):
+    before = slide_run(tmp_path / "a")
+    after = slide_run(tmp_path / "b", output=b"moved", lam="0.25")
+    assert same_bits.differences(before, after, "w") == [
+        "w column lambda: ['0', '0.5'] -> ['0', '0.25']",
+        f"w output: {sha256(b'mesh')} -> {sha256(b'moved')}",
+    ]
+
+
+def test_slide_planar_runs_use_every_method_on_every_input(tmp_path, monkeypatch):
+    # A checkout's CLI as far as the check reads it: gen and perturb write
+    # their arguments, optimize the method into its output and report.
+    calls = []
+
+    def fake(checkout, command, *args):
+        calls.append((checkout, command))
+        if command == "optimize":
+            method = args[args.index("--method") + 1]
+            Path(args[1]).write_text(method)
+            Path(args[-1]).write_text(f"iter,cg_s\n0,{len(calls)}\n")
+            return 2 if method == "nlcg" else 0
+        Path(args[-1] if command == "gen" else args[1]).write_text(" ".join(args))
+        return 0
+
+    monkeypatch.setattr(same_bits, "cli", fake)
+    runs = same_bits.slide_planar_runs(str(tmp_path))
+    assert same_bits.SLIDE_METHODS == METHODS
+    names = [name for name, _, _ in same_bits.SLIDE_INPUTS]
+    assert list(runs) == [key for name in names
+                          for key in (name, *(f"{name} {m}" for m in METHODS))]
+    assert runs["cube4 nlcg"] == {"exit": 2, "output": sha256(b"nlcg"), "column iter": ["0"]}
+    assert calls == [(str(tmp_path), c) for _ in names
+                     for c in ("gen", "perturb", *["optimize"] * len(METHODS))]
+
+
+def test_compare_slide_planar_prints_same_bits_or_each_difference(monkeypatch, capsys):
+    runs = {"parent": {"sq": {"input": "a"}, "sq lbfgs": {"exit": 0, "output": "x"}},
+            "change": {"sq": {"input": "a"}, "sq lbfgs": {"exit": 2, "output": "x"}}}
+    monkeypatch.setattr(same_bits, "slide_planar_runs", runs.get)
+    assert same_bits.compare_slide_planar("parent", "change") == [
+        "slide-planar sq lbfgs exit: 0 -> 2"]
+    assert capsys.readouterr().out.splitlines() == [
+        "slide-planar sq: same bits", "slide-planar sq lbfgs exit: 0 -> 2"]

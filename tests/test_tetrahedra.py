@@ -128,7 +128,8 @@ def bits(x):
 
 def jittered_cube_points():
     mesh = perturb_mesh(gen_mesh(GeneratorSpec(CUBE, 5)), RandomJitter(0.3, 4))
-    return perturb_mesh(mesh, PlantSliver(3, 0.01)).cell_points()
+    mesh = perturb_mesh(mesh, PlantSliver(3, 0.01))
+    return mesh.vertices[mesh.cells]
 
 
 class TestKernelBits:

@@ -18,26 +18,27 @@ in ``.perfbench_runs/out/``. Per smoothed mesh it compares ``iterations``,
 ``output_sha256``, plus the traced per-mesh counts; per traced run it
 compares every per-layer metric counted in a unit of ``count`` or ``B``.
 A differing ``final_energy`` is also printed in decimal with its relative
-difference. Times are not compared. Prints each difference and exits 1 on
-any, or if an input build or a run fails; exits 0 when every input and
-every run has the same bits.
+difference. Times are not compared.
 
-It covers only the benchmark's workloads, and every one of them is
-fix-all: no sliding vertex moves. A change to the vertex constraints needs
-the slide-planar check as well. In each checkout, build a jittered square
-(``rrsmooth gen --kind square --n 8``, then ``rrsmooth perturb --jitter
-0.3 --seed 1``) and a slivered cube (``gen --kind cube --n 4``, then
-``perturb --sliver 3 0.01``), and run ``rrsmooth optimize --boundary
-slide-planar --max-iters 30 --report CSV`` on both with every method. The
-output meshes, and every CSV column but the four timing ones (``eval_s``,
-``p_build_s``, ``cg_s``, ``cap_s``), must be byte-identical.
+Every workload is fix-all, so no sliding vertex moves in them. The
+slide-planar check covers that path: in each checkout, through its own CLI
+(``python3 -m rrsmooth.cli`` with ``PYTHONPATH=src``), it builds the inputs
+of SLIDE_INPUTS, a jittered square and a slivered cube, compares their
+bytes, and runs ``optimize --boundary slide-planar --max-iters 30 --report
+CSV`` on both with every method of SLIDE_METHODS. It compares the exit
+codes, the output meshes, and every CSV column but TIMING_COLUMNS.
+
+Prints each difference and exits 1 on any, or if an input build or a run
+fails; exits 0 when every input and every run has the same bits.
 """
 
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 # Seed 1 alone enters the strong Wolfe zoom 3 times; seeds 1-3 enter it 18.
 SEEDS = (1, 2, 3)
@@ -57,6 +58,15 @@ print(json.dumps([hashlib.sha256(d).hexdigest() for d in data]))
 # Per-mesh fields the benchmark records that are no fingerprint: times.
 TIMES = ("solve_s", "write_s")
 COUNT_UNITS = ("count", "B")
+# The slide-planar check's inputs: name, then the arguments of ``gen`` and of
+# ``perturb``.
+SLIDE_INPUTS = (
+    ("square8", ("--kind", "square", "--n", "8"), ("--jitter", "0.3", "--seed", "1")),
+    ("cube4", ("--kind", "cube", "--n", "4"), ("--sliver", "3", "0.01")),
+)
+SLIDE_METHODS = ("fixedpoint", "lbfgs", "plbfgs", "nlcg", "pnlcg")
+# The report's columns that are no fingerprint: times.
+TIMING_COLUMNS = ("eval_s", "p_build_s", "cg_s", "cap_s")
 
 
 def input_hashes(checkout, workload, seed):
@@ -118,6 +128,71 @@ def run(checkout, command, workload, seed, trace):
     return fingerprints, counts
 
 
+def cli(checkout, *args):
+    """Run ``checkout``'s own CLI with ``args`` in ``checkout``; returns its
+    exit code, which is 0, or 2 for an abnormal optimizer stop."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rrsmooth.cli", *args],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=900,
+    )
+    if proc.returncode not in (0, 2):
+        raise RuntimeError(f"{checkout}: rrsmooth {' '.join(args)} exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.returncode
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def fingerprint(output, report):
+    """What a slide-planar run must keep: the sha256 of its output mesh and,
+    per report column but TIMING_COLUMNS, the column's cells."""
+    with open(report) as fh:
+        header, *rows = (line.split(",") for line in fh.read().splitlines())
+    prints = {"output": sha256(output)}
+    for i, name in enumerate(header):
+        if name not in TIMING_COLUMNS:
+            prints[f"column {name}"] = [row[i] for row in rows]
+    return prints
+
+
+def slide_planar_runs(checkout):
+    """The slide-planar check's fingerprints in one checkout: per input its
+    sha256, and per input and method the exit code and :func:`fingerprint`."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, gen, perturb in SLIDE_INPUTS:
+            base, src, out, report = (os.path.join(workdir, f"{name}-{part}") for part in
+                                      ("base.msh", "input.msh", "output.msh", "report.csv"))
+            cli(checkout, "gen", *gen, base)
+            cli(checkout, "perturb", base, src, *perturb)
+            runs[name] = {"input": sha256(src)}
+            for method in SLIDE_METHODS:
+                code = cli(checkout, "optimize", src, out, "--method", method,
+                           "--boundary", "slide-planar", "--max-iters", "30", "--report", report)
+                runs[f"{name} {method}"] = {"exit": code, **fingerprint(out, report)}
+    return runs
+
+
+def compare_slide_planar(parent, change):
+    """Print the slide-planar check's result per input and per run; returns
+    the lines naming a difference or a failure."""
+    try:
+        before, after = (slide_planar_runs(c) for c in (parent, change))
+    except (OSError, RuntimeError, subprocess.TimeoutExpired, ValueError) as e:
+        print(f"slide-planar: {e}")
+        return [f"slide-planar: {e}"]
+    found = []
+    for where in before:
+        lines = differences(before[where], after[where], f"slide-planar {where}")
+        found += lines
+        print("\n".join(lines) if lines else f"slide-planar {where}: same bits")
+    return found
+
+
 def differences(before, after, where):
     """Lines naming every key whose value differs between two flat dicts; a
     differing ``final_energy`` gets one more line with its magnitude."""
@@ -170,6 +245,7 @@ def main(argv):
                 lines += differences(fp_a.get(mesh, {}), fp_b.get(mesh, {}), f"{where} {mesh}")
             found += lines
             print("\n".join(lines) if lines else f"{where}: same bits")
+    found += compare_slide_planar(parent, change)
     return 1 if found else 0
 
 
