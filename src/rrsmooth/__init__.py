@@ -2,12 +2,10 @@
 
 from .assembly import (
     Preconditioner,
-    SpdAuditReport,
     assemble,
     assemble_preconditioner,
     energy_gradient,
     gradient_matrix,
-    spd_audit,
     write_matrix_market,
 )
 from .cap import max_step_before_inversion
@@ -23,13 +21,11 @@ from .errors import (
     NonPlanarPatch,
     ParseError,
     UnsupportedFormat,
-    WouldInvert,
 )
 from .generate import (
     GeneratorSpec,
     PlantSliver,
     RandomJitter,
-    VertexDisplace,
     XorShift64Star,
     gen_mesh,
     perturb_mesh,
@@ -49,8 +45,6 @@ from .optim import (
     OptimizeReport,
     backtracking_search,
     cg_solve,
-    minimize_lbfgs,
-    minimize_nlcg,
     optimize,
     strong_wolfe_search,
 )

@@ -36,7 +36,7 @@ summed by one ``np.bincount`` too (:func:`energy_gradient`), by an index
 The optimize path runs on numpy alone: P is held in a column-major ELL layout
 and applied by :class:`Preconditioner`'s ``@``. scipy is imported only by the
 calls that build a scipy matrix (``Preconditioner.P``, :func:`assemble` and
-:func:`gradient_matrix`) and by :func:`spd_audit` and :func:`write_matrix_market`.
+:func:`gradient_matrix`) and by :func:`write_matrix_market`.
 """
 
 from dataclasses import dataclass
@@ -267,36 +267,6 @@ def assemble_preconditioner(mesh, topology=None, geometry=None):
     w = _cell_weights(mesh, geometry.mu) * kernel(mesh.dim).precond_weights(geometry)
     data = _edge_sums(topology.index, w)[topology.gather]
     return Preconditioner(data, topology.cols, topology.active)
-
-
-@dataclass
-class SpdAuditReport:
-    """Structural evidence that P is SPD: symmetry, dominance, connectivity."""
-
-    symmetry_residual: float
-    weakly_dominant: bool
-    strictly_dominant_rows: int
-    n_components: int
-
-
-def spd_audit(precond):
-    """Audit symmetry, row diagonal dominance and graph connectivity of P."""
-    P = precond.P
-    norm = float(np.abs(P.data).max()) if P.nnz else 0.0
-    diff = (P - P.T).tocoo()
-    sym = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    diag = P.diagonal()
-    off = np.asarray(np.abs(P).sum(axis=1)).ravel() - np.abs(diag)
-    margin = np.abs(diag) - off
-    tol = 1e-12 * norm
-    pattern = P.tocoo()
-    n_comp, _ = components(P.shape[0], pattern.row, pattern.col)
-    return SpdAuditReport(
-        symmetry_residual=sym,
-        weakly_dominant=bool(np.all(margin >= -tol)),
-        strictly_dominant_rows=int(np.sum(margin > tol)),
-        n_components=int(n_comp),
-    )
 
 
 def write_matrix_market(mat, path):

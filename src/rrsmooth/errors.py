@@ -13,10 +13,6 @@ class DegenerateElement(MeshError):
         self.cell = cell
 
 
-class WouldInvert(MeshError):
-    """A requested vertex displacement flips at least one cell."""
-
-
 class NonPlanarPatch(MeshError):
     """Sliding boundary classification hit a curved boundary patch."""
 

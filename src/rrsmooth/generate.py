@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tetrahedra
-from .errors import InvalidSpec, WouldInvert
+from .errors import InvalidSpec
 from .cap import max_step_before_inversion
 from .mesh import SimplexMesh, boundary_facets
 
@@ -125,18 +125,12 @@ def _real(value, field):
 
 
 @dataclass(frozen=True)
-class VertexDisplace:
-    """Move listed vertices by offsets of ``dim`` numbers: ((index, offset), ...)."""
-
-    moves: tuple
-
-
-@dataclass(frozen=True)
 class RandomJitter:
     """Seeded jitter of all topologically interior vertices.
 
     Each coordinate moves by amplitude * mean edge length * uniform(-1, 1);
-    the whole field is scaled down if it would invert a cell.
+    the whole field is scaled down if it would invert a cell. The seed is
+    the xorshift64* state, an integer in [0, 2**64).
     """
 
     amplitude: float
@@ -153,31 +147,11 @@ class PlantSliver:
 
 def perturb_mesh(mesh, mode):
     """Apply a deterministic perturbation; always returns a new mesh."""
-    if isinstance(mode, VertexDisplace):
-        return _displace(mesh, mode)
     if isinstance(mode, RandomJitter):
         return _jitter(mesh, mode)
     if isinstance(mode, PlantSliver):
         return _plant_slivers(mesh, mode)
     raise InvalidSpec(f"unknown perturbation mode {mode!r}")
-
-
-def _displace(mesh, mode):
-    field = np.zeros_like(mesh.vertices)
-    for index, offset in mode.moves:
-        index = _integer(index, "VertexDisplace index", 0, mesh.n_vertices)
-        offset = offset.tolist() if isinstance(offset, np.ndarray) else offset
-        if not isinstance(offset, (tuple, list)) or len(offset) != mesh.dim:
-            raise InvalidSpec(f"VertexDisplace offset must be {mesh.dim} numbers, got {offset!r}")
-        field[index] = [_real(x, "VertexDisplace offset") for x in offset]
-        if not np.isfinite(field[index]).all():
-            raise InvalidSpec(f"VertexDisplace offset must be finite, got {offset!r}")
-    lam, _ = max_step_before_inversion(mesh, field)
-    if lam <= 1.0:
-        raise WouldInvert(
-            f"requested displacement inverts a cell at {lam:.3g} of the move"
-        )
-    return mesh.with_vertices(mesh.vertices + field)
 
 
 def _interior_vertex_mask(mesh):
@@ -191,7 +165,7 @@ def _jitter(mesh, mode):
     amplitude = _real(mode.amplitude, "RandomJitter amplitude")
     if not np.isfinite(amplitude):
         raise InvalidSpec(f"RandomJitter amplitude must be finite, got {amplitude}")
-    rng = XorShift64Star(_integer(mode.seed, "RandomJitter seed"))
+    rng = XorShift64Star(_integer(mode.seed, "RandomJitter seed", 0, 2**64))
     if amplitude == 0.0:
         return mesh.copy()
     interior = _interior_vertex_mask(mesh)

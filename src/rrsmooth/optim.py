@@ -24,7 +24,7 @@ import numbers
 import time
 from collections import Counter, deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -328,7 +328,6 @@ class OptimizeReport:
     fun_evals: int
     quality_before: object = None
     quality_after: object = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def iterations(self):
@@ -370,39 +369,6 @@ class OptimizeReport:
 
 def _inf_norm(v):
     return float(np.abs(v).max()) if v.size else 0.0
-
-
-class FunctionProblem:
-    """Adapter exposing a plain objective to the descent driver."""
-
-    def __init__(self, fun_grad, x0, precond_solve=None):
-        self._fun_grad = fun_grad
-        self.x0 = np.asarray(x0, dtype=float).copy()
-        self._solve = precond_solve
-        self.fun_evals = 0
-
-    def eval(self, x):
-        self.fun_evals += 1
-        f, g = self._fun_grad(x)
-        return float(f), np.asarray(g, dtype=float)
-
-    def project(self, v):
-        return v
-
-    def step(self, x, d, lam):
-        return x + lam * d
-
-    def lam_cap(self, x, d):
-        return StepCap(math.inf)
-
-    def precond_factory(self, x):
-        return self._solve
-
-    def take_work(self):
-        return {}
-
-    def step_metrics(self, x_old, x_new):
-        return {}
 
 
 class MeshProblem:
@@ -628,7 +594,6 @@ class _Strategy:
     def __init__(self, problem, seed):
         self.problem = problem
         self.seed = seed
-        self.extras = {}
 
     def accept(self, x, x_new, g, g_new):
         pass
@@ -679,7 +644,6 @@ class _Nlcg(_Strategy):
         self.p = None
         self.beta = 0.0
         self.steepest = None
-        self.extras["betas"] = []
 
     def direction(self, x, g):
         self.steepest = self.problem.project(-self.seed(self.problem, x)(g))
@@ -696,7 +660,6 @@ class _Nlcg(_Strategy):
     def accept(self, x, x_new, g, g_new):
         # Polak-Ribiere with the non-negativity clamp (restart when beta < 0).
         self.beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
-        self.extras["betas"].append(self.beta)
 
 
 class _FixedPoint(_Strategy):
@@ -752,6 +715,20 @@ def _descend(problem, config, strategy):
     record's ``fallback`` says whether its step was taken along
     ``fallback(g)`` in place of the strategy's direction; a fallback
     descends unless g has a NaN or inf (``no_descent_direction``).
+
+    ``problem`` is a :class:`MeshProblem` or any object with the members
+    that the loop, the strategies and :func:`_run` read:
+
+    - ``x0``, the flat start vector, and ``fun_evals``, the ``eval`` count;
+    - ``eval(x)``, ``(f, g)`` with g projected, or ``(inf, None)`` where x
+      cannot be evaluated;
+    - ``project(v)``, v on the constraint set, and ``step(x, d, lam)``,
+      ``x + lam * d`` with what must not move kept;
+    - ``lam_cap(x, d)``, the step cap along d as a :class:`StepCap`;
+    - ``precond_factory(x)``, P^-1 built at x as a vector map (read only by
+      the P seeds; the fixed point also reads ``dim``);
+    - ``take_work()`` and ``step_metrics(x_old, x_new)``, dicts of
+      :class:`IterationRecord` fields for the step's record.
     """
     x = problem.x0.copy()
     f, g = problem.eval(x)
@@ -794,28 +771,7 @@ def _run(problem, config, method):
     make_strategy, seed = _METHOD_TABLE[method]
     strategy = make_strategy(problem, seed)
     x, records, termination = _descend(problem, config, strategy)
-    return x, OptimizeReport(
-        method, records, termination, problem.fun_evals, extras=strategy.extras
-    )
-
-
-def minimize_lbfgs(fun_grad, x0, config=None, precond_solve=None):
-    """Limited-memory BFGS on a plain objective ``fun_grad(x) -> (f, g)``.
-
-    With ``precond_solve`` the inner two-loop seed solves P r = q; without
-    it the seed is the identity. Once a curvature pair is stored, the seed
-    is scaled by gamma = s.y / y.H0 y of the newest pair (`_seed_scale`).
-    """
-    problem = FunctionProblem(fun_grad, x0, precond_solve)
-    method = PLBFGS if precond_solve is not None else LBFGS
-    return _run(problem, config or OptimizeConfig(), method)
-
-
-def minimize_nlcg(fun_grad, x0, config=None, precond_solve=None):
-    """Polak-Ribiere nonlinear CG on a plain objective."""
-    problem = FunctionProblem(fun_grad, x0, precond_solve)
-    method = PNLCG if precond_solve is not None else NLCG
-    return _run(problem, config or OptimizeConfig(), method)
+    return x, OptimizeReport(method, records, termination, problem.fun_evals)
 
 
 def optimize(mesh, config=None):

@@ -1,14 +1,18 @@
-"""Shared helpers: seeded random element and mesh factories."""
+"""Shared helpers: seeded random element and mesh factories, and the
+driver's adapter to plain objectives."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from rrsmooth import generate, simplex, triangles, tetrahedra
-from rrsmooth.cap import max_step_before_inversion
+from rrsmooth import generate, optim, simplex, triangles, tetrahedra
+from rrsmooth.cap import StepCap, max_step_before_inversion
 from rrsmooth.errors import DegenerateElement
-from rrsmooth.mesh import SimplexMesh
+from rrsmooth.mesh import (
+    FIX_ALL, SimplexMesh, boundary_facets, classify_boundary, components, validate,
+)
 
 
 def random_triangles(n, seed=0, mu_cap=50.0, min_area=1e-3):
@@ -407,11 +411,97 @@ def _reference_flatten_tet(verts, cells, incident, cell, eps):
     return False
 
 
+def perturbed_lattice(n=8):
+    """An equilateral patch n, fixed at its boundary, with two interior
+    vertices moved 0.3 edge lengths in opposite senses, halfway between two
+    lattice neighbour directions."""
+    mesh = generate.gen_mesh(generate.GeneratorSpec(generate.EQUILATERAL, n))
+    interior = np.flatnonzero(
+        ~np.isin(np.arange(mesh.n_vertices), np.unique(boundary_facets(mesh)[0]))
+    )
+    a, b = interior[len(interior) // 3], interior[2 * len(interior) // 3]
+    d = (0.3 * np.cos(np.pi / 6), 0.3 * np.sin(np.pi / 6))
+    verts = mesh.vertices.copy()
+    verts[a] += d
+    verts[b] -= d
+    moved = mesh.with_vertices(verts)
+    assert validate(moved) == []
+    return classify_boundary(moved, FIX_ALL)
+
+
+class FunctionProblem:
+    """A plain objective ``fun_grad(x) -> (f, g)`` as a problem for the descent
+    driver (``optim._descend`` states the protocol): nothing is constrained or
+    capped, and the P seeds solve with ``precond_solve``."""
+
+    def __init__(self, fun_grad, x0, precond_solve=None):
+        self.fun_grad, self.precond_solve = fun_grad, precond_solve
+        self.x0 = np.asarray(x0, dtype=float).copy()
+        self.fun_evals = 0
+
+    def eval(self, x):
+        self.fun_evals += 1
+        f, g = self.fun_grad(x)
+        return float(f), np.asarray(g, dtype=float)
+
+    def project(self, v):
+        return v
+
+    def step(self, x, d, lam):
+        return x + lam * d
+
+    def lam_cap(self, x, d):
+        return StepCap(math.inf)
+
+    def precond_factory(self, x):
+        return self.precond_solve
+
+    def take_work(self, *unused):
+        return {}
+
+    step_metrics = take_work
+
+
+def minimize_lbfgs(fun_grad, x0, config=None, precond_solve=None):
+    """lbfgs on a plain objective, or plbfgs with the seed ``precond_solve``."""
+    problem = FunctionProblem(fun_grad, x0, precond_solve)
+    method = optim.LBFGS if precond_solve is None else optim.PLBFGS
+    return optim._run(problem, config or optim.OptimizeConfig(), method)
+
+
+def minimize_nlcg(fun_grad, x0, config=None, precond_solve=None):
+    """nlcg on a plain objective, or pnlcg with the seed ``precond_solve``."""
+    problem = FunctionProblem(fun_grad, x0, precond_solve)
+    method = optim.NLCG if precond_solve is None else optim.PNLCG
+    return optim._run(problem, config or optim.OptimizeConfig(), method)
+
+
+def record_betas(mp):
+    """Wrap ``optim._Nlcg.accept`` through the MonkeyPatch ``mp``; the returned
+    list collects the Polak-Ribiere beta of every accepted (p)nlcg step."""
+    accept, betas = optim._Nlcg.accept, []
+
+    def spy(self, *args):
+        accept(self, *args)
+        betas.append(self.beta)
+
+    mp.setattr(optim._Nlcg, "accept", spy)
+    return betas
+
+
+def assert_spd_structure(P, parts=1):
+    """P (scipy) is exactly symmetric, every row weakly diagonally dominant and
+    some strictly (to 1e-12 of its largest entry); its graph has ``parts`` parts."""
+    A = abs(P)
+    margin = 2.0 * A.diagonal() - np.asarray(A.sum(axis=1)).ravel()
+    tol = 1e-12 * A.max()
+    assert (P != P.T).nnz == 0 and (margin >= -tol).all() and (margin > tol).any()
+    assert components(P.shape[0], *P.tocoo().coords)[0] == parts
+
+
 def spy_wolfe(mp):
     """Wrap ``optim.strong_wolfe_search`` through the MonkeyPatch ``mp``; the
     returned list collects ``(df0, result)`` of every search that returns."""
-    from rrsmooth import optim
-
     search, searches = optim.strong_wolfe_search, []
 
     def spy(phi, f0, df0, **kwargs):
@@ -427,8 +517,6 @@ def spy_wolfe(mp):
 def exact_line_search(monkeypatch):
     """Wolfe constants so small that each accepted step is the exact minimizer
     along its ray to rounding, as the quadratic-termination identities need."""
-    from rrsmooth import optim
-
     monkeypatch.setattr(optim, "WOLFE_C1", 1e-13)
     monkeypatch.setattr(optim, "WOLFE_C2", 1e-10)
 

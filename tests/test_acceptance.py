@@ -15,7 +15,7 @@ from scipy.sparse.linalg import splu
 
 from rrsmooth import mesh as m
 from rrsmooth import tetrahedra, triangles
-from rrsmooth.assembly import assemble_preconditioner, energy_gradient, spd_audit
+from rrsmooth.assembly import assemble_preconditioner, energy_gradient
 from rrsmooth.generate import (
     CUBE,
     EQUILATERAL,
@@ -23,16 +23,18 @@ from rrsmooth.generate import (
     GeneratorSpec,
     PlantSliver,
     RandomJitter,
-    VertexDisplace,
     gen_mesh,
     perturb_mesh,
 )
 from rrsmooth.meshio import load_mesh, save_mesh
 from rrsmooth.optim import (
-    WOLFE_C2, OptimizeConfig, _two_loop, cg_solve, minimize_nlcg, optimize,
+    WOLFE_C2, OptimizeConfig, _two_loop, cg_solve, optimize,
 )
 
-from conftest import central_diff, random_tets, random_triangles, spy_wolfe
+from conftest import (
+    assert_spd_structure, central_diff, minimize_nlcg, perturbed_lattice, random_tets,
+    random_triangles, record_betas, spy_wolfe,
+)
 
 # Completed optimization runs: name -> (mesh_in, mesh_out, report), and the
 # (df0, result) of every strong-Wolfe search they made.
@@ -52,17 +54,6 @@ def run(name, mesh, config):
 
 def note(criterion, message):
     print(f"\n[acceptance] criterion {criterion} PASS: {message}")
-
-
-def perturbed_lattice(n=8):
-    mesh = gen_mesh(GeneratorSpec(EQUILATERAL, n))
-    interior = np.flatnonzero(
-        ~np.isin(np.arange(mesh.n_vertices), np.unique(m.boundary_facets(mesh)[0]))
-    )
-    a, b = interior[len(interior) // 3], interior[2 * len(interior) // 3]
-    d = (0.3 * np.cos(np.pi / 6), 0.3 * np.sin(np.pi / 6))
-    moved = perturb_mesh(mesh, VertexDisplace(((int(a), d), (int(b), (-d[0], -d[1])))))
-    return m.classify_boundary(moved, m.FIX_ALL)
 
 
 @pytest.fixture(scope="module")
@@ -231,10 +222,7 @@ def test_criterion_5_spd_preconditioner():
     for kind, n, policy in cases:
         mesh = m.classify_boundary(gen_mesh(GeneratorSpec(kind, n)), policy)
         pre = assemble_preconditioner(mesh)
-        report = spd_audit(pre)
-        assert report.symmetry_residual == 0.0
-        assert report.weakly_dominant
-        assert report.strictly_dominant_rows >= 1
+        assert_spd_structure(pre.P)
         b = rng.normal(size=pre.n)
         x, info = cg_solve(pre.P, b, tol=1e-10, max_iters=pre.n)
         assert info.converged and info.iterations <= pre.n
@@ -276,7 +264,9 @@ def test_criterion_6_preconditioning_efficiency(sliver_runs):
     note(6, f"evaluation ratios {ratios} (<= 0.8) with final min q within 0.01")
 
 
-def test_criterion_7_optimizer_identities(lattice_run, sliver_runs, slide_run, exact_line_search):
+def test_criterion_7_optimizer_identities(
+    lattice_run, sliver_runs, slide_run, exact_line_search, monkeypatch
+):
     # Two-loop recursion vs dense BFGS on a small quadratic.
     rng = np.random.default_rng(77)
     n = 9
@@ -311,10 +301,8 @@ def test_criterion_7_optimizer_identities(lattice_run, sliver_runs, slide_run, e
     Q = A @ A.T + np.eye(nq)
     b = rng.normal(size=nq)
     cfg = OptimizeConfig(method="nlcg", grad_tol=1e-13, grad_tol_abs=1e-13, max_iters=nq)
-    _, report = minimize_nlcg(
-        lambda v: (0.5 * v @ (Q @ v) - b @ v, Q @ v - b), np.zeros(nq), cfg
-    )
-    betas = report.extras["betas"]
+    betas = record_betas(monkeypatch)
+    minimize_nlcg(lambda v: (0.5 * v @ (Q @ v) - b @ v, Q @ v - b), np.zeros(nq), cfg)
     xk = np.zeros(nq)
     r = b.copy()
     p = r.copy()

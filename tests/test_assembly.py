@@ -11,7 +11,6 @@ from rrsmooth.assembly import (
     gradient_matrix,
     preconditioner_topology,
     scatter_index,
-    spd_audit,
     write_matrix_market,
 )
 from rrsmooth.errors import DegenerateElement, DisconnectedMesh, NoFixedVertices
@@ -27,7 +26,7 @@ from rrsmooth.generate import (
 )
 from rrsmooth.optim import cg_solve
 
-from conftest import random_tets, random_triangles
+from conftest import assert_spd_structure, random_tets, random_triangles
 
 
 def jittered(kind, n, seed, amplitude=0.2):
@@ -203,7 +202,7 @@ class TestPreconditioner:
         one = assemble_preconditioner(m.classify_boundary(a, m.FIX_ALL)).P
         two = assemble_preconditioner(both)
         assert (two.P != 0.5 * sparse.block_diag([one, one], format="csr")).nnz == 0
-        assert spd_audit(two).n_components == 2
+        assert_spd_structure(two.P, parts=2)
 
     def test_disconnected_mesh_rejected(self):
         # A part whose vertices are all free leaves P singular; one of its
@@ -245,12 +244,7 @@ class TestPreconditioner:
     def test_audit_on_generated_meshes(self):
         for kind, n in ((SQUARE, 4), (EQUILATERAL, 4), (CUBE, 3)):
             mesh = m.classify_boundary(gen_mesh(GeneratorSpec(kind, n)), m.FIX_ALL)
-            pre = assemble_preconditioner(mesh)
-            report = spd_audit(pre)
-            assert report.symmetry_residual == 0.0
-            assert report.weakly_dominant
-            assert report.strictly_dominant_rows >= 1
-            assert report.n_components == 1
+            assert_spd_structure(assemble_preconditioner(mesh).P)
 
     def test_audit_on_jittered_slivered_cube(self):
         from rrsmooth.generate import PlantSliver
@@ -258,9 +252,7 @@ class TestPreconditioner:
         mesh = jittered(CUBE, 4, seed=10)
         mesh = perturb_mesh(mesh, PlantSliver(count=2, eps=0.05))
         mesh = m.classify_boundary(mesh, m.FIX_ALL)
-        report = spd_audit(assemble_preconditioner(mesh))
-        assert report.weakly_dominant
-        assert report.symmetry_residual == 0.0
+        assert_spd_structure(assemble_preconditioner(mesh).P)
 
     @pytest.mark.parametrize("policy", [m.FIX_ALL, m.SLIDE_PLANAR])
     @pytest.mark.parametrize(

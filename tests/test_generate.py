@@ -13,7 +13,6 @@ from rrsmooth.generate import (
     GeneratorSpec,
     PlantSliver,
     RandomJitter,
-    VertexDisplace,
     gen_mesh,
     perturb_mesh,
 )
@@ -77,45 +76,16 @@ def test_random_jitter_refuses_a_seed_that_is_no_integer(seed):
             perturb_mesh(mesh, RandomJitter(amplitude, seed))
 
 
-@pytest.mark.parametrize(
-    "index, message",
-    [
-        (True, "must be an integer"),
-        (6.5, "must be an integer"),
-        (-1, r"must be in \[0, 25\)"),
-        (25, r"must be in \[0, 25\)"),
-    ],
-    ids=["bool", "fraction", "negative", "past_the_end"],
-)
-def test_vertex_displace_refuses_an_index_that_names_no_vertex(index, message):
+def test_random_jitter_seeds_are_the_64_bit_states():
+    # The PRNG keeps a seed's low 64 bits, so 2**64 + 1 jittered as 1 did
+    # and -1 as 2**64 - 1; a seed outside [0, 2**64) is refused instead.
     mesh = gen_mesh(GeneratorSpec(SQUARE, 4))
-    assert mesh.n_vertices == 25
-    with pytest.raises(InvalidSpec, match=f"VertexDisplace index {message}"):
-        perturb_mesh(mesh, VertexDisplace(((index, (0.01, 0.0)),)))
-
-
-@pytest.mark.parametrize("offset", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
-def test_vertex_displace_refuses_a_non_finite_offset(offset):
-    mesh = gen_mesh(GeneratorSpec(SQUARE, 4))
-    with pytest.raises(InvalidSpec, match="VertexDisplace offset must be finite"):
-        perturb_mesh(mesh, VertexDisplace(((12, offset),)))
-
-
-@pytest.mark.parametrize(
-    "offset, message",
-    [
-        (0.01, "must be 2 numbers"),
-        ((0.01,), "must be 2 numbers"),
-        ((0.01, 0.0, 0.0), "must be 2 numbers"),
-        (("0.01", 0.0), "must be a real number"),
-    ],
-    ids=["scalar", "1-tuple", "3-tuple", "string"],
-)
-def test_vertex_displace_refuses_an_offset_that_is_not_dim_numbers(offset, message):
-    # A scalar or a 1-tuple used to move vertex 12 by (0.01, 0.01).
-    mesh = gen_mesh(GeneratorSpec(SQUARE, 4))
-    with pytest.raises(InvalidSpec, match=f"VertexDisplace offset {message}"):
-        perturb_mesh(mesh, VertexDisplace(((12, offset),)))
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(InvalidSpec, match=rf"RandomJitter seed must be in \[0, {2**64}\)"):
+            perturb_mesh(mesh, RandomJitter(0.3, seed))
+    top = perturb_mesh(mesh, RandomJitter(0.3, 2**64 - 1))
+    assert_same_bits(top, perturb_mesh(mesh, RandomJitter(0.3, np.uint64(2**64 - 1))))
+    assert not np.array_equal(top.vertices, perturb_mesh(mesh, RandomJitter(0.3, 0)).vertices)
 
 
 @pytest.mark.parametrize("amplitude", [True, "0.1"], ids=repr)
@@ -157,8 +127,6 @@ def test_numpy_floats_are_amounts():
     assert_same_bits(jittered, perturb_mesh(mesh, RandomJitter(0.1, 3)))
     slivered = perturb_mesh(jittered, PlantSliver(2, np.float64(0.01)))
     assert_same_bits(slivered, perturb_mesh(jittered, PlantSliver(2, 0.01)))
-    moved = perturb_mesh(mesh, VertexDisplace(((62, np.array([0.01, 0.0, 0.0])),)))
-    assert_same_bits(moved, perturb_mesh(mesh, VertexDisplace(((62, (0.01, 0.0, 0.0)),))))
 
 
 def test_numpy_integers_are_counts():
@@ -169,5 +137,3 @@ def test_numpy_integers_are_counts():
         assert_same_bits(jittered, perturb_mesh(mesh, RandomJitter(0.1, 3)))
         slivered = perturb_mesh(jittered, PlantSliver(integer(2), 0.01))
         assert_same_bits(slivered, perturb_mesh(jittered, PlantSliver(2, 0.01)))
-        moved = perturb_mesh(mesh, VertexDisplace(((integer(62), (0.01, 0.0, 0.0)),)))
-        assert moved.vertices[62, 0] == mesh.vertices[62, 0] + 0.01

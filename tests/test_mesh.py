@@ -18,12 +18,11 @@ from rrsmooth.generate import (
     GeneratorSpec,
     PlantSliver,
     RandomJitter,
-    VertexDisplace,
     gen_mesh,
     perturb_mesh,
 )
 
-from conftest import random_tets, random_triangles, rejected, stacked_cells
+from conftest import perturbed_lattice, random_tets, random_triangles, rejected, stacked_cells
 
 
 def unit_square_two_tris():
@@ -1144,27 +1143,9 @@ class TestPerturb:
         np.testing.assert_array_equal(out.vertices[boundary], mesh.vertices[boundary])
 
     def test_displace_two_lattice_vertices(self):
-        mesh = gen_mesh(GeneratorSpec(EQUILATERAL, 8))
-        interior = np.flatnonzero(
-            ~np.isin(np.arange(mesh.n_vertices), np.unique(m.boundary_facets(mesh)[0]))
-        )
-        a, b = interior[len(interior) // 3], interior[2 * len(interior) // 3]
-        # 0.3 edge lengths, halfway between two lattice neighbor directions.
-        d = (0.3 * np.cos(np.pi / 6), 0.3 * np.sin(np.pi / 6))
-        moved = perturb_mesh(
-            mesh, VertexDisplace(((int(a), d), (int(b), (-d[0], -d[1]))))
-        )
+        moved = perturbed_lattice()
         assert m.validate(moved) == []
         assert m.quality_stats(moved).min_q < 0.9
-
-    def test_displace_across_facet_raises(self):
-        tri = m.SimplexMesh(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]), np.array([[0, 1, 2]])
-        )
-        from rrsmooth.errors import WouldInvert
-
-        with pytest.raises(WouldInvert):
-            perturb_mesh(tri, VertexDisplace(((2, (0.0, -1.0)),)))
 
     def test_plant_slivers_deterministic(self):
         mesh = gen_mesh(GeneratorSpec(CUBE, 4))

@@ -20,25 +20,23 @@ from rrsmooth.generate import (
     PlantSliver,
     RandomJitter,
     SQUARE,
-    VertexDisplace,
     gen_mesh,
     perturb_mesh,
 )
 from rrsmooth.optim import (
     WOLFE_C2,
     CgInfo,
-    FunctionProblem,
     OptimizeConfig,
     _two_loop,
     backtracking_search,
     cg_solve,
-    minimize_lbfgs,
-    minimize_nlcg,
     optimize,
     strong_wolfe_search,
 )
 
-from conftest import spy_wolfe
+from conftest import (
+    FunctionProblem, minimize_lbfgs, minimize_nlcg, perturbed_lattice, record_betas, spy_wolfe,
+)
 
 
 class TestCgSolve:
@@ -555,7 +553,7 @@ class TestNlcgOnQuadratics:
         assert np.linalg.norm(Q @ x, np.inf) <= 1e-9
         assert report.iterations <= 2 + 1
 
-    def test_pr_beta_equals_linear_cg_beta(self, rng):
+    def test_pr_beta_equals_linear_cg_beta(self, rng, monkeypatch):
         n = 6
         A = rng.normal(size=(n, n))
         Q = A @ A.T + np.eye(n)
@@ -563,8 +561,8 @@ class TestNlcgOnQuadratics:
         fun_grad = quadratic_problem(Q, b)
         x0 = np.zeros(n)
         cfg = OptimizeConfig(max_iters=n, grad_tol_abs=1e-13, grad_tol=1e-13)
-        _, report = minimize_nlcg(fun_grad, x0, cfg)
-        betas = report.extras["betas"]
+        betas = record_betas(monkeypatch)
+        minimize_nlcg(fun_grad, x0, cfg)
 
         # Textbook linear CG betas on the same system.
         x = x0.copy()
@@ -596,17 +594,6 @@ class TestNlcgOnQuadratics:
 def optimal_square_mesh():
     mesh = gen_mesh(GeneratorSpec(EQUILATERAL, 4))
     return m.classify_boundary(mesh, m.FIX_ALL)
-
-
-def perturbed_lattice(n=8):
-    mesh = gen_mesh(GeneratorSpec(EQUILATERAL, n))
-    interior = np.flatnonzero(
-        ~np.isin(np.arange(mesh.n_vertices), np.unique(m.boundary_facets(mesh)[0]))
-    )
-    a, b = interior[len(interior) // 3], interior[2 * len(interior) // 3]
-    d = (0.3 * np.cos(np.pi / 6), 0.3 * np.sin(np.pi / 6))
-    moved = perturb_mesh(mesh, VertexDisplace(((int(a), d), (int(b), (-d[0], -d[1])))))
-    return m.classify_boundary(moved, m.FIX_ALL)
 
 
 def slivered_cube(n=4, count=3, eps=0.01, policy=m.FIX_ALL):
